@@ -78,3 +78,19 @@ def applied_workload(
 @pytest.fixture(scope="session")
 def workload_cache():
     return cached_workload
+
+
+@pytest.fixture
+def baseline_path(tmp_path_factory):
+    """Where a report test writes its JSON payload: a scratch directory
+    of this pytest run, never the checkout.  The committed
+    ``BENCH_*.json`` files are read-only references (E9 compares
+    against two of them), so a test run leaves the tree as it found
+    it; the path is printed for whoever wants the numbers."""
+
+    def path(name: str) -> str:
+        target = str(tmp_path_factory.mktemp("bench") / name)
+        print(f"baseline written to {target}")
+        return target
+
+    return path

@@ -234,7 +234,7 @@ class Fleet:
             client.close_socket()
 
 
-def test_e10_remote_load_shedding_and_drain(tmp_path):
+def test_e10_remote_load_shedding_and_drain(tmp_path, baseline_path):
     path = str(tmp_path / "e10")
     tintin = build_engine(path)
     server = tintin.listen(
@@ -312,7 +312,4 @@ def test_e10_remote_load_shedding_and_drain(tmp_path):
         "drained_cleanly": drained,
     }
     if not SMOKE:
-        write_json_baseline(
-            os.path.join(os.path.dirname(__file__), "..", "BENCH_net.json"),
-            payload,
-        )
+        write_json_baseline(baseline_path("BENCH_net.json"), payload)

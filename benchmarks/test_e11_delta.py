@@ -96,7 +96,7 @@ def measure(spec):
     return delta, full, armed
 
 
-def test_e11_report(benchmark):
+def test_e11_report(benchmark, baseline_path):
     """Regenerate the delta-vs-full table (printed to stdout)."""
 
     def build_rows():
@@ -140,7 +140,7 @@ def test_e11_report(benchmark):
         ],
     }
     if not SMOKE:
-        write_json_baseline("BENCH_delta.json", payload)
+        write_json_baseline(baseline_path("BENCH_delta.json"), payload)
 
 
 # -- differential: delta engine vs full-plan oracle -------------------------

@@ -296,7 +296,7 @@ def test_e12_crash_recovery(benchmark):
     assert summary["recovered"] == summary["acked"]
 
 
-def test_e12_report(benchmark):
+def test_e12_report(benchmark, baseline_path):
     def sweep():
         return [run_sweep_point(shards) for shards in SHARD_SWEEP]
 
@@ -330,4 +330,4 @@ def test_e12_report(benchmark):
         f"the {ACCEPTANCE_SPEEDUP}x acceptance bar ({payload})"
     )
     if not SMOKE:
-        write_json_baseline("BENCH_shard.json", payload)
+        write_json_baseline(baseline_path("BENCH_shard.json"), payload)

@@ -407,7 +407,7 @@ def test_e8_tracing_overhead(benchmark):
     assert enabled.commits_per_second >= 0.5 * disabled.commits_per_second
 
 
-def test_e8_report(benchmark):
+def test_e8_report(benchmark, baseline_path):
     def sweep():
         results = []
         last_tintin = None
@@ -441,4 +441,4 @@ def test_e8_report(benchmark):
         f"the {ACCEPTANCE_SPEEDUP}x acceptance bar ({payload})"
     )
     if not SMOKE:
-        write_json_baseline("BENCH_concurrency.json", payload)
+        write_json_baseline(baseline_path("BENCH_concurrency.json"), payload)

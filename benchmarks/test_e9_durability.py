@@ -437,7 +437,7 @@ def run_off_parity():
     }
 
 
-def test_e9_report(benchmark):
+def test_e9_report(benchmark, baseline_path):
     def sweep():
         rows = []
         recovery_dir = None
@@ -562,7 +562,9 @@ def test_e9_report(benchmark):
         # ratio; a run that only cleared the regression guard keeps
         # the previous (passing) baseline instead of overwriting it
         if ratio >= BASELINE_RATIO:
-            write_json_baseline("BENCH_durability.json", payload)
+            write_json_baseline(
+                baseline_path("BENCH_durability.json"), payload
+            )
 
 
 def test_e9_recovery_differential(benchmark):

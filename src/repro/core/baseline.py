@@ -10,7 +10,6 @@ benchmarks is incremental vs. full evaluation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,56 +48,36 @@ class NonIncrementalChecker:
     def assertions(self) -> list[Assertion]:
         return list(self._assertions)
 
-    def __call__(self, db: Database) -> CommitResult:
-        """The baseline equivalent of safeCommit.
+    def __call__(
+        self,
+        db: Database,
+        inserts: dict[str, list[tuple]],
+        deletes: dict[str, list[tuple]],
+    ) -> CommitResult:
+        """The baseline equivalent of safeCommit over one captured
+        update (already taken out of the event tables).
 
         Applies the update inside a transaction, evaluates every
         assertion query over the whole post-state, and rolls back when
         any returns rows.
         """
-        for table in self.events.captured_tables:
-            db.disable_triggers(table)
         db.begin()
         try:
-            inserts = {
-                t: self.events.pending_insertions(t)
-                for t in self.events.captured_tables
-            }
-            deletes = {
-                t: self.events.pending_deletions(t)
-                for t in self.events.captured_tables
-            }
-            try:
-                applied = db.apply_batch(inserts, deletes)
-            except ConstraintViolation as exc:
-                db.rollback()
-                self.events.truncate_events()
-                return CommitResult(committed=False, constraint_error=str(exc))
-
-            start = time.perf_counter()
-            violations = self.check_current_state(db)
-            elapsed = time.perf_counter() - start
-
-            if violations:
-                db.rollback()
-                self.events.truncate_events()
-                return CommitResult(
-                    committed=False,
-                    violations=violations,
-                    checked_views=len(self._assertions),
-                    check_seconds=elapsed,
-                )
+            applied = db.apply_batch(inserts, deletes)
+        except ConstraintViolation as exc:
+            db.rollback()
+            return CommitResult(committed=False, constraint_error=str(exc))
+        violations = self.check_current_state(db)
+        if violations:
+            db.rollback()
+        else:
             db.commit()
-            self.events.truncate_events()
-            return CommitResult(
-                committed=True,
-                applied_rows=applied,
-                checked_views=len(self._assertions),
-                check_seconds=elapsed,
-            )
-        finally:
-            for table in self.events.captured_tables:
-                db.enable_triggers(table)
+        return CommitResult(
+            committed=not violations,
+            violations=violations,
+            applied_rows=0 if violations else applied,
+            checked_views=len(self._assertions),
+        )
 
     def check_current_state(self, db: Database) -> list[Violation]:
         """Evaluate every assertion's defining query over the current

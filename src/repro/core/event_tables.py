@@ -203,22 +203,35 @@ class EventTableManager:
                 deletes[table] = dels
         return inserts, deletes
 
+    def take_events(self) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
+        """Move the global staging out of the event tables: returns it
+        (as :meth:`snapshot_events` does) and leaves them empty — ready
+        for the next update, and for a commit to present any update to
+        the violation views as overlays.  One pass; an empty event
+        table costs one length test."""
+        inserts: dict[str, list[tuple]] = {}
+        deletes: dict[str, list[tuple]] = {}
+        for table in self._captured:
+            for staged, name in (
+                (inserts, ins_table_name(table)),
+                (deletes, del_table_name(table)),
+            ):
+                events = self.db.table(name)
+                if len(events):
+                    staged[table] = events.rows_snapshot()
+                    events.truncate()
+        return inserts, deletes
+
     def load_events(
         self,
         inserts: dict[str, list[tuple]],
         deletes: dict[str, list[tuple]],
-        truncate_first: bool = True,
     ) -> None:
-        """Populate the global event tables from per-table row dicts.
-
-        This is the bridge the commit scheduler uses: a session's
-        privately staged events are loaded here so the stored violation
-        views (which reference the global ``ins_T``/``del_T``) execute
-        against exactly that session's update.  Rows were validated at
+        """Put a staging :meth:`take_events` took back into the (still
+        empty) global event tables — how a commit window restores the
+        default-session events it stashed.  Rows were validated at
         staging time, so they are inserted without re-validation.
         """
-        if truncate_first:
-            self.truncate_events()
         for table, rows in inserts.items():
             target = self.db.table(ins_table_name(table))
             for row in rows:
@@ -231,18 +244,11 @@ class EventTableManager:
     # -- applying -------------------------------------------------------------------
 
     def apply_pending(self) -> int:
-        """Apply the captured batch to the base tables (triggers
-        disabled), then truncate the event tables.  Constraint
-        violations propagate after rolling the batch back."""
-        inserts = {t: self.pending_insertions(t) for t in self._captured}
-        deletes = {t: self.pending_deletions(t) for t in self._captured}
-        for table in self._captured:
-            self.db.disable_triggers(table)
-        try:
-            changed = self.db.apply_batch(inserts, deletes)
-        finally:
-            for table in self._captured:
-                self.db.enable_triggers(table)
+        """Apply the captured batch to the base tables (a trigger-free
+        physical write — capture stays armed), then truncate the event
+        tables.  Constraint violations propagate after rolling the
+        batch back, the events still staged."""
+        changed = self.db.apply_batch(*self.snapshot_events())
         self.truncate_events()
         return changed
 

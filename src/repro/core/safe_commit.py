@@ -2,15 +2,20 @@
 
 ``safeCommit`` is called at the end of each transaction.  It:
 
-1. queries the stored violation views — skipping any view whose driving
-   event tables are empty (the paper's "trivially empty" shortcut);
-2. if every view is empty, disables the capture triggers, applies the
-   batch (inserts from ``ins_T``, deletes from ``del_T``) under PK/FK
-   enforcement, re-enables the triggers;
-3. truncates the event tables either way, so a new update can be
+1. queries the stored violation views over the proposed update —
+   skipping any view whose driving event tables are empty (the paper's
+   "trivially empty" shortcut);
+2. if every view is empty, applies the batch (inserts from ``ins_T``,
+   deletes from ``del_T``) under PK/FK enforcement — a trigger-free
+   physical write, so capture stays armed;
+3. leaves the event tables empty either way, so a new update can be
    proposed;
 4. returns the violations (assertion name, EDC, offending tuples) when
    the update is rejected.
+
+:meth:`SafeCommit.__call__` is that procedure, written once: the commit
+unit every route — stored procedure, default session, scheduler window,
+2PC prepare — runs.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..durability.manager import touched_counts
 from ..errors import ConstraintViolation
 from ..minidb.database import Database, PreparedStatement
 from ..minidb.schema import normalize
 from ..minidb.storage import TableOverlay
+from ..minidb.transactions import TransactionManager
+from ..obs.trace import new_span_id
 from .edc import EDC
-from .event_tables import EventTableManager
+from .event_tables import del_table_name, ins_table_name
 
 
 @dataclass
@@ -81,7 +89,6 @@ class CommitResult:
     applied_rows: int = 0
     checked_views: int = 0
     skipped_views: int = 0
-    check_seconds: float = 0.0
     #: how many sessions' updates shared this commit's validation-and-
     #: apply window (1 unless the group-commit fast path batched it)
     group_size: int = 1
@@ -105,11 +112,67 @@ class CommitResult:
         return f"rejected: {parts}"
 
 
+def deadline_result() -> CommitResult:
+    """The verdict for a request cancelled by its own deadline: not
+    committed, not applied, no WAL frame — safely retriable."""
+    return CommitResult(
+        committed=False,
+        constraint_error="deadline exceeded before validation completed",
+        deadline_expired=True,
+    )
+
+
+def event_overlays(
+    inserts: dict[str, list[tuple]],
+    deletes: dict[str, list[tuple]],
+) -> dict[str, TableOverlay]:
+    """Present a staged update as overlays on the (empty) global event
+    tables: the violation views (which reference ``ins_T``/``del_T``)
+    then see exactly this update without a single row being physically
+    loaded — validation is a pure read."""
+    overlays: dict[str, TableOverlay] = {}
+    for table, rows in inserts.items():
+        if rows:
+            overlays[normalize(ins_table_name(table))] = TableOverlay(rows)
+    for table, rows in deletes.items():
+        if rows:
+            overlays[normalize(del_table_name(table))] = TableOverlay(rows)
+    return overlays
+
+
+def log_update(
+    db: Database,
+    log,
+    inserts: dict[str, list[tuple]],
+    deletes: dict[str, list[tuple]],
+    gid: Optional[str] = None,
+) -> bool:
+    """Append the one WAL record of an applied update, unsynced (the
+    caller's flush issues the fsync): a 2PC prepare record when ``gid``
+    is given, else a batch record carrying the post-apply row counts
+    recovery re-verifies.  ``log`` is the durability manager, or None
+    when commits are not being logged; an empty batch needs no record.
+    Returns whether one was appended."""
+    if log is None:
+        return False
+    if gid is not None:
+        log.log_prepare(gid, inserts, deletes)
+    elif any(inserts.values()) or any(deletes.values()):
+        log.append_batch(
+            inserts,
+            deletes,
+            counts=touched_counts(db, inserts, deletes),
+            sync=False,
+        )
+    else:
+        return False
+    return True
+
+
 class SafeCommit:
     """Callable implementing the stored ``safeCommit`` procedure."""
 
-    def __init__(self, events: EventTableManager):
-        self.events = events
+    def __init__(self):
         self.compiled: list[CompiledEDC] = []
         #: aggregate-assertion checkers (the paper's future-work
         #: extension); duck-typed: .check(db, overlays=None) ->
@@ -154,39 +217,116 @@ class SafeCommit:
 
     # -- the procedure body -------------------------------------------------
 
-    def __call__(self, db: Database) -> CommitResult:
-        start = time.perf_counter()
-        violations, checked, skipped = self.check_only(db)
-        elapsed = time.perf_counter() - start
-        if violations:
-            self.events.truncate_events()
-            return CommitResult(
-                committed=False,
-                violations=violations,
-                checked_views=checked,
-                skipped_views=skipped,
-                check_seconds=elapsed,
+    def __call__(
+        self,
+        db: Database,
+        inserts: dict[str, list[tuple]],
+        deletes: dict[str, list[tuple]],
+        transactions: TransactionManager,
+        *,
+        hold_open: bool = False,
+        deadline: Optional[float] = None,
+        observers=(),
+        group: int = 1,
+        log=None,
+        gid: Optional[str] = None,
+        fault=None,
+    ) -> tuple[CommitResult, bool]:
+        """The commit unit: validate, apply and log one update.
+
+        Every route to a commit runs exactly this, under whatever
+        exclusion it owns and with the event tables empty (the update
+        rides in as overlays); :mod:`repro.server.scheduler` lists the
+        stages and tabulates what each route passes.  ``deadline`` (an
+        absolute ``time.monotonic()`` instant) is honoured before the
+        violation-view pass — doomed work is cancelled, not performed —
+        and again after it: a lapse mid-validation cancels before the
+        apply and its WAL record exist, so an expired request stays
+        invisible and is safe to retry.  Each of ``observers`` gets the
+        ``validate``/``check.<view>``/``apply``/``wal.append`` spans;
+        ``fault`` is the scheduler's fault hook.  ``hold_open`` leaves
+        the undo log open (a 2PC prepare, whose :meth:`note_applied`
+        waits for the decision); ``log``/``gid`` go to
+        :func:`log_update`.
+
+        Returns the verdict and whether a record was appended: the
+        caller owns the fsync, and must not acknowledge a logged
+        commit before it returns.
+        """
+        if deadline is not None and time.monotonic() > deadline:
+            return deadline_result(), False
+        if fault is not None:
+            fault("scheduler.validate", group=group)
+        trace = [(obs, new_span_id()) for obs in observers]
+        start = time.monotonic() if trace else 0.0
+        violations, checked, skipped = self.check_only(
+            db, overlays=event_overlays(inserts, deletes), trace=trace or None
+        )
+        for obs, span_id in trace:
+            obs.record(
+                "validate",
+                start,
+                time.monotonic(),
+                span_id=span_id,
+                group=group,
+                checked=checked,
+                skipped=skipped,
             )
-        inserts, deletes = self.events.snapshot_events()
-        try:
-            applied = self.events.apply_pending()
-        except ConstraintViolation as exc:
-            self.events.truncate_events()
-            return CommitResult(
-                committed=False,
-                constraint_error=str(exc),
-                checked_views=checked,
-                skipped_views=skipped,
-                check_seconds=elapsed,
-            )
-        self.note_applied(db, inserts, deletes)
-        return CommitResult(
-            committed=True,
-            applied_rows=applied,
+        if deadline is not None and time.monotonic() > deadline:
+            return deadline_result(), False
+        result = CommitResult(
+            committed=False,
+            violations=violations,
             checked_views=checked,
             skipped_views=skipped,
-            check_seconds=elapsed,
         )
+        if violations:
+            return result, False
+        start = time.monotonic() if trace else 0.0
+        try:
+            result.applied_rows = self.apply(
+                db, inserts, deletes, transactions, hold_open
+            )
+        except ConstraintViolation as exc:
+            result.constraint_error = str(exc)
+            return result, False
+        result.committed = True
+        if not hold_open:
+            self.note_applied(db, inserts, deletes)
+        for obs, _ in trace:
+            obs.record("apply", start, time.monotonic(), group=group)
+        start = time.monotonic() if trace else 0.0
+        logged = log_update(db, log, inserts, deletes, gid)
+        if logged:
+            for obs, _ in trace:
+                obs.record("wal.append", start, time.monotonic(), group=group)
+        return result, logged
+
+    def apply(
+        self,
+        db: Database,
+        inserts: dict[str, list[tuple]],
+        deletes: dict[str, list[tuple]],
+        transactions: TransactionManager,
+        hold_open: bool = False,
+    ) -> int:
+        """The apply stage: one atomic physical batch (trigger-free;
+        unique keys and deferred FKs verified now) under
+        ``transactions``.  With ``hold_open`` the undo log stays open
+        after a successful apply — the caller later commits it or
+        rolls it back — and a failed one is rolled back here."""
+        if hold_open:
+            transactions.begin()
+        try:
+            with db.transaction_scope(transactions):
+                return db.apply_batch(inserts, deletes)
+        except BaseException:
+            if hold_open:
+                transactions.rollback()
+                # memo state may have been seeded expecting the apply
+                # to stick; dropping it is always sound
+                self.reset_delta_state()
+            raise
 
     def check_only(
         self,

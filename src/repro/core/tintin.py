@@ -37,7 +37,7 @@ from .denial_compiler import DenialCompiler
 from .edc_generator import EDCGenerator
 from .event_tables import EventTableManager
 from .optimizer import OptimizationReport, SemanticOptimizer
-from .safe_commit import CommitResult, CompiledEDC, SafeCommit
+from .safe_commit import CommitResult, CompiledEDC, SafeCommit, log_update
 from .sql_generator import SQLGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +53,7 @@ class Tintin:
     def __init__(self, db: Database, optimize: bool = True):
         self.db = db
         self.events = EventTableManager(db)
-        self.safe_commit_proc = SafeCommit(self.events)
+        self.safe_commit_proc = SafeCommit()
         self.baseline = NonIncrementalChecker(self.events)
         self.optimizer = SemanticOptimizer(db.catalog, enabled=optimize)
         self.assertions: dict[str, Assertion] = {}
@@ -291,7 +291,7 @@ class Tintin:
         captured = self.events.install(tables)
         self.db.create_procedure(
             SAFE_COMMIT_PROCEDURE,
-            lambda db: self._durable_safe_commit(db),
+            lambda db: self.safe_commit(),
             description="TINTIN: check assertions, then commit or reject "
             "the captured update",
         )
@@ -501,12 +501,16 @@ class Tintin:
     def safe_commit(self, session: Optional["Session"] = None) -> CommitResult:
         """Run the safeCommit procedure.
 
-        With no argument this is the paper's single-session call (same
-        as ``db.call('safeCommit')``), except that once sessions exist
-        the globally captured update is routed through the commit
-        scheduler too, so the default session serializes correctly with
-        concurrent sessions (its trigger captures take the scheduler's
-        read lock, so they cannot interleave with a commit window).
+        With no argument this is the paper's single-session call, and
+        the body of the stored procedure (``db.call('safeCommit')`` is
+        the same entry): the captured update is moved out of the event
+        tables and handed to the commit unit
+        (:class:`~repro.core.safe_commit.SafeCommit`) — directly, with
+        an inline fsync, while no session exists; through the commit
+        scheduler once sessions do, so the default session serializes
+        correctly with concurrent sessions (its trigger captures take
+        the scheduler's read lock, so they cannot interleave with a
+        commit window).
         The default session remains *one* client, as in the paper: it
         must not stage and commit from multiple threads at once, and
         its plain reads (``db.query``) are not snapshot-guarded against
@@ -520,45 +524,34 @@ class Tintin:
         if self._sessions is not None:
             scheduler = self._sessions.scheduler
             with scheduler.rwlock.read_locked():
-                staged = self.events.snapshot_events()
-                self.events.truncate_events()
+                staged = self.events.take_events()
             return scheduler.commit_events(*staged)
-        return self.db.call(SAFE_COMMIT_PROCEDURE)
-
-    def _logged_commit(self, checker) -> CommitResult:
-        """Run a commit procedure with WAL logging around it.
-
-        The staged update is snapshotted before ``checker`` consumes it
-        and — only if the commit succeeded — appended to the write-
-        ahead log and fsynced before the result is returned, so an
-        acknowledged single-session commit is always durable.  Session
-        commits take the scheduler's group-commit logging path instead
-        and never reach this wrapper.
-        """
-        manager = self.durability
-        if manager is None or not manager.durable:
-            return checker()
-        inserts, deletes = self.events.snapshot_events()
-        result = checker()
-        if result.committed and (inserts or deletes):
-            from ..durability.manager import touched_counts
-
-            manager.append_batch(
-                inserts,
-                deletes,
-                counts=touched_counts(self.db, inserts, deletes),
-                sync=True,
-            )
+        inserts, deletes = self.events.take_events()
+        manager = self._log_manager()
+        result, logged = self.safe_commit_proc(
+            self.db, inserts, deletes, self.db.transactions, log=manager
+        )
+        if logged:
+            # an acknowledged single-session commit is always durable
+            manager.sync()
         return result
 
-    def _durable_safe_commit(self, db: Database) -> CommitResult:
-        """The stored-procedure body: safeCommit plus WAL logging."""
-        return self._logged_commit(lambda: self.safe_commit_proc(db))
+    def _log_manager(self) -> Optional["DurabilityManager"]:
+        """The attached durability manager, or None when commits are
+        not being logged (no manager, or mode ``"off"``)."""
+        manager = self.durability
+        return manager if manager is not None and manager.durable else None
 
     def full_check_commit(self) -> CommitResult:
         """The non-incremental comparator: apply, re-run full assertion
-        queries, roll back on violation (paper §4 baseline)."""
-        return self._logged_commit(lambda: self.baseline(self.db))
+        queries, roll back on violation (paper §4 baseline).  Logged
+        and fsynced like the single-session commit it stands in for."""
+        inserts, deletes = self.events.take_events()
+        result = self.baseline(self.db, inserts, deletes)
+        manager = self._log_manager()
+        if result.committed and log_update(self.db, manager, inserts, deletes):
+            manager.sync()
+        return result
 
     def check_pending(self) -> CommitResult:
         """Check the captured update without committing or discarding it."""

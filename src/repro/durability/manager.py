@@ -241,27 +241,14 @@ class DurabilityManager:
                 # log; batches may reference it by ordinal again
                 self._ddl_synced_version = self._db.catalog.version
 
-    def append_batch(
-        self,
-        inserts: dict,
-        deletes: dict,
-        counts: Optional[dict] = None,
-        sync: bool = True,
-    ) -> None:
-        """Append one committed batch record; optionally fsync now.
-
-        The single-session facade passes ``sync=True`` (its commit is
-        its own flush).  The commit scheduler always passes
-        ``sync=False`` and issues the durability fsync through
-        :meth:`sync` — from its window flush in ``commit`` mode (one
-        fsync per commit) and from the log-writer thread in ``batch``
-        mode (one fsync per burst of windows).
-        """
+    def _append(self, kind: str, args: tuple, sync: bool, **fault_ctx) -> None:
+        """Append one ``kind`` (batch / prepare / decide) record under
+        the lock, firing the fault points; fsync now when ``sync``."""
         if not self.durable:
             return
         with self._lock:
             # v2 ordinals are positions in the catalog's table list,
-            # so a batch record's ordinals are only meaningful if every
+            # so a record's ordinals are only meaningful if every
             # catalog change before it is already in the log.  A live
             # catalog NEWER than the last logged DDL means a DDL's
             # mutation has landed but its WAL record has not (the
@@ -277,14 +264,30 @@ class DurabilityManager:
                 and self._db.catalog.version == self._ddl_synced_version
                 else None
             )
-            self.wal.append_batch(
-                inserts, deletes, counts, ordinal_of=ordinal_of
-            )
-            self.stats.logged_batches += 1
-            self._fault("wal.after_append")
+            getattr(self.wal, "append_" + kind)(*args, ordinal_of=ordinal_of)
+            if kind == "batch":
+                self.stats.logged_batches += 1
+            self._fault("wal.after_append", **fault_ctx)
             if sync:
-                self._fault("wal.before_fsync")
+                self._fault("wal.before_fsync", **fault_ctx)
                 self.wal.sync()
+
+    def append_batch(
+        self,
+        inserts: dict,
+        deletes: dict,
+        counts: Optional[dict] = None,
+        sync: bool = True,
+    ) -> None:
+        """Append one committed batch record; optionally fsync now.
+
+        The commit unit always passes ``sync=False``; its caller issues
+        the durability fsync through :meth:`sync` — inline for the
+        single-session route and ``commit`` mode (one fsync per
+        commit), from the scheduler's flush in ``batch`` mode (one
+        fsync per window, or per burst of windows).
+        """
+        self._append("batch", (inserts, deletes, counts), sync)
 
     def sync(self) -> None:
         """Make every appended record durable (the group fsync)."""
@@ -303,25 +306,17 @@ class DurabilityManager:
         deletes: dict,
         counts: Optional[dict] = None,
     ) -> None:
-        """Append + fsync one 2PC prepare record — the durable yes
-        vote.  The fsync is unconditional: a participant must never
-        vote yes on a prepare the disk could still lose."""
-        if not self.durable:
-            return
-        with self._lock:
-            ordinal_of = (
-                self._ordinal_of
-                if self._db is not None
-                and self.batch_format >= 2
-                and self._db.catalog.version == self._ddl_synced_version
-                else None
-            )
-            self.wal.append_prepare(
-                gid, inserts, deletes, counts, ordinal_of=ordinal_of
-            )
-            self._fault("wal.after_append", gid=gid, record="prepare")
-            self._fault("wal.before_fsync", gid=gid, record="prepare")
-            self.wal.sync()
+        """Append one 2PC prepare record, unsynced — once fsynced, the
+        durable yes vote.  A participant must never vote yes on a
+        prepare the disk could still lose: the caller owes a
+        :meth:`sync` before it answers."""
+        self._append(
+            "prepare",
+            (gid, inserts, deletes, counts),
+            False,
+            gid=gid,
+            record="prepare",
+        )
 
     def log_decide(
         self,
@@ -333,23 +328,9 @@ class DurabilityManager:
         """Append one 2PC decide record (the coordinator's verdict as
         seen by this participant); fsynced by default so the in-doubt
         window closes durably."""
-        if not self.durable:
-            return
-        with self._lock:
-            ordinal_of = (
-                self._ordinal_of
-                if self._db is not None
-                and self.batch_format >= 2
-                and self._db.catalog.version == self._ddl_synced_version
-                else None
-            )
-            self.wal.append_decide(
-                gid, verdict, counts, ordinal_of=ordinal_of
-            )
-            self._fault("wal.after_append", gid=gid, record="decide")
-            if sync:
-                self._fault("wal.before_fsync", gid=gid, record="decide")
-                self.wal.sync()
+        self._append(
+            "decide", (gid, verdict, counts), sync, gid=gid, record="decide"
+        )
 
     # -- checkpoints -------------------------------------------------------
 

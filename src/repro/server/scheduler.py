@@ -2,25 +2,60 @@
 
 ``safeCommit`` must remain what the paper made it: one update,
 validated against the stored violation views, applied or rejected
-atomically.  With many sessions proposing updates concurrently the
-scheduler serializes exactly that step — and amortizes it.  Commits are
-queued FIFO; whichever client thread first grabs the leader lock drains
-the queue and processes the whole batch inside a single exclusive
-window (one write-lock acquisition; capture triggers stay armed — the
-window's applies are trigger-free physical batch writes, and any
-concurrent default-session staging blocks on the read lock).
+atomically.  That step is written once — the *commit unit*,
+:meth:`repro.core.safe_commit.SafeCommit.__call__` — as a serial
+composition of stages, with the cross-cutting concerns attached at the
+stage boundaries:
 
-Inside the window the batch is split into *groups* of pairwise
-compatible members.  A compatible group takes the fast path: all
-members' events are presented to the violation views together as
-**overlays** on the (empty-during-the-window) global event tables —
-the views run **once** over the union without physically loading a
-row — and one combined ``apply_batch`` applies everything: k commits
-for the price of one validation pass.  Any violation, constraint error
-or incompatibility falls back to the strict serial protocol (overlay
-one member's events, validate, apply — exactly the single-session
-semantics, in FIFO order), which also attributes each violation to the
+    deadline gate → ``scheduler.validate`` fault point → validate (the
+    violation views over the update's overlays; spans ``validate`` /
+    ``check.<view>``) → deadline gate → apply (one trigger-free
+    physical batch under a transaction manager; span ``apply``) →
+    ``note_applied`` → log (one unsynced WAL record; span
+    ``wal.append``) → flush (one fsync, then the withheld results
+    become visible; span ``wal.fsync``)
+
+Every route to a commit is a caller of that unit and differs from the
+others in data, not code:
+
+=======================  ==================  ==============  =======  ========
+route                    members             txn manager     record   flush
+=======================  ==================  ==============  =======  ========
+stored procedure /       the captured        database's      batch    inline
+default session, no      update (no queue,   own, closed
+sessions                 window, footprint)
+default session once     the captured        fresh, closed   batch    window's
+sessions exist           update, queued
+``policy="serial"``      each queued member  member's,       batch    window's
+                                             closed
+``policy="group"``       compatible members, scheduler's     batch    window's
+                         events unioned      group, closed
+``durability="commit"``  a window of one     member's,       batch    inline
+                                             closed
+2PC prepare              participant's       fresh, held     prepare  inline
+                         slice               open
+2PC adopt (recovery)     in-doubt slice, the fresh, held     none     none
+                         apply stage alone   open
+2PC decide               prepared slice:     the held one,   decide   with the
+                         resume, or undo     closed/undone            record
+=======================  ==================  ==============  =======  ========
+
+With many sessions proposing updates concurrently the scheduler
+serializes exactly that step — and amortizes it.  Commits are queued
+FIFO; whichever client thread first grabs the leader lock drains the
+queue and processes the whole batch inside a single exclusive window
+(one write-lock acquisition).  Inside the window the batch is split into *groups* of pairwise compatible members; a
+group's union passes **one** validation and one apply — k commits for
+the price of one — and any non-clean outcome (violation, constraint
+error, a deadline lapsing mid-validation) replays the group member by
+member in FIFO order, which also attributes each violation to the
 session that staged the offending events.
+
+The window flush is adaptive in ``batch`` mode: with no backlog the
+leader fsyncs inline; with requests already queued behind the window
+it hands the flush to the :class:`LogWriter` thread, which coalesces
+consecutive windows into shared fsyncs.  Acknowledgements always wait
+for the fsync covering their record.
 
 Compatibility is a conservative static check on the members' *key
 footprints*:
@@ -52,7 +87,8 @@ footprints*:
   serialize).
 
 The differential tests (sequential vs concurrent runs must
-accept/reject identical updates) exercise the shipped workloads.
+accept/reject identical updates) exercise the shipped workloads, with
+``policy="serial"`` as the reference.
 """
 
 from __future__ import annotations
@@ -61,18 +97,16 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import ConstraintViolation
+from ..errors import DurabilityError
 from ..minidb.schema import normalize
-from ..minidb.storage import TableOverlay
 from ..minidb.transactions import TransactionManager
-from ..core.event_tables import del_table_name, ins_table_name
-from ..core.safe_commit import CommitResult
+from ..core.safe_commit import CommitResult, deadline_result
+from ..durability.manager import touched_counts
 from .locks import ReadWriteLock
 from ..obs.metrics import StatsBlock
-from ..obs.trace import new_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tintin import Tintin
@@ -209,15 +243,6 @@ class _KeyspaceBindings:
         return False
 
 
-def _deadline_result() -> CommitResult:
-    """The verdict for a request cancelled by its own deadline: not
-    committed, not applied, no WAL frame — safely retriable."""
-    return CommitResult(
-        committed=False,
-        constraint_error="deadline exceeded before validation completed",
-        deadline_expired=True,
-    )
-
 def commit_verdict(result: CommitResult) -> str:
     """The one-word outcome label used in traces, metrics and the
     slow-commit log: committed / deadline / violation / error."""
@@ -236,7 +261,8 @@ def _columns_key(columns: tuple[str, ...]) -> tuple[str, ...]:
 
 @dataclass
 class _PendingCommit:
-    """One queued safeCommit request (events already snapshotted)."""
+    """One safeCommit request (events already snapshotted): a queued
+    commit, or the member a 2PC prepare hands the commit unit."""
 
     session: Optional["Session"]
     inserts: dict[str, list[tuple]]
@@ -244,30 +270,19 @@ class _PendingCommit:
     footprint: _Footprint
     transactions: TransactionManager
     #: absolute ``time.monotonic()`` deadline, or None for "no limit".
-    #: Checked at the window start and again right before the
-    #: violation-view pass, so a doomed request is cancelled before
-    #: the expensive work instead of after it.
+    #: Checked at the window start and by the commit unit's gates
+    #: before and after the violation-view pass, so a doomed request
+    #: is cancelled before the expensive work instead of after it.
     deadline: Optional[float] = None
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[CommitResult] = None
     #: observation context (:class:`repro.obs.trace.CommitObs`) when
     #: this commit is being traced or slow-logged; None on the default
-    #: path — every stage point below guards on exactly this
+    #: path — every stage point guards on exactly this
     obs: Optional[object] = None
     #: ``time.monotonic()`` at enqueue, for the queue.wait span (only
     #: stamped when ``obs`` is present)
     enqueued_at: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.inserts.values()) + sum(
-            len(r) for r in self.deletes.values()
-        )
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        return self.deadline is not None and (
-            now if now is not None else time.monotonic()
-        ) > self.deadline
 
 
 class SchedulerStats(StatsBlock):
@@ -321,9 +336,9 @@ class SchedulerStats(StatsBlock):
 
 
 class LogWriter:
-    """Group commit's durability point, decoupled from the commit
-    window: an idle-path inline flush plus a dedicated log-writer
-    thread for bursts.
+    """Group commit's durability point: the one flush routine, run
+    inline on the idle path and by a dedicated log-writer thread for
+    bursts.
 
     In ``batch`` mode the leader appends its window's WAL records
     inside the window and flushes adaptively: with no backlog it
@@ -356,6 +371,48 @@ class LogWriter:
         self._stopped = False
         self._thread: Optional[threading.Thread] = None
 
+    def flush(self, manager, windows: list, **counted) -> None:
+        """One fsync makes every record the ``windows`` appended
+        durable; then, and only then, their withheld committed results
+        become visible.  Each window is a list of ``(member, result)``
+        pairs; ``counted`` adds to the bump a successful flush earns.
+
+        Failure-safe: whatever happens, every member gets a result and
+        its done event — a dying flush must not strand the committing
+        sessions in their wait loops — and the failure is re-raised.
+        The poisoned log then refuses every later durable commit, so a
+        rejected commit can never become durable later.  The windows'
+        rows, however, were already applied under the write lock and
+        stay visible in memory — the engine serves state ahead of its
+        log until it is reopened, the same divergence a PostgreSQL
+        instance has between a failed WAL flush and its PANIC restart.
+        """
+        members = [pair for deferred in windows for pair in deferred]
+        start = time.monotonic()
+        try:
+            manager.sync()
+            self.stats.bump(wal_fsyncs=1, **counted)
+            end = time.monotonic()
+            for pending, result in members:
+                # spans land before done fires: once done is set the
+                # waiting client thread may finish (and ship) the trace.
+                # getattr: tests drive the writer with duck-typed
+                # member stubs that carry only done/result
+                obs = getattr(pending, "obs", None)
+                if obs is not None:
+                    obs.record("wal.fsync", start, end, windows=len(windows))
+                pending.result = result
+                pending.done.set()
+        except BaseException as exc:
+            for pending, _ in members:
+                if pending.result is None:
+                    pending.result = CommitResult(
+                        committed=False,
+                        constraint_error=f"log flush failed: {exc}",
+                    )
+                    pending.done.set()
+            raise
+
     def submit(self, manager, deferred) -> None:
         """Queue one window's deferred members for the thread's next
         burst fsync."""
@@ -370,18 +427,8 @@ class LogWriter:
                 self._cond.notify()
                 return
         # late window after shutdown: flush inline — outside the
-        # condition lock (the fsync must not block drain/submit) and
-        # with the same never-strand-a-member net as the thread path
-        try:
-            self._flush_burst([(manager, deferred)])
-        finally:
-            for pending, _ in deferred:
-                if pending.result is None:
-                    pending.result = CommitResult(
-                        committed=False,
-                        constraint_error="log flush failed",
-                    )
-                    pending.done.set()
+        # condition lock (the fsync must not block drain/submit)
+        self.flush(manager, [deferred])
 
     def drain(self) -> None:
         """Block until every submitted window has been flushed (or
@@ -411,65 +458,24 @@ class LogWriter:
                 self._pending.clear()
                 self._flushing = True
             try:
-                self._flush_burst(burst)
+                self.flush(
+                    burst[-1][0],
+                    [deferred for _, deferred in burst],
+                    writer_flushes=1,
+                    writer_windows=len(burst),
+                )
+            except (OSError, DurabilityError):
+                # the WAL rolled back its unsynced frames and poisoned
+                # itself (or already was poisoned), and flush rejected
+                # every member of the burst; keep serving.  A flush
+                # that died on anything else propagates (and kills
+                # this thread — submit() restarts it), its members
+                # rejected just the same.
+                pass
             finally:
-                # catastrophe net: whatever happened, no member of the
-                # burst may be stranded in its wait loop.  A flush that
-                # died on something _flush_burst does not recognize
-                # propagates (and kills this thread — submit() restarts
-                # it), but its members are still rejected first.
-                for _, deferred in burst:
-                    for pending, _ in deferred:
-                        if pending.result is None:
-                            pending.result = CommitResult(
-                                committed=False,
-                                constraint_error="log flush failed",
-                            )
-                            pending.done.set()
                 with self._cond:
                     self._flushing = False
                     self._cond.notify_all()
-
-    def _flush_burst(self, burst) -> None:
-        """One fsync covers every window in the burst; then, and only
-        then, their withheld committed results become visible."""
-        from ..errors import DurabilityError
-
-        manager = burst[-1][0]
-        fsync_start = time.monotonic()
-        try:
-            manager.sync()
-        except (OSError, DurabilityError) as exc:
-            # the WAL rolled back its unsynced frames and poisoned
-            # itself (or already was poisoned): no member of any
-            # affected window may ever be acknowledged — reject them
-            # all
-            for _, deferred in burst:
-                for pending, _ in deferred:
-                    pending.result = CommitResult(
-                        committed=False,
-                        constraint_error=f"log flush failed: {exc}",
-                    )
-                    pending.done.set()
-            return
-        self.stats.bump(
-            wal_fsyncs=1, writer_flushes=1, writer_windows=len(burst)
-        )
-        fsync_end = time.monotonic()
-        for _, deferred in burst:
-            for pending, result in deferred:
-                # getattr: tests drive the writer with duck-typed
-                # member stubs that carry only done/result
-                obs = getattr(pending, "obs", None)
-                if obs is not None:
-                    obs.record(
-                        "wal.fsync",
-                        fsync_start,
-                        fsync_end,
-                        windows=len(burst),
-                    )
-                pending.result = result
-                pending.done.set()
 
 
 class CommitScheduler:
@@ -512,11 +518,9 @@ class CommitScheduler:
         self._coupling_cache: Optional[tuple] = None
         #: (assertion-set version, per-table keyspace projection index)
         self._coupling_proj_cache: Optional[tuple] = None
-        #: the dedicated log-writer thread (batch-mode windows hand it
-        #: their deferred members; it batches fsyncs across windows).
-        #: Set ``log_writer_enabled = False`` to flush every window
-        #: inline instead (the pre-log-writer protocol).
-        self.log_writer_enabled = True
+        #: the flush routine and its log-writer thread (batch-mode
+        #: windows with a backlog hand it their deferred members; it
+        #: batches fsyncs across windows)
         self._log_writer = LogWriter(self.stats)
         #: fault-injection hook (``repro.net.faults.FaultInjector.fire``
         #: when installed): called with a point name at well-defined
@@ -561,24 +565,6 @@ class CommitScheduler:
 
     # -- submission --------------------------------------------------------
 
-    def commit(
-        self,
-        session: "Session",
-        deadline: Optional[float] = None,
-        obs: Optional[object] = None,
-    ) -> CommitResult:
-        """Commit one session's staged update; blocks until decided."""
-        inserts, deletes = session.events.snapshot()
-        session.events.truncate()  # events move into the request
-        return self.commit_events(
-            inserts,
-            deletes,
-            transactions=session.transactions,
-            session=session,
-            deadline=deadline,
-            obs=obs,
-        )
-
     def commit_events(
         self,
         inserts: dict[str, list[tuple]],
@@ -603,7 +589,8 @@ class CommitScheduler:
         decide — commits stay observation-free (``pending.obs is
         None``, the zero-overhead path) unless tracing or slow-commit
         logging is enabled, in which case the obs is created *and
-        finished* here.
+        finished* here, whether the request is decided or its window
+        fails.
         """
         owned = None
         if obs is None:
@@ -629,24 +616,85 @@ class CommitScheduler:
         # measurably fragments batching.  A follower instead waits on
         # its done event with a short timeout (the retry covers the
         # case of a leader that exited without draining its request).
-        while not pending.done.is_set():
-            if self._leader_lock.acquire(blocking=False):
-                try:
-                    if not pending.done.is_set():
-                        self._process_batch()
-                finally:
-                    self._leader_lock.release()
+        try:
+            while not pending.done.is_set():
+                if self._leader_lock.acquire(blocking=False):
+                    try:
+                        if not pending.done.is_set():
+                            self._process_batch()
+                    finally:
+                        self._leader_lock.release()
                 # a no-op for an immediately-decided request; when the
                 # request's record is riding the log-writer thread's
                 # fsync the wait stops this thread from spinning on
                 # re-election until the flush acknowledges it
                 pending.done.wait(timeout=0.0005)
-            else:
-                pending.done.wait(timeout=0.0005)
+        finally:
+            if owned is not None:
+                owned.finish(
+                    "error"
+                    if pending.result is None
+                    else commit_verdict(pending.result)
+                )
         assert pending.result is not None
-        if owned is not None:
-            owned.finish(commit_verdict(pending.result))
         return pending.result
+
+    # -- the commit unit's callers -----------------------------------------
+
+    @contextmanager
+    def _exclusive_window(self):
+        """The exclusion every validating caller of the commit unit
+        owns: the write lock, with the global event tables empty.
+
+        No trigger toggling is needed: the unit's apply writes base
+        tables directly (trigger-free physical ops), and capture
+        triggers stay armed so a default-session INSERT can never slip
+        past staging — its capture blocks on the read lock until the
+        window ends.  The default session (global capture) may have
+        staged events outside any Session; they are stashed and the
+        global tables emptied so each validation — which overlays its
+        events on those tables — sees exactly its own update, then
+        restored at window end.
+        """
+        with self.rwlock.write_locked():
+            stashed = self.events.take_events()
+            try:
+                yield
+            finally:
+                self.events.load_events(*stashed)
+
+    def _unit(
+        self,
+        members: list[_PendingCommit],
+        inserts: dict[str, list[tuple]],
+        deletes: dict[str, list[tuple]],
+        transactions: TransactionManager,
+        gid: Optional[str] = None,
+    ) -> tuple[CommitResult, bool]:
+        """Run the commit unit over ``members``' events (theirs alone,
+        or a group's union): the earliest member deadline gates it,
+        every observed member gets its spans, and the record it
+        appends is counted.  With ``gid`` it is a 2PC prepare: the
+        undo log stays open and the record is a prepare record.
+        Returns the unit's ``(result, logged)``; a logged result must
+        be withheld until the flush."""
+        deadlines = [p.deadline for p in members if p.deadline is not None]
+        result, logged = self.tintin.safe_commit_proc(
+            self.db,
+            inserts,
+            deletes,
+            transactions,
+            hold_open=gid is not None,
+            deadline=min(deadlines) if deadlines else None,
+            observers=[p.obs for p in members if p.obs is not None],
+            group=len(members),
+            log=self.tintin._log_manager(),
+            gid=gid,
+            fault=self.fault_hook,
+        )
+        if logged:
+            self.stats.bump(wal_appends=1)
+        return result, logged
 
     # -- two-phase commit (participant side) -------------------------------
 
@@ -666,24 +714,25 @@ class CommitScheduler:
         deadline: Optional[float] = None,
         obs: Optional[object] = None,
     ) -> CommitResult:
-        """Phase one of two-phase commit: validate, tentatively apply,
-        and durably log the prepare record — which *is* the yes vote.
+        """Phase one of two-phase commit: the commit unit stopped after
+        its log stage — validated, tentatively applied with the undo
+        log held open, the prepare record appended — and that record
+        fsynced, which *is* the yes vote.
 
         A ``committed=True`` result means this engine votes yes and is
-        now bound by the coordinator's decision: the update is applied
-        with its undo log held open, the prepare record is fsynced, and
-        every ordinary commit window is refused until
-        :meth:`decide_prepared` resolves the transaction.  Any other
-        result is a no vote — nothing was applied, no record was
-        written, and the coordinator must abort the global transaction.
+        now bound by the coordinator's decision: every ordinary commit
+        window is refused until :meth:`decide_prepared` resolves the
+        transaction.  Any other result is a no vote — nothing stays
+        applied, no durable record exists, and the coordinator must
+        abort the global transaction.  The tentative apply verifies the
+        physical constraints (unique keys, deferred FKs) NOW, so a yes
+        vote guarantees the later commit cannot fail.
 
         The router serializes cross-shard transactions per participant
         (it holds every participant's shard lock for the whole 2PC),
         so at most one prepare is ever outstanding here; a second one
         arriving anyway is voted down, not queued.
         """
-        from ..errors import DurabilityError
-
         prepare_start = time.monotonic() if obs is not None else 0.0
         with self._leader_lock:
             if gid in self._prepared:
@@ -696,79 +745,45 @@ class CommitScheduler:
                         "and undecided"
                     ),
                 )
-            if deadline is not None and time.monotonic() > deadline:
-                self.stats.bump(deadline_expired=1)
-                return _deadline_result()
             self._fault("scheduler.prepare", gid=gid)
-            manager = self._durability()
             txn = TransactionManager()
-            applied = 0
-            with self.rwlock.write_locked():
-                stashed = self.events.snapshot_events()
-                self.events.truncate_events()
-                try:
-                    violations, checked, skipped = (
-                        self.tintin.safe_commit_proc.check_only(
-                            self.db,
-                            overlays=self._event_overlays(inserts, deletes),
-                        )
+            member = _PendingCommit(
+                None, inserts, deletes, _Footprint(), txn, deadline, obs=obs
+            )
+            try:
+                with self._exclusive_window():
+                    result, logged = self._unit(
+                        [member], inserts, deletes, txn, gid=gid
                     )
-                    if violations:
-                        return CommitResult(
-                            committed=False,
-                            violations=violations,
-                            checked_views=checked,
-                            skipped_views=skipped,
-                        )
-                    # tentative apply: physical constraints (unique
-                    # keys, deferred FKs) are verified NOW, so a yes
-                    # vote guarantees the later commit cannot fail —
-                    # the undo log stays open until the decision
-                    txn.begin()
-                    try:
-                        with self.db.transaction_scope(txn):
-                            applied = self.db.apply_batch(inserts, deletes)
-                    except BaseException as exc:
-                        if txn.in_transaction:
-                            txn.rollback()
-                        self.tintin.safe_commit_proc.reset_delta_state()
-                        if isinstance(exc, ConstraintViolation):
-                            return CommitResult(
-                                committed=False,
-                                constraint_error=str(exc),
-                                checked_views=checked,
-                                skipped_views=skipped,
-                            )
-                        raise
-                finally:
-                    self.events.load_events(*stashed)
-            if manager is not None:
-                try:
-                    manager.log_prepare(gid, inserts, deletes)
-                except (OSError, DurabilityError) as exc:
-                    # an unloggable vote is a no vote: without the
-                    # durable prepare record a crash would silently
-                    # forget the yes, so undo the tentative apply
+                if logged:
+                    self._log_writer.flush(
+                        self.tintin._log_manager(), [[(member, result)]]
+                    )
+            except BaseException as exc:
+                # the vote never became durable — and an unloggable
+                # vote is a no vote: without the durable prepare record
+                # a crash would silently forget the yes, so undo the
+                # tentative apply
+                if txn.in_transaction:
                     with self.rwlock.write_locked():
-                        if txn.in_transaction:
-                            txn.rollback()
+                        txn.rollback()
                     self.tintin.safe_commit_proc.reset_delta_state()
+                if isinstance(exc, (OSError, DurabilityError)):
                     return CommitResult(
                         committed=False,
                         constraint_error=f"prepare logging failed: {exc}",
                     )
-            self._prepared[gid] = (inserts, deletes, txn)
-            self.stats.bump(prepares=1)
+                raise
+            if result.committed:
+                self._prepared[gid] = (inserts, deletes, txn)
+                self.stats.bump(prepares=1)
+            elif result.deadline_expired:
+                self.stats.bump(deadline_expired=1)
             if obs is not None:
                 obs.record(
                     "prepare", prepare_start, time.monotonic(), gid=gid
                 )
-            return CommitResult(
-                committed=True,
-                applied_rows=applied,
-                checked_views=checked,
-                skipped_views=skipped,
-            )
+            return result
 
     def adopt_prepared(
         self,
@@ -781,25 +796,20 @@ class CommitScheduler:
         Recovery replays the WAL's prepare record but not its events
         (``RecoveryReport.in_doubt``); the router then resolves the
         transaction against the coordinator's decision log.  Adopting
-        performs the tentative apply exactly as :meth:`prepare_events`
-        did originally — but writes NO new WAL record (the original
-        prepare record is still in the log) — so the subsequent
-        :meth:`decide_prepared` behaves identically either way.
+        runs the commit unit's apply stage alone, undo log held open
+        exactly as :meth:`prepare_events` left it originally — and
+        writes NO new WAL record (the original prepare record is still
+        in the log) — so the subsequent :meth:`decide_prepared` behaves
+        identically either way.
         """
         with self._leader_lock:
             if gid in self._prepared:
                 raise ValueError(f"transaction {gid!r} is already prepared")
             txn = TransactionManager()
             with self.rwlock.write_locked():
-                txn.begin()
-                try:
-                    with self.db.transaction_scope(txn):
-                        self.db.apply_batch(inserts, deletes)
-                except BaseException:
-                    if txn.in_transaction:
-                        txn.rollback()
-                    self.tintin.safe_commit_proc.reset_delta_state()
-                    raise
+                self.tintin.safe_commit_proc.apply(
+                    self.db, inserts, deletes, txn, hold_open=True
+                )
             self._prepared[gid] = (inserts, deletes, txn)
 
     def decide_prepared(
@@ -809,47 +819,42 @@ class CommitScheduler:
         obs: Optional[object] = None,
     ) -> Optional[CommitResult]:
         """Phase two: enforce the coordinator's decision on a prepared
-        transaction.  Returns None for an unknown gid — a duplicate
-        decide (the router re-decides after crashing mid-resolution)
-        is an idempotent no-op, never an error."""
-        from ..durability.manager import touched_counts
-
+        transaction — resume the stopped unit, or roll it back.
+        Returns None for an unknown gid — a duplicate decide (the
+        router re-decides after crashing mid-resolution) is an
+        idempotent no-op, never an error."""
         decide_start = time.monotonic() if obs is not None else 0.0
         with self._leader_lock:
             entry = self._prepared.pop(gid, None)
             if entry is None:
                 return None
             inserts, deletes, txn = entry
-            self._fault(
-                "scheduler.decide", gid=gid, verdict=verdict
-            )
-            manager = self._durability()
-            if verdict:
-                # the tentative apply becomes permanent: close the undo
-                # log, fold the delta into the derived state, log the
-                # decision with post-apply counts for replay checking
-                with self.rwlock.write_locked():
-                    if txn.in_transaction:
-                        txn.commit()
+            self._fault("scheduler.decide", gid=gid, verdict=verdict)
+            counts = None
+            with self.rwlock.write_locked():
+                if verdict:
+                    # the tentative apply becomes permanent: close the
+                    # undo log, fold the delta into the derived state,
+                    # log the decision with post-apply counts for
+                    # replay checking
+                    txn.commit()
                     self.tintin.safe_commit_proc.note_applied(
                         self.db, inserts, deletes
                     )
                     counts = touched_counts(self.db, inserts, deletes)
-                if manager is not None:
-                    manager.log_decide(gid, True, counts=counts)
-                    self.stats.bump(wal_appends=1, wal_fsyncs=1)
-                self.stats.bump(commits=1, prepared_commits=1)
-                result = CommitResult(committed=True)
-            else:
-                with self.rwlock.write_locked():
-                    if txn.in_transaction:
-                        txn.rollback()
+                else:
+                    txn.rollback()
                     # memo state may have been seeded expecting the
                     # apply to stick; dropping it is always sound
                     self.tintin.safe_commit_proc.reset_delta_state()
-                if manager is not None:
-                    manager.log_decide(gid, False)
-                    self.stats.bump(wal_appends=1, wal_fsyncs=1)
+            manager = self.tintin._log_manager()
+            if manager is not None:
+                manager.log_decide(gid, verdict, counts=counts)
+                self.stats.bump(wal_appends=1, wal_fsyncs=1)
+            if verdict:
+                self.stats.bump(commits=1, prepared_commits=1)
+                result = CommitResult(committed=True)
+            else:
                 self.stats.bump(prepared_aborts=1)
                 result = CommitResult(
                     committed=False,
@@ -1056,7 +1061,7 @@ class CommitScheduler:
         # engine (InnoDB's prepare_commit_mutex era).  One request per
         # window, no gathering — batching is the very thing the mode
         # disables, and the E9 experiment's baseline.
-        manager = self._durability()
+        manager = self.tintin._log_manager()
         per_commit = manager is not None and manager.mode == "commit"
         if self.gather_seconds and not per_commit:
             self._gather()
@@ -1074,46 +1079,27 @@ class CommitScheduler:
         alive: list[_PendingCommit] = []
         now = time.monotonic()
         for pending in batch:
-            if pending.expired(now):
-                pending.result = _deadline_result()
+            if pending.deadline is not None and now > pending.deadline:
+                pending.result = deadline_result()
                 pending.done.set()
                 self.stats.bump(deadline_expired=1)
-            else:
-                alive.append(pending)
+                continue
+            alive.append(pending)
+            if pending.obs is not None:
+                pending.obs.record("queue.wait", pending.enqueued_at, now)
         batch = alive
         if not batch:
             return
-        for pending in batch:
-            if pending.obs is not None:
-                pending.obs.record(
-                    "queue.wait", pending.enqueued_at, time.monotonic()
-                )
         self.stats.bump(batches=1, commits=len(batch))
         start = time.perf_counter()
         #: committed members whose WAL records are appended but not yet
         #: durable; their results are withheld until the window flush
         deferred: list[tuple[_PendingCommit, CommitResult]] = []
         try:
-            with self.rwlock.write_locked():
-                # the window needs no trigger toggling: apply_batch
-                # writes base tables directly (trigger-free physical
-                # ops), and capture triggers stay armed so a default-
-                # session INSERT can never slip past staging — its
-                # capture blocks on the read lock until the window ends
-                #
-                # the default session (global capture) may have staged
-                # events outside any Session; stash them and empty the
-                # global tables so each group's validation — which
-                # overlays its events on those tables — sees exactly
-                # its own update, then restore at window end
-                stashed = self.events.snapshot_events()
-                self.events.truncate_events()
-                try:
-                    for group in self._partition(batch):
-                        self.stats.saw_group(len(group))
-                        self._commit_group(group, deferred)
-                finally:
-                    self.events.load_events(*stashed)
+            with self._exclusive_window():
+                for group in self._partition(batch):
+                    self.stats.saw_group(len(group))
+                    self._commit_group(group, deferred)
         except BaseException as exc:
             # an unexpected engine error must not strand the batch —
             # but members whose *own* groups already committed (applied
@@ -1122,14 +1108,18 @@ class CommitScheduler:
             # records and acknowledge them first.  The flush is inline
             # even in ``batch`` mode — the leader is about to propagate
             # the window failure, and every deferred member must be
-            # durably decided before it does.  _flush_window is
-            # failure-safe — if the flush itself dies it assigns
-            # rejections, so either way every deferred member is
-            # decided here.  Only the truly undecided members then get
-            # the window-failure rejection, and the leader's own
-            # caller sees the original exception.
+            # durably decided before it does.  The flush is
+            # failure-safe — if it dies itself it assigns rejections
+            # (and its error must not mask the window's), so either
+            # way every deferred member is decided here.  Only the
+            # truly undecided members then get the window-failure
+            # rejection, and the leader's own caller sees the original
+            # exception.
             if deferred:
-                self._flush_window(deferred, raise_on_failure=False)
+                try:
+                    self._log_writer.flush(manager, [deferred])
+                except (OSError, DurabilityError):
+                    pass
             for pending in batch:
                 if pending.result is None:
                     pending.result = CommitResult(
@@ -1149,123 +1139,32 @@ class CommitScheduler:
             # the durability point — the WRITE lock is already
             # released (early lock release, as in Aether-style group
             # commit), so sessions stage their next updates under the
-            # read lock while the fsync waits on the disk.  The flush
-            # itself is adaptive in ``batch`` mode: with NO backlog
-            # the leader fsyncs inline (zero handoff — the steady
-            # closed-loop protocol, and the fsync doubles as the next
-            # window's natural gather period); with requests already
-            # queued behind this window — bursty load — the flush is
-            # handed to the log-writer thread and the leader
-            # immediately processes the next window, so consecutive
-            # windows' flushes coalesce into shared fsyncs while
-            # validation continues.  ``commit`` mode always flushes
-            # inline (one fsync per commit, strictly inside the leader
-            # critical section — the E9 baseline protocol).  Either
-            # way acknowledgements wait for the flush, so no client is
-            # ever told "committed" before its record is on disk.
-            if (
-                self.log_writer_enabled
-                and manager is not None
-                and manager.mode == "batch"
-            ):
+            # read lock while the fsync waits on the disk.  ``batch``
+            # mode flushes adaptively (see :class:`LogWriter`): inline
+            # with no backlog, through the log-writer thread with one.
+            # ``commit`` mode always flushes inline (one fsync per
+            # commit, strictly inside the leader critical section —
+            # the E9 baseline protocol).  Either way acknowledgements
+            # wait for the flush, so no client is ever told
+            # "committed" before its record is on disk.
+            backlog = False
+            if not per_commit:
                 with self._queue_lock:
                     backlog = bool(self._queue)
-                if backlog:
-                    self._log_writer.submit(manager, deferred)
-                else:
-                    self._flush_window(deferred)
+            if backlog:
+                self._log_writer.submit(manager, deferred)
             else:
-                self._flush_window(deferred)
-
-    def _flush_window(
-        self,
-        deferred: list[tuple[_PendingCommit, CommitResult]],
-        raise_on_failure: bool = True,
-    ) -> None:
-        """One fsync makes every record this window appended durable,
-        then the withheld committed results become visible.
-
-        Failure-safe: whatever happens, every deferred member gets a
-        result and its done event — a dying flush must not strand the
-        committing sessions in their wait loops.  The window-failure
-        handler passes ``raise_on_failure=False`` so a flush error
-        cannot mask the original window exception.
-
-        On flush failure the WAL rolls back its unsynced frames and
-        poisons itself (every later durable commit is refused), so a
-        rejected commit can never become durable later.  The batch's
-        rows, however, were already applied under the write lock and
-        stay visible in memory — the engine serves state ahead of its
-        log until it is reopened, the same divergence a PostgreSQL
-        instance has between a failed WAL flush and its PANIC restart.
-        """
-        manager = self._durability()
-        fsync_start = time.monotonic()
-        try:
-            if manager is not None:
-                manager.sync()
-                self.stats.bump(wal_fsyncs=1)
-        except BaseException as exc:
-            for pending, _ in deferred:
-                pending.result = CommitResult(
-                    committed=False,
-                    constraint_error=f"log flush failed: {exc}",
-                )
-                pending.done.set()
-            if raise_on_failure:
-                raise
-            return
-        fsync_end = time.monotonic()
-        for pending, result in deferred:
-            # spans land before done fires: once done is set the
-            # waiting client thread may finish (and ship) the trace
-            if pending.obs is not None:
-                pending.obs.record("wal.fsync", fsync_start, fsync_end)
-            pending.result = result
-            pending.done.set()
-
-    def _durability(self):
-        """The attached durability manager, or None when commits are
-        not being logged (no manager, or mode ``"off"``)."""
-        manager = self.tintin.durability
-        if manager is not None and manager.durable:
-            return manager
-        return None
-
-    def _log_committed(
-        self,
-        manager,
-        inserts: dict[str, list[tuple]],
-        deletes: dict[str, list[tuple]],
-    ) -> None:
-        """Append one committed batch's WAL record (unsynced — the
-        window flush issues the shared fsync after lock release)."""
-        from ..durability.manager import touched_counts
-
-        manager.append_batch(
-            inserts,
-            deletes,
-            counts=touched_counts(self.db, inserts, deletes),
-            sync=False,
-        )
-        self.stats.bump(wal_appends=1)
+                self._log_writer.flush(manager, [deferred])
 
     def _partition(
         self, batch: list[_PendingCommit]
     ) -> list[list[_PendingCommit]]:
         """Split the FIFO batch into runs of pairwise-compatible members
-        (order-preserving, so serial fallbacks keep submission order).
-
-        Per-commit durability (``durability="commit"``) forces singleton
-        groups: the WAL order is the commit order and every commit's
-        acknowledgement must wait on its *own* fsync, which is exactly
-        the strict pre-group-commit protocol — and the baseline the E9
-        experiment measures ``"batch"`` mode against.
-        """
-        manager = self._durability()
-        if self.policy == "serial" or (
-            manager is not None and manager.mode == "commit"
-        ):
+        (order-preserving, so serial replays keep submission order);
+        ``policy="serial"`` makes every member its own run.  A
+        ``durability="commit"`` window holds one request, so it needs
+        no rule of its own."""
+        if self.policy == "serial":
             return [[pending] for pending in batch]
         coupling = self._coupling_specs()
         groups: list[list[_PendingCommit]] = []
@@ -1282,242 +1181,74 @@ class CommitScheduler:
             groups.append(current)
         return groups
 
-    def _expire_member(self, pending: _PendingCommit) -> bool:
-        """Cancel a member whose deadline lapsed (inside the window:
-        its done event fires with everyone else's at window end)."""
-        if pending.result is not None or not pending.expired():
-            return pending.result is not None
-        pending.result = _deadline_result()
-        self.stats.bump(deadline_expired=1)
-        return True
-
-    def _event_overlays(
-        self,
-        inserts: dict[str, list[tuple]],
-        deletes: dict[str, list[tuple]],
-    ) -> dict[str, TableOverlay]:
-        """Present a staged update as overlays on the global event
-        tables: the violation views (which reference ``ins_T``/
-        ``del_T``) then see exactly this update without a single row
-        being physically loaded — validation is a pure read."""
-        overlays: dict[str, TableOverlay] = {}
-        for table, rows in inserts.items():
-            if rows:
-                overlays[normalize(ins_table_name(table))] = TableOverlay(rows)
-        for table, rows in deletes.items():
-            if rows:
-                overlays[normalize(del_table_name(table))] = TableOverlay(rows)
-        return overlays
-
     def _commit_group(
         self,
         group: list[_PendingCommit],
         deferred: list[tuple[_PendingCommit, CommitResult]],
     ) -> None:
-        # deadline check right before the expensive pass: a member
-        # whose deadline lapsed while the window was draining earlier
-        # groups is dropped from the union before validation runs
-        group = [p for p in group if not self._expire_member(p)]
-        if not group:
-            return
-        if len(group) == 1:
-            self._commit_serially(group, deferred)
-            return
-        # fast path: union validation + one combined apply
-        union_ins: dict[str, list[tuple]] = {}
-        union_del: dict[str, list[tuple]] = {}
-        for pending in group:
-            for table, rows in pending.inserts.items():
-                union_ins.setdefault(table, []).extend(rows)
-            for table, rows in pending.deletes.items():
-                union_del.setdefault(table, []).extend(rows)
-        self._fault("scheduler.validate", group=len(group))
-        traced = [
-            (p.obs, new_span_id()) for p in group if p.obs is not None
-        ]
-        validate_start = time.monotonic() if traced else 0.0
-        violations, checked, skipped = self.tintin.safe_commit_proc.check_only(
-            self.db,
-            overlays=self._event_overlays(union_ins, union_del),
-            trace=traced or None,
-        )
-        for obs, span_id in traced:
-            obs.record(
-                "validate",
-                validate_start,
-                time.monotonic(),
-                span_id=span_id,
-                group=len(group),
-                checked=checked,
-                skipped=skipped,
-            )
-        if not violations and any(p.expired() for p in group):
-            # a deadline lapsed *during* union validation: the union
-            # can no longer be applied as one batch (dropping the
-            # expired member's events from a validated union is not
-            # violation-preserving), so replay serially — each member's
-            # deadline is then enforced precisely
-            self.stats.bump(fallbacks=1)
-            self._commit_serially(group, deferred)
-            return
-        if violations:
-            # someone's events violate: replay strictly serially so the
-            # violation lands on the session that staged it
-            self.stats.bump(fallbacks=1)
-            self._commit_serially(group, deferred)
-            return
-        # per-member applied-row accounting, so a grouped commit reports
-        # the same number the serial protocol would: staged deletes of
-        # rows an earlier batch already removed apply as no-ops
-        applied_by_member = []
-        for pending in group:
-            applied = sum(len(rows) for rows in pending.inserts.values())
-            for table_name, rows in pending.deletes.items():
-                table = self.db.table(table_name)
-                applied += sum(
-                    1 for row in rows if table.find_rowid(row) is not None
-                )
-            applied_by_member.append(applied)
-        apply_start = time.monotonic() if traced else 0.0
-        try:
-            with self.db.transaction_scope(self._group_transactions):
-                self.db.apply_batch(union_ins, union_del)
-        except ConstraintViolation:
-            self.stats.bump(fallbacks=1)
-            self._commit_serially(group, deferred)
-            return
-        # the union passed ONE validation (one delta evaluation for the
-        # whole group) and is now applied: re-arm the seeded delta
-        # plans and fold the combined batch into the aggregate memos
-        self.tintin.safe_commit_proc.note_applied(
-            self.db, union_ins, union_del
-        )
-        if traced:
-            apply_end = time.monotonic()
-            for obs, _ in traced:
-                obs.record("apply", apply_start, apply_end, group=len(group))
-        manager = self._durability()
-        durable = manager is not None and bool(union_ins or union_del)
-        if durable:
-            # the group-commit payoff: ONE combined WAL record for the
-            # whole group, made durable by the window's single shared
-            # fsync.  Results are deferred until that flush, so a
-            # failed fsync can never acknowledge a commit that is not
-            # on disk.
-            append_start = time.monotonic() if traced else 0.0
-            self._log_committed(manager, union_ins, union_del)
-            if traced:
-                append_end = time.monotonic()
-                for obs, _ in traced:
-                    obs.record(
-                        "wal.append", append_start, append_end,
-                        group=len(group),
-                    )
-        self.stats.bump(group_fast_path=len(group))
-        for pending, applied in zip(group, applied_by_member):
-            result = CommitResult(
-                committed=True,
-                applied_rows=applied,
-                checked_views=checked,
-                skipped_views=skipped,
-                group_size=len(group),
-            )
-            if durable:
-                deferred.append((pending, result))
-            else:
-                pending.result = result
+        """Decide one run of compatible members: the commit unit once
+        over their union, or — for a run of one, and as the replay of
+        any union that did not come back clean — once per member, the
+        exact single-session protocol in FIFO order.
 
-    def _commit_serially(
-        self,
-        group: list[_PendingCommit],
-        deferred: list[tuple[_PendingCommit, CommitResult]],
-    ) -> None:
-        """The exact single-session protocol, one member at a time.
-
-        Each member's events are overlaid on the (empty) global event
-        tables for its validation pass, then applied directly — the
-        global tables are never written inside the window.
-
-        Durability: each committed member's WAL record is appended
-        here (in commit order) and made durable by the window flush
-        after lock release — one fsync per window, which in ``commit``
-        mode (singleton windows) is exactly one fsync per commit.
-        Committed results ride in ``deferred`` until that flush, so a
-        member is never acknowledged before its record is on disk;
-        rejections carry no record and are assigned immediately.
+        A committed member whose record was appended rides in
+        ``deferred`` until the window flush, so it is never
+        acknowledged before its record is on disk; rejections carry no
+        record and are assigned immediately.
         """
-        manager = self._durability()
-        for pending in group:
-            # the cheap pre-validation deadline gate: doomed work is
-            # cancelled before the violation-view pass runs
-            if self._expire_member(pending):
-                continue
-            self.stats.bump(serial_commits=1)
-            self._fault("scheduler.validate", session=pending.session)
-            obs = pending.obs
-            traced = [(obs, new_span_id())] if obs is not None else []
-            validate_start = time.monotonic() if traced else 0.0
-            violations, checked, skipped = (
-                self.tintin.safe_commit_proc.check_only(
-                    self.db,
-                    overlays=self._event_overlays(
-                        pending.inserts, pending.deletes
-                    ),
-                    trace=traced or None,
-                )
-            )
-            if obs is not None:
-                obs.record(
-                    "validate",
-                    validate_start,
-                    time.monotonic(),
-                    span_id=traced[0][1],
-                    checked=checked,
-                    skipped=skipped,
-                )
-            if self._expire_member(pending):
-                # lapsed mid-validation: the check already ran, but the
-                # apply and its WAL frame have not — cancelling here
-                # keeps an expired request invisible (safe to retry)
-                continue
-            if violations:
-                pending.result = CommitResult(
-                    committed=False,
-                    violations=violations,
-                    checked_views=checked,
-                    skipped_views=skipped,
-                )
-                continue
-            apply_start = time.monotonic() if obs is not None else 0.0
-            try:
-                with self.db.transaction_scope(pending.transactions):
-                    applied = self.db.apply_batch(
-                        pending.inserts, pending.deletes
+        if len(group) > 1:
+            union_ins: dict[str, list[tuple]] = {}
+            union_del: dict[str, list[tuple]] = {}
+            # per-member applied-row accounting against the pre-apply
+            # state, so a grouped commit reports the same number the
+            # serial protocol would: staged deletes of rows an earlier
+            # batch already removed apply as no-ops
+            applied_by_member = []
+            for pending in group:
+                applied = 0
+                for table, rows in pending.inserts.items():
+                    union_ins.setdefault(table, []).extend(rows)
+                    applied += len(rows)
+                for table, rows in pending.deletes.items():
+                    union_del.setdefault(table, []).extend(rows)
+                    find_rowid = self.db.table(table).find_rowid
+                    applied += sum(
+                        1 for row in rows if find_rowid(row) is not None
                     )
-            except ConstraintViolation as exc:
-                pending.result = CommitResult(
-                    committed=False,
-                    constraint_error=str(exc),
-                    checked_views=checked,
-                    skipped_views=skipped,
-                )
-                continue
-            if obs is not None:
-                obs.record("apply", apply_start, time.monotonic())
-            self.tintin.safe_commit_proc.note_applied(
-                self.db, pending.inserts, pending.deletes
+                applied_by_member.append(applied)
+            # the group-commit payoff: ONE validation, one apply and
+            # ONE combined WAL record for the whole group, made durable
+            # by the window's single shared fsync
+            union, logged = self._unit(
+                group, union_ins, union_del, self._group_transactions
             )
-            result = CommitResult(
-                committed=True,
-                applied_rows=applied,
-                checked_views=checked,
-                skipped_views=skipped,
+            if union.committed:
+                self.stats.bump(group_fast_path=len(group))
+                for pending, applied in zip(group, applied_by_member):
+                    result = replace(
+                        union, applied_rows=applied, group_size=len(group)
+                    )
+                    if logged:
+                        deferred.append((pending, result))
+                    else:
+                        pending.result = result
+                return
+            # someone's events violate an assertion or a constraint:
+            # replay strictly serially so the rejection lands on the
+            # session that staged them.  Likewise when a member's
+            # deadline lapsed before or during union validation:
+            # dropping the expired member's events from a validated
+            # union is not violation-preserving, and the replay
+            # enforces each member's deadline precisely.
+            self.stats.bump(fallbacks=1)
+        for pending in group:
+            self.stats.bump(serial_commits=1)
+            result, logged = self._unit(
+                [pending], pending.inserts, pending.deletes, pending.transactions
             )
-            if manager is not None and pending.size:
-                append_start = time.monotonic() if obs is not None else 0.0
-                self._log_committed(manager, pending.inserts, pending.deletes)
-                if obs is not None:
-                    obs.record("wal.append", append_start, time.monotonic())
+            if logged:
                 deferred.append((pending, result))
             else:
                 pending.result = result
+                if result.deadline_expired:
+                    self.stats.bump(deadline_expired=1)

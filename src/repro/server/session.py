@@ -456,7 +456,16 @@ class Session:
             # between the TTL check and the pin (its events were then
             # discarded — there is nothing left to commit)
             self._check_alive()
-            result = self.scheduler.commit(self, deadline=deadline, obs=obs)
+            inserts, deletes = self.events.snapshot()
+            self.events.truncate()  # events move into the request
+            result = self.scheduler.commit_events(
+                inserts,
+                deletes,
+                transactions=self.transactions,
+                session=self,
+                deadline=deadline,
+                obs=obs,
+            )
         if result.committed:
             self.commits += 1
         else:

@@ -11,7 +11,7 @@ the server package to the same standard.  Two layers of defense:
   slowdown broadcasts, gauge callbacks) may swallow, but only if the
   handler *logs* the failure with context;
 * runtime regressions — an engine error (not a constraint violation)
-  raised inside ``_commit_group``/``_commit_serially`` reaches the
+  raised inside the commit unit (``_commit_group``) reaches the
   leader's caller as the original exception, and every other queued
   member is rejected with an attributed error instead of hanging or
   silently "succeeding".
