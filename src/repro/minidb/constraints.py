@@ -202,15 +202,8 @@ class ConstraintChecker:
 
     @staticmethod
     def _parent_exists(parent: Table, columns: tuple[str, ...], key: tuple) -> bool:
-        # prefer the unique index when the referenced key is the PK
-        pk = parent.primary_key_index
-        if pk is not None and parent.schema.key_positions(
-            parent.schema.primary_key
-        ) == parent.schema.key_positions(columns):
-            return pk.lookup(key) is not None
-        for _ in parent.lookup_secondary(columns, key):
-            return True
-        return False
+        # a referenced PK/UNIQUE key is answered from its unique index
+        return any(True for _ in parent.lookup_secondary(columns, key))
 
     # -- FK on delete --------------------------------------------------------------
 

@@ -5,20 +5,27 @@ text (or pre-parsed ASTs), dispatches DML through INSTEAD OF triggers,
 enforces constraints, and exposes the transactional batch-apply that
 TINTIN's ``safeCommit`` uses.
 
-Query compilation is amortized through two cooperating layers:
+Compilation is amortized through two cooperating layers:
 
 * :class:`PreparedStatement` — an explicit handle (``db.prepare(sql)``
   / ``db.prepare_query(ast)``) that owns a compiled plan and re-plans
   itself lazily when the catalog version changes or referenced table
   sizes drift far from what the planner assumed;
-* a transparent LRU :class:`PlanCache` inside :meth:`Database.query`
-  and :meth:`Database.execute`, keyed by SQL text, so repeated text
-  queries (TINTIN's per-commit ``SELECT * FROM <edc_view>``) skip the
-  parser and planner entirely.
+* one transparent statement cache (:class:`PlanCache`) behind
+  :meth:`Database.execute`, :meth:`Database.query`, ``EXPLAIN`` and
+  :meth:`repro.server.session.Session.execute`, keyed by statement
+  *shape* — the SELECT/INSERT/DELETE/UPDATE text with its numeric and
+  string literals lifted out (:mod:`repro.sqlparser.shape`).  An entry
+  is the shape parsed once, parameter nodes in the literal positions,
+  plus its :class:`PreparedStatement` (a SELECT's query, the victim
+  query of a DELETE/UPDATE, the source of an INSERT … SELECT).  The
+  constants travel with each execution, so a repeated shape costs
+  normalise → dict hit → execute: no lexer, no parser, no planner,
+  whatever its constants.
 
 Both layers rely on plans being immutable and reusable (see
-:mod:`repro.minidb.plan`); set ``plan_cache_enabled = False`` to fall
-back to the historical fresh-plan-per-statement behaviour.
+:mod:`repro.minidb.plan`); set ``plan_cache_enabled = False`` to parse
+and plan every statement fresh.
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ from ..errors import (
     CatalogError,
     ConstraintViolation,
     ExecutionError,
+    SQLSyntaxError,
     SchemaError,
 )
 from ..sqlparser import nodes as n
-from ..sqlparser.parser import parse_statement
+from ..sqlparser.parser import parse_shape, parse_statement
+from ..sqlparser.shape import statement_shape
 from .catalog import Catalog, Procedure, Trigger, View
 from .constraints import ConstraintChecker, validate_foreign_keys
-from .expressions import Scope, compile_expr
+from .expressions import ARGS_KEY, Compiled, Scope, compile_expr
 from .plan import ExecutionContext, PlanNode, execution_params
 from .planner import Planner
 from .schema import Column, TableSchema
@@ -236,14 +245,14 @@ class PreparedStatement:
 
 @dataclass
 class PlanCacheStats:
-    """Counters for the transparent plan cache (inspect via EXPLAIN)."""
+    """Counters for the statement cache (inspect via EXPLAIN)."""
 
+    #: SELECT shapes: found (hit) or parsed, planned and stored (miss)
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
-    #: DML AST cache counters: INSERT/DELETE/UPDATE text whose parsed
-    #: statement was reused (hit) or parsed and stored (miss)
+    #: INSERT/DELETE/UPDATE shapes, counted the same way
     dml_ast_hits: int = 0
     dml_ast_misses: int = 0
 
@@ -258,41 +267,69 @@ class PlanCacheStats:
         }
 
 
-class PlanCache:
-    """A small LRU of :class:`PreparedStatement` keyed by SQL text.
+class CachedStatement:
+    """A statement compiled once: what one statement-cache entry holds.
 
-    Entries revalidate themselves (catalog version + row-count drift),
-    so the cache never needs proactive invalidation — stale entries
-    simply re-plan on their next use.  Statements that fail to parse or
-    are not SELECTs are never cached.  All operations are serialized
-    behind an internal lock: session threads share one cache.
+    ``stmt`` is the parsed statement — of a cached shape, with
+    :class:`~repro.sqlparser.nodes.Parameter` nodes where the text had
+    constants.  ``prepared`` is the query the statement reads through:
+    a SELECT's own query (compiled with the entry), the victim query
+    of a DELETE/UPDATE … WHERE or the source of an INSERT … SELECT
+    (compiled on first execution).  ``values`` are the compiled rows of
+    an INSERT … VALUES.  All three are immutable and shared: whatever
+    differs between two executions arrives in their ``params``.
+    """
+
+    __slots__ = ("stmt", "prepared", "values")
+
+    def __init__(
+        self, stmt: n.Statement, prepared: Optional[PreparedStatement] = None
+    ):
+        self.stmt = stmt
+        self.prepared = prepared
+        self.values: Optional[list[list[Compiled]]] = None
+        if isinstance(stmt, n.Insert) and stmt.query is None:
+            no_columns = Scope([])
+            self.values = [
+                [compile_expr(value, no_columns) for value in row]
+                for row in stmt.rows
+            ]
+
+
+class PlanCache:
+    """The statement cache: a small LRU of :class:`CachedStatement`
+    keyed by statement shape (:func:`repro.sqlparser.shape.statement_shape`).
+
+    Entries revalidate themselves (their prepared plans check catalog
+    version + row-count drift), so the cache never needs proactive
+    invalidation — stale entries simply re-plan on their next use.
+    Statements that fail to parse or plan are never cached.  All
+    operations are serialized behind an internal lock: session threads
+    share one cache.
     """
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, PreparedStatement]" = OrderedDict()
+        self._entries: "OrderedDict[str, CachedStatement]" = OrderedDict()
         self._lock = threading.Lock()
 
-    @staticmethod
-    def key(sql: str) -> str:
-        return sql.strip()
-
-    def get(self, sql: str) -> Optional[PreparedStatement]:
-        key = self.key(sql)
+    def get(self, shape: str) -> Optional[CachedStatement]:
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(shape)
             if entry is not None:
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(shape)
             return entry
 
-    def put(self, sql: str, statement: PreparedStatement) -> None:
-        key = self.key(sql)
+    def put(self, shape: str, entry: CachedStatement) -> int:
+        """Store ``entry``; returns how many old entries it evicted."""
+        evicted = 0
         with self._lock:
-            self._entries[key] = statement
-            self._entries.move_to_end(key)
+            self._entries[shape] = entry
+            self._entries.move_to_end(shape)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                statement.db.plan_cache_stats.evictions += 1
+                evicted += 1
+        return evicted
 
     def clear(self) -> None:
         with self._lock:
@@ -312,15 +349,16 @@ class PlanCache:
         """
         with self._lock:
             dead = [
-                key
-                for key, statement in self._entries.items()
-                if any(
+                shape
+                for shape, entry in self._entries.items()
+                if entry.prepared is not None
+                and any(
                     catalog.get_table(name, default=None) is not ref
-                    for name, ref in statement._state.table_refs.items()
+                    for name, ref in entry.prepared._state.table_refs.items()
                 )
             ]
-            for key in dead:
-                del self._entries[key]
+            for shape in dead:
+                del self._entries[shape]
             return len(dead)
 
     def __len__(self) -> int:
@@ -328,8 +366,10 @@ class PlanCache:
             return len(self._entries)
 
     def __contains__(self, sql: str) -> bool:
+        """Whether the shape of ``sql`` has an entry."""
+        split = statement_shape(sql)
         with self._lock:
-            return self.key(sql) in self._entries
+            return split is not None and split[0] in self._entries
 
 
 class Database:
@@ -350,20 +390,13 @@ class Database:
         #: own manager per thread via :meth:`transaction_scope`
         self._default_transactions = TransactionManager()
         self._txn_binding = threading.local()
-        #: transparent prepared-plan cache for text queries; set
-        #: ``plan_cache_enabled = False`` to restore the historical
-        #: fresh-parse-and-plan-per-statement behaviour
+        #: the transparent statement cache, keyed by statement shape;
+        #: set ``plan_cache_enabled = False`` to parse and plan every
+        #: statement fresh
         self.plan_cache = PlanCache(plan_cache_size)
         self.plan_cache_enabled = True
         self.plan_cache_stats = PlanCacheStats()
         self._cache_pruned_version = -1
-        #: parsed-AST LRU for DML text (INSERT/DELETE/UPDATE), keyed
-        #: alongside the prepared-plan cache: repeated DML text skips
-        #: the parser (execution still resolves tables/constraints
-        #: fresh, so the entries never go stale)
-        self._dml_ast_cache: "OrderedDict[str, n.Statement]" = OrderedDict()
-        self._dml_ast_capacity = plan_cache_size
-        self._dml_ast_lock = threading.Lock()
         #: optional DDL observer ``(event, **payload)`` invoked after a
         #: facade-level schema change succeeds.  The durability manager
         #: installs itself here so CREATE/DROP TABLE issued through the
@@ -416,100 +449,71 @@ class Database:
         """Compile a pre-parsed query AST once for repeated execution."""
         return PreparedStatement(self, query)
 
-    def prepare_cached(self, sql: str, query: n.Query) -> PreparedStatement:
-        """Get-or-create the plan-cache entry for SELECT text whose AST
-        the caller already parsed (avoids a second parse of ``sql``)."""
-        cached = self._cached_select(sql)
-        if cached is not None:
-            return cached
-        prepared = PreparedStatement(self, query, sql=sql)
-        self._cache_select(sql, prepared)
-        return prepared
+    # -- the statement cache ------------------------------------------------
 
-    def _cached_select(self, sql: str) -> Optional[PreparedStatement]:
-        """Cache lookup for a text SELECT; counts a hit or nothing."""
-        if not self.plan_cache_enabled:
-            return None
+    def statement(
+        self, sql: str
+    ) -> tuple[CachedStatement, Optional[dict], bool]:
+        """The one lookup behind every text entry point.
+
+        Splits ``sql`` into shape and constants, returns the shape's
+        cache entry — parsing (and, for a SELECT, planning) and storing
+        it on a miss — together with the ``params`` that carry this
+        call's constants into its execution, and whether it was a hit.
+        Text the cache does not cover (DDL, CALL, a syntax error, or
+        any text while ``plan_cache_enabled`` is off) is parsed as
+        written into an entry of its own that is not stored.
+        """
+        split = statement_shape(sql) if self.plan_cache_enabled else None
+        if split is not None:
+            found = self._cached_statement(*split)
+            if found is not None:
+                return found
+        return self._compile(parse_statement(sql), sql), None, False
+
+    def _cached_statement(self, shape: str, constants: tuple):
+        """:meth:`statement` for a cacheable text; ``None`` when the
+        shape does not parse (the caller then parses the text as
+        written, so the error names the user's own line and column)."""
+        params = {ARGS_KEY: constants} if constants else None
         if self._cache_pruned_version != self.catalog.version:
             # DDL happened since the last access: free entries whose
             # tables were dropped (they pin the dropped row storage)
             self.plan_cache.prune_dead(self.catalog)
             self._cache_pruned_version = self.catalog.version
-        cached = self.plan_cache.get(sql)
-        if cached is not None:
-            self.plan_cache_stats.hits += 1
-        return cached
-
-    def _cache_select(self, sql: str, statement: PreparedStatement) -> None:
-        if self.plan_cache_enabled:
-            self.plan_cache_stats.misses += 1
-            self.plan_cache.put(sql, statement)
-
-    def _prepare_text(self, sql: str, required_by: Optional[str]):
-        """Shared lookup/parse/prepare/cache sequence for text SELECTs.
-
-        Returns ``(prepared, parsed_stmt, was_hit)``; ``prepared`` is
-        None when the text is not a SELECT — a
-        :class:`~repro.errors.ExecutionError` naming ``required_by``
-        is raised instead if the caller accepts only SELECTs.
-        """
-        cached = self._cached_select(sql)
-        if cached is not None:
-            return cached, None, True
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, n.SelectStatement):
-            if required_by is not None:
-                raise ExecutionError(f"{required_by} requires a SELECT statement")
-            return None, stmt, False
-        prepared = PreparedStatement(self, stmt.query, sql=sql)
-        self._cache_select(sql, prepared)
-        return prepared, stmt, False
-
-    # -- DML AST cache ------------------------------------------------------
-
-    def _cached_dml(self, sql: str) -> Optional[n.Statement]:
-        """Return the cached parsed statement for DML text, if any."""
-        if not self.plan_cache_enabled:
+        stats = self.plan_cache_stats
+        entry = self.plan_cache.get(shape)
+        if entry is not None:
+            if isinstance(entry.stmt, n.SelectStatement):
+                stats.hits += 1
+            else:
+                stats.dml_ast_hits += 1
+            return entry, params, True
+        try:
+            stmt = parse_shape(shape)
+        except SQLSyntaxError:
             return None
-        key = sql.strip()
-        with self._dml_ast_lock:
-            stmt = self._dml_ast_cache.get(key)
-            if stmt is not None:
-                self._dml_ast_cache.move_to_end(key)
-                self.plan_cache_stats.dml_ast_hits += 1
-            return stmt
+        entry = self._compile(stmt, shape)
+        if isinstance(stmt, n.SelectStatement):
+            stats.misses += 1
+        else:
+            stats.dml_ast_misses += 1
+        stats.evictions += self.plan_cache.put(shape, entry)
+        return entry, params, False
 
-    def _cache_dml(self, sql: str, stmt: n.Statement) -> None:
-        """Remember a parsed INSERT/DELETE/UPDATE for its SQL text.
+    def _compile(self, stmt: n.Statement, label: Optional[str] = None):
+        prepared = None
+        if isinstance(stmt, n.SelectStatement):
+            prepared = PreparedStatement(self, stmt.query, sql=label)
+        return CachedStatement(stmt, prepared)
 
-        The AST nodes are frozen dataclasses, so one parse can be
-        re-executed any number of times; values and WHERE clauses are
-        re-evaluated per execution.
-        """
-        if not self.plan_cache_enabled:
-            return
-        if not isinstance(stmt, (n.Insert, n.Delete, n.Update)):
-            return
-        key = sql.strip()
-        with self._dml_ast_lock:
-            self.plan_cache_stats.dml_ast_misses += 1
-            self._dml_ast_cache[key] = stmt
-            self._dml_ast_cache.move_to_end(key)
-            while len(self._dml_ast_cache) > self._dml_ast_capacity:
-                self._dml_ast_cache.popitem(last=False)
-
-    def parse_dml_cached(self, sql: str) -> n.Statement:
-        """Parse one statement, reusing/filling the DML AST cache.
-
-        Used by server sessions and :meth:`execute` so that a repeated
-        INSERT/DELETE/UPDATE text skips the parser entirely.
-        """
-        stmt = self._cached_dml(sql)
-        if stmt is not None:
-            return stmt
-        stmt = parse_statement(sql)
-        self._cache_dml(sql, stmt)
-        return stmt
+    def _select(self, sql: str, required_by: str):
+        """:meth:`statement` for callers that accept only a SELECT:
+        ``(prepared, params, was_hit)``."""
+        entry, params, was_hit = self.statement(sql)
+        if not isinstance(entry.stmt, n.SelectStatement):
+            raise ExecutionError(f"{required_by} requires a SELECT statement")
+        return entry.prepared, params, was_hit
 
     # -- SQL entry points ---------------------------------------------------
 
@@ -518,10 +522,9 @@ class Database:
 
         Returns a :class:`ResultSet` for queries, an affected-row count
         for DML, a plan-tree string for ``EXPLAIN <query>``, and
-        ``None`` for DDL.  SELECT statements go through the prepared
-        plan cache, and INSERT/DELETE/UPDATE text through the parsed-AST
-        cache: a repeated statement skips the parser (and, for SELECTs,
-        the planner).
+        ``None`` for DDL.  SELECT, INSERT, DELETE and UPDATE text goes
+        through the statement cache: a repeated shape skips the lexer,
+        the parser and the planner.
         """
         explained = _split_explain(sql)
         if explained is not None:
@@ -529,20 +532,14 @@ class Database:
             if analyze:
                 return self.explain_analyze(inner)
             return self._explain_text(inner)
-        cached_dml = self._cached_dml(sql)
-        if cached_dml is not None:
-            return self.execute_statement(cached_dml)
-        prepared, stmt, _ = self._prepare_text(sql, required_by=None)
-        if prepared is not None:
-            return prepared.execute()
-        self._cache_dml(sql, stmt)
-        return self.execute_statement(stmt)
+        entry, params, _ = self.statement(sql)
+        return self._run(entry, params)
 
     def execute_script(self, sql: str) -> list:
         """Execute a ``;``-separated script; returns per-statement results.
 
         Script statements run through the AST path and deliberately
-        bypass the text plan cache (the parser does not preserve
+        bypass the statement cache (the parser does not preserve
         per-statement source text to key it with); scripts are a setup
         convenience, not a hot path.
         """
@@ -551,8 +548,21 @@ class Database:
         return [self.execute_statement(stmt) for stmt in parse_script(sql)]
 
     def execute_statement(self, stmt: n.Statement):
+        """Execute a pre-parsed statement (no text, so no cache)."""
+        return self._run(self._compile(stmt))
+
+    def _run(self, entry: CachedStatement, params: Optional[dict] = None):
+        stmt = entry.stmt
         if isinstance(stmt, n.SelectStatement):
-            return self.query_ast(stmt.query)
+            return entry.prepared.execute(params)
+        if isinstance(stmt, n.Insert):
+            table, rows = self.resolve_insert_rows(entry, params)
+            return self.insert_rows(table.name, rows)
+        if isinstance(stmt, n.Delete):
+            table, victims = self.resolve_delete_rows(entry, params)
+            return self.delete_rows(table.name, victims)
+        if isinstance(stmt, n.Update):
+            return self._execute_update(entry, params)
         if isinstance(stmt, n.Explain):
             # AST entry point: no SQL text to key the cache with — plan
             # fresh and report the tree (the text entry point in
@@ -600,12 +610,6 @@ class Database:
                 if dropped_view and self.ddl_listener is not None:
                     self.ddl_listener("drop_view", name=stmt.name)
             return None
-        if isinstance(stmt, n.Insert):
-            return self._execute_insert(stmt)
-        if isinstance(stmt, n.Delete):
-            return self._execute_delete(stmt)
-        if isinstance(stmt, n.Update):
-            return self._execute_update(stmt)
         if isinstance(stmt, n.Truncate):
             return self.catalog.require_table(stmt.table).truncate()
         if isinstance(stmt, n.Call):
@@ -620,13 +624,14 @@ class Database:
     ) -> ResultSet:
         """Parse and run a SELECT/UNION, returning a ResultSet.
 
-        Queries go through the prepared plan cache keyed on the SQL
-        text: a repeated query skips the parser and planner entirely.
-        ``overlays`` merges staged events into the named base tables
-        for this execution only (see :meth:`PreparedStatement.execute`).
+        Queries go through the statement cache keyed on the text's
+        shape: a repeated query skips the parser and planner entirely,
+        whatever its constants.  ``overlays`` merges staged events into
+        the named base tables for this execution only (see
+        :meth:`PreparedStatement.execute`).
         """
-        prepared, _, _ = self._prepare_text(sql, required_by="query()")
-        return prepared.execute(overlays=overlays)
+        prepared, params, _ = self._select(sql, required_by="query()")
+        return prepared.execute(params, overlays)
 
     def query_ast(
         self,
@@ -652,20 +657,22 @@ class Database:
     ) -> str:
         """Execute a query and return its plan tree annotated with
         actual per-node row counts and inclusive timings (same output
-        as ``EXPLAIN ANALYZE <query>``).  Goes through the prepared
-        plan cache like a normal query."""
-        prepared, _, _ = self._prepare_text(sql, required_by="EXPLAIN ANALYZE")
+        as ``EXPLAIN ANALYZE <query>``).  Goes through the statement
+        cache like a normal query."""
+        prepared, params, _ = self._select(sql, required_by="EXPLAIN ANALYZE")
         state = prepared._validated_state()
-        return _run_explain_analyze(state.plan, overlays)
+        return _run_explain_analyze(state.plan, overlays, params)
 
     def _explain_text(self, sql: str) -> str:
         """EXPLAIN body: cache status header + the plan tree.
 
-        The probed statement is planned (and cached) if absent, so an
-        EXPLAIN followed by the query itself reuses the compiled plan.
+        The lookup is the query's own (:meth:`statement`), so the
+        status is that of exactly the shape entry the query would use;
+        the shape is planned (and cached) if absent, so an EXPLAIN
+        followed by the query itself reuses the compiled plan.
         """
         stats = self.plan_cache_stats
-        prepared, _, was_hit = self._prepare_text(sql, required_by="EXPLAIN")
+        prepared, _, was_hit = self._select(sql, required_by="EXPLAIN")
         if was_hit:
             status = "hit" if prepared.is_valid() else "hit (stale, re-planning)"
         elif self.plan_cache_enabled:
@@ -677,6 +684,8 @@ class Database:
             f"hits={stats.hits} misses={stats.misses} "
             f"invalidations={stats.invalidations})"
         )
+        if self.plan_cache_enabled:
+            header += f"\n-- shape: {prepared.sql}"
         return header + "\n" + prepared.explain()
 
     # -- DDL -------------------------------------------------------------------
@@ -751,25 +760,26 @@ class Database:
 
     # -- DML: inserts -----------------------------------------------------------------
 
-    def resolve_insert_rows(self, stmt: n.Insert) -> tuple[Table, list[tuple]]:
+    def resolve_insert_rows(
+        self, entry: CachedStatement, params: Optional[dict] = None
+    ) -> tuple[Table, list[tuple]]:
         """Evaluate an INSERT's source rows (VALUES or SELECT) without
         applying them.  Shared by the trigger-dispatching execution path
         and by server sessions, which stage the rows privately."""
+        stmt = entry.stmt
         table = self.catalog.require_table(stmt.table)
         if stmt.query is not None:
-            source = self.query_ast(stmt.query)
-            raw_rows: list[tuple] = list(source.rows)
+            if entry.prepared is None:
+                entry.prepared = PreparedStatement(self, stmt.query)
+            raw_rows: list[tuple] = entry.prepared.execute(params).rows
         else:
+            constants = params or {}
             raw_rows = [
-                tuple(self._literal_value(value) for value in row)
-                for row in stmt.rows
+                tuple(value((), constants) for value in row)
+                for row in entry.values
             ]
         rows = [self._arrange_columns(table, stmt.columns, r) for r in raw_rows]
         return table, rows
-
-    def _execute_insert(self, stmt: n.Insert) -> int:
-        table, rows = self.resolve_insert_rows(stmt)
-        return self.insert_rows(table.name, rows)
 
     def _arrange_columns(
         self, table: Table, columns: Sequence[str], values: tuple
@@ -824,16 +834,13 @@ class Database:
 
     # -- DML: deletes --------------------------------------------------------------------
 
-    def resolve_delete_rows(self, stmt: n.Delete) -> tuple[Table, list[tuple]]:
+    def resolve_delete_rows(
+        self, entry: CachedStatement, params: Optional[dict] = None
+    ) -> tuple[Table, list[tuple]]:
         """Evaluate a DELETE's victim rows (WHERE against the base
         table) without applying the deletion."""
-        table = self.catalog.require_table(stmt.table)
-        victims = self._matching_rows(table, stmt.alias, stmt.where)
-        return table, victims
-
-    def _execute_delete(self, stmt: n.Delete) -> int:
-        table, victims = self.resolve_delete_rows(stmt)
-        return self.delete_rows(table.name, victims)
+        table = self.catalog.require_table(entry.stmt.table)
+        return table, self._matching_rows(entry, params, table)
 
     def delete_rows(
         self,
@@ -872,13 +879,14 @@ class Database:
     # -- DML: updates -----------------------------------------------------------------------
 
     def resolve_update_rows(
-        self, stmt: n.Update
+        self, entry: CachedStatement, params: Optional[dict] = None
     ) -> tuple[Table, list[tuple], list[tuple]]:
         """Evaluate an UPDATE's (old, new) row pairs without applying.
 
         TINTIN models an update as a set of tuple deletions plus
         insertions; callers stage or apply the two lists accordingly.
         """
+        stmt = entry.stmt
         table = self.catalog.require_table(stmt.table)
         binding = stmt.alias or table.name
         scope = Scope([(binding, c) for c in table.schema.column_names])
@@ -890,23 +898,26 @@ class Database:
                     f"UPDATE {table.name!r} assigns column {column!r} twice"
                 )
             assignments[position] = compile_expr(expr, scope)
-        old_rows = self._matching_rows(table, stmt.alias, stmt.where)
+        old_rows = self._matching_rows(entry, params, table)
+        constants = params or {}
         new_rows = []
         for row in old_rows:
             values = list(row)
             for position, fn in assignments.items():
-                values[position] = fn(row, {})
+                values[position] = fn(row, constants)
             new_rows.append(table.validate_row(tuple(values)))
         return table, old_rows, new_rows
 
-    def _execute_update(self, stmt: n.Update) -> int:
+    def _execute_update(
+        self, entry: CachedStatement, params: Optional[dict] = None
+    ) -> int:
         """UPDATE is executed as delete-old + insert-new.
 
         This matches TINTIN's model where an update is a set of tuple
         insertions and deletions (the paper handles exactly those two
         event kinds).
         """
-        table, old_rows, new_rows = self.resolve_update_rows(stmt)
+        table, old_rows, new_rows = self.resolve_update_rows(entry, params)
         if not old_rows:
             return 0
         has_triggers = bool(
@@ -946,17 +957,23 @@ class Database:
             txn.record_insert(table, new_row, new_rowid)
 
     def _matching_rows(
-        self, table: Table, alias: Optional[str], where: Optional[n.Expr]
+        self, entry: CachedStatement, params: Optional[dict], table: Table
     ) -> list[tuple]:
-        binding = alias or table.name
-        if where is None:
+        """The rows a DELETE/UPDATE's WHERE selects: its victim query
+        ``SELECT * FROM <table> [AS <alias>] WHERE …``, planned like any
+        SELECT (so it gets the planner's access paths) and kept with
+        the statement's entry."""
+        stmt = entry.stmt
+        if stmt.where is None:
             return table.rows_snapshot()
-        select = n.Select(
-            items=(n.Star(),),
-            from_items=(n.TableRef(table.name, alias),),
-            where=where,
-        )
-        return list(self.query_ast(select).rows)
+        if entry.prepared is None:
+            victims = n.Select(
+                items=(n.Star(),),
+                from_items=(n.TableRef(table.name, stmt.alias),),
+                where=stmt.where,
+            )
+            entry.prepared = PreparedStatement(self, victims)
+        return entry.prepared.execute(params).rows
 
     # -- batch apply (used by safeCommit) ---------------------------------------------------
 
@@ -1088,9 +1105,9 @@ def _split_explain(sql: str) -> Optional[tuple[bool, str]]:
     """If ``sql`` is ``EXPLAIN [ANALYZE] <query>``, return
     ``(analyze, <query> text)``.
 
-    Detected textually (before parsing) so the inner text keys the plan
-    cache identically to running the query directly — EXPLAIN then
-    reports the very entry the query would use.
+    Detected textually (before parsing) so the inner text reaches the
+    statement cache exactly as running the query directly would —
+    EXPLAIN then reports the very entry the query would use.
     """
     stripped = sql.lstrip()
     head = stripped[:7]
@@ -1111,7 +1128,9 @@ def _split_explain(sql: str) -> Optional[tuple[bool, str]]:
 
 
 def _run_explain_analyze(
-    plan: PlanNode, overlays: Optional[dict[str, TableOverlay]] = None
+    plan: PlanNode,
+    overlays: Optional[dict[str, TableOverlay]] = None,
+    params: Optional[dict] = None,
 ) -> str:
     """Execute ``plan`` under a fresh stats collector and render the
     annotated tree plus a one-line execution summary."""
@@ -1120,7 +1139,7 @@ def _run_explain_analyze(
     collector = PlanStatsCollector()
     ctx = ExecutionContext(overlays, collector=collector)
     start = perf_counter()
-    rows = sum(1 for _ in plan.run(ctx=ctx))
+    rows = sum(1 for _ in plan.run(params, ctx))
     elapsed = perf_counter() - start
     return (
         collector.annotate(plan)

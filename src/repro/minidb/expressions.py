@@ -6,7 +6,11 @@ evaluated per row.  A closure has the signature ``fn(row, params)``:
 * ``row`` — the operator's current output tuple;
 * ``params`` — a dict of outer-query column values, keyed by
   ``(binding, column)`` in normalized (lower) case, used for correlated
-  subqueries.
+  subqueries.  One reserved string key, :data:`ARGS_KEY`, carries the
+  constants of this execution of a statement *shape*
+  (:mod:`repro.sqlparser.shape`) — :class:`~repro.sqlparser.nodes.Parameter`
+  nodes read them, so nothing of one call's constants is ever compiled
+  into a shared plan.
 
 Boolean results use Kleene three-valued logic: ``True``, ``False`` or
 ``None`` (SQL UNKNOWN).  WHERE keeps a row only when the predicate is
@@ -20,6 +24,11 @@ from typing import Callable, Optional
 from ..errors import ExecutionError, SchemaError
 from ..sqlparser import nodes as n
 from .types import comparable
+
+#: Reserved ``params`` key holding the tuple of statement constants
+#: (regular correlation keys are ``(binding, column)`` tuples, so a
+#: plain string can never collide with them).
+ARGS_KEY = "__args__"
 
 #: Normalized (binding, column) pair.
 ColumnKey = tuple[str, str]
@@ -194,6 +203,21 @@ def compile_expr(
     if isinstance(expr, n.Literal):
         value = expr.value
         return lambda row, params: value
+
+    if isinstance(expr, n.Parameter):
+        index = expr.index
+        if not expr.negated:
+            return lambda row, params: params[ARGS_KEY][index]
+
+        def negated(row, params):
+            # exactly the parser's ``-<literal>`` fold: numbers negate,
+            # anything else is the arithmetic ``0 - value``
+            value = params[ARGS_KEY][index]
+            if isinstance(value, (int, float)):
+                return -value
+            return _arith("-", 0, value)
+
+        return negated
 
     if isinstance(expr, n.ColumnRef):
         kind, where = scope.resolve_with_outer(expr)

@@ -20,6 +20,8 @@ context.
 The operator set is deliberately small:
 
 * :class:`SeqScan` — full scan of a base table;
+* :class:`IndexScan` — the rows of a base table whose key columns equal
+  constants, through the key's hash index;
 * :class:`IndexJoin` — stream the outer child, probe a base table's hash
   index per row (the operator that makes incremental checks touch only
   update-adjacent data);
@@ -42,6 +44,7 @@ from typing import Callable, Iterator, Optional
 
 from .expressions import Compiled, Scope
 from .storage import Table, TableOverlay
+from .types import probe_key
 
 #: Reserved ``params`` key carrying the :class:`ExecutionContext`.  All
 #: regular correlation keys are ``(binding, column)`` tuples, so a plain
@@ -218,6 +221,56 @@ class SeqScan(PlanNode):
         return f"SeqScan({self.table.name} AS {self.binding}, ~{len(self.table)} rows)"
 
 
+class IndexScan(PlanNode):
+    """The rows of a base table whose ``columns`` equal constants.
+
+    The constants are compiled row-free expressions (literals or
+    statement parameters) evaluated per execution, so the node — like
+    every plan node — holds nothing of one call's values.  The probe
+    goes through :func:`probe_table`: overlay-aware exactly as
+    :class:`IndexJoin` is, and in scan order, so the node yields what a
+    :class:`SeqScan` filtered on the same equalities would, row for
+    row.  A key the index cannot answer (NULL, or a value the column
+    comparison rejects) falls back to the full scan; the planner keeps
+    the whole predicate in a :class:`Filter` on top, which then drops
+    every row or raises the comparison's own error.
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        binding: str,
+        columns: tuple[str, ...],
+        key: list[Compiled],
+        via: str,
+        estimate: float,
+    ):
+        self.table = table
+        self.binding = binding
+        self.columns = columns
+        self.key = key
+        self.via = via
+        self.key_types = tuple(table.schema.column(c).sql_type for c in columns)
+        self.scope = Scope(
+            [(binding, column) for column in table.schema.column_names]
+        )
+        self.estimate = estimate
+
+    def _execute(self, params: dict) -> Iterator[tuple]:
+        key = tuple(fn((), params) for fn in self.key)
+        for value, sql_type in zip(key, self.key_types):
+            if not probe_key(value, sql_type):
+                return scan_table(params, self.table)
+        return probe_table(params, self.table, self.columns, key)
+
+    def describe(self) -> str:
+        cols = ", ".join(self.columns)
+        return (
+            f"IndexScan({self.table.name} AS {self.binding} "
+            f"on ({cols}) via {self.via})"
+        )
+
+
 class DeltaSeed(PlanNode):
     """Distinct key projection of one or more event tables.
 
@@ -372,18 +425,11 @@ class IndexJoin(PlanNode):
         columns = self.table_columns
         positions = self.outer_positions
         residual = self.residual
-        # build the index once up front so probes are O(1)
-        table.ensure_secondary_index(columns)
-        overlay = table_overlay(params, table)
         for outer_row in self.outer.execute(params):
             key = tuple(outer_row[p] for p in positions)
             if any(v is None for v in key):
                 continue
-            if overlay is None:
-                matches = table.lookup_secondary(columns, key)
-            else:
-                matches = overlay.lookup(table, columns, key)
-            for inner_row in matches:
+            for inner_row in probe_table(params, table, columns, key):
                 combined = outer_row + inner_row
                 if residual is None or residual(combined, params) is True:
                     yield combined

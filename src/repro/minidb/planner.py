@@ -4,6 +4,18 @@ Planning strategy, tuned for TINTIN's workload shape (tiny event tables
 joined against large indexed base tables):
 
 1. **Pushdown** — single-binding WHERE conjuncts move onto their scan.
+
+   1b. **Access path** — when a base table's pushed-down conjuncts of
+   the form ``col = <constant>`` (a non-NULL literal or a statement
+   parameter, either side) cover a key the schema already implies, the
+   scan becomes an :class:`~repro.minidb.plan.IndexScan`: the whole
+   PRIMARY KEY or a UNIQUE key (answered from its unique index), else a
+   declared FOREIGN KEY column set, else the longest leading prefix of
+   the PRIMARY KEY (answered from the secondary hash index that
+   ``IndexJoin`` and the FK checker build on first probe).  No index is
+   ever built for an ad-hoc column set, and none at ``CREATE TABLE`` or
+   load time.  The whole pushed-down predicate stays a ``Filter`` on
+   top, so the rows — and the errors — are those of ``Filter(SeqScan)``.
 2. **Greedy equi-join ordering** — start from the smallest estimated
    relation and repeatedly attach the smallest connected one.  When the
    accumulated stream is much smaller than the next base table, the
@@ -41,6 +53,7 @@ from .plan import (
     Filter,
     HashJoin,
     IndexJoin,
+    IndexScan,
     NestedLoopCross,
     PlanNode,
     Project,
@@ -53,10 +66,15 @@ from .plan import (
     scan_table,
 )
 from .storage import Table
+from .types import probe_key
 
 #: Below this ratio of outer-estimate to table size the planner prefers
 #: probing the table's index over materializing it in a hash join.
 _INDEX_JOIN_RATIO = 0.25
+
+#: Assumed fraction of a table sharing one value of a non-unique key
+#: (a FOREIGN KEY or PRIMARY KEY prefix) — the IndexScan estimate.
+_KEY_SELECTIVITY = 0.01
 
 _MISSING = object()
 
@@ -342,6 +360,8 @@ class Planner:
         for rel in relations:
             plan = _rescope(rel.plan, Scope(rel.plan.scope.entries, outer=outer))
             if rel.pushdown:
+                if rel.table is not None:
+                    plan = self._access_path(rel, plan)
                 scope = plan.scope
                 predicate = compile_expr(
                     n.conjoin(rel.pushdown), scope, self._subquery_compiler(scope)
@@ -379,6 +399,57 @@ class Planner:
             current_set.add(chosen)
             remaining.discard(chosen)
         return current
+
+    def _access_path(self, rel: _Relation, scan: PlanNode) -> PlanNode:
+        """Step 1b: an :class:`IndexScan` when ``rel``'s pushed-down
+        ``col = <constant>`` conjuncts cover a key of its base table,
+        else the ``scan`` it was given."""
+        table = rel.table
+        schema = table.schema
+        constants: dict[str, n.Expr] = {}
+        for conjunct in rel.pushdown:
+            if not (isinstance(conjunct, n.Comparison) and conjunct.op == "="):
+                continue
+            for ref, constant in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if not isinstance(ref, n.ColumnRef):
+                    continue
+                position = scan.scope.try_resolve(ref)
+                if position is None:
+                    continue
+                column = schema.columns[position]
+                if isinstance(constant, n.Literal):
+                    if not probe_key(constant.value, column.sql_type):
+                        # NULL, or a literal the comparison rejects:
+                        # the scan finds nothing / raises, as it must
+                        return scan
+                elif not isinstance(constant, n.Parameter):
+                    continue
+                constants.setdefault(column.name, constant)
+        if not constants:
+            return scan
+
+        primary = schema.primary_key
+        candidates = [(primary, "PRIMARY KEY", True)]
+        candidates += [(unique, "UNIQUE", True) for unique in schema.uniques]
+        candidates += [
+            (fk.columns, "FOREIGN KEY", False) for fk in schema.foreign_keys
+        ]
+        candidates += [
+            (primary[:length], "PRIMARY KEY prefix", False)
+            for length in range(len(primary) - 1, 0, -1)
+        ]
+        for columns, via, unique in candidates:
+            if columns and all(column in constants for column in columns):
+                break
+        else:
+            return scan
+        estimate = 1.0 if unique else max(len(table) * _KEY_SELECTIVITY, 1.0)
+        key = [compile_expr(constants[c], Scope([])) for c in columns]
+        plan = IndexScan(table, scan.binding, columns, key, via, estimate)
+        return _rescope(plan, scan.scope)
 
     def _attach(
         self,
@@ -454,11 +525,16 @@ class Planner:
         names: list[str] = []
         for item in select.items:
             if isinstance(item, n.Star):
-                for position, (binding, column) in enumerate(scope.entries):
-                    if item.table is not None and binding != item.table.lower():
+                # FROM order, whatever order the joins ran in — the
+                # order output_columns() names the columns in
+                for ref in select.from_items:
+                    wanted = ref.binding.lower()
+                    if item.table is not None and wanted != item.table.lower():
                         continue
-                    exprs.append(_position_getter(position))
-                    names.append(column)
+                    for position, (binding, column) in enumerate(scope.entries):
+                        if binding == wanted:
+                            exprs.append(_position_getter(position))
+                            names.append(column)
             else:
                 exprs.append(
                     compile_expr(item.expr, scope, self._subquery_compiler(scope))

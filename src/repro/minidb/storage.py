@@ -7,6 +7,15 @@ set of rowids.  Secondary indexes are created on demand by the planner
 (e.g. for foreign-key lookups and correlated `NOT EXISTS` probes) —
 this mirrors the indexes a production DBA would keep on join columns
 and is what gives the incremental checks their locality.
+
+Every equality probe — :meth:`Table.lookup_secondary`,
+:meth:`TableOverlay.lookup`, and through them the planner's
+``IndexScan``/``IndexJoin``, the FK checker and the aggregate readers —
+resolves its column tuple once to a :class:`KeyProbe`.  Columns that
+are exactly a PRIMARY KEY / UNIQUE key are answered from that key's
+:class:`UniqueIndex`; only other column sets get a
+:class:`SecondaryIndex`, built on first probe.  A key is never indexed
+twice.
 """
 
 from __future__ import annotations
@@ -63,37 +72,76 @@ class UniqueIndex:
 
 
 class SecondaryIndex:
-    """Non-unique hash index: key tuple -> set of rowids."""
+    """Non-unique hash index: key tuple -> rowids, in rowid order.
+
+    Rowids only ever grow, and rows enter an index in rowid order (at
+    build time and on every insert), so each key's insertion-ordered
+    dict *is* its rowids in scan order — a probe never sorts.
+    """
 
     def __init__(self, name: str, positions: tuple[int, ...]):
         self.name = name
         self.positions = positions
-        self._map: dict[tuple, set[int]] = {}
+        self._map: dict[tuple, dict[int, None]] = {}
 
     def key_of(self, row: tuple) -> tuple:
         return tuple(row[p] for p in self.positions)
 
     def lookup(self, key: tuple) -> frozenset[int]:
-        rowids = self._map.get(key)
-        return frozenset(rowids) if rowids else frozenset()
+        return frozenset(self._map.get(key, ()))
 
-    def lookup_rowids(self, key: tuple) -> set[int]:
+    def lookup_rowids(self, key: tuple):
         """Internal variant avoiding a copy; callers must not mutate."""
-        return self._map.get(key, _EMPTY_SET)
+        return self._map.get(key, ())
 
     def add(self, row: tuple, rowid: int) -> None:
-        self._map.setdefault(self.key_of(row), set()).add(rowid)
+        self._map.setdefault(self.key_of(row), {})[rowid] = None
 
     def remove(self, row: tuple, rowid: int) -> None:
         key = self.key_of(row)
         rowids = self._map.get(key)
         if rowids is not None:
-            rowids.discard(rowid)
+            rowids.pop(rowid, None)
             if not rowids:
                 del self._map[key]
 
 
-_EMPTY_SET: set[int] = set()
+class KeyProbe:
+    """The resolved access path for equality probes on one column tuple.
+
+    ``positions`` are the probed columns' row positions, in the order
+    the caller lists them (and supplies key values).  Exactly one of
+    ``unique`` / ``secondary`` is set; ``order`` permutes a caller's
+    key into the unique index's own column order when the two differ.
+    """
+
+    __slots__ = ("positions", "unique", "order", "secondary")
+
+    def __init__(
+        self,
+        positions: tuple[int, ...],
+        unique: Optional[UniqueIndex] = None,
+        secondary: Optional[SecondaryIndex] = None,
+    ):
+        self.positions = positions
+        self.unique = unique
+        self.secondary = secondary
+        self.order: Optional[tuple[int, ...]] = None
+        if unique is not None and unique.positions != positions:
+            self.order = tuple(positions.index(p) for p in unique.positions)
+
+    def rowids(self, key: tuple):
+        """Rowids of the rows whose probed columns equal ``key``, in
+        rowid order (= scan order).  A unique key holds at most one
+        row, and — like the index behind it — never matches a key
+        containing NULL."""
+        unique = self.unique
+        if unique is not None:
+            if self.order is not None:
+                key = tuple(key[i] for i in self.order)
+            rowid = unique.lookup(key)
+            return () if rowid is None else (rowid,)
+        return self.secondary.lookup_rowids(key)
 
 
 def _first_wins(
@@ -217,12 +265,13 @@ class TableOverlay:
         self, table: "Table", columns: tuple[str, ...], key: tuple
     ) -> Iterator[tuple]:
         """The merged index probe: base index hits minus staged
-        deletes, then staged inserts matching ``key``."""
-        index = table.ensure_secondary_index(columns)
+        deletes, then staged inserts matching ``key`` — the rows, in
+        the order, the merged :meth:`scan` yields them."""
+        probe = table.key_probe(columns)
         yield from self.mask(
-            table.row_by_id(rowid) for rowid in index.lookup_rowids(key)
+            table.row_by_id(rowid) for rowid in probe.rowids(key)
         )
-        for row in self._inserts_by_key(index.positions).get(key, ()):
+        for row in self._inserts_by_key(probe.positions).get(key, ()):
             if not table.unique_indexes or not self.conflicts(table, row):
                 yield row
 
@@ -255,10 +304,11 @@ class Table:
         self.data_version = 0
         self.unique_indexes: list[UniqueIndex] = []
         self.secondary_indexes: dict[tuple[int, ...], SecondaryIndex] = {}
-        #: columns-tuple -> index memo so repeated probes skip the
-        #: per-call ``schema.key_positions`` resolution; the lock makes
-        #: on-demand index builds safe under concurrent readers
-        self._indexes_by_columns: dict[tuple[str, ...], SecondaryIndex] = {}
+        #: columns-tuple -> resolved access path, so repeated probes
+        #: skip the per-call ``schema.key_positions`` resolution; the
+        #: lock makes on-demand index builds safe under concurrent
+        #: readers
+        self._key_probes: dict[tuple[str, ...], KeyProbe] = {}
         self._index_build_lock = threading.Lock()
         if schema.primary_key:
             self.unique_indexes.append(
@@ -425,18 +475,16 @@ class Table:
     def ensure_secondary_index(self, columns: tuple[str, ...]) -> SecondaryIndex:
         """Get or build a secondary hash index on the given columns.
 
-        The columns-tuple memo resolves repeated probes without touching
-        ``schema.key_positions``; the build itself is serialized so two
-        concurrent readers cannot race to construct the same index.
+        The build is serialized so two concurrent readers cannot race
+        to construct the same index.  Probes do not call this directly:
+        :meth:`key_probe` does, and only for column sets no unique key
+        already answers.
         """
-        index = self._indexes_by_columns.get(columns)
+        positions = self.schema.key_positions(columns)
+        index = self.secondary_indexes.get(positions)
         if index is not None:
             return index
         with self._index_build_lock:
-            index = self._indexes_by_columns.get(columns)
-            if index is not None:
-                return index
-            positions = self.schema.key_positions(columns)
             index = self.secondary_indexes.get(positions)
             if index is None:
                 index = SecondaryIndex(
@@ -445,16 +493,35 @@ class Table:
                 for rowid, row in self._rows.items():
                     index.add(row, rowid)
                 self.secondary_indexes[positions] = index
-            self._indexes_by_columns[columns] = index
         return index
+
+    def key_probe(self, columns: tuple[str, ...]) -> KeyProbe:
+        """The access path for equality probes on ``columns``: the
+        unique index when the columns are exactly a declared PRIMARY
+        KEY / UNIQUE key (in any order), otherwise a secondary hash
+        index built now, on first use."""
+        probe = self._key_probes.get(columns)
+        if probe is None:
+            positions = self.schema.key_positions(columns)
+            for unique in self.unique_indexes:
+                if sorted(unique.positions) == sorted(positions):
+                    probe = KeyProbe(positions, unique=unique)
+                    break
+            else:
+                probe = KeyProbe(
+                    positions, secondary=self.ensure_secondary_index(columns)
+                )
+            self._key_probes[columns] = probe
+        return probe
 
     def lookup_secondary(
         self, columns: tuple[str, ...], key: tuple
     ) -> Iterator[tuple]:
-        """Yield rows whose ``columns`` equal ``key`` via a hash index."""
-        index = self.ensure_secondary_index(columns)
-        for rowid in index.lookup_rowids(key):
-            yield self._rows[rowid]
+        """Yield the rows whose ``columns`` equal ``key`` through a hash
+        index, in scan order."""
+        rows = self._rows
+        for rowid in self.key_probe(columns).rowids(key):
+            yield rows[rowid]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.schema.name!r}, {len(self)} rows)"

@@ -165,3 +165,22 @@ def comparable(left, right) -> bool:
     if isinstance(left, str) and isinstance(right, str):
         return True
     return False
+
+
+def probe_key(value, sql_type: SQLType) -> bool:
+    """Return True if ``column = value`` can be answered by a hash
+    probe on a column of ``sql_type``.
+
+    That is when the comparison is defined for every stored value
+    (:func:`comparable`) and can be TRUE: NULL equals nothing, and a
+    value of another kind makes the comparison raise — both are left
+    to the scan, which yields the same rows or the same error.
+    """
+    if value is None:
+        return False
+    kind = sql_type.kind
+    if kind in ("INTEGER", "DOUBLE"):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "BOOLEAN":
+        return isinstance(value, bool)
+    return isinstance(value, str)  # VARCHAR, DATE

@@ -290,41 +290,38 @@ class Session:
     def execute(self, sql: str):
         """Execute one SQL statement in this session.
 
-        INSERT/DELETE/UPDATE are parsed through the shared DML AST
-        cache and staged privately (an UPDATE stages delete-old +
-        insert-new, the paper's event model).  SELECTs run as snapshot
-        reads.  DDL is rejected — schema changes go through the
-        database facade, not a session.
+        The text goes through the database's statement cache
+        (:meth:`repro.minidb.database.Database.statement`).
+        INSERT/DELETE/UPDATE are staged privately (an UPDATE stages
+        delete-old + insert-new, the paper's event model).  SELECTs run
+        as snapshot reads.  DDL is rejected — schema changes go through
+        the database facade, not a session.
         """
         self._check_alive()
-        if self.db.plan_cache_enabled and sql in self.db.plan_cache:
-            # a known SELECT: skip the parse entirely (query() executes
-            # through the prepared-plan cache keyed on this text)
-            return self.query(sql)
-        stmt = self.db.parse_dml_cached(sql)
+        entry, params, _ = self.db.statement(sql)
+        stmt = entry.stmt
         if isinstance(stmt, n.SelectStatement):
-            if self.db.plan_cache_enabled:
-                # seed the plan cache from the AST we just parsed so
-                # query() does not parse the same text a second time
-                self.db.prepare_cached(sql, stmt.query)
-            return self.query(sql)
+            with self.scheduler.rwlock.read_locked():
+                return entry.prepared.execute(params, self.events.overlays())
         # resolution (WHERE/SELECT evaluation against base) and staging
         # happen under ONE read-lock acquisition: a commit window
         # sliding between them could make the resolved rows stale
         # (e.g. an UPDATE re-inserting a row another session deleted)
         if isinstance(stmt, n.Insert):
             with self.scheduler.rwlock.read_locked():
-                table, rows = self.db.resolve_insert_rows(stmt)
+                table, rows = self.db.resolve_insert_rows(entry, params)
                 return self._stage_insert_locked(table.name, rows)
         if isinstance(stmt, n.Delete):
             # WHERE is evaluated against the base table only — faithful
             # INSTEAD OF trigger behaviour (see event_tables docstring)
             with self.scheduler.rwlock.read_locked():
-                table, victims = self.db.resolve_delete_rows(stmt)
+                table, victims = self.db.resolve_delete_rows(entry, params)
                 return self._stage_delete_locked(table.name, victims)
         if isinstance(stmt, n.Update):
             with self.scheduler.rwlock.read_locked():
-                table, old_rows, new_rows = self.db.resolve_update_rows(stmt)
+                table, old_rows, new_rows = self.db.resolve_update_rows(
+                    entry, params
+                )
                 self._stage_delete_locked(table.name, old_rows)
                 self._stage_insert_locked(table.name, new_rows)
             return len(old_rows)

@@ -27,11 +27,16 @@ _DIGITS = frozenset("0123456789")
 class Lexer:
     """Tokenizes SQL text into a list of :class:`Token` objects."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, placeholders: bool = False):
         self._text = text
         self._pos = 0
         self._line = 1
         self._col = 1
+        #: statement shapes only (:mod:`repro.sqlparser.shape`): ``?``
+        #: is a PARAM token numbered in order of appearance; in user
+        #: text it stays an unexpected character
+        self._placeholders = placeholders
+        self._params = 0
 
     def tokenize(self) -> list[Token]:
         """Return the full token stream, ending with a single EOF token."""
@@ -95,6 +100,10 @@ class Lexer:
             return self._lex_string(line, col)
         if ch == '"':
             return self._lex_quoted_identifier(line, col)
+        if ch == "?" and self._placeholders:
+            self._advance()
+            self._params += 1
+            return Token(TokenType.PARAM, str(self._params - 1), line, col)
 
         two = self._text[self._pos : self._pos + 2]
         if two in TWO_CHAR_OPERATORS:
@@ -177,6 +186,6 @@ class Lexer:
                 self._advance()
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, placeholders: bool = False) -> list[Token]:
     """Convenience wrapper: tokenize ``text`` into a token list."""
-    return Lexer(text).tokenize()
+    return Lexer(text, placeholders).tokenize()

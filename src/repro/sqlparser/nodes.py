@@ -5,7 +5,8 @@ written; all name comparisons elsewhere in the library are
 case-insensitive (SQL semantics), using the :func:`normalize` helper.
 
 Expression nodes
-    :class:`ColumnRef`, :class:`Literal`, :class:`Comparison`,
+    :class:`ColumnRef`, :class:`Literal`, :class:`Parameter`,
+    :class:`Comparison`,
     :class:`And`, :class:`Or`, :class:`Not`, :class:`Exists`,
     :class:`InList`, :class:`InSubquery`, :class:`IsNull`,
     :class:`Arithmetic`
@@ -58,6 +59,23 @@ class Literal(Expr):
     """A constant: int, float, str, bool or None (SQL NULL)."""
 
     value: TUnion[int, float, str, bool, None]
+
+
+@dataclass(frozen=True)
+class Parameter(Expr):
+    """The ``index``-th constant lifted out of a statement's text.
+
+    Never written by a user: :func:`repro.sqlparser.shape.statement_shape`
+    replaces the numeric and string literals of a statement with
+    placeholders, and the shape is parsed once with these nodes in the
+    literal positions.  The values travel with each execution, so one
+    parsed (and planned) shape serves every spelling of its constants.
+    ``negated`` is the parser's ``-<number>`` literal fold, deferred to
+    execution time.
+    """
+
+    index: int
+    negated: bool = False
 
 
 @dataclass(frozen=True)

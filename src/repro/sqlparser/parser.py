@@ -40,8 +40,8 @@ _UNSUPPORTED_KEYWORDS = {
 class Parser:
     """Parses a token stream into AST nodes."""
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    def __init__(self, text: str, placeholders: bool = False):
+        self._tokens = tokenize(text, placeholders)
         self._pos = 0
 
     # -- public entry points ------------------------------------------------
@@ -578,6 +578,8 @@ class Parser:
                 operand.value, (int, float)
             ):
                 return n.Literal(-operand.value)
+            if isinstance(operand, n.Parameter):
+                return n.Parameter(operand.index, not operand.negated)
             return n.Arithmetic("-", n.Literal(0), operand)
         self._accept_operator("+")
         return self._primary()
@@ -593,6 +595,9 @@ class Parser:
         if token.type is TokenType.STRING:
             self._advance()
             return n.Literal(token.value)
+        if token.type is TokenType.PARAM:
+            self._advance()
+            return n.Parameter(int(token.value))
         if token.is_keyword("NULL"):
             self._advance()
             return n.Literal(None)
@@ -674,6 +679,13 @@ class Parser:
 def parse_statement(text: str) -> n.Statement:
     """Parse a single SQL statement."""
     return Parser(text).parse_statement()
+
+
+def parse_shape(shape: str) -> n.Statement:
+    """Parse a statement shape (:mod:`repro.sqlparser.shape`): SQL text
+    whose lifted constants are ``?`` placeholders, which become
+    :class:`~repro.sqlparser.nodes.Parameter` nodes."""
+    return Parser(shape, placeholders=True).parse_statement()
 
 
 def parse_script(text: str) -> list[n.Statement]:

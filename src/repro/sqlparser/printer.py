@@ -27,6 +27,8 @@ def _print_operand(expr: n.Expr) -> str:
 
 def print_expr(expr: n.Expr) -> str:
     """Render an expression node to SQL text."""
+    if isinstance(expr, n.Parameter):
+        return "-?" if expr.negated else "?"
     if isinstance(expr, n.Literal):
         return _print_literal(expr.value)
     if isinstance(expr, n.ColumnRef):

@@ -14,6 +14,7 @@ class TokenType(Enum):
     NUMBER = auto()     # integer or decimal literal
     STRING = auto()     # single-quoted string literal
     OPERATOR = auto()   # symbols: = <> < <= > >= + - * / ( ) , . ;
+    PARAM = auto()      # a lifted-constant placeholder (statement shapes only)
     EOF = auto()        # end of input
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConstraintViolation, ExecutionError, SchemaError
 from repro.minidb.schema import Column, ForeignKey, TableSchema
-from repro.minidb.storage import Table
+from repro.minidb.storage import Table, TableOverlay
 from repro.minidb.types import DOUBLE, INTEGER, VARCHAR
 
 
@@ -208,6 +208,67 @@ class TestSecondaryIndexes:
     def test_missing_key_returns_empty(self):
         table = Table(make_schema())
         assert list(table.lookup_secondary(("name",), ("ghost",))) == []
+
+    def test_lookup_yields_scan_order(self):
+        table = Table(make_schema())
+        for rowid in range(40):
+            table.insert((rowid, "ab"[rowid % 2], 1.0))
+        table.delete_row((4, "a", 1.0))
+        table.insert((4, "a", 1.0))  # re-inserted: now last in scan order
+        via_index = list(table.lookup_secondary(("name",), ("a",)))
+        assert via_index == [row for row in table.scan() if row[1] == "a"]
+
+
+class TestKeysAreIndexedOnce:
+    """A probe on exactly a PRIMARY KEY / UNIQUE key is answered from
+    that key's unique index — no secondary index doubles it."""
+
+    def test_probing_the_primary_key_builds_no_secondary_index(self):
+        table = Table(make_schema())
+        table.insert((1, "a", 1.0))
+        table.insert((2, "b", 2.0))
+        assert list(table.lookup_secondary(("id",), (2,))) == [(2, "b", 2.0)]
+        assert list(table.lookup_secondary(("id",), (3,))) == []
+        overlay = TableOverlay([(3, "c", 3.0)], [(2, "b", 2.0)], table=table)
+        assert list(overlay.lookup(table, ("id",), (2,))) == []
+        assert list(overlay.lookup(table, ("id",), (3,))) == [(3, "c", 3.0)]
+        assert table.secondary_indexes == {}
+
+    def test_composite_and_unique_keys_in_any_column_order(self):
+        table = Table(
+            make_schema(primary_key=("id", "name"), uniques=(("score",),))
+        )
+        table.insert((1, "a", 1.0))
+        table.insert((1, "b", 2.0))
+        assert list(table.lookup_secondary(("name", "id"), ("b", 1))) == [
+            (1, "b", 2.0)
+        ]
+        assert list(table.lookup_secondary(("id", "name"), (1, "a"))) == [
+            (1, "a", 1.0)
+        ]
+        assert list(table.lookup_secondary(("score",), (2.0,))) == [(1, "b", 2.0)]
+        assert table.secondary_indexes == {}
+        # a proper prefix of the key is not the key: it gets its index
+        assert len(list(table.lookup_secondary(("id",), (1,)))) == 2
+        assert list(table.secondary_indexes) == [(0,)]
+
+    def test_a_key_containing_null_matches_nothing(self):
+        table = Table(make_schema(primary_key=(), uniques=(("name",),)))
+        table.insert((1, None, 1.0))
+        table.insert((2, None, 2.0))  # NULLs are distinct for uniqueness
+        table.insert((3, "a", 3.0))
+        assert list(table.lookup_secondary(("name",), (None,))) == []
+        assert list(table.lookup_secondary(("name",), ("a",))) == [(3, "a", 3.0)]
+        assert table.secondary_indexes == {}
+
+    def test_unique_index_stays_maintained_under_dml(self):
+        table = Table(make_schema())
+        table.insert((1, "a", 1.0))
+        assert list(table.lookup_secondary(("id",), (1,))) == [(1, "a", 1.0)]
+        table.delete_row((1, "a", 1.0))
+        assert list(table.lookup_secondary(("id",), (1,))) == []
+        table.insert((1, "z", 9.0))
+        assert list(table.lookup_secondary(("id",), (1,))) == [(1, "z", 9.0)]
 
 
 @settings(max_examples=200, deadline=None)

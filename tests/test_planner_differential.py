@@ -1,5 +1,6 @@
 """Differential fuzzing: the optimizing planner vs the naive reference
-executor.
+executor — and, for the access-path rule, the planner's ``IndexScan``
+plans vs the ``SeqScan + Filter`` plans of the same queries.
 
 Hypothesis generates random data and random queries over a two-table
 schema (including NULLs, correlated [NOT] EXISTS, [NOT] IN subqueries,
@@ -10,13 +11,21 @@ the same bag of rows as the brute-force evaluator.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.reference_executor import ReferenceExecutor
+from repro import Tintin
+from repro.errors import ExecutionError
 from repro.minidb import Database
+from repro.minidb.plan import ExecutionContext
+from repro.minidb.planner import Planner
+from repro.minidb.storage import TableOverlay
 from repro.sqlparser import nodes as n
+from repro.sqlparser.parser import parse_query
 
 
 def make_db(orders_rows, items_rows) -> Database:
@@ -314,3 +323,248 @@ class TestPlanCacheDifferential:
         results = [bag(db.query(sql).rows) for db in dbs]
         assert results[0] == results[1]
         assert dbs[0].plan_cache_stats.invalidations >= 1
+
+
+# -- access paths: IndexScan vs the SeqScan + Filter plan of the same query ---
+
+class ScanPlanner(Planner):
+    """The planner without step 1b: every base relation is scanned.
+    Test-side reference — the engine itself has no such switch."""
+
+    def _access_path(self, rel, scan):
+        return scan
+
+
+ACCESS_DDL = (
+    "CREATE TABLE p (id INTEGER PRIMARY KEY, code VARCHAR(8), w DOUBLE, "
+    "UNIQUE (code))",
+    "CREATE TABLE c (k1 INTEGER, k2 INTEGER, pid INTEGER, qty INTEGER, "
+    "PRIMARY KEY (k1, k2), FOREIGN KEY (pid) REFERENCES p (id))",
+)
+
+
+def access_db(seed: int) -> Database:
+    """Parents 0..9 (some codes NULL), children with duplicated
+    ``pid`` / ``k1`` values (duplicate secondary keys) and NULL FKs."""
+    rng = random.Random(seed)
+    db = Database(f"access-{seed}")
+    for ddl in ACCESS_DDL:
+        db.execute(ddl)
+    db.insert_rows(
+        "p",
+        [
+            (k, None if rng.random() < 0.2 else f"c{k}", rng.choice([0.5, 1.0, 2.0]))
+            for k in range(10)
+        ],
+    )
+    children = {(rng.randrange(6), rng.randrange(4)) for _ in range(18)}
+    db.insert_rows(
+        "c",
+        [
+            (k1, k2, None if rng.random() < 0.15 else rng.randrange(10), rng.randrange(6))
+            for k1, k2 in sorted(children, key=lambda _: rng.random())
+        ],
+    )
+    return db
+
+
+def access_overlays(db: Database, seed: int) -> dict:
+    """A staged update aimed at the probed keys: deletes of committed
+    rows, inserts under keys that already have rows (duplicate
+    secondary keys), a delete-then-reinsert of one primary key, and
+    staged inserts *shadowed* by committed unique keys."""
+    rng = random.Random(1000 + seed)
+    p_rows = db.table("p").rows_snapshot()
+    c_rows = db.table("c").rows_snapshot()
+    c_deletes = rng.sample(c_rows, 4)
+    moved = c_deletes[0]
+    shadowed_c = rng.choice([r for r in c_rows if r not in c_deletes])
+    c_inserts = [
+        (moved[0], moved[1], rng.randrange(10), 99),  # re-insert of a deleted PK
+        (shadowed_c[0], shadowed_c[1], 3, 77),  # PK still committed: invisible
+        (rng.randrange(6), 7, rng.randrange(10), 1),
+        (rng.randrange(6), 8, c_rows[0][2], 2),
+        (rng.randrange(6), 9, None, 3),
+    ]
+    p_deletes = rng.sample(p_rows, 2)
+    kept = [r for r in p_rows if r not in p_deletes and r[1] is not None]
+    p_inserts = [
+        (p_deletes[0][0], "moved", 9.0),  # delete + re-insert of a PK
+        (kept[0][0], "dup-pk", 9.0),  # shadowed by the committed PK
+        (42, kept[1][1], 9.0),  # shadowed by the committed UNIQUE key
+        (43, None, 9.0),
+        (44, "c44", 9.0),
+    ]
+    return {
+        "p": TableOverlay(p_inserts, p_deletes, table=db.table("p")),
+        "c": TableOverlay(c_inserts, c_deletes, table=db.table("c")),
+    }
+
+
+def access_predicates(seed: int) -> list[tuple[str, str, bool]]:
+    """``(FROM clause, WHERE clause, plans an IndexScan)`` triples."""
+    rng = random.Random(2000 + seed)
+    k1, k2, pid, qty = rng.randrange(6), rng.randrange(4), rng.randrange(10), rng.randrange(6)
+    return [
+        # full PK, PK prefix, FK column, UNIQUE key
+        ("c", f"k1 = {k1} AND k2 = {k2}", True),
+        ("c", f"k2 = {k2} AND k1 = {k1}", True),
+        ("c", f"k1 = {k1}", True),
+        ("c", f"pid = {pid}", True),
+        ("p", f"id = {pid}", True),
+        ("p", f"code = 'c{pid}'", True),
+        ("p", "code = 'moved'", True),
+        # constant on the left; aliased; residual conjuncts on top
+        ("c", f"{pid} = pid", True),
+        ("c AS x", f"x.pid = {pid} AND x.qty > {qty}", True),
+        ("c AS x", f"x.k1 = {k1} AND x.qty <= {qty} AND x.k2 <> {k2}", True),
+        ("c", f"pid = {pid} AND (qty = {qty} OR k2 = {k2})", True),
+        # contradictions and NULL: empty either way
+        ("c", f"k1 = {k1} AND k1 = {k1 + 1}", True),
+        ("p", "id = 3 AND id = 4", True),
+        ("c", "pid = NULL", False),
+        ("p", "code = NULL", False),
+        # int-vs-float constants
+        ("p", f"id = {pid}.0", True),
+        ("p", "id = 2.5", True),
+        ("c", f"k1 = {k1}.0 AND k2 = {k2}e0", True),
+        # constants the column comparison rejects: the scan's own error
+        ("p", "id = '1'", False),
+        ("p", "code = 5", False),
+        ("c", f"k1 = {k1} AND k2 = 'x'", False),
+        ("c", f"k2 = 'x' AND k1 = {k1}", False),
+        ("c", f"pid = 'x' AND pid = {pid}", False),
+        ("c", "pid = TRUE", False),
+        # not a key: ad-hoc columns never get an index
+        ("c", f"qty = {qty}", False),
+        ("c", f"k2 = {k2}", False),
+        ("p", "w = 1.0", False),
+        ("c", f"pid > {pid}", False),
+        ("c", f"pid = {pid} OR k1 = {k1}", False),
+        # joined relations: the access path starts the join order
+        ("p, c", f"p.id = c.pid AND p.id = {pid}", True),
+        ("p, c", f"p.id = c.pid AND c.k1 = {k1}", True),
+        ("p AS a, c AS b", f"a.id = b.pid AND b.pid = {pid} AND a.w > 0.75", True),
+        ("p, c", f"p.id = c.pid AND c.k1 = {k1} AND c.k2 = {k2} AND p.code = 'c{pid}'", True),
+        ("p, c", f"p.id = {pid} AND c.k1 = {k1}", True),  # cross product of two probes
+    ]
+
+
+def run_plan(db, planner_class, query, overlays):
+    """``("rows", [...])`` or ``("error", type, message)``."""
+    plan = planner_class(db.catalog).plan_query(query)
+    try:
+        return ("rows", list(plan.run(ctx=ExecutionContext(overlays)))), plan
+    except ExecutionError as error:
+        return ("error", type(error), str(error)), plan
+
+
+ACCESS_SEEDS = range(12)
+
+
+class TestAccessPathDifferential:
+    @pytest.mark.parametrize("seed", ACCESS_SEEDS)
+    @pytest.mark.parametrize("staged", [False, True], ids=["bare", "overlay"])
+    def test_index_scan_equals_filtered_seq_scan(self, seed, staged):
+        db = access_db(seed)
+        overlays = access_overlays(db, seed) if staged else None
+        for relations, where, indexed in access_predicates(seed):
+            sql = f"SELECT * FROM {relations} WHERE {where}"
+            query = parse_query(sql)
+            probed, plan = run_plan(db, Planner, query, overlays)
+            scanned, scan_plan = run_plan(db, ScanPlanner, query, overlays)
+            # result LISTS: same rows in the same order, or the same error
+            assert probed == scanned, sql
+            assert ("IndexScan" in plan.explain()) == indexed, sql
+            assert "IndexScan" not in scan_plan.explain(), sql
+            if not staged and probed[0] == "rows":
+                assert bag(probed[1]) == bag(ReferenceExecutor(db).rows(query)), sql
+
+    @pytest.mark.parametrize("seed", ACCESS_SEEDS)
+    def test_shapes_equal_fresh_plans(self, seed):
+        """Through the text entry points — the cached, parameterised
+        shape against ``plan_cache_enabled = False``."""
+        cached, fresh = access_db(seed), access_db(seed)
+        fresh.plan_cache_enabled = False
+        for repeat in range(2):  # second round: every shape is a cache hit
+            for relations, where, _ in access_predicates(seed + repeat):
+                sql = f"SELECT * FROM {relations} WHERE {where}"
+                outcomes = []
+                for db in (cached, fresh):
+                    try:
+                        outcomes.append(db.query(sql).rows)
+                    except ExecutionError as error:
+                        outcomes.append((type(error), str(error)))
+                assert outcomes[0] == outcomes[1], sql
+        assert cached.plan_cache_stats.hits > 0
+        assert fresh.plan_cache_stats.snapshot()["hits"] == 0
+
+    def test_explain_names_the_access_path(self):
+        db = access_db(0)
+        for sql, expected in [
+            ("SELECT * FROM p WHERE id = 1", "IndexScan(p AS p on (id) via PRIMARY KEY)"),
+            ("SELECT * FROM p AS a WHERE 'c1' = a.code", "IndexScan(p AS a on (code) via UNIQUE)"),
+            ("SELECT * FROM c WHERE pid = 1", "IndexScan(c AS c on (pid) via FOREIGN KEY)"),
+            ("SELECT * FROM c WHERE k1 = 1", "IndexScan(c AS c on (k1) via PRIMARY KEY prefix)"),
+            ("SELECT * FROM c WHERE k2 = 1 AND k1 = 2", "IndexScan(c AS c on (k1, k2) via PRIMARY KEY)"),
+        ]:
+            assert expected in db.execute("EXPLAIN " + sql), sql
+        adhoc = db.execute("EXPLAIN SELECT * FROM c WHERE qty = 1")
+        assert "SeqScan(c" in adhoc and "IndexScan" not in adhoc
+        analyzed = db.execute("EXPLAIN ANALYZE SELECT * FROM p WHERE id = 1")
+        assert "IndexScan(p AS p on (id) via PRIMARY KEY)  (actual rows=1" in analyzed
+        assert "(1 rows scanned)" in analyzed
+
+    def test_no_index_is_built_for_keys_or_ad_hoc_columns(self):
+        db = access_db(0)
+        db.query("SELECT * FROM p WHERE id = 1")
+        db.query("SELECT * FROM p WHERE code = 'c1'")
+        db.query("SELECT * FROM c WHERE k1 = 1 AND k2 = 1")
+        db.query("SELECT * FROM c WHERE qty = 1")
+        db.execute("DELETE FROM c WHERE k1 = 1 AND k2 = 1")
+        assert db.table("p").secondary_indexes == {}
+        assert db.table("c").secondary_indexes == {}
+        # planning alone builds nothing either; the first probe does
+        db.execute("EXPLAIN SELECT * FROM c WHERE pid = 1")
+        assert db.table("c").secondary_indexes == {}
+        db.query("SELECT * FROM c WHERE pid = 1")
+        assert list(db.table("c").secondary_indexes) == [(2,)]
+
+    @pytest.mark.parametrize("seed", ACCESS_SEEDS)
+    def test_dml_victims_equal_for_database_and_session(self, seed):
+        for relations, where, _ in access_predicates(seed):
+            if "," in relations:
+                continue  # DML names one table
+            table = relations.split()[0]
+            alias = relations.partition(" AS ")[2]
+            target = f"{table} AS {alias}" if alias else table
+            column = "qty" if table == "c" else "w"
+            statements = [f"UPDATE {target} SET {column} = 5 WHERE {where}"]
+            if table == "c":  # p is referenced: FK RESTRICT, not our subject
+                statements.append(f"DELETE FROM {target} WHERE {where}")
+            for sql in statements:
+                plain = access_db(seed)
+                served = Tintin(access_db(seed))
+                served.install()
+                session = served.create_session()
+                query = parse_query(f"SELECT * FROM {relations} WHERE {where}")
+                expected, _ = run_plan(plain, ScanPlanner, query, None)
+                outcomes = []
+                for execute in (plain.execute, session.execute):
+                    try:
+                        outcomes.append(execute(sql))
+                    except ExecutionError as error:
+                        outcomes.append(("error", type(error), str(error)))
+                if expected[0] == "error":
+                    assert outcomes == [expected, expected], sql
+                    continue
+                assert outcomes == [len(expected[1])] * 2, sql
+                # the same rows went: what the session would commit is
+                # what the database applied
+                assert bag(session.rows(table)) == bag(
+                    plain.table(table).rows_snapshot()
+                ), sql
+                if sql.startswith("DELETE"):
+                    assert bag(
+                        served.db.table(table).rows_snapshot()
+                    ) == bag(plain.table(table).rows_snapshot() + expected[1]), sql
