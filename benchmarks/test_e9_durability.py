@@ -44,7 +44,6 @@ import json
 import os
 import shutil
 import tempfile
-import time
 
 from repro import Tintin
 from repro.bench import (
@@ -55,13 +54,7 @@ from repro.bench import (
     plan_cache_metrics,
     write_json_baseline,
 )
-from repro.durability import (
-    decode_batch,
-    decode_batch_v2,
-    read_wal,
-    recover,
-    wal_path,
-)
+from repro.durability import recover
 from repro.tpch import COMPLEXITY_SUITE, TPCHGenerator, tpch_database
 
 from test_e8_concurrency import (
@@ -105,11 +98,6 @@ DECISIVE_REPEATS = 2 if SMOKE else 5
 #: whenever the baseline is refreshed.
 ACCEPTANCE_RATIO = 1.3 if SMOKE else 2.0
 BASELINE_RATIO = 3.0  # a refreshed baseline must clear the real bar
-#: WAL format v2 acceptance (ISSUE 5): binary batch records must cut
-#: log volume >= 2.5x vs v1 JSON on the same workload and decode the
-#: log >= 2x faster; smoke runs relax the bars (shared-runner noise)
-CODEC_BYTES_RATIO = 2.0 if SMOKE else 2.5
-CODEC_REPLAY_RATIO = 1.2 if SMOKE else 2.0
 
 _SEED_PARTSUPP: dict = {}
 
@@ -216,176 +204,6 @@ def measure_recovery(directory: str) -> dict:
     }
 
 
-def transcode_log_to_v1(directory: str, table_names) -> bytes:
-    """The directory's WAL re-encoded record-for-record as v1 JSON
-    frames (no magic header).  Same records, same order, same content
-    — the deterministic twin the codec contrast is measured against."""
-    from repro.durability import batch_payload, encode_record
-
-    frames = []
-    for record in read_wal(wal_path(directory)).records:
-        if record.get("binary"):
-            ins, dele, counts = decode_batch_v2(
-                record["payload"], table_names
-            )
-            frames.append(
-                encode_record(
-                    {
-                        "type": "batch",
-                        "seq": record["seq"],
-                        **batch_payload(ins, dele, counts),
-                    }
-                )
-            )
-        else:
-            frames.append(encode_record(record))
-    return b"".join(frames)
-
-
-def measure_blob_replay(blob: bytes, table_names, repeats: int = 20):
-    """Best-of-N timing of the log-processing half of recovery over an
-    in-memory frame stream: the same fused scan recovery's replay loop
-    drives, decoding every batch record into name-keyed, apply-ready
-    row tuples.  This isolates the codec (what format v2 changes) from
-    the apply and assertion-compilation work both formats share."""
-    from repro.durability import decode_batch_v2_at, scan_frames_fused
-
-    decoded = []
-    best = float("inf")
-    for _ in range(repeats):
-        decoded.clear()
-        start = time.perf_counter()
-        records, _, tail = scan_frames_fused(blob)
-        assert tail is None
-        for record in records:
-            if type(record) is tuple:  # a v2 batch frame span
-                _, seq, span_start, span_end = record
-                ins, dele, counts = decode_batch_v2_at(
-                    blob, span_start, span_end, table_names
-                )
-            elif record.get("type") == "batch":
-                ins, dele = decode_batch(record)
-                counts = record.get("counts")
-                seq = record["seq"]
-            else:
-                continue
-            decoded.append((seq, ins, dele, counts))
-        best = min(best, time.perf_counter() - start)
-    return best, list(decoded)
-
-
-def run_codec_differential(batch_log_dir: str):
-    """The format v2 contrast, record-for-record deterministic.
-
-    One ``commit``-mode run of the workload writes the v2 log whose
-    per-commit volume is measured (one record per commit, so
-    bytes/commit is exact); the log is then transcoded to v1 JSON —
-    identical records, only the codec differs — for the byte and
-    replay comparison.  The replay contrast is additionally measured
-    over ``batch_log_dir``: the 8-session *group-commit* log the
-    recovery metric replays, i.e. the multi-row combined records
-    production actually writes.  Correctness rides along: both
-    encodings must decode identically, and a directory whose WAL is
-    the transcoded v1 log must recover to the identical state.
-    """
-    sessions = 4
-    rounds = TOTAL_COMMITS // sessions
-    path = tempfile.mkdtemp(prefix="e9-codec-")
-    tintin = build_server("commit", path, sessions, rounds)
-    result = measure_concurrent_throughput(
-        tintin, sessions, rounds, stage_lineitem
-    )
-    assert result.rejected == 0
-    commits = result.commits
-    table_names = [
-        t.schema.name
-        for t in tintin.db.catalog.tables_in_creation_order(namespace="main")
-    ]
-    tintin.sessions.scheduler.stop_log_writer()
-    tintin.durability.close()  # release the handle (no checkpoint)
-
-    # the v2 log really is binary (no silent fallback to JSON)
-    v2_records = read_wal(wal_path(path)).records
-    assert any(r.get("binary") for r in v2_records), (
-        "the commit-mode run wrote no binary records — fallback is hiding"
-    )
-
-    header = 8
-    v1_blob = transcode_log_to_v1(path, table_names)
-    with open(wal_path(path), "rb") as handle:
-        v2_blob = handle.read()[header:]
-    bytes_v1 = len(v1_blob) + header
-    bytes_v2 = len(v2_blob) + header
-
-    # correctness: identical decode, identical recovery
-    replay_v1, events_v1 = measure_blob_replay(v1_blob, table_names)
-    replay_v2, events_v2 = measure_blob_replay(v2_blob, table_names)
-    assert events_v1 == events_v2, "v1 and v2 encodings decode differently"
-    recovered_v2, report_v2 = recover(path)
-    state_v2 = {
-        t.schema.name: sorted(t.rows_snapshot())
-        for t in recovered_v2.db.catalog.tables(namespace="main")
-    }
-    v1_dir = tempfile.mkdtemp(prefix="e9-codec-v1-")
-    shutil.copytree(path, v1_dir, dirs_exist_ok=True)
-    from repro.durability import WAL_MAGIC
-
-    with open(wal_path(v1_dir), "wb") as handle:
-        handle.write(WAL_MAGIC + v1_blob)
-    recovered_v1, report_v1 = recover(v1_dir)
-    state_v1 = {
-        t.schema.name: sorted(t.rows_snapshot())
-        for t in recovered_v1.db.catalog.tables(namespace="main")
-    }
-    assert state_v1 == state_v2, "transcoded v1 log recovered differently"
-
-    # the production-shaped replay contrast: the group-commit log the
-    # recovery metric replays (multi-row combined records)
-    group_names = None
-    group_metrics = {}
-    if batch_log_dir is not None:
-        recovered_g, _ = recover(batch_log_dir)
-        group_names = [
-            t.schema.name
-            for t in recovered_g.db.catalog.tables_in_creation_order(
-                namespace="main"
-            )
-        ]
-        g_v1_blob = transcode_log_to_v1(batch_log_dir, group_names)
-        with open(wal_path(batch_log_dir), "rb") as handle:
-            g_v2_blob = handle.read()[header:]
-        g_replay_v1, g_events_v1 = measure_blob_replay(g_v1_blob, group_names)
-        g_replay_v2, g_events_v2 = measure_blob_replay(g_v2_blob, group_names)
-        assert g_events_v1 == g_events_v2
-        group_metrics = {
-            "group_log_bytes_v1": len(g_v1_blob) + header,
-            "group_log_bytes_v2": len(g_v2_blob) + header,
-            "group_bytes_ratio": round(
-                (len(g_v1_blob) + header) / (len(g_v2_blob) + header), 2
-            ),
-            "group_replay_seconds_v1": round(g_replay_v1, 5),
-            "group_replay_seconds_v2": round(g_replay_v2, 5),
-            "replay_ratio": round(g_replay_v1 / g_replay_v2, 2),
-        }
-
-    shutil.rmtree(path, ignore_errors=True)
-    shutil.rmtree(v1_dir, ignore_errors=True)
-    return {
-        "commits": commits,
-        "wal_bytes_v1": bytes_v1,
-        "wal_bytes_v2": bytes_v2,
-        "bytes_per_commit_v1": round(bytes_v1 / commits, 1),
-        "bytes_per_commit_v2": round(bytes_v2 / commits, 1),
-        "bytes_ratio": round(bytes_v1 / bytes_v2, 2),
-        "per_commit_replay_seconds_v1": round(replay_v1, 5),
-        "per_commit_replay_seconds_v2": round(replay_v2, 5),
-        "per_commit_replay_ratio": round(replay_v1 / replay_v2, 2),
-        "recovery_seconds_v1": round(report_v1.seconds, 4),
-        "recovery_seconds_v2": round(report_v2.seconds, 4),
-        **group_metrics,
-    }
-
-
 def run_off_parity():
     """E8's exact workload (heavy assertion set, RF1+RF2 scripts, its
     gather window) with the durability manager attached in ``off``
@@ -454,9 +272,8 @@ def test_e9_report(benchmark, baseline_path):
                 if keep:
                     recovery_dir = directory
         recovery = measure_recovery(recovery_dir)
-        # the directory survives the sweep: the codec differential
-        # replays this same group-commit log in both formats
-        return rows, recovery, recovery_dir
+        shutil.rmtree(recovery_dir, ignore_errors=True)
+        return rows, recovery
 
     # the committed PR 4 baseline, read BEFORE this run may refresh it
     pr4_batch_baseline = None
@@ -467,11 +284,7 @@ def test_e9_report(benchmark, baseline_path):
             if row["mode"] == "batch" and row["sessions"] == max(SESSION_SWEEP):
                 pr4_batch_baseline = row["commits_per_second"]
 
-    rows, recovery, recovery_dir = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
-    )
-    codec = run_codec_differential(recovery_dir)
-    shutil.rmtree(recovery_dir, ignore_errors=True)
+    rows, recovery = benchmark.pedantic(sweep, rounds=1, iterations=1)
     parity = run_off_parity() if not SMOKE else None
 
     print()
@@ -481,15 +294,6 @@ def test_e9_report(benchmark, baseline_path):
         f"recovery: {recovery['batches_replayed']} batch(es) replayed in "
         f"{recovery['seconds'] * 1000:.1f}ms "
         f"({recovery['batches_per_second']:.0f} batches/sec)"
-    )
-    print(
-        f"WAL codec v2 vs v1 on {codec['commits']} commits: "
-        f"{codec['bytes_per_commit_v2']}B vs "
-        f"{codec['bytes_per_commit_v1']}B per commit "
-        f"(x{codec['bytes_ratio']} smaller); group-commit log replay "
-        f"{codec['group_replay_seconds_v2'] * 1000:.2f}ms vs "
-        f"{codec['group_replay_seconds_v1'] * 1000:.2f}ms "
-        f"(x{codec['replay_ratio']} faster)"
     )
     if parity is not None:
         print(
@@ -513,14 +317,6 @@ def test_e9_report(benchmark, baseline_path):
         f"group-commit batch mode x{ratio:.2f} over per-commit fsync at "
         f"{top} sessions is below the {ACCEPTANCE_RATIO}x acceptance bar"
     )
-    assert codec["bytes_ratio"] >= CODEC_BYTES_RATIO, (
-        f"WAL v2 is only x{codec['bytes_ratio']} smaller than v1 "
-        f"(bar: {CODEC_BYTES_RATIO}x)"
-    )
-    assert codec["replay_ratio"] >= CODEC_REPLAY_RATIO, (
-        f"WAL v2 log replay is only x{codec['replay_ratio']} faster "
-        f"than v1 (bar: {CODEC_REPLAY_RATIO}x)"
-    )
     batch_vs_pr4 = (
         round(batch / pr4_batch_baseline, 2) if pr4_batch_baseline else None
     )
@@ -535,14 +331,9 @@ def test_e9_report(benchmark, baseline_path):
             "acceptance": {
                 "batch_vs_commit_at_8_sessions": round(ratio, 2),
                 "required": BASELINE_RATIO,
-                "wal_v2_bytes_ratio": codec["bytes_ratio"],
-                "wal_v2_bytes_required": 2.5,
-                "wal_v2_replay_ratio": codec["replay_ratio"],
-                "wal_v2_replay_required": 2.0,
                 "batch_vs_pr4_baseline": batch_vs_pr4,
                 "pr4_batch_commits_per_second": pr4_batch_baseline,
             },
-            "codec": codec,
             "recovery": recovery,
             "off_parity": parity,
         }

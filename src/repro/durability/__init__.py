@@ -41,30 +41,20 @@ from .wal import (
     DECIDE_V2_TAG,
     PREPARE_V2_TAG,
     WAL_MAGIC,
-    WAL_MAGIC_V1,
+    WalRecord,
     WalResume,
     WalScan,
     WalStats,
     WriteAheadLog,
-    batch_counts,
-    batch_payload,
     decode_batch,
-    decode_batch_v2,
-    decode_batch_v2_at,
-    decode_decide_v2_at,
-    decode_prepare_v2_at,
-    decode_records,
-    encode_batch_v2,
-    encode_decide_v2,
-    encode_prepare_v2,
+    decode_decide,
+    decode_prepare,
+    encode_batch,
+    encode_decide,
+    encode_prepare,
     encode_record,
     read_wal,
-    read_wal_fused,
-    record_seq,
-    record_type,
-    rows_from_payload,
-    rows_to_payload,
-    scan_frames_fused,
+    scan_frames,
     wal_scan_count,
 )
 
@@ -80,36 +70,26 @@ __all__ = [
     "RecoveryReport",
     "WAL_FILE",
     "WAL_MAGIC",
-    "WAL_MAGIC_V1",
+    "WalRecord",
     "WalResume",
     "WalScan",
     "WalStats",
     "WriteAheadLog",
-    "batch_counts",
-    "batch_payload",
     "build_checkpoint_payload",
     "checkpoint_load_count",
     "checkpoint_path",
     "decode_batch",
-    "decode_batch_v2",
-    "decode_batch_v2_at",
-    "decode_decide_v2_at",
-    "decode_prepare_v2_at",
-    "decode_records",
-    "encode_batch_v2",
-    "encode_decide_v2",
-    "encode_prepare_v2",
+    "decode_decide",
+    "decode_prepare",
+    "encode_batch",
+    "encode_decide",
+    "encode_prepare",
     "encode_record",
     "has_durable_state",
     "load_checkpoint",
     "read_wal",
-    "read_wal_fused",
-    "record_seq",
-    "record_type",
     "recover",
-    "rows_from_payload",
-    "rows_to_payload",
-    "scan_frames_fused",
+    "scan_frames",
     "wal_path",
     "wal_scan_count",
     "write_checkpoint",

@@ -26,13 +26,15 @@ synced immediately in both durable modes: it is rare, and replay
 correctness depends on it strictly preceding the batches that assume
 it.
 
-Committed batches are logged in WAL format v2 (binary typed columns,
-tables referenced by schema ordinal) whenever the engine's catalog is
-bound — :meth:`bind_db` supplies it, and the ordinal map is memoized
-on the catalog version so DDL invalidates it.  Batches v2 cannot
-express, and every manager without a bound catalog, fall back to the
-v1 JSON record; set :attr:`batch_format` to 1 to force v1 (the E9
-codec differential measures exactly that contrast).
+Committed batches are logged as binary records in the *ordinal form*
+(typed columns, tables referenced by schema ordinal) whenever the
+engine's catalog is bound — :meth:`bind_db` supplies it, and the
+ordinal map is memoized on the catalog version so DDL invalidates it.
+A record the ordinal form cannot express, every record of a manager
+without a bound catalog, and every record appended inside the
+unlogged-DDL window (see :meth:`_append`) is written in the *named
+form* instead; ``stats.named_records`` counts them.  How either form
+is laid out on disk is :mod:`~repro.durability.wal`'s business alone.
 
 When ``Tintin.open`` recovered the engine from disk, it hands the
 recovery report to the constructor: the report already carries the
@@ -46,11 +48,11 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import DurabilityError
 from ..minidb.schema import TableSchema, normalize
+from ..obs.metrics import StatsBlock
 from .checkpoint import (
     build_checkpoint_payload,
     load_checkpoint,
@@ -81,20 +83,20 @@ def touched_counts(db, inserts: dict, deletes: dict) -> dict[str, int]:
     return {name: len(db.table(name)) for name in names}
 
 
-@dataclass
-class DurabilityStats:
+class DurabilityStats(StatsBlock):
     """Manager-level counters (the WAL adds its own byte-level stats)."""
 
-    checkpoints: int = 0
-    logged_batches: int = 0
-    logged_ddl: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "checkpoints": self.checkpoints,
-            "logged_batches": self.logged_batches,
-            "logged_ddl": self.logged_ddl,
-        }
+    COUNTERS = ("checkpoints", "logged_batches", "logged_ddl", "named_records")
+    PREFIX = "tintin_durability"
+    HELP = {
+        "checkpoints": "Checkpoints written",
+        "logged_batches": "Committed batch records appended to the WAL",
+        "logged_ddl": "DDL records appended to the WAL",
+        "named_records": (
+            "Batch/prepare/decide records the ordinal form could not "
+            "express, written in the named form"
+        ),
+    }
 
 
 class DurabilityManager:
@@ -113,10 +115,6 @@ class DurabilityManager:
             )
         self.directory = directory
         self.mode = mode
-        #: WAL format for committed batches: 2 = binary typed columns
-        #: (with automatic v1 fallback for inexpressible batches), 1 =
-        #: always the v1 JSON record
-        self.batch_format = 2
         os.makedirs(directory, exist_ok=True)
         # the WAL is opened in every mode (an existing torn tail gets
         # truncated, and sequence numbering continues), but "off" never
@@ -149,13 +147,13 @@ class DurabilityManager:
         self.stats = DurabilityStats()
         #: the engine's database, for schema-ordinal resolution (bound
         #: by ``Tintin._attach_durability``; a standalone manager logs
-        #: v1 JSON batches)
+        #: named-form records)
         self._db: Optional["Database"] = None
         self._ordinal_version = -1
         self._ordinals: dict[str, int] = {}
-        #: the catalog version as of the last WAL-logged DDL — v2
-        #: ordinal encoding is only safe when the live catalog matches
-        #: it (see :meth:`append_batch`)
+        #: the catalog version as of the last WAL-logged DDL — the
+        #: ordinal form is only safe when the live catalog matches it
+        #: (see :meth:`_append`)
         self._ddl_synced_version = -1
         #: serializes appends/syncs from concurrent writers (the commit
         #: scheduler's window is already exclusive, but DDL and the
@@ -189,11 +187,11 @@ class DurabilityManager:
 
     def bind_db(self, db: "Database") -> None:
         """Give the manager the catalog that resolves schema ordinals
-        (enables the v2 binary batch codec)."""
+        (enables the ordinal form)."""
         self._db = db
         # everything in the catalog as of binding is (or will be)
         # covered by the checkpoint/recovery state, not by pending DDL
-        # records — v2 encoding is safe from here
+        # records — ordinal encoding is safe from here
         self._ddl_synced_version = db.catalog.version
 
     def _ordinal_of(self, name: str) -> Optional[int]:
@@ -235,7 +233,7 @@ class DurabilityManager:
                 payload["schema"] = schema.to_dict()
             self.wal.append(event, **payload)
             self.wal.sync()
-            self.stats.logged_ddl += 1
+            self.stats.bump(logged_ddl=1)
             if self._db is not None:
                 # the catalog state this DDL produced is now in the
                 # log; batches may reference it by ordinal again
@@ -247,26 +245,29 @@ class DurabilityManager:
         if not self.durable:
             return
         with self._lock:
-            # v2 ordinals are positions in the catalog's table list,
-            # so a record's ordinals are only meaningful if every
-            # catalog change before it is already in the log.  A live
-            # catalog NEWER than the last logged DDL means a DDL's
-            # mutation has landed but its WAL record has not (the
-            # listener fires after the catalog commit and may lose the
-            # race for this lock) — encoding ordinals now would let
-            # replay resolve them against the wrong table list.  Fall
-            # back to the name-based v1 record for exactly that window;
-            # the pending log_ddl resyncs the version right behind us.
+            # ordinals are positions in the catalog's table list, so a
+            # record's ordinals are only meaningful if every catalog
+            # change before it is already in the log.  A live catalog
+            # NEWER than the last logged DDL means a DDL's mutation has
+            # landed but its WAL record has not (the listener fires
+            # after the catalog commit and may lose the race for this
+            # lock) — encoding ordinals now would let replay resolve
+            # them against the wrong table list.  Write the named form
+            # for exactly that window; the pending log_ddl resyncs the
+            # version right behind us.
             ordinal_of = (
                 self._ordinal_of
                 if self._db is not None
-                and self.batch_format >= 2
                 and self._db.catalog.version == self._ddl_synced_version
                 else None
             )
-            getattr(self.wal, "append_" + kind)(*args, ordinal_of=ordinal_of)
+            record = getattr(self.wal, "append_" + kind)(
+                *args, ordinal_of=ordinal_of
+            )
             if kind == "batch":
-                self.stats.logged_batches += 1
+                self.stats.bump(logged_batches=1)
+            if record["named"]:
+                self.stats.bump(named_records=1)
             self._fault("wal.after_append", **fault_ctx)
             if sync:
                 self._fault("wal.before_fsync", **fault_ctx)
@@ -347,7 +348,7 @@ class DurabilityManager:
             payload = build_checkpoint_payload(tintin, self.wal.last_seq)
             write_checkpoint(self.directory, payload)
             self.wal.truncate()
-            self.stats.checkpoints += 1
+            self.stats.bump(checkpoints=1)
         return payload
 
     # -- lifecycle ---------------------------------------------------------

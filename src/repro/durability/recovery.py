@@ -18,7 +18,7 @@ checkpoint nor re-scans the WAL.  One checkpoint parse, one log scan,
 per open.
 
 Checkpoint restore loads per-table rows in parallel (tables are
-independent once created in FK order); WAL format v2 batch records
+independent once created in FK order); ordinal-form batch records
 reference tables by schema ordinal, resolved against the catalog
 exactly as replay has rebuilt it at each record.
 
@@ -49,15 +49,12 @@ from ..minidb.database import Database
 from ..minidb.schema import TableSchema
 from .checkpoint import load_checkpoint
 from .wal import (
+    WalRecord,
     WalScan,
     decode_batch,
-    decode_batch_v2,
-    decode_batch_v2_at,
-    decode_decide_v2_at,
-    decode_prepare_v2_at,
-    read_wal_fused,
-    record_seq,
-    record_type,
+    decode_decide,
+    decode_prepare,
+    read_wal,
 )
 
 WAL_FILE = "wal.log"
@@ -143,7 +140,7 @@ class RecoveryReport:
 
 class _CatalogNames:
     """The creation-ordered ``main``-namespace table list, memoized on
-    the catalog version — v2 batch records resolve their schema
+    the catalog version — ordinal-form records resolve their schema
     ordinals through this, against the catalog exactly as replay has
     rebuilt it when each record is reached."""
 
@@ -171,8 +168,8 @@ def recover(
     Pure function of the on-disk state: it does **not** attach a
     durability manager to the result (``Tintin.open`` layers that on
     top).  Raises :class:`RecoveryError` when verification fails and
-    :class:`~repro.errors.WALCorruptionError` when the log header is
-    foreign.
+    :class:`~repro.errors.WALCorruptionError` when the log is foreign
+    or of the pre-v2 generation.
     """
     from ..core.tintin import Tintin  # local: core imports durability
 
@@ -182,9 +179,7 @@ def recover(
     path = wal_path(directory)
     scan = WalScan()
     if os.path.exists(path):
-        # the fused scan: frames are decoded straight off the file
-        # bytes, v2 batch records arriving as already-decoded tuples
-        scan = read_wal_fused(path)
+        scan = read_wal(path)
         report.wal_valid_length = scan.valid_length
         report.wal_file_length = scan.valid_length + scan.torn_bytes
     report.records_seen = len(scan.records)
@@ -194,8 +189,8 @@ def recover(
     name = "db"
     if checkpoint is not None:
         name = checkpoint.get("database", name)
-    elif scan.records and record_type(scan.records[0]) == "open":
-        name = scan.records[0].get("database", name)
+    elif scan.records and scan.records[0].type == "open":
+        name = scan.records[0].fields.get("database", name)
     db = Database(name)
     tintin = Tintin(db, optimize=optimize)
 
@@ -209,7 +204,7 @@ def recover(
     names = _CatalogNames(db)
     last_seq = checkpoint_seq
     for record in scan.records:
-        seq = record_seq(record)
+        seq = record.seq
         if seq <= checkpoint_seq:
             continue  # the checkpoint already covers this record
         if seq <= last_seq:
@@ -221,9 +216,7 @@ def recover(
         _replay_record(tintin, record, report, names, scan.data)
         report.records_replayed += 1
     report.last_seq = (
-        max(last_seq, record_seq(scan.records[-1]))
-        if scan.records
-        else last_seq
+        max(last_seq, scan.records[-1].seq) if scan.records else last_seq
     )
 
     report.tables = {
@@ -298,135 +291,69 @@ def _restore_checkpoint(
 
 
 def _replay_record(
-    tintin, record, report: RecoveryReport, names: _CatalogNames, data: bytes
+    tintin,
+    record: WalRecord,
+    report: RecoveryReport,
+    names: _CatalogNames,
+    data: bytes,
 ) -> None:
     db = tintin.db
-    if type(record) is tuple:
-        # a fused-scan v2 frame: decode the frame span in place, name
-        # resolution against the catalog exactly as replay has rebuilt
-        # it — one pass, one dict build
-        kind, seq, start, end = record
+    kind, seq, start, end, fields = record
+    if fields is None:
+        # a binary frame: decode its span of the file in place, ordinals
+        # resolved against the catalog exactly as replay has rebuilt it
+        # — one pass, one dict build
         try:
             if kind == "batch":
-                inserts, deletes, counts = decode_batch_v2_at(
-                    data, start, end, names.names()
+                inserts, deletes, counts = decode_batch(
+                    data, names.names(), start, end
                 )
             elif kind == "prepare":
-                gid, inserts, deletes, _ = decode_prepare_v2_at(
-                    data, start, end, names.names()
+                gid, inserts, deletes, _ = decode_prepare(
+                    data, names.names(), start, end
                 )
-                _replay_prepare(gid, seq, inserts, deletes, report)
-                return
             else:  # "decide"
-                gid, commit, counts = decode_decide_v2_at(
-                    data, start, end, names.names()
+                gid, commit, counts = decode_decide(
+                    data, names.names(), start, end
                 )
-                _replay_decide(tintin, gid, seq, commit, counts, report)
-                return
         except DurabilityError as exc:
             raise RecoveryError(
                 f"{kind} record seq={seq} cannot be resolved against the "
                 f"replayed catalog: {exc}"
             ) from exc
-        _replay_batch(tintin, seq, inserts, deletes, counts, report)
+        if kind == "batch":
+            _replay_batch(tintin, seq, inserts, deletes, counts, report)
+        elif kind == "prepare":
+            _replay_prepare(gid, seq, inserts, deletes, report)
+        else:
+            _replay_decide(tintin, gid, seq, commit, counts, report)
         return
-    kind = record.get("type")
-    if kind == "open":
+    if kind in ("open", "checkpoint", "truncate"):
+        # informational markers: the database name was read up front,
+        # checkpointed state lives in the checkpoint file, and the
+        # truncate marker only carries the sequence high-water mark
+        # across compaction
         return
     if kind == "create_table":
-        schema = TableSchema.from_dict(record["schema"])
-        db.catalog.add_table(schema, record.get("namespace", "main"))
-        report.ddl_replayed += 1
-        return
-    if kind == "drop_table":
-        db.catalog.drop_table(record["name"], if_exists=True)
-        report.ddl_replayed += 1
-        return
-    if kind == "create_view":
+        schema = TableSchema.from_dict(fields["schema"])
+        db.catalog.add_table(schema, fields.get("namespace", "main"))
+    elif kind == "drop_table":
+        db.catalog.drop_table(fields["name"], if_exists=True)
+    elif kind == "create_view":
         from ..sqlparser.parser import parse_statement
 
-        db.create_view(record["name"], parse_statement(record["sql"]).query)
-        report.ddl_replayed += 1
-        return
-    if kind == "drop_view":
-        db.catalog.drop_view(record["name"], if_exists=True)
-        report.ddl_replayed += 1
-        return
-    if kind == "install":
-        tintin.install(list(record["tables"]))
-        report.ddl_replayed += 1
-        return
-    if kind == "assertion_add":
-        tintin.add_assertion(record["sql"])
-        report.ddl_replayed += 1
-        return
-    if kind == "assertion_drop":
-        tintin.drop_assertion(record["name"])
-        report.ddl_replayed += 1
-        return
-    if kind == "batch":
-        try:
-            if record.get("binary"):
-                # lazy-payload (read_wal) representation — the fused
-                # scan never produces it, but decode it all the same
-                inserts, deletes, counts = decode_batch_v2(
-                    record["payload"], names.names()
-                )
-            else:
-                inserts, deletes = decode_batch(record)
-                counts = record.get("counts")
-        except DurabilityError as exc:
-            raise RecoveryError(
-                f"batch record seq={record.get('seq')} cannot be resolved "
-                f"against the replayed catalog: {exc}"
-            ) from exc
-        _replay_batch(
-            tintin, record.get("seq"), inserts, deletes, counts, report
-        )
-        return
-    if kind == "prepare":
-        seq = record.get("seq")
-        try:
-            if record.get("binary"):
-                payload = record["payload"]
-                gid, inserts, deletes, _ = decode_prepare_v2_at(
-                    payload, 0, len(payload), names.names()
-                )
-            else:
-                gid = record["gid"]
-                inserts, deletes = decode_batch(record)
-        except DurabilityError as exc:
-            raise RecoveryError(
-                f"prepare record seq={seq} cannot be resolved against "
-                f"the replayed catalog: {exc}"
-            ) from exc
-        _replay_prepare(gid, seq, inserts, deletes, report)
-        return
-    if kind == "decide":
-        seq = record.get("seq")
-        try:
-            if record.get("binary"):
-                payload = record["payload"]
-                gid, commit, counts = decode_decide_v2_at(
-                    payload, 0, len(payload), names.names()
-                )
-            else:
-                gid = record["gid"]
-                commit = record["verdict"] == "commit"
-                counts = record.get("counts")
-        except DurabilityError as exc:
-            raise RecoveryError(
-                f"decide record seq={seq} cannot be resolved against "
-                f"the replayed catalog: {exc}"
-            ) from exc
-        _replay_decide(tintin, gid, seq, commit, counts, report)
-        return
-    if kind in ("checkpoint", "truncate"):
-        # informational markers: checkpointed state lives in the
-        # checkpoint file, and the truncate marker only carries the
-        # sequence high-water mark across compaction
-        return
-    raise RecoveryError(f"unknown WAL record type {kind!r} (seq={record.get('seq')})")
+        db.create_view(fields["name"], parse_statement(fields["sql"]).query)
+    elif kind == "drop_view":
+        db.catalog.drop_view(fields["name"], if_exists=True)
+    elif kind == "install":
+        tintin.install(list(fields["tables"]))
+    elif kind == "assertion_add":
+        tintin.add_assertion(fields["sql"])
+    elif kind == "assertion_drop":
+        tintin.drop_assertion(fields["name"])
+    else:
+        raise RecoveryError(f"unknown WAL record type {kind!r} (seq={seq})")
+    report.ddl_replayed += 1
 
 
 def _replay_prepare(gid, seq, inserts, deletes, report: RecoveryReport) -> None:

@@ -14,34 +14,37 @@ mis-parsed: scanning stops at the first frame that fails to decode,
 and everything from that point on is treated as the log's end (the
 same discipline PostgreSQL applies to its redo log).  Reopening for
 append truncates the damaged tail so new frames always start at a
-boundary.  A file whose 8-byte header is missing or carries a foreign
-format version raises :class:`~repro.errors.WALCorruptionError`
+boundary.  A file whose 8-byte header is missing or carries another
+format generation raises :class:`~repro.errors.WALCorruptionError`
 instead — that is not a crash artifact, it is not our log.
 
-Two payload encodings coexist, distinguished by the payload's first
-byte:
+A payload's first byte says what it is:
 
 ``{`` (0x7B)
-    **format v1**: a compact-JSON object.  All DDL records (they are
-    rare, human-debuggable, and synced immediately) and any batch a
-    v2 encoder cannot express use this form;
-``0xB2``
-    **format v2**: a binary ``batch`` record — length-prefixed typed
-    columns replacing the JSON row arrays, with tables referenced by
-    their *schema ordinal* (position in the catalog's creation-ordered
-    ``main``-namespace table list) instead of by name.  The ordinal is
-    resolved through the checkpointed catalog at replay time, which is
-    exactly the state replay has rebuilt by the time it reaches the
-    record.  See :func:`encode_batch_v2` for the layout.
+    a compact-JSON **control record**: DDL, ``open`` and ``truncate``
+    (rare, human-debuggable, synced immediately);
+``0xB2`` / ``0xB3`` / ``0xB4``
+    a binary ``batch`` / ``prepare`` / ``decide`` record — the only
+    layout committed events are ever written in.  It comes in two
+    forms, told apart by a flags bit: the *ordinal form* references
+    tables by their *schema ordinal* (position in the catalog's
+    creation-ordered ``main``-namespace table list), resolved at replay
+    against the catalog exactly as replay has rebuilt it by the time
+    it reaches the record; the *named form* spells table names inline
+    and makes every count a varint, so it can express anything — it is
+    written for the whole record whenever the ordinal form cannot be
+    (no bound catalog, the unlogged-DDL window, an ordinal or a table
+    count ≥ 128, > 255 columns, a row count ≥ 2^32).  The layout is
+    spelled out above :func:`encode_batch`.
 
-The file header's version byte records the format generation that
-*created* the file; readers accept both generations, so a log that
-starts life under v1 and continues in v2 after an upgrade recovers
-correctly — frame dispatch is per-record, not per-file.
+Logs of the pre-v2 generation — a generation-1 header, or a JSON
+frame typed ``batch`` / ``prepare`` / ``decide`` — are **refused**
+with :class:`~repro.errors.WALCorruptionError`, never skipped and never
+half-read: open them with the release that wrote them and checkpoint.
 
-Record types (the ``"type"`` field):
+Record types:
 
-``create_table`` / ``drop_table``
+``create_table`` / ``drop_table`` / ``create_view`` / ``drop_view``
     schema DDL issued through the database facade;
 ``install``
     event-capture installation (tables instrumented by TINTIN);
@@ -62,7 +65,8 @@ Record types (the ``"type"`` field):
     the post-apply row counts so replay verification covers them too.
     A prepare with no matching decide is *in doubt*: recovery
     surfaces it for resolution against the coordinator's decision log
-    instead of replaying or discarding it unilaterally.
+    (itself a WAL of ``decide`` records) instead of replaying or
+    discarding it unilaterally.
 
 Every record carries a monotonically increasing ``seq``.  Checkpoints
 remember the last sequence they include, so replay after a crash that
@@ -70,9 +74,9 @@ hit between checkpoint-rename and WAL-truncation skips the prefix the
 checkpoint already covers instead of double-applying it.
 
 Row values are the engine's scalar types (int, float, str, bool,
-None); both codecs round-trip all of them exactly (including
-±infinity) and restore rows as tuples.  NaN is the one value both
-refuse: ``NaN != NaN`` would poison the row-equality checks replay
+None); the codec round-trips all of them exactly (including
+±infinity) and restores rows as tuples.  NaN is the one value it
+refuses: ``NaN != NaN`` would poison the row-equality checks replay
 verification relies on.
 """
 
@@ -82,34 +86,37 @@ import json
 import math
 import os
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ..errors import DurabilityError, WALCorruptionError
 from ..obs.metrics import StatsBlock
 
-#: 8-byte file header of logs created by this build: magic + format
-#: generation.  Readers accept :data:`WAL_MAGIC_V1` too — upgraded
-#: logs keep their original header and simply continue in v2 frames.
+#: 8-byte file header: magic + format generation.  No other generation
+#: is readable (see the module docstring on pre-v2 logs).
 WAL_MAGIC = b"TNTWAL\x00\x02"
-#: the header format v1 logs were created with (still readable)
-WAL_MAGIC_V1 = b"TNTWAL\x00\x01"
-_ACCEPTED_MAGICS = (WAL_MAGIC, WAL_MAGIC_V1)
 _HEADER_LEN = len(WAL_MAGIC)
 
 _FRAME = struct.Struct(">II")  # payload length, CRC32(payload)
 
-#: first payload byte of a binary v2 ``batch`` record (JSON payloads
+#: first payload byte of a binary ``batch`` record (JSON payloads
 #: start with ``{`` = 0x7B; the two can never be confused)
 BATCH_V2_TAG = 0xB2
-#: first payload byte of a binary v2 two-phase-commit ``prepare``
-#: record: the batch layout plus a global-transaction-id field
+#: first payload byte of a binary two-phase-commit ``prepare`` record:
+#: the batch layout plus a global-transaction-id field
 PREPARE_V2_TAG = 0xB3
-#: first payload byte of a binary v2 two-phase-commit ``decide``
-#: record: the coordinator's commit/abort verdict for one gid
+#: first payload byte of a binary two-phase-commit ``decide`` record:
+#: the coordinator's commit/abort verdict for one gid
 DECIDE_V2_TAG = 0xB4
+#: binary payload tags mapped to the record type they carry (all three
+#: share the layout prefix "tag byte, seq varint")
+_BINARY_TAGS = {
+    BATCH_V2_TAG: "batch",
+    PREPARE_V2_TAG: "prepare",
+    DECIDE_V2_TAG: "decide",
+}
 
 #: how many times :func:`read_wal` performed a full file scan in this
 #: process — the single-pass-open regression tests assert the delta
@@ -121,129 +128,56 @@ def wal_scan_count() -> int:
     return _scan_count
 
 
-# -- v1 record codec (JSON) --------------------------------------------------
-
-
-def rows_to_payload(rows: Iterable[tuple]) -> list[list]:
-    """Rows as JSON-ready lists (tuples do not survive JSON).
-
-    The input is iterated exactly once (generators welcome), with the
-    NaN guard applied during materialization — NaN breaks the
-    row-equality checks recovery verification depends on.
-    """
-    payload: list[list] = []
-    for row in rows:
-        row = list(row)
-        for value in row:
-            if isinstance(value, float) and math.isnan(value):
-                raise DurabilityError(
-                    "NaN cannot be logged: it breaks the row-equality "
-                    "checks recovery verification depends on"
-                )
-        payload.append(row)
-    return payload
-
-
-def rows_from_payload(rows: Iterable[Iterable]) -> list[tuple]:
-    """The inverse of :func:`rows_to_payload`."""
-    return [tuple(row) for row in rows]
-
-
-def batch_payload(
-    inserts: dict[str, list[tuple]],
-    deletes: dict[str, list[tuple]],
-    counts: Optional[dict[str, int]] = None,
-) -> dict:
-    """The body of a v1 (JSON) ``batch`` record (no seq/type yet)."""
-    payload = {
-        "ins": {t: rows_to_payload(r) for t, r in inserts.items() if r},
-        "del": {t: rows_to_payload(r) for t, r in deletes.items() if r},
-    }
-    if counts is not None:
-        payload["counts"] = counts
-    return payload
-
-
-def decode_batch(
-    record: dict, table_names: Optional[list[str]] = None
-) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
-    """A ``batch`` record's events as ``(inserts, deletes)`` tuple dicts.
-
-    v1 records carry table names inline.  v2 records reference tables
-    by schema ordinal and need ``table_names`` — the creation-ordered
-    ``main``-namespace table list of the catalog as it stood when the
-    record was written (during replay: as replay has rebuilt it).
-    """
-    if record.get("binary"):
-        inserts, deletes, _ = decode_batch_v2(record["payload"], table_names)
-        return inserts, deletes
-    return (
-        {t: rows_from_payload(r) for t, r in record["ins"].items()},
-        {t: rows_from_payload(r) for t, r in record["del"].items()},
-    )
-
-
-def batch_counts(
-    record: dict, table_names: Optional[list[str]] = None
-) -> Optional[dict[str, int]]:
-    """A ``batch`` record's post-apply row counts, keyed by table name
-    (``None`` when the record carries none)."""
-    if record.get("binary"):
-        return decode_batch_v2(record["payload"], table_names)[2]
-    return record.get("counts")
-
-
 def encode_record(record: dict) -> bytes:
-    """Frame one v1 record: length + CRC32 + compact JSON payload.
-
-    ``allow_nan`` stays on so ±infinity (legal DOUBLE values) encode;
-    NaN never reaches here — :func:`rows_to_payload` rejects it.
-    """
+    """Frame one JSON control record: length + CRC32 + compact JSON."""
     payload = json.dumps(
         record, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-# -- v2 record codec (binary) ------------------------------------------------
+# -- the binary record codec -------------------------------------------------
 #
-# Payload layout of a binary ``batch`` record (all integers unsigned
-# unless noted; "varint" = LEB128 base-128 little-endian groups):
+# Payload layout (all integers unsigned unless noted; "varint" = LEB128
+# base-128 little-endian groups; "str" = varint byte length + UTF-8):
 #
-#   u8      0xB2 tag
+#   u8      tag: 0xB2 batch, 0xB3 prepare, 0xB4 decide
 #   varint  seq
-#   u8      flags (bit 0: a counts section follows the table blocks)
-#   u8      number of insert table blocks   (< 128)
-#           ... insert table blocks ...
-#   u8      number of delete table blocks   (< 128)
-#           ... delete table blocks ...
-#   [flags&1]
-#   u8      number of count entries         (< 128)
-#           per entry: u8 table ordinal, varint row count
+#   [decide]          u8 verdict (1 = commit, 0 = abort)
+#   [prepare/decide]  str gid
+#   u8      flags: bit 0 — a counts section closes the record;
+#                  bit 1 — the record is in the NAMED form
+#   [batch/prepare]   the insert table blocks, then the delete table
+#                     blocks, each preceded by their number
+#   [flags&1]         the counts entries, preceded by their number
 #
-# One table block:
+#                        ORDINAL form (flags&2 = 0)   NAMED form
+#   number of blocks     u8, < 128                    varint
+#   table reference      u8 schema ordinal, < 128     str name
+#   column count         u8                           varint
+#   number of counts     u8, < 128                    varint
+#   one counts entry     u8 ordinal + u32 row count   str name + varint
 #
-#   u8      table ordinal (position in the catalog's creation-ordered
-#           main-namespace table list when the record was written)
+# One table block: the table reference, then
+#
 #   u8      mode: 0 = column-typed fixed stride, 1 = tagged values
-#   mode 0: u8 column count, then one struct code per column (one of
+#   mode 0: column count, then one struct code per column (one of
 #           b/h/i/q  = signed int of 1/2/4/8 bytes, chosen per column
 #           from the narrowest width that holds every value,
 #           d = IEEE-754 double, ? = bool), varint row count, then
 #           row count × struct(">"+codes) packed rows — decoded in one
 #           C-level struct.iter_unpack pass;
-#   mode 1: varint row count, then per row: u8 column count and per
+#   mode 1: varint row count, then per row: column count and per
 #           value a type tag — 0 NULL, 1 False, 2 True, 3 int (zigzag
 #           varint, arbitrary precision), 4 float (8-byte BE double),
-#           5 str (varint byte length + UTF-8).
+#           5 str.
 #
 # Mode 0 is the fast path (every value non-NULL, columns uniformly
 # int/float/bool, ints within i64): numeric OLTP batches decode at
 # struct speed.  Mode 1 covers everything else (strings, NULLs, mixed
-# columns, >64-bit ints).  A batch the v2 encoder cannot express at
-# all (≥128 touched tables, a table missing from the ordinal map,
-# >255 columns) falls back to a v1 JSON record — the reader dispatches
-# per frame, so mixing is free.
+# columns, >64-bit ints).  The ordinal form is what a bound engine
+# writes; a record it cannot express is written in the named form as
+# a whole, so the codec is total and one reader reads both.
 
 _TAG_NULL = 0
 _TAG_FALSE = 1
@@ -252,10 +186,13 @@ _TAG_INT = 3
 _TAG_FLOAT = 4
 _TAG_STR = 5
 
+_FLAG_COUNTS = 1
+_FLAG_NAMED = 2
+
 _F64 = struct.Struct(">d")
-#: one counts entry: table ordinal (u8) + post-apply row count (u32).
-#: Fixed-width so the whole section decodes in one C call; a table
-#: beyond 2^32 rows pushes the batch to the v1 JSON fallback.
+#: one ordinal-form counts entry: table ordinal (u8) + post-apply row
+#: count (u32).  Fixed-width so the whole section decodes in one C
+#: call; a table beyond 2^32 rows pushes the record to the named form.
 _COUNT_PAIR = struct.Struct(">BI")
 
 #: struct.Struct cache for mode-0 row formats, keyed by the code bytes
@@ -294,6 +231,17 @@ def _read_uvarint(data: bytes, i: int) -> tuple[int, int]:
         if b < 0x80:
             return n, i
         shift += 7
+
+
+def _append_str(out: bytearray, text: str) -> None:
+    encoded = text.encode("utf-8")
+    _append_uvarint(out, len(encoded))
+    out += encoded
+
+
+def _read_str(data: bytes, i: int) -> tuple[str, int]:
+    n, i = _read_uvarint(data, i)
+    return data[i : i + n].decode("utf-8"), i + n
 
 
 def _nan_guard(value: float) -> None:
@@ -374,10 +322,8 @@ def _encode_tagged_value(out: bytearray, value) -> None:
         out.append(_TAG_FLOAT)
         out += _F64.pack(value)
     elif isinstance(value, str):
-        encoded = value.encode("utf-8")
         out.append(_TAG_STR)
-        _append_uvarint(out, len(encoded))
-        out += encoded
+        _append_str(out, value)
     else:
         raise DurabilityError(
             f"value {value!r} of type {type(value).__name__} is not a "
@@ -388,14 +334,14 @@ def _encode_tagged_value(out: bytearray, value) -> None:
 def encode_tagged_rows(rows: Iterable[tuple]) -> bytes:
     """Rows as a standalone tagged-value block (the network row codec).
 
-    The network front end's result/row payloads reuse the v2 batch
+    The network front end's result/row payloads reuse the batch
     codec's mode-1 value encoding verbatim — same tags, same zigzag
     varints, same NaN rejection — framed as: varint row count, then
-    per row a varint arity followed by the tagged values.  Unlike a
-    table block inside a batch record, arity is a varint (query
-    results are not bound by the 255-column table limit) and rows may
-    be heterogeneous in width (a result set never is, but the codec
-    does not care).
+    per row a varint arity followed by the tagged values, which is
+    exactly a named-form mode-1 table block (the ordinal form's arity
+    is a raw byte; query results are not bound by its 255-column
+    limit).  Rows may be heterogeneous in width (a result set never
+    is, but the codec does not care).
     """
     materialized = [tuple(row) for row in rows]
     out = bytearray()
@@ -407,14 +353,21 @@ def encode_tagged_rows(rows: Iterable[tuple]) -> bytes:
     return bytes(out)
 
 
-def decode_tagged_rows(data: bytes, i: int = 0) -> tuple[list[tuple], int]:
+def decode_tagged_rows(
+    data: bytes, i: int = 0, u8_arity: bool = False
+) -> tuple[list[tuple], int]:
     """Inverse of :func:`encode_tagged_rows`; returns ``(rows, end)``
     so callers embedding a block inside a larger payload can keep
-    decoding after it."""
+    decoding after it.  ``u8_arity`` reads each row's arity as one raw
+    byte instead of a varint — a mode-1 table block of the WAL's
+    ordinal form, the one place the two framings differ."""
     n_rows, i = _read_uvarint(data, i)
     rows: list[tuple] = []
     for _ in range(n_rows):
-        n_cols, i = _read_uvarint(data, i)
+        n_cols = data[i]
+        i += 1
+        if n_cols >= 0x80 and not u8_arity:
+            n_cols, i = _read_uvarint(data, i - 1)
         row = []
         for _ in range(n_cols):
             tag = data[i]
@@ -434,9 +387,8 @@ def decode_tagged_rows(data: bytes, i: int = 0) -> tuple[list[tuple], int]:
                 row.append(_F64.unpack_from(data, i)[0])
                 i += 8
             elif tag == _TAG_STR:
-                strlen, i = _read_uvarint(data, i)
-                row.append(data[i : i + strlen].decode("utf-8"))
-                i += strlen
+                text, i = _read_str(data, i)
+                row.append(text)
             else:
                 raise DurabilityError(f"unknown value tag {tag}")
         rows.append(tuple(row))
@@ -446,24 +398,30 @@ def decode_tagged_rows(data: bytes, i: int = 0) -> tuple[list[tuple], int]:
 def _encode_table_blocks(
     out: bytearray,
     events: dict[str, list[tuple]],
-    ordinal_of: Callable[[str], Optional[int]],
+    ordinal_of: Optional[Callable[[str], Optional[int]]],
 ) -> bool:
+    """Append one section of table blocks — in the named form when
+    ``ordinal_of`` is None (always succeeds), else in the ordinal form,
+    returning False as soon as that form cannot express the section."""
+    named = ordinal_of is None
+    put = partial(_append_uvarint, out) if named else out.append
     blocks = [(name, rows) for name, rows in events.items() if rows]
-    if len(blocks) >= 128:
+    if not named and len(blocks) >= 128:
         return False
-    out.append(len(blocks))
+    put(len(blocks))
     for name, rows in blocks:
-        ordinal = ordinal_of(name)
-        if ordinal is None or not 0 <= ordinal < 128:
-            return False
         arity = len(rows[0])
-        if arity > 255:
-            return False
-        out.append(ordinal)
+        if named:
+            _append_str(out, name)
+        else:
+            ordinal = ordinal_of(name)
+            if ordinal is None or not 0 <= ordinal < 128 or arity > 255:
+                return False
+            out.append(ordinal)
         codes = _column_codes(rows)
         if codes is not None:
             out.append(0)  # mode: fixed stride
-            out.append(arity)
+            put(arity)
             out += codes
             _append_uvarint(out, len(rows))
             pack = _row_struct(codes).pack
@@ -473,9 +431,9 @@ def _encode_table_blocks(
             out.append(1)  # mode: tagged
             _append_uvarint(out, len(rows))
             for row in rows:
-                if len(row) > 255:
+                if not named and len(row) > 255:
                     return False
-                out.append(len(row))
+                put(len(row))
                 for value in row:
                     _encode_tagged_value(out, value)
     return True
@@ -484,8 +442,20 @@ def _encode_table_blocks(
 def _append_counts(
     out: bytearray,
     counts: dict[str, int],
-    ordinal_of: Callable[[str], Optional[int]],
+    ordinal_of: Optional[Callable[[str], Optional[int]]],
 ) -> bool:
+    """The counts section, under the same contract as
+    :func:`_encode_table_blocks`."""
+    if ordinal_of is None:
+        _append_uvarint(out, len(counts))
+        for name, count in counts.items():
+            if count < 0:  # a varint cannot hold it (and no table can)
+                raise DurabilityError(
+                    f"row count {count} of table {name!r} is negative"
+                )
+            _append_str(out, name)
+            _append_uvarint(out, count)
+        return True
     if len(counts) >= 128:
         return False
     out.append(len(counts))
@@ -499,301 +469,236 @@ def _append_counts(
     return True
 
 
-def encode_batch_v2(
+def _encode_body(
+    out: bytearray,
+    inserts: Optional[dict],
+    deletes: Optional[dict],
+    counts: Optional[dict[str, int]],
+    ordinal_of: Optional[Callable[[str], Optional[int]]],
+) -> bool:
+    """Flags byte, table sections (``inserts`` None: a decide has
+    none) and counts; False when the ordinal form cannot express it."""
+    out.append(
+        (_FLAG_COUNTS if counts is not None else 0)
+        | (_FLAG_NAMED if ordinal_of is None else 0)
+    )
+    if inserts is not None and not (
+        _encode_table_blocks(out, inserts, ordinal_of)
+        and _encode_table_blocks(out, deletes, ordinal_of)
+    ):
+        return False
+    return counts is None or _append_counts(out, counts, ordinal_of)
+
+
+def _encode(
+    tag: int,
+    seq: int,
+    gid: Optional[str],
+    verdict: Optional[bool],
+    inserts: Optional[dict],
+    deletes: Optional[dict],
+    counts: Optional[dict[str, int]],
+    ordinal_of: Optional[Callable[[str], Optional[int]]],
+) -> tuple[bytes, bool]:
+    """One binary payload and whether it took the named form: the
+    ordinal form when ``ordinal_of`` is given and can express the
+    record, else the whole record again in the named form."""
+    out = bytearray((tag,))
+    _append_uvarint(out, seq)
+    if verdict is not None:
+        out.append(1 if verdict else 0)
+    if gid is not None:
+        _append_str(out, gid)
+    body = len(out)
+    named = ordinal_of is None or not _encode_body(
+        out, inserts, deletes, counts, ordinal_of
+    )
+    if named:
+        del out[body:]
+        _encode_body(out, inserts, deletes, counts, None)
+    return bytes(out), named
+
+
+def encode_batch(
     seq: int,
     inserts: dict[str, list[tuple]],
     deletes: dict[str, list[tuple]],
-    counts: Optional[dict[str, int]],
-    ordinal_of: Callable[[str], Optional[int]],
-) -> Optional[bytes]:
-    """One binary ``batch`` payload, or None when the batch is outside
-    what v2 expresses (the caller then writes a v1 JSON record).
+    counts: Optional[dict[str, int]] = None,
+    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
+) -> bytes:
+    """One binary ``batch`` payload.
 
     ``ordinal_of`` maps a table name to its schema ordinal — its
     position in the catalog's creation-ordered ``main``-namespace
-    table list — or None for a table the catalog does not hold.
-    NaN raises :class:`DurabilityError`, exactly like the v1 codec.
+    table list — or None for a table the catalog does not hold.  With
+    it the record takes the ordinal form whenever that form can
+    express it; without it (or otherwise) the named form.  NaN and
+    non-scalar values raise :class:`DurabilityError`.
     """
-    out = bytearray((BATCH_V2_TAG,))
-    _append_uvarint(out, seq)
-    out.append(1 if counts is not None else 0)
-    if not _encode_table_blocks(out, inserts, ordinal_of):
-        return None
-    if not _encode_table_blocks(out, deletes, ordinal_of):
-        return None
-    if counts is not None and not _append_counts(out, counts, ordinal_of):
-        return None
-    return bytes(out)
+    return _encode(
+        BATCH_V2_TAG, seq, None, None, inserts, deletes, counts, ordinal_of
+    )[0]
 
 
-def encode_prepare_v2(
+def encode_prepare(
     seq: int,
     gid: str,
     inserts: dict[str, list[tuple]],
     deletes: dict[str, list[tuple]],
-    counts: Optional[dict[str, int]],
-    ordinal_of: Callable[[str], Optional[int]],
-) -> Optional[bytes]:
+    counts: Optional[dict[str, int]] = None,
+    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
+) -> bytes:
     """One binary ``prepare`` payload: the batch layout with the
-    global transaction id spliced in between the seq and the flags.
-    Returns None when the batch (or a gid ≥ 2^32 bytes, which is not a
-    gid) is outside what v2 expresses — the caller falls back to v1.
-    """
-    gid_bytes = gid.encode("utf-8")
-    out = bytearray((PREPARE_V2_TAG,))
-    _append_uvarint(out, seq)
-    _append_uvarint(out, len(gid_bytes))
-    out += gid_bytes
-    out.append(1 if counts is not None else 0)
-    if not _encode_table_blocks(out, inserts, ordinal_of):
-        return None
-    if not _encode_table_blocks(out, deletes, ordinal_of):
-        return None
-    if counts is not None and not _append_counts(out, counts, ordinal_of):
-        return None
-    return bytes(out)
+    global transaction id spliced in between the seq and the flags."""
+    return _encode(
+        PREPARE_V2_TAG, seq, gid, None, inserts, deletes, counts, ordinal_of
+    )[0]
 
 
-def encode_decide_v2(
+def encode_decide(
     seq: int,
     gid: str,
     verdict: bool,
-    counts: Optional[dict[str, int]],
-    ordinal_of: Callable[[str], Optional[int]],
-) -> Optional[bytes]:
+    counts: Optional[dict[str, int]] = None,
+    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
+) -> bytes:
     """One binary ``decide`` payload: seq, verdict byte (1 = commit,
     0 = abort), the gid, then an optional counts section (commit
     decides log the post-apply row counts for replay verification).
     """
-    gid_bytes = gid.encode("utf-8")
-    out = bytearray((DECIDE_V2_TAG,))
-    _append_uvarint(out, seq)
-    out.append(1 if verdict else 0)
-    _append_uvarint(out, len(gid_bytes))
-    out += gid_bytes
-    out.append(1 if counts is not None else 0)
-    if counts is not None and not _append_counts(out, counts, ordinal_of):
-        return None
-    return bytes(out)
+    return _encode(
+        DECIDE_V2_TAG, seq, gid, bool(verdict), None, None, counts, ordinal_of
+    )[0]
 
 
-def decode_batch_v2(
-    payload: bytes, table_names: Optional[list[str]] = None
-) -> tuple[dict, dict, Optional[dict]]:
-    """Fully decode one binary batch payload.
+def _decode(
+    tag: int,
+    data: bytes,
+    table_names: Optional[list[str]],
+    start: int,
+    end: Optional[int],
+) -> tuple[
+    Optional[str], Optional[bool], Optional[dict], Optional[dict], Optional[dict]
+]:
+    """Decode the binary record ``data[start:end]`` *in place* (no
+    payload copy — ``data`` is usually the whole log file) as
+    ``(gid, verdict, inserts, deletes, counts)``.
 
-    Returns ``(inserts, deletes, counts)`` keyed by table name when
+    Ordinal-form events and counts key by table name when
     ``table_names`` (the catalog's creation-ordered main-namespace
-    list) is given, by raw ordinal otherwise.  Raises
-    :class:`DurabilityError` for an ordinal the catalog cannot resolve
-    or a payload that lies about its own shape (the CRC already passed,
-    so that is an encoder bug, not a torn write).
+    list) is given, by raw ordinal otherwise; named-form ones carry
+    their names.  Raises :class:`DurabilityError` for an ordinal the
+    catalog cannot resolve or a payload that lies about its own shape
+    (the CRC already passed, so that is an encoder bug, not a torn
+    write).
     """
-    return decode_batch_v2_at(payload, 0, len(payload), table_names)
-
-
-def decode_batch_v2_at(
-    data: bytes,
-    start: int,
-    end: int,
-    table_names: Optional[list[str]] = None,
-) -> tuple[dict, dict, Optional[dict]]:
-    """:func:`decode_batch_v2` over a frame *in place*: ``data[start:
-    end]`` is the payload, decoded at absolute offsets with no copy.
-    This is what recovery's replay loop calls for the frame spans the
-    fused scan hands it.  The hot OLTP record shape goes through the
-    shape cache (:func:`_decode_batch_fast`); everything else through
-    the generic loop."""
+    if end is None:
+        end = len(data)
     try:
-        result = _decode_batch_fast(data, start + 1, end, table_names)
-    except (IndexError, struct.error):
-        result = None  # the generic path re-decodes and reports properly
-    if result is not None:
-        return result
-    try:
-        return _decode_batch_body(data, start + 1, end, table_names)
-    except DurabilityError:
-        raise
-    except (IndexError, ValueError, struct.error, UnicodeDecodeError) as exc:
-        raise DurabilityError(
-            f"malformed v2 batch payload (CRC passed — encoder bug?): {exc}"
-        ) from exc
-
-
-def decode_prepare_v2_at(
-    data: bytes,
-    start: int,
-    end: int,
-    table_names: Optional[list[str]] = None,
-) -> tuple[str, dict, dict, Optional[dict]]:
-    """Decode one binary ``prepare`` payload in place.
-
-    Returns ``(gid, inserts, deletes, counts)``; events key by table
-    name when ``table_names`` is given, by raw ordinal otherwise.
-    """
-    try:
+        if data[start] != tag:
+            raise ValueError(f"payload tag is {data[start]:#x}, not {tag:#x}")
         i = start + 1
         while data[i] >= 0x80:  # skip the seq varint (the scan has it)
             i += 1
         i += 1
-        gid_len, i = _read_uvarint(data, i)
-        gid = data[i : i + gid_len].decode("utf-8")
-        i += gid_len
-        inserts, deletes, counts = _decode_body_at_flags(
-            data, i, end, table_names
-        )
-        return gid, inserts, deletes, counts
-    except DurabilityError:
-        raise
-    except (IndexError, ValueError, struct.error, UnicodeDecodeError) as exc:
-        raise DurabilityError(
-            f"malformed v2 prepare payload (CRC passed — encoder bug?): "
-            f"{exc}"
-        ) from exc
-
-
-def decode_decide_v2_at(
-    data: bytes,
-    start: int,
-    end: int,
-    table_names: Optional[list[str]] = None,
-) -> tuple[str, bool, Optional[dict]]:
-    """Decode one binary ``decide`` payload in place.
-
-    Returns ``(gid, commit, counts)`` — ``commit`` True for a commit
-    verdict, False for an abort; ``counts`` only on commit decides
-    that logged post-apply row counts.
-    """
-    try:
-        i = start + 1
-        while data[i] >= 0x80:  # skip the seq varint (the scan has it)
+        gid = verdict = inserts = deletes = counts = None
+        if tag == DECIDE_V2_TAG:
+            if data[i] not in (0, 1):
+                raise ValueError(f"unknown decide verdict byte {data[i]}")
+            verdict = bool(data[i])
             i += 1
-        i += 1
-        verdict = data[i]
-        i += 1
-        if verdict not in (0, 1):
-            raise ValueError(f"unknown decide verdict byte {verdict}")
-        gid_len, i = _read_uvarint(data, i)
-        gid = data[i : i + gid_len].decode("utf-8")
-        i += gid_len
+        if tag != BATCH_V2_TAG:
+            gid, i = _read_str(data, i)
         flags = data[i]
         i += 1
-        counts = None
-        if flags & 1:
-            counts, i = _decode_counts(data, i, end, table_names)
+        if flags & ~(_FLAG_COUNTS | _FLAG_NAMED):
+            raise ValueError(f"unknown flags byte {flags:#x}")
+        named = bool(flags & _FLAG_NAMED)
+        if tag != DECIDE_V2_TAG:
+            inserts, i = _decode_table_blocks(data, i, end, table_names, named)
+            deletes, i = _decode_table_blocks(data, i, end, table_names, named)
+        if flags & _FLAG_COUNTS:
+            counts, i = _decode_counts(data, i, end, table_names, named)
         if i != end:
-            raise ValueError(
-                f"binary decide payload has {end - i} trailing byte(s)"
-            )
-        return gid, bool(verdict), counts
+            raise ValueError(f"payload has {end - i} trailing byte(s)")
+        return gid, verdict, inserts, deletes, counts
     except DurabilityError:
         raise
     except (IndexError, ValueError, struct.error, UnicodeDecodeError) as exc:
         raise DurabilityError(
-            f"malformed v2 decide payload (CRC passed — encoder bug?): "
-            f"{exc}"
+            f"malformed binary {_BINARY_TAGS[tag]} payload (CRC passed — "
+            f"encoder bug?): {exc}"
         ) from exc
 
 
-#: shape cache for the hot OLTP record shape — ONE fixed-stride insert
-#: block, no delete blocks, exactly one counts entry.  Within one log
-#: the committed batches repeat a handful of header shapes (same
-#: table, same column codes), so the parsed header — ordinal + row
-#: struct — is memoized on the raw header bytes and each record
-#: decodes in a few C calls.  This is what makes replay a first-class
-#: fast path rather than a per-byte interpreter loop.
-_SHAPE_CACHE: dict[bytes, tuple[int, struct.Struct]] = {}
-_SHAPE_CACHE_LIMIT = 4096
-
-
-def _decode_batch_fast(
-    p: bytes, i: int, end: int, table_names: Optional[list[str]]
-) -> Optional[tuple[dict, dict, dict]]:
-    """Decode one v2 payload *if* it matches the cached-shape fast
-    path; ``None`` sends the caller to the generic loop.  ``i`` enters
-    on the seq varint; reads past ``end`` are harmless (the caller's
-    frame CRC passed, and every accept path re-checks ``end``)."""
-    while p[i] >= 0x80:  # skip the seq varint
-        i += 1
-    i += 1
-    n_cols = p[i + 4]
-    prefix_end = i + 5 + n_cols
-    shape = p[i:prefix_end]
-    cached = _SHAPE_CACHE.get(shape)
-    if cached is None:
-        # shape bytes: flags, n_ins, ordinal, mode, n_cols, codes...
-        if not (p[i] == 1 and p[i + 1] == 1 and p[i + 3] == 0):
-            return None
-        try:
-            fmt = struct.Struct(">" + shape[5:].decode("ascii"))
-        except (struct.error, UnicodeDecodeError):
-            return None
-        if len(_SHAPE_CACHE) < _SHAPE_CACHE_LIMIT:
-            _SHAPE_CACHE[shape] = (p[i + 2], fmt)
-        cached = (p[i + 2], fmt)
-    ordinal, fmt = cached
-    j = prefix_end
-    n_rows = p[j]
-    j += 1
-    if n_rows >= 0x80:
-        return None  # multi-byte row count: generic path
-    rows_end = j + n_rows * fmt.size
-    # the remainder must be exactly: ndel=0, ncounts=1, one count pair
-    if (
-        rows_end + 2 + _COUNT_PAIR.size != end
-        or p[rows_end] != 0
-        or p[rows_end + 1] != 1
-    ):
-        return None
-    if n_rows == 1:
-        rows = [fmt.unpack_from(p, j)]
-    else:
-        rows = list(fmt.iter_unpack(memoryview(p)[j:rows_end]))
-    count_ordinal, count_value = _COUNT_PAIR.unpack_from(p, rows_end + 2)
-    if table_names is None:
-        return {ordinal: rows}, {}, {count_ordinal: count_value}
-    return (
-        {table_names[ordinal]: rows},
-        {},
-        {table_names[count_ordinal]: count_value},
-    )
-
-
-def _decode_batch_body(
-    p: bytes, i: int, length: int, table_names: Optional[list[str]]
+def decode_batch(
+    data: bytes,
+    table_names: Optional[list[str]] = None,
+    start: int = 0,
+    end: Optional[int] = None,
 ) -> tuple[dict, dict, Optional[dict]]:
-    """The decode loop shared by the lazy path (``p`` is one payload)
-    and the fused replay scan (``p`` is the whole file, ``i``/``length``
-    bound one frame).  ``i`` enters positioned on the seq varint.
+    """One binary ``batch`` record as ``(inserts, deletes, counts)``;
+    see :func:`_decode` for the in-place span and name resolution."""
+    return _decode(BATCH_V2_TAG, data, table_names, start, end)[2:]
+
+
+def decode_prepare(
+    data: bytes,
+    table_names: Optional[list[str]] = None,
+    start: int = 0,
+    end: Optional[int] = None,
+) -> tuple[str, dict, dict, Optional[dict]]:
+    """One binary ``prepare`` record as ``(gid, inserts, deletes,
+    counts)``."""
+    gid, _, inserts, deletes, counts = _decode(
+        PREPARE_V2_TAG, data, table_names, start, end
+    )
+    return gid, inserts, deletes, counts
+
+
+def decode_decide(
+    data: bytes,
+    table_names: Optional[list[str]] = None,
+    start: int = 0,
+    end: Optional[int] = None,
+) -> tuple[str, bool, Optional[dict]]:
+    """One binary ``decide`` record as ``(gid, commit, counts)`` —
+    ``commit`` True for a commit verdict, False for an abort;
+    ``counts`` only on commit decides that logged post-apply row
+    counts."""
+    gid, commit, _, _, counts = _decode(
+        DECIDE_V2_TAG, data, table_names, start, end
+    )
+    return gid, commit, counts
+
+
+def _decode_table_blocks(
+    p: bytes,
+    i: int,
+    length: int,
+    table_names: Optional[list[str]],
+    named: bool,
+) -> tuple[dict, int]:
+    """One section of table blocks at ``i``; returns ``(events,
+    next_offset)``.  ``p`` is usually the whole file and ``length``
+    the frame's end offset.
 
     This is recovery's hot loop, hence the inlined single-byte varint
     fast path: an all-numeric OLTP batch costs a few byte reads plus
     one C-level ``struct`` unpack per table.
     """
-    while p[i] >= 0x80:  # skip the seq varint (the scan has it)
-        i += 1
-    i += 1
-    return _decode_body_at_flags(p, i, length, table_names)
-
-
-def _decode_body_at_flags(
-    p: bytes, i: int, length: int, table_names: Optional[list[str]]
-) -> tuple[dict, dict, Optional[dict]]:
-    """:func:`_decode_batch_body` from the flags byte onward — the
-    shared suffix of ``batch`` and ``prepare`` payloads (a prepare is
-    a batch body with a gid spliced in before the flags)."""
-    flags = p[i]
-    i += 1
     structs = _ROW_STRUCTS
-    sections: list[dict] = []
-    for _section in (0, 1):
-        n_tables = p[i]
-        i += 1
-        events: dict = {}
-        for _ in range(n_tables):
+    n_tables = p[i]
+    i += 1
+    if named and n_tables >= 0x80:
+        n_tables, i = _read_uvarint(p, i - 1)
+    events: dict = {}
+    for _ in range(n_tables):
+        if named:
+            key, i = _read_str(p, i)
+        else:
             ordinal = p[i]
-            mode = p[i + 1]
-            i += 2
+            i += 1
             if table_names is None:
                 key = ordinal
             elif ordinal < len(table_names):
@@ -804,90 +709,57 @@ def _decode_body_at_flags(
                     f"but the catalog holds only {len(table_names)} "
                     "table(s) at this replay point"
                 )
-            if mode == 0:
-                n_cols = p[i]
-                i += 1
-                codes = p[i : i + n_cols]
-                i += n_cols
-                b = p[i]
-                i += 1
-                if b < 0x80:
-                    n_rows = b
-                else:
-                    n_rows, i = _read_uvarint(p, i - 1)
-                fmt = structs.get(codes)
-                if fmt is None:
-                    fmt = _row_struct(codes)
-                end = i + n_rows * fmt.size
-                if end > length:
-                    raise ValueError(
-                        "fixed-stride block overruns the payload"
-                    )
-                if n_rows == 1:
-                    events[key] = [fmt.unpack_from(p, i)]
-                else:
-                    events[key] = list(
-                        fmt.iter_unpack(memoryview(p)[i:end])
-                    )
-                i = end
-            elif mode == 1:
-                b = p[i]
-                i += 1
-                if b < 0x80:
-                    n_rows = b
-                else:
-                    n_rows, i = _read_uvarint(p, i - 1)
-                rows = []
-                for _ in range(n_rows):
-                    n_cols = p[i]
-                    i += 1
-                    row = []
-                    for _ in range(n_cols):
-                        tag = p[i]
-                        i += 1
-                        if tag == _TAG_NULL:
-                            row.append(None)
-                        elif tag == _TAG_TRUE:
-                            row.append(True)
-                        elif tag == _TAG_FALSE:
-                            row.append(False)
-                        elif tag == _TAG_INT:
-                            zigzag, i = _read_uvarint(p, i)
-                            row.append(
-                                zigzag >> 1
-                                if not zigzag & 1
-                                else -((zigzag + 1) >> 1)
-                            )
-                        elif tag == _TAG_FLOAT:
-                            row.append(_F64.unpack_from(p, i)[0])
-                            i += 8
-                        elif tag == _TAG_STR:
-                            strlen, i = _read_uvarint(p, i)
-                            row.append(p[i : i + strlen].decode("utf-8"))
-                            i += strlen
-                        else:
-                            raise ValueError(f"unknown value tag {tag}")
-                    rows.append(tuple(row))
-                events[key] = rows
+        mode = p[i]
+        i += 1
+        if mode == 0:
+            n_cols = p[i]
+            i += 1
+            if named and n_cols >= 0x80:
+                n_cols, i = _read_uvarint(p, i - 1)
+            codes = p[i : i + n_cols]
+            i += n_cols
+            b = p[i]
+            i += 1
+            if b < 0x80:
+                n_rows = b
             else:
-                raise ValueError(f"unknown table-block mode {mode}")
-        sections.append(events)
-    counts = None
-    if flags & 1:
-        counts, i = _decode_counts(p, i, length, table_names)
-    if i != length:
-        raise ValueError(
-            f"binary batch payload has {length - i} trailing byte(s)"
-        )
-    return sections[0], sections[1], counts
+                n_rows, i = _read_uvarint(p, i - 1)
+            fmt = structs.get(codes)
+            if fmt is None:
+                fmt = _row_struct(codes)
+            end = i + n_rows * fmt.size
+            if end > length:
+                raise ValueError("fixed-stride block overruns the payload")
+            if n_rows == 1:
+                events[key] = [fmt.unpack_from(p, i)]
+            else:
+                events[key] = list(fmt.iter_unpack(memoryview(p)[i:end]))
+            i = end
+        elif mode == 1:
+            events[key], i = decode_tagged_rows(p, i, not named)
+        else:
+            raise ValueError(f"unknown table-block mode {mode}")
+    return events, i
 
 
 def _decode_counts(
-    p: bytes, i: int, length: int, table_names: Optional[list[str]]
+    p: bytes,
+    i: int,
+    length: int,
+    table_names: Optional[list[str]],
+    named: bool,
 ) -> tuple[dict, int]:
     """One counts section at ``i``; returns ``(counts, next_offset)``."""
     n_counts = p[i]
     i += 1
+    if named:
+        if n_counts >= 0x80:
+            n_counts, i = _read_uvarint(p, i - 1)
+        counts: dict = {}
+        for _ in range(n_counts):
+            name, i = _read_str(p, i)
+            counts[name], i = _read_uvarint(p, i)
+        return counts, i
     end = i + n_counts * _COUNT_PAIR.size
     if end > length:
         raise ValueError("counts section overruns the payload")
@@ -910,41 +782,46 @@ def _decode_counts(
 
 # -- frame scanning ----------------------------------------------------------
 
-#: binary payload tags both scanners dispatch on, mapped to the record
-#: type their scan-time view reports (all three share the layout
-#: prefix "tag byte, seq varint", so one seq-read path serves all)
-_BINARY_TAGS = {
-    BATCH_V2_TAG: "batch",
-    PREPARE_V2_TAG: "prepare",
-    DECIDE_V2_TAG: "decide",
-}
+
+class WalRecord(NamedTuple):
+    """The scan-time view of one frame, whatever its payload: a
+    durable open needs types and sequences, not rows — and ordinals
+    can only resolve against the catalog as replay rebuilds it, which
+    a file scan cannot know — so binary payloads stay undecoded."""
+
+    type: Optional[str]
+    seq: int
+    #: the payload's span inside the scanned bytes (``WalScan.data``);
+    #: binary records are decoded from it in place
+    start: int
+    end: int
+    #: the parsed object of a JSON control frame, None for binary ones
+    fields: Optional[dict]
 
 
-def decode_records(
+def scan_frames(
     data: bytes, offset: int = 0
-) -> tuple[list[dict], int, Optional[str]]:
+) -> tuple[list[WalRecord], int, Optional[str]]:
     """Scan frames from ``offset``; stop at the first invalid one.
 
     Returns ``(records, valid_length, tail_error)`` where
     ``valid_length`` is the byte length of the decodable prefix
     (including ``offset``) and ``tail_error`` describes why scanning
     stopped early (``None`` when the data ends exactly on a frame
-    boundary).  The caller decides whether a non-empty tail is a
-    tolerable torn write or corruption.  JSON (v1) and binary (v2)
-    payloads are dispatched per frame by their first byte.
+    boundary): a frame failing the length or CRC check, or whose
+    header cannot be read.  The caller decides whether a non-empty
+    tail is a tolerable torn write or corruption.  A binary frame
+    costs only its integrity check and its seq — no payload copy.
 
-    KEEP IN SYNC with :func:`scan_frames_fused`: the two scanners
-    share the frame-walk and torn-tail discipline and differ only in
-    how a v2 frame is materialized (lazy payload dict here, decoded
-    span tuple there).  They are deliberately not factored through a
-    per-frame callback — this loop is the durable open's hot path and
-    a Python call per frame costs what the fused scan exists to save.
-    The crash-injection matrix runs both scanners over every cut
-    point, so a divergence in tail classification fails loudly.
+    A JSON frame typed ``batch`` / ``prepare`` / ``decide`` is neither:
+    its CRC passed, so it is a committed record in the pre-v2 layout
+    this build no longer reads.  Treating it as a tail would truncate
+    acknowledged commits; it raises :class:`WALCorruptionError`.
     """
-    records: list[dict] = []
+    records: list[WalRecord] = []
     position = offset
     total = len(data)
+    view = memoryview(data)
     while position < total:
         if position + _FRAME.size > total:
             return records, position, "truncated frame header"
@@ -953,128 +830,40 @@ def decode_records(
         end = start + length
         if end > total:
             return records, position, "truncated payload"
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return records, position, "checksum mismatch"
-        first = payload[0] if length else -1
-        if first == 0x7B:  # "{" — a JSON (v1) record
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return records, position, "undecodable payload"
-            if not isinstance(record, dict):
-                return records, position, "non-object record"
-        elif first in _BINARY_TAGS:
-            # the scan-time view of a binary frame: type + seq, with
-            # the payload kept for the one full decode at replay time
-            # — a durable open needs sequences, not rows, and ordinals
-            # can only resolve against the catalog as replay rebuilds
-            # it, which a file scan cannot know
-            try:
-                b = payload[1]
-                seq = b if b < 0x80 else _read_uvarint(payload, 1)[0]
-            except IndexError:
-                return records, position, "undecodable payload"
-            record = {
-                "type": _BINARY_TAGS[first],
-                "seq": seq,
-                "binary": True,
-                "payload": payload,
-            }
-        else:
-            return records, position, "unknown payload format"
-        records.append(record)
-        position = end
-    return records, position, None
-
-
-def scan_frames_fused(
-    data: bytes, offset: int = 0
-) -> tuple[list, int, Optional[str]]:
-    """The replay-optimized single pass: like :func:`decode_records`,
-    but a v2 batch frame costs only its integrity check — no payload
-    copy, no record dict.  Each returned item is either a dict (a JSON
-    record, exactly as ``decode_records`` yields it) or the 4-tuple
-    ``("batch", seq, start, end)`` spanning the payload inside
-    ``data``; the caller decodes the span with
-    :func:`decode_batch_v2_at` against the catalog at its replay point
-    (ordinals resolve in the same pass — one decode, one dict build).
-
-    The torn-tail discipline is identical to :func:`decode_records`: a
-    frame failing the length or CRC check — or whose seq header cannot
-    be read — ends the decodable prefix.  KEEP IN SYNC with
-    :func:`decode_records` (see the note there on why the walk is
-    duplicated rather than callback-parameterized).
-    """
-    items: list = []
-    position = offset
-    total = len(data)
-    view = memoryview(data)
-    while position < total:
-        if position + _FRAME.size > total:
-            return items, position, "truncated frame header"
-        length, crc = _FRAME.unpack_from(data, position)
-        start = position + _FRAME.size
-        end = start + length
-        if end > total:
-            return items, position, "truncated payload"
         if zlib.crc32(view[start:end]) != crc:
-            return items, position, "checksum mismatch"
+            return records, position, "checksum mismatch"
         first = data[start] if length else -1
         if first in _BINARY_TAGS:
             try:
                 b = data[start + 1]
                 seq = b if b < 0x80 else _read_uvarint(data, start + 1)[0]
             except IndexError:
-                return items, position, "undecodable payload"
-            items.append((_BINARY_TAGS[first], seq, start, end))
-        elif first == 0x7B:  # "{" — a JSON (v1) record
+                return records, position, "undecodable payload"
+            records.append(
+                WalRecord(_BINARY_TAGS[first], seq, start, end, None)
+            )
+        elif first == 0x7B:  # "{" — a JSON control record
             try:
-                record = json.loads(data[start:end].decode("utf-8"))
+                fields = json.loads(data[start:end].decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
-                return items, position, "undecodable payload"
-            if not isinstance(record, dict):
-                return items, position, "non-object record"
-            items.append(record)
+                return records, position, "undecodable payload"
+            if not isinstance(fields, dict):
+                return records, position, "non-object record"
+            kind = fields.get("type")
+            if kind in _BINARY_TAGS.values():
+                raise WALCorruptionError(
+                    f"{kind} record seq={fields.get('seq')} at byte "
+                    f"{position} is in the pre-v2 JSON layout, which this "
+                    "build no longer reads — open the log with the release "
+                    "that wrote it and checkpoint"
+                )
+            records.append(
+                WalRecord(kind, fields.get("seq", 0), start, end, fields)
+            )
         else:
-            return items, position, "unknown payload format"
+            return records, position, "unknown payload format"
         position = end
-    return items, position, None
-
-
-def read_wal_fused(path: str) -> "WalScan":
-    """:func:`read_wal` with the fused replay scan — what recovery
-    uses.  ``records`` holds the mixed dict/tuple items of
-    :func:`scan_frames_fused`; header validation, torn-creation
-    tolerance and the scan counter behave exactly like
-    :func:`read_wal` (this counts as the open's one full scan).
-    """
-    data, torn = _read_validated(path)
-    if torn is not None:
-        return torn
-    records, valid_length, tail_error = scan_frames_fused(data, _HEADER_LEN)
-    return WalScan(
-        records=records,
-        valid_length=valid_length,
-        tail_error=tail_error,
-        torn_bytes=len(data) - valid_length,
-        data=data,
-    )
-
-
-def record_type(record) -> Optional[str]:
-    """The record's type, across both scan representations (dicts from
-    :func:`read_wal`, tuples from :func:`read_wal_fused`)."""
-    if type(record) is tuple:
-        return record[0]
-    return record.get("type")
-
-
-def record_seq(record) -> int:
-    """The record's sequence, across both scan representations."""
-    if type(record) is tuple:
-        return record[1]
-    return record.get("seq", 0)
+    return records, position, None
 
 
 # -- the log file -----------------------------------------------------------
@@ -1103,13 +892,21 @@ class WalStats(StatsBlock):
 class WalScan:
     """Result of reading a log file back."""
 
-    records: list = field(default_factory=list)
+    records: list[WalRecord] = field(default_factory=list)
     valid_length: int = _HEADER_LEN
     tail_error: Optional[str] = None
     torn_bytes: int = 0
-    #: the raw file bytes — set by :func:`read_wal_fused`, whose
-    #: ``("batch", seq, start, end)`` items are spans into it
+    #: the raw file bytes the records' ``start``/``end`` spans index
     data: bytes = b""
+
+    def resume(self) -> WalResume:
+        """What :class:`WriteAheadLog` needs to reopen the scanned file
+        for append without reading it again."""
+        return WalResume(
+            valid_length=self.valid_length,
+            file_length=self.valid_length + self.torn_bytes,
+            last_seq=max((r.seq for r in self.records), default=0),
+        )
 
 
 @dataclass
@@ -1131,55 +928,49 @@ class WalResume:
     last_seq: int
 
 
-def _read_validated(path: str) -> tuple[bytes, Optional[WalScan]]:
-    """Read the file and validate its magic header (counting the scan).
+def read_wal(path: str) -> WalScan:
+    """Read every decodable record of a WAL file (tolerating a torn
+    tail) — the one full scan of a durable open.
 
-    Returns ``(data, None)`` when the frames should be scanned, or
-    ``(data, scan)`` with a ready torn-creation :class:`WalScan` — the
-    crash hit between creating the file and the header write becoming
-    durable, so an empty (or partial-header) log holds no records by
-    construction: recoverable, not foreign.  A missing or foreign
-    header raises :class:`WALCorruptionError` — the file is not (a
-    readable version of) a WAL at all.
+    An empty file or a strict prefix of the magic is a torn-creation
+    artifact — the crash hit between creating the file and the header
+    write becoming durable, so the log holds no records by
+    construction: recoverable (``valid_length`` 0), not foreign.  A
+    missing header, or one of another format generation, raises
+    :class:`WALCorruptionError` — the file is not (a readable version
+    of) a WAL at all, and must never be silently overwritten.
     """
     global _scan_count
     _scan_count += 1
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < _HEADER_LEN:
-        if any(magic.startswith(data) for magic in _ACCEPTED_MAGICS):
-            return data, WalScan(
-                records=[],
+    header = data[:_HEADER_LEN]
+    if header != WAL_MAGIC:
+        if WAL_MAGIC.startswith(data):
+            return WalScan(
                 valid_length=0,
                 tail_error="torn header (file created but never written)",
                 torn_bytes=len(data),
                 data=data,
             )
+        if header[:-1] == WAL_MAGIC[:-1]:
+            raise WALCorruptionError(
+                f"{path!r} is a WAL of format generation {header[-1]}; this "
+                f"build reads generation {WAL_MAGIC[-1]} only (a pre-v2 log "
+                "must be opened and checkpointed by the release that wrote "
+                "it)"
+            )
         raise WALCorruptionError(
-            f"{path!r} does not start with a WAL magic header "
-            f"(readable formats {WAL_MAGIC_V1!r}, {WAL_MAGIC!r})"
+            f"{path!r} does not start with the WAL magic header "
+            f"{WAL_MAGIC!r}"
         )
-    if data[:_HEADER_LEN] not in _ACCEPTED_MAGICS:
-        raise WALCorruptionError(
-            f"{path!r} does not start with a WAL magic header "
-            f"(readable formats {WAL_MAGIC_V1!r}, {WAL_MAGIC!r})"
-        )
-    return data, None
-
-
-def read_wal(path: str) -> WalScan:
-    """Read every decodable record of a WAL file (tolerating a torn
-    tail); v2 batch frames arrive lazily (seq + payload), see
-    :func:`decode_records`."""
-    data, torn = _read_validated(path)
-    if torn is not None:
-        return torn
-    records, valid_length, tail_error = decode_records(data, _HEADER_LEN)
+    records, valid_length, tail_error = scan_frames(data, _HEADER_LEN)
     return WalScan(
         records=records,
         valid_length=valid_length,
         tail_error=tail_error,
         torn_bytes=len(data) - valid_length,
+        data=data,
     )
 
 
@@ -1204,20 +995,9 @@ class WriteAheadLog:
         self.stats = WalStats()
         self._synced = True
         self._failed = False
-        if resume is None:
-            # read_wal distinguishes a torn creation artifact (empty
-            # file or a strict prefix of the magic — valid_length 0)
-            # from a foreign file, which raises WALCorruptionError
-            # rather than being silently overwritten
-            scan = read_wal(path) if os.path.exists(path) else None
-            if scan is not None and scan.valid_length >= _HEADER_LEN:
-                resume = WalResume(
-                    valid_length=scan.valid_length,
-                    file_length=scan.valid_length + scan.torn_bytes,
-                    last_seq=max(
-                        (r.get("seq", 0) for r in scan.records), default=0
-                    ),
-                )
+        if resume is None and os.path.exists(path):
+            # a foreign file raises here rather than being overwritten
+            resume = read_wal(path).resume()
         if resume is not None and resume.valid_length >= _HEADER_LEN:
             self.last_seq = resume.last_seq
             self._handle = open(path, "r+b")
@@ -1267,12 +1047,28 @@ class WriteAheadLog:
         self.stats.bump(appends=1, bytes_written=len(frame))
 
     def append(self, record_type: str, **fields) -> dict:
-        """Buffer one v1 (JSON) record; returns it (with its ``seq``)."""
+        """Buffer one JSON control record (DDL, ``open``, ``truncate``);
+        returns it (with its ``seq``)."""
         self._check_usable()
         self.last_seq += 1
         record = {"type": record_type, "seq": self.last_seq, **fields}
         self._write_frame(encode_record(record))
         return record
+
+    def _append_binary(self, tag: int, *args) -> dict:
+        """Buffer one binary record; returns its type, ``seq`` and
+        whether it had to take the named form."""
+        self._check_usable()
+        payload, named = _encode(tag, self.last_seq + 1, *args)
+        self.last_seq += 1
+        self._write_frame(
+            _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        )
+        return {
+            "type": _BINARY_TAGS[tag],
+            "seq": self.last_seq,
+            "named": named,
+        }
 
     def append_batch(
         self,
@@ -1280,27 +1076,13 @@ class WriteAheadLog:
         deletes: dict[str, list[tuple]],
         counts: Optional[dict[str, int]] = None,
         ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
-        binary: bool = True,
     ) -> dict:
-        """Buffer one committed-batch record, binary (v2) when possible.
-
-        The v2 encoder needs ``ordinal_of`` (the catalog's schema-
-        ordinal map); without it, or for a batch outside what v2
-        expresses, the record is written as v1 JSON — readers dispatch
-        per frame, so the formats mix freely in one log.
-        """
-        self._check_usable()
-        if binary and ordinal_of is not None:
-            payload = encode_batch_v2(
-                self.last_seq + 1, inserts, deletes, counts, ordinal_of
-            )
-            if payload is not None:
-                self.last_seq += 1
-                self._write_frame(
-                    _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-                return {"type": "batch", "seq": self.last_seq, "binary": True}
-        return self.append("batch", **batch_payload(inserts, deletes, counts))
+        """Buffer one committed-batch record — in the ordinal form
+        when ``ordinal_of`` (the catalog's schema-ordinal map) is given
+        and can express it, in the named form otherwise."""
+        return self._append_binary(
+            BATCH_V2_TAG, None, None, inserts, deletes, counts, ordinal_of
+        )
 
     def append_prepare(
         self,
@@ -1309,31 +1091,14 @@ class WriteAheadLog:
         deletes: dict[str, list[tuple]],
         counts: Optional[dict[str, int]] = None,
         ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
-        binary: bool = True,
     ) -> dict:
-        """Buffer one 2PC ``prepare`` record (binary when possible).
+        """Buffer one 2PC ``prepare`` record.
 
         The caller must :meth:`sync` before reporting a yes vote —
         the durable prepare record *is* the vote.
         """
-        self._check_usable()
-        if binary and ordinal_of is not None:
-            payload = encode_prepare_v2(
-                self.last_seq + 1, gid, inserts, deletes, counts, ordinal_of
-            )
-            if payload is not None:
-                self.last_seq += 1
-                self._write_frame(
-                    _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-                return {
-                    "type": "prepare",
-                    "seq": self.last_seq,
-                    "gid": gid,
-                    "binary": True,
-                }
-        return self.append(
-            "prepare", gid=gid, **batch_payload(inserts, deletes, counts)
+        return self._append_binary(
+            PREPARE_V2_TAG, gid, None, inserts, deletes, counts, ordinal_of
         )
 
     def append_decide(
@@ -1342,31 +1107,13 @@ class WriteAheadLog:
         verdict: bool,
         counts: Optional[dict[str, int]] = None,
         ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
-        binary: bool = True,
     ) -> dict:
         """Buffer one 2PC ``decide`` record: the coordinator's verdict
         for ``gid`` (True = commit, False = abort); commit decides may
         carry post-apply row counts for replay verification."""
-        self._check_usable()
-        if binary and ordinal_of is not None:
-            payload = encode_decide_v2(
-                self.last_seq + 1, gid, verdict, counts, ordinal_of
-            )
-            if payload is not None:
-                self.last_seq += 1
-                self._write_frame(
-                    _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-                return {
-                    "type": "decide",
-                    "seq": self.last_seq,
-                    "gid": gid,
-                    "binary": True,
-                }
-        fields: dict = {"gid": gid, "verdict": "commit" if verdict else "abort"}
-        if counts is not None:
-            fields["counts"] = counts
-        return self.append("decide", **fields)
+        return self._append_binary(
+            DECIDE_V2_TAG, gid, bool(verdict), None, None, counts, ordinal_of
+        )
 
     def sync(self) -> None:
         """Flush buffered frames and fsync — the durability point.

@@ -93,8 +93,9 @@ class ServerStats(StatsBlock):
 
 
 class _WalStatsCollector:
-    """Renders WAL stats when (and only when) durability is attached —
-    the WAL may be opened after the server was constructed."""
+    """Renders the WAL's and the durability manager's stats when (and
+    only when) durability is attached — the WAL may be opened after
+    the server was constructed."""
 
     __slots__ = ("_tintin",)
 
@@ -105,7 +106,7 @@ class _WalStatsCollector:
         durability = self._tintin.durability
         if durability is None:
             return ()
-        return durability.wal.stats.collect()
+        return (*durability.wal.stats.collect(), *durability.stats.collect())
 
 
 def commit_result_payload(result) -> dict:

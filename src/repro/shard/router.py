@@ -39,7 +39,7 @@ import uuid
 from typing import Optional
 
 from ..core.safe_commit import CommitResult
-from ..durability.wal import WriteAheadLog, read_wal
+from ..durability.wal import WriteAheadLog, decode_decide, read_wal
 from ..errors import ExecutionError, SessionExpired, ShardError
 from ..minidb.database import Database, ResultSet
 from ..obs.metrics import StatsBlock
@@ -252,18 +252,22 @@ class ShardedTintin:
         coord_dir = os.path.join(directory, "coord")
         os.makedirs(coord_dir, exist_ok=True)
         #: the coordinator's decision log: commit verdicts only
-        #: (presumed abort — an absent gid IS the abort decision)
-        self._decision_log = WriteAheadLog(
-            os.path.join(coord_dir, "decisions.wal")
-        )
+        #: (presumed abort — an absent gid IS the abort decision).  One
+        #: scan rebuilds the decided set and reopens the log for append.
+        decisions = os.path.join(coord_dir, "decisions.wal")
         self._decided: set[str] = set()
-        for record in read_wal(self._decision_log.path).records:
-            if (
-                isinstance(record, dict)
-                and record.get("type") == "decide"
-                and record.get("verdict") == "commit"
-            ):
-                self._decided.add(record["gid"])
+        resume = None
+        if os.path.exists(decisions):
+            scan = read_wal(decisions)
+            resume = scan.resume()
+            for record in scan.records:
+                if record.type == "decide":
+                    gid, commit, _ = decode_decide(
+                        scan.data, None, record.start, record.end
+                    )
+                    if commit:
+                        self._decided.add(gid)
+        self._decision_log = WriteAheadLog(decisions, resume=resume)
         #: the host process runs threads (net server, admission pool),
         #: so fork is unsafe — spawn is mandatory, not a preference
         self._ctx = multiprocessing.get_context("spawn")

@@ -1,50 +1,75 @@
-"""WAL format v2: the binary row codec, differentially against v1 JSON.
+"""The binary WAL record codec: total, exact, and pinned to its bytes.
 
-The satellite contract (ISSUE 5): arbitrary rows — unicode, None,
-booleans, arbitrary-precision integers, floats including ±infinity —
-encode through the v2 binary codec and decode to values *byte-for-byte
-equal* to what the v1 JSON codec's round trip produces (same value,
-same Python type, same float bit pattern), NaN is rejected by both,
-and a corpus of hand-picked adversarial payloads (empty rows, 1-byte
-strings, width boundaries, >64-bit integers) pins the edges.  Frame-
-level behavior is covered too: the two formats mix freely in one log,
-a v1-header log continues in v2 after upgrade, and damaged binary
-frames are detected, never mis-parsed.
+The contract: *any* batch — unicode, None, booleans, arbitrary-
+precision integers, floats including ±infinity, ≥ 128 tables, > 255
+columns, row counts ≥ 2^32, tables no catalog knows — encodes (the
+encoder never declines), and ``encode → frame → scan_frames → decode``
+returns values *exactly* equal to the input (same value, same Python
+type, same float bit pattern), for ``batch``, ``prepare`` and
+``decide`` records alike.  The ordinal form and the named form of one
+batch decode equal; NaN is refused by both; a corpus of hand-picked
+adversarial payloads pins the edges; and four frames captured from the
+commit before the named form existed pin the ordinal form's bytes.
+Frame-level behavior is covered too: control and binary frames mix in
+one log, and damaged binary frames are detected, never mis-parsed.
 """
 
 from __future__ import annotations
 
-import math
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.durability import (
     BATCH_V2_TAG,
+    DECIDE_V2_TAG,
     WAL_MAGIC,
-    WAL_MAGIC_V1,
     WriteAheadLog,
-    batch_counts,
-    batch_payload,
     decode_batch,
-    decode_batch_v2,
-    decode_records,
-    encode_batch_v2,
-    encode_record,
+    decode_decide,
+    decode_prepare,
+    encode_batch,
+    encode_decide,
+    encode_prepare,
     read_wal,
-    rows_from_payload,
+    scan_frames,
 )
 from repro.errors import DurabilityError
 
 # -- ordinal fixture --------------------------------------------------------
 
 TABLES = ["orders", "lineitem", "ünïcode_tbl", "t3", "t4", "t5", "t6", "t7"]
-_ORDINALS = {name.lower(): i for i, name in enumerate(TABLES)}
+#: a catalog wider than the ordinal form's 128-table reach
+WIDE_TABLES = TABLES + [f"w{i:03d}" for i in range(160)]
+#: exact-match on purpose: a generated name like "ORDERS" is simply
+#: not in this catalog, so it must come back spelled as it went in
+ordinal_of = {name: i for i, name in enumerate(WIDE_TABLES)}.get
 
 
-def ordinal_of(name: str):
-    return _ORDINALS.get(name.lower())
+def _framed(payload: bytes) -> bytes:
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+
+
+def flags_of(payload: bytes) -> int:
+    """The flags byte of a binary payload, found by walking the header
+    the way the layout table in ``wal.py`` spells it (test-side on
+    purpose: an independent reading of the format)."""
+    tag, i = payload[0], 1
+    while payload[i] >= 0x80:  # seq varint
+        i += 1
+    i += 1
+    if tag == DECIDE_V2_TAG:
+        i += 1  # verdict byte
+    if tag != BATCH_V2_TAG:
+        assert payload[i] < 0x80, "test gids stay under 128 bytes"
+        i += 1 + payload[i]
+    return payload[i]
+
+
+def is_named(payload: bytes) -> bool:
+    return bool(flags_of(payload) & 2)
 
 
 # -- strategies -------------------------------------------------------------
@@ -57,129 +82,177 @@ scalars = st.one_of(
     st.text(max_size=40),
 )
 
-#: uniform-arity tables (the engine's rows), arity 1..4
-def _rows(values, max_rows=8):
-    return st.integers(min_value=1, max_value=4).flatmap(
+#: numeric-only values: these must take the fixed-stride mode
+numeric_scalars = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+)
+
+
+def _rows(values, max_arity=4, max_rows=8):
+    """Uniform-arity tables (the engine's rows)."""
+    return st.integers(min_value=1, max_value=max_arity).flatmap(
         lambda arity: st.lists(
             st.tuples(*([values] * arity)), min_size=0, max_size=max_rows
         )
     )
 
 
+#: what a bound engine logs all day: few known tables, narrow rows
 event_dicts = st.dictionaries(st.sampled_from(TABLES), _rows(scalars), max_size=3)
-
-#: numeric-only rows: these must take the fixed-stride fast path
-numeric_scalars = st.one_of(
-    st.booleans(),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.floats(allow_nan=False),
-)
 numeric_event_dicts = st.dictionaries(
     st.sampled_from(TABLES), _rows(numeric_scalars), max_size=3
+)
+
+#: everything the ordinal form cannot say: tables beyond ordinal 127 or
+#: in no catalog at all, ≥ 128 touched tables, > 255 columns
+any_table = st.one_of(
+    st.sampled_from(WIDE_TABLES), st.text(min_size=1, max_size=12)
+)
+wild_event_dicts = st.one_of(
+    event_dicts,
+    st.dictionaries(any_table, _rows(scalars), max_size=4),
+    st.dictionaries(  # ≥ 128 tables in one section
+        st.sampled_from(WIDE_TABLES),
+        st.just([(1,)]),
+        min_size=130,
+        max_size=140,
+    ),
+    st.dictionaries(  # > 255 columns, both modes
+        any_table,
+        st.one_of(
+            st.just([tuple(range(300))]),
+            st.just([tuple([None] * 257)]),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
 )
 
 counts_dicts = st.one_of(
     st.none(),
     st.dictionaries(
         st.sampled_from(TABLES),
-        # u32 is the v2 counts range; a count beyond it pushes the
-        # whole record to the v1 fallback (pinned in its own test)
         st.integers(min_value=0, max_value=2**32 - 1),
         max_size=3,
     ),
 )
+wild_counts_dicts = st.one_of(
+    counts_dicts,
+    st.dictionaries(
+        any_table, st.integers(min_value=0, max_value=2**70), max_size=4
+    ),
+)
+
+gids = st.text(max_size=20)
 
 
-# -- byte-for-byte equality -------------------------------------------------
+# -- exact equality ---------------------------------------------------------
 
 
-def assert_identical(v2_value, v1_value):
+def assert_identical(got, expected):
     """Equality that a plain ``==`` is too forgiving for: the types
     must match (True != 1 here) and floats must match bit-for-bit
     (0.0 != -0.0 here)."""
-    assert type(v2_value) is type(v1_value), (v2_value, v1_value)
-    if isinstance(v2_value, float):
-        assert struct.pack(">d", v2_value) == struct.pack(">d", v1_value)
+    assert type(got) is type(expected), (got, expected)
+    if isinstance(got, float):
+        assert struct.pack(">d", got) == struct.pack(">d", expected)
     else:
-        assert v2_value == v1_value
+        assert got == expected
 
 
-def assert_events_identical(v2_events: dict, v1_events: dict):
-    assert set(v2_events) == set(v1_events)
-    for table, v2_rows in v2_events.items():
-        v1_rows = v1_events[table]
-        assert len(v2_rows) == len(v1_rows)
-        for v2_row, v1_row in zip(v2_rows, v1_rows):
-            assert isinstance(v2_row, tuple)
-            assert len(v2_row) == len(v1_row)
-            for a, b in zip(v2_row, v1_row):
+def assert_events_identical(got: dict, expected: dict):
+    expected = {t: rows for t, rows in expected.items() if rows}
+    assert set(got) == set(expected)
+    for table, got_rows in got.items():
+        expected_rows = expected[table]
+        assert len(got_rows) == len(expected_rows)
+        for got_row, expected_row in zip(got_rows, expected_rows):
+            assert isinstance(got_row, tuple)
+            assert len(got_row) == len(expected_row)
+            for a, b in zip(got_row, expected_row):
                 assert_identical(a, b)
 
 
-def v1_round_trip(seq, inserts, deletes, counts=None):
-    """Encode + decode through the v1 JSON codec — the reference."""
-    record = {
-        "type": "batch",
-        "seq": seq,
-        **batch_payload(inserts, deletes, counts),
-    }
-    decoded, length, tail = decode_records(encode_record(record))
-    assert tail is None and len(decoded) == 1
-    return decode_batch(decoded[0]), decoded[0].get("counts")
+def scanned(payload: bytes, kind: str, seq: int):
+    """Frame the payload, scan it back, and return the scanned bytes
+    plus the record's span — the scanner must report the type and seq
+    without decoding a row."""
+    assert isinstance(payload, bytes), "an encoder declined a record"
+    blob = _framed(payload)
+    records, valid_length, tail = scan_frames(blob)
+    assert tail is None and valid_length == len(blob)
+    (record,) = records
+    assert (record.type, record.seq, record.fields) == (kind, seq, None)
+    return blob, record.start, record.end
 
 
-def v2_round_trip(seq, inserts, deletes, counts=None):
-    """Encode + decode through the v2 binary codec (and check that the
-    frame scanner reads the same seq back)."""
-    payload = encode_batch_v2(seq, inserts, deletes, counts, ordinal_of)
-    assert payload is not None, "batch unexpectedly outside v2's range"
-    records, _, tail = decode_records(_framed(payload))
-    assert tail is None
-    assert records[0]["seq"] == seq
-    assert records[0]["binary"]
-    # canonical table names resolve through the ordinal list
-    got_ins, got_del, got_counts = decode_batch_v2(payload, TABLES)
-    return (got_ins, got_del), got_counts
+def batch_round_trip(seq, inserts, deletes, counts=None, resolver=ordinal_of):
+    payload = encode_batch(seq, inserts, deletes, counts, resolver)
+    blob, start, end = scanned(payload, "batch", seq)
+    return decode_batch(blob, WIDE_TABLES, start, end), is_named(payload)
 
 
-# -- the differential property ----------------------------------------------
+# -- the total-codec property -----------------------------------------------
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=200, deadline=None)
+@given(wild_event_dicts, wild_event_dicts, wild_counts_dicts, gids)
+def test_codec_is_total_and_exact(inserts, deletes, counts, gid):
+    """Whatever the batch, every record kind encodes, survives the
+    frame scanner and decodes to exactly the input."""
+    (got_ins, got_del, got_counts), _ = batch_round_trip(
+        7, inserts, deletes, counts
+    )
+    assert_events_identical(got_ins, inserts)
+    assert_events_identical(got_del, deletes)
+    assert got_counts == counts
+
+    payload = encode_prepare(8, gid, inserts, deletes, counts, ordinal_of)
+    blob, start, end = scanned(payload, "prepare", 8)
+    got_gid, got_ins, got_del, got_counts = decode_prepare(
+        blob, WIDE_TABLES, start, end
+    )
+    assert got_gid == gid and got_counts == counts
+    assert_events_identical(got_ins, inserts)
+    assert_events_identical(got_del, deletes)
+
+    for verdict in (True, False):
+        payload = encode_decide(9, gid, verdict, counts, ordinal_of)
+        blob, start, end = scanned(payload, "decide", 9)
+        assert decode_decide(blob, WIDE_TABLES, start, end) == (
+            gid,
+            verdict,
+            counts,
+        )
+
+
+@settings(max_examples=200, deadline=None)
 @given(event_dicts, event_dicts, counts_dicts)
-def test_codec_differential(inserts, deletes, counts):
-    (v2_ins, v2_del), v2_counts = v2_round_trip(7, inserts, deletes, counts)
-    (v1_ins, v1_del), v1_counts = v1_round_trip(7, inserts, deletes, counts)
-    assert_events_identical(v2_ins, v1_ins)
-    assert_events_identical(v2_del, v1_del)
-    assert v2_counts == v1_counts
+def test_ordinal_and_named_forms_decode_equal(inserts, deletes, counts):
+    """One batch through both forms: the bound engine's ordinal form
+    and the catalog-free named form carry the same events."""
+    ordinal, ordinal_named = batch_round_trip(3, inserts, deletes, counts)
+    named, named_named = batch_round_trip(
+        3, inserts, deletes, counts, resolver=None
+    )
+    assert not ordinal_named, "an everyday batch must take the ordinal form"
+    assert named_named
+    assert_events_identical(ordinal[0], named[0])
+    assert_events_identical(ordinal[1], named[1])
+    assert ordinal[2] == named[2] == counts
 
 
 @settings(max_examples=150, deadline=None)
 @given(numeric_event_dicts, numeric_event_dicts)
-def test_codec_differential_numeric_fast_path(inserts, deletes):
-    """All-numeric batches (the OLTP shape the fixed-stride mode
-    exists for) must still decode identically to v1."""
-    (v2_ins, v2_del), _ = v2_round_trip(1, inserts, deletes)
-    (v1_ins, v1_del), _ = v1_round_trip(1, inserts, deletes)
-    assert_events_identical(v2_ins, v1_ins)
-    assert_events_identical(v2_del, v1_del)
-
-
-@settings(max_examples=150, deadline=None)
-@given(event_dicts, event_dicts)
-def test_codec_framed_round_trip_through_scanner(inserts, deletes):
-    """A framed v2 record survives the generic frame scanner exactly
-    like a JSON record does."""
-    payload = encode_batch_v2(3, inserts, deletes, None, ordinal_of)
-    frame = struct.pack(">II", len(payload), __import__("zlib").crc32(payload)) + payload
-    records, valid_length, tail = decode_records(frame)
-    assert tail is None
-    assert valid_length == len(frame)
-    got_ins, got_del = decode_batch(records[0], TABLES)
-    (ref_ins, ref_del), _ = v1_round_trip(3, inserts, deletes)
-    assert_events_identical(got_ins, ref_ins)
-    assert_events_identical(got_del, ref_del)
+def test_numeric_batches_take_fixed_stride_mode(inserts, deletes):
+    """All-numeric batches (the OLTP shape the fixed-stride mode exists
+    for) round-trip exactly — narrowest-int column codes included."""
+    (got_ins, got_del, _), named = batch_round_trip(1, inserts, deletes)
+    assert not named
+    assert_events_identical(got_ins, inserts)
+    assert_events_identical(got_del, deletes)
 
 
 # -- adversarial corpus -----------------------------------------------------
@@ -210,135 +283,277 @@ ADVERSARIAL_ROWS = [
     [(5e-324,), (1.7976931348623157e308,)],  # subnormal + max double
     [(1, 2.5, "mixed", None, True)],  # every tag in one row
     [(1,), (2.5,)],  # mixed column type: must fall to tagged mode
-    [tuple(range(255))],  # max encodable arity
+    [(1,), (1, 2)],  # ragged arity: tagged mode carries it per row
+    [tuple(range(255))],  # the ordinal form's widest row
+    [(k,) for k in range(200)],  # 2-byte row-count varint, fixed mode
+    [(str(k),) for k in range(200)],  # ...and tagged mode
 ]
 
 
+@pytest.mark.parametrize("resolver", [ordinal_of, None], ids=["ordinal", "named"])
 @pytest.mark.parametrize("rows", ADVERSARIAL_ROWS, ids=repr)
-def test_adversarial_payloads(rows):
+def test_adversarial_payloads(rows, resolver):
     inserts = {"orders": rows}
-    (v2_ins, v2_del), _ = v2_round_trip(9, inserts, {})
-    (v1_ins, v1_del), _ = v1_round_trip(9, inserts, {})
-    assert_events_identical(v2_ins, v1_ins)
-    assert_events_identical(v2_del, v1_del)
+    (got_ins, got_del, _), named = batch_round_trip(
+        9, inserts, {}, resolver=resolver
+    )
+    assert named == (resolver is None)
+    assert_events_identical(got_ins, inserts)
+    assert got_del == {}
 
 
-def test_nan_rejected_by_both_codecs():
+@pytest.mark.parametrize("resolver", [ordinal_of, None], ids=["ordinal", "named"])
+def test_nan_rejected_by_both_forms(resolver):
     bad = {"orders": [(float("nan"),)]}
     with pytest.raises(DurabilityError):
-        encode_batch_v2(1, bad, {}, None, ordinal_of)
-    with pytest.raises(DurabilityError):
-        batch_payload(bad, {})
+        encode_batch(1, bad, {}, None, resolver)
     # NaN smuggled into a numeric column (fixed-mode candidate) too
     bad_fixed = {"orders": [(1.5,), (float("nan"),)]}
     with pytest.raises(DurabilityError):
-        encode_batch_v2(1, bad_fixed, {}, None, ordinal_of)
+        encode_batch(1, bad_fixed, {}, None, resolver)
+    with pytest.raises(DurabilityError):
+        encode_prepare(1, "g", {}, bad, None, resolver)
 
 
-def test_oversized_arity_falls_back_to_v1():
-    wide = {"orders": [tuple(range(256))]}  # arity > u8
-    assert encode_batch_v2(1, wide, {}, None, ordinal_of) is None
+def test_non_scalar_values_and_negative_counts_are_refused():
+    with pytest.raises(DurabilityError):
+        encode_batch(1, {"orders": [(b"bytes",)]}, {}, None, ordinal_of)
+    # -1 is outside the ordinal form's u32 and no varint holds it
+    with pytest.raises(DurabilityError):
+        encode_batch(1, {"orders": [(1,)]}, {}, {"orders": -1}, ordinal_of)
 
 
-def test_unknown_table_falls_back_to_v1():
-    assert (
-        encode_batch_v2(1, {"no_such_table": [(1,)]}, {}, None, ordinal_of)
-        is None
+# -- what pushes a record to the named form ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "inserts, counts",
+    [
+        ({"orders": [tuple(range(256))]}, None),  # arity > u8, fixed mode
+        ({"orders": [tuple([None] * 256)]}, None),  # arity > u8, tagged mode
+        ({"orders": [(None,), tuple([None] * 256)]}, None),  # one wide row
+        ({"no_such_table": [(1,)]}, None),  # not in the catalog
+        ({"w150": [(1,)]}, None),  # ordinal ≥ 128
+        ({name: [(1,)] for name in WIDE_TABLES[:128]}, None),  # ≥ 128 blocks
+        ({"orders": [(1,)]}, {"orders": 2**32}),  # count beyond u32
+        ({"orders": [(1,)]}, {"no_such_table": 1}),
+        ({"orders": [(1,)]}, {n: 1 for n in WIDE_TABLES[:128]}),
+    ],
+    ids=[
+        "wide-fixed",
+        "wide-tagged",
+        "wide-ragged",
+        "unknown-table",
+        "high-ordinal",
+        "many-tables",
+        "big-count",
+        "unknown-count-table",
+        "many-counts",
+    ],
+)
+def test_inexpressible_records_take_the_named_form(inserts, counts):
+    (got_ins, _, got_counts), named = batch_round_trip(1, inserts, {}, counts)
+    assert named
+    assert_events_identical(got_ins, inserts)
+    assert got_counts == counts
+    # the decide carrying the same counts follows the same rule
+    if counts is not None:
+        payload = encode_decide(2, "g", True, counts, ordinal_of)
+        assert is_named(payload)
+        assert decode_decide(payload) == ("g", True, counts)
+
+
+def test_the_ordinal_form_reaches_its_limits_exactly():
+    # 127 blocks, ordinal 127, 255 columns, a u32-max count: still ordinal
+    inserts = {name: [(1,)] for name in WIDE_TABLES[:127]}
+    inserts[WIDE_TABLES[127]] = []  # empty tables write no block
+    deletes = {WIDE_TABLES[127]: [tuple(range(255))]}
+    counts = {WIDE_TABLES[127]: 2**32 - 1}
+    (got_ins, got_del, got_counts), named = batch_round_trip(
+        1, inserts, deletes, counts
     )
-
-
-def test_count_beyond_u32_falls_back_to_v1():
-    # the fixed-width counts pair caps at 2^32-1 rows per table; a
-    # bigger table is logged as a v1 JSON record instead
-    ok = encode_batch_v2(
-        1, {"orders": [(1,)]}, {}, {"orders": 2**32 - 1}, ordinal_of
-    )
-    assert ok is not None
-    assert (
-        encode_batch_v2(1, {"orders": [(1,)]}, {}, {"orders": 2**32}, ordinal_of)
-        is None
-    )
+    assert not named
+    assert_events_identical(got_ins, inserts)
+    assert_events_identical(got_del, deletes)
+    assert got_counts == counts
 
 
 def test_unresolvable_ordinal_is_loud():
-    payload = encode_batch_v2(1, {"t7": [(1,)]}, {}, None, ordinal_of)
+    payload = encode_batch(1, {"t7": [(1,)]}, {}, None, ordinal_of)
     with pytest.raises(DurabilityError):
-        decode_batch_v2(payload, TABLES[:3])  # catalog too small: ord 7
+        decode_batch(payload, TABLES[:3])  # catalog too small: ord 7
     # without a table list the ordinals come back raw (the scan-level
     # view); replay always passes the catalog's list
-    ins, _, _ = decode_batch_v2(payload)
+    ins, _, _ = decode_batch(payload)
     assert ins == {7: [(1,)]}
 
 
-# -- mixed logs and headers -------------------------------------------------
+def test_multi_entry_counts_resolution_and_bounds():
+    payload = encode_batch(
+        1,
+        {"orders": [(1,)], "lineitem": [(2,)]},
+        {},
+        {"orders": 10, "lineitem": 20},
+        ordinal_of,
+    )
+    _, _, counts = decode_batch(payload, TABLES)
+    assert counts == {TABLES[0]: 10, TABLES[1]: 20}
+    _, _, raw = decode_batch(payload)
+    assert raw == {0: 10, 1: 20}
+    # counts referencing an ordinal beyond the catalog are loud
+    tall = encode_batch(1, {"t7": [(1,)]}, {}, {"t7": 3}, ordinal_of)
+    with pytest.raises(DurabilityError):
+        decode_batch(tall, TABLES[:3])
+    # ...including when only the COUNTS ordinal is unresolvable (a
+    # hand-corrupted pair: the last 5 payload bytes are ord + u32)
+    bad = bytearray(
+        encode_batch(9, {"lineitem": [(1, 2.0)]}, {}, {"lineitem": 4}, ordinal_of)
+    )
+    bad[-5] = 100
+    with pytest.raises(DurabilityError):
+        decode_batch(bytes(bad), TABLES)
 
 
-def test_v1_and_v2_frames_mix_in_one_log(tmp_path):
+# -- golden bytes -----------------------------------------------------------
+#
+# Four frames exactly as the commit BEFORE the named form existed wrote
+# them (hex of length + CRC + payload).  The ordinal form is the hot
+# path and the on-disk format of every existing log: this build must
+# read these bytes and write these bytes.
+
+GOLDEN_TABLES = ["orders", "items", "notes"]
+
+
+def _golden_ordinal(name):
+    return GOLDEN_TABLES.index(name) if name in GOLDEN_TABLES else None
+
+
+GOLDEN = [
+    (  # fixed-stride inserts into two tables, with counts
+        "000000323fd8da4db207010200000262640201402500000000000002403480"
+        "000000000001000262620201010201000200000000020100000002",
+        decode_batch,
+        (
+            {"orders": [(1, 10.5), (2, 20.5)], "items": [(1, 1), (2, 1)]},
+            {},
+            {"orders": 2, "items": 2},
+        ),
+        lambda ins, dele, counts: encode_batch(
+            7, ins, dele, counts, _golden_ordinal
+        ),
+    ),
+    (  # tagged rows with a NULL and strings, a delete block, 2-byte seq
+        "00000023d8f33bfab2ac02000102010203030200050668c3a96c6c6f030304"
+        "020500010100026262010101",
+        decode_batch,
+        (
+            {"notes": [(1, None, "héllo"), (2, True, "")]},
+            {"items": [(1, 1)]},
+            None,
+        ),
+        lambda ins, dele, counts: encode_batch(
+            300, ins, dele, counts, _golden_ordinal
+        ),
+    ),
+    (  # a prepare
+        "0000002151ef4e56b30904672d31370001000002626401033ff00000000000"
+        "00010100026262010201",
+        decode_prepare,
+        ("g-17", {"orders": [(3, 1.0)]}, {"items": [(2, 1)]}, None),
+        lambda gid, ins, dele, counts: encode_prepare(
+            9, gid, ins, dele, counts, _golden_ordinal
+        ),
+    ),
+    (  # a commit decide with counts
+        "00000014c226a87fb40a0104672d3137010200000000030100000001",
+        decode_decide,
+        ("g-17", True, {"orders": 3, "items": 1}),
+        lambda gid, verdict, counts: encode_decide(
+            10, gid, verdict, counts, _golden_ordinal
+        ),
+    ),
+]
+
+
+def test_golden_frames_decode_and_reencode_to_identical_bytes():
+    blob = b"".join(bytes.fromhex(frame) for frame, *_ in GOLDEN)
+    records, valid_length, tail = scan_frames(blob)
+    assert tail is None and valid_length == len(blob)
+    assert [(r.type, r.seq) for r in records] == [
+        ("batch", 7),
+        ("batch", 300),
+        ("prepare", 9),
+        ("decide", 10),
+    ]
+    for (frame, decode, expected, reencode), record in zip(GOLDEN, records):
+        decoded = decode(blob, GOLDEN_TABLES, record.start, record.end)
+        assert decoded == expected
+        payload = reencode(*decoded)
+        assert not is_named(payload)
+        assert _framed(payload).hex() == frame
+
+
+# -- logs and headers -------------------------------------------------------
+
+
+def test_control_and_binary_frames_mix_in_one_log(tmp_path):
     path = str(tmp_path / "wal.log")
     wal = WriteAheadLog(path)
     wal.append("open", database="db")
-    wal.append_batch({"orders": [(1, 2)]}, {}, ordinal_of=ordinal_of)
-    wal.append("batch", **batch_payload({"orders": [(3, 4)]}, {}))  # forced v1
-    wal.append_batch({"lineitem": [(5, None)]}, {}, ordinal_of=ordinal_of)
-    wal.append_batch({"orders": [(6,)]}, {}, ordinal_of=None)  # no ordinals → v1
+    first = wal.append_batch({"orders": [(1, 2)]}, {}, ordinal_of=ordinal_of)
+    wal.append("install", tables=["orders"])
+    second = wal.append_batch({"ghost": [(5, None)]}, {}, ordinal_of=ordinal_of)
+    third = wal.append_batch({"orders": [(6,)]}, {})  # no ordinals at all
+    wal.append_prepare("g1", {"orders": [(7,)]}, {}, ordinal_of=ordinal_of)
+    wal.append_decide("g1", True, {"orders": 3}, ordinal_of=ordinal_of)
+    wal.append_decide("g2", False)
     wal.sync()
     wal.close()
+    assert [r["named"] for r in (first, second, third)] == [False, True, True]
     scan = read_wal(path)
-    assert [r["type"] for r in scan.records] == ["open"] + ["batch"] * 4
-    assert [bool(r.get("binary")) for r in scan.records] == [
-        False,
-        True,
-        False,
-        True,
-        False,
+    assert [r.type for r in scan.records] == [
+        "open",
+        "batch",
+        "install",
+        "batch",
+        "batch",
+        "prepare",
+        "decide",
+        "decide",
     ]
-    assert [r["seq"] for r in scan.records] == [1, 2, 3, 4, 5]
-    assert decode_batch(scan.records[1], TABLES)[0] == {"orders": [(1, 2)]}
-    assert decode_batch(scan.records[2])[0] == {"orders": [(3, 4)]}
-    assert decode_batch(scan.records[3], TABLES)[0] == {"lineitem": [(5, None)]}
+    assert [r.seq for r in scan.records] == list(range(1, 9))
+    assert [r.fields is None for r in scan.records] == [
+        False,
+        True,
+        False,
+        True,
+        True,
+        True,
+        True,
+        True,
+    ]
+    assert scan.records[2].fields["tables"] == ["orders"]
 
+    def span(k):
+        return scan.data, TABLES, scan.records[k].start, scan.records[k].end
 
-def test_v1_header_log_continues_in_v2(tmp_path):
-    """The upgrade story: a log created by the v1 release keeps its
-    header; the v2 release appends binary frames to it, and the whole
-    thing reads back."""
-    path = str(tmp_path / "wal.log")
-    with open(path, "wb") as handle:
-        handle.write(WAL_MAGIC_V1)
-        handle.write(encode_record({"type": "open", "seq": 1, "database": "db"}))
-        handle.write(
-            encode_record(
-                {"type": "batch", "seq": 2, **batch_payload({"orders": [(1,)]}, {})}
-            )
-        )
-    wal = WriteAheadLog(path)  # reopen-for-append keeps the v1 header
-    assert wal.last_seq == 2
-    wal.append_batch({"orders": [(2,)]}, {}, ordinal_of=ordinal_of)
-    wal.sync()
-    wal.close()
-    with open(path, "rb") as handle:
-        assert handle.read(8) == WAL_MAGIC_V1  # header untouched
-    scan = read_wal(path)
-    assert [r["seq"] for r in scan.records] == [1, 2, 3]
-    assert scan.records[2]["binary"]
-    assert decode_batch(scan.records[2], TABLES)[0] == {"orders": [(2,)]}
+    assert decode_batch(*span(1))[0] == {"orders": [(1, 2)]}
+    assert decode_batch(*span(3))[0] == {"ghost": [(5, None)]}
+    assert decode_batch(*span(4))[0] == {"orders": [(6,)]}
+    assert decode_prepare(*span(5))[:2] == ("g1", {"orders": [(7,)]})
+    assert decode_decide(*span(6)) == ("g1", True, {"orders": 3})
+    assert decode_decide(*span(7)) == ("g2", False, None)
 
 
 def test_fresh_logs_carry_the_v2_header(tmp_path):
     path = str(tmp_path / "wal.log")
     WriteAheadLog(path).close()
     with open(path, "rb") as handle:
-        assert handle.read(8) == WAL_MAGIC
-    assert WAL_MAGIC != WAL_MAGIC_V1
+        assert handle.read() == WAL_MAGIC
+    assert WAL_MAGIC[-1] == 2
 
 
 # -- damage detection on binary frames --------------------------------------
-
-
-def _framed(payload: bytes) -> bytes:
-    import zlib
-
-    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
 
 
 def test_corrupted_binary_frame_stops_the_scan(tmp_path):
@@ -358,122 +573,71 @@ def test_corrupted_binary_frame_stops_the_scan(tmp_path):
     assert scan.tail_error == "checksum mismatch"
 
 
-def test_wellformed_crc_with_malformed_binary_payload_is_detected():
-    # a payload whose CRC is fine but whose body lies about its shape
-    # (mode byte 9 does not exist): the scan's header parse accepts it
-    # — a passing CRC means this is an encoder bug, not a torn write —
-    # and the full decode refuses it loudly at replay time
-    bogus = bytes([BATCH_V2_TAG, 1, 0, 1, 0, 9])
-    records, valid_length, tail = decode_records(_framed(bogus))
-    assert tail is None and len(records) == 1
+@pytest.mark.parametrize(
+    "bogus",
+    [
+        bytes([BATCH_V2_TAG, 1, 0, 1, 0, 9]),  # table-block mode 9
+        bytes([BATCH_V2_TAG, 1, 4, 0, 0]),  # flags bit 2 does not exist
+        bytes([BATCH_V2_TAG, 1, 0, 1, 0, 1, 1, 1, 9]),  # value tag 9
+        bytes([DECIDE_V2_TAG, 1, 7, 1, 0x67, 0]),  # verdict byte 7
+        bytes([BATCH_V2_TAG, 1, 2, 1, 5, 0x61]),  # named: name overruns
+        bytes([BATCH_V2_TAG, 1, 1, 0, 0, 3, 0, 0]),  # counts overrun
+        bytes([BATCH_V2_TAG, 1, 0, 1, 0, 0, 1, 0x62, 5, 1]),  # 5 rows, 1 held
+    ],
+    ids=[
+        "mode",
+        "flags",
+        "value-tag",
+        "verdict",
+        "name-overrun",
+        "counts",
+        "rows-overrun",
+    ],
+)
+def test_wellformed_crc_with_malformed_binary_payload_is_detected(bogus):
+    # a payload whose CRC is fine but whose body lies about its shape:
+    # the scan's header parse accepts it — a passing CRC means this is
+    # an encoder bug, not a torn write — and the full decode refuses it
+    # loudly at replay time
+    blob = _framed(bogus)
+    (record,), _, tail = scan_frames(blob)
+    assert tail is None
+    decode = decode_decide if bogus[0] == DECIDE_V2_TAG else decode_batch
     with pytest.raises(DurabilityError):
-        decode_batch_v2(records[0]["payload"], TABLES)
+        decode(blob, TABLES, record.start, record.end)
+
+
+def test_a_decoder_refuses_another_kinds_record():
+    prepare = encode_prepare(1, "g", {"orders": [(1,)]}, {}, None, ordinal_of)
+    with pytest.raises(DurabilityError):
+        decode_batch(prepare, TABLES)
+    with pytest.raises(DurabilityError):
+        decode_decide(prepare, TABLES)
 
 
 def test_truncated_v2_header_stops_the_scan():
     # a frame torn inside the seq varint fails even the header parse
     bogus = bytes([BATCH_V2_TAG, 0xFF])
-    records, valid_length, tail = decode_records(_framed(bogus))
+    records, valid_length, tail = scan_frames(_framed(bogus))
     assert records == []
     assert tail == "undecodable payload"
 
 
 def test_truncated_fixed_stride_block_is_detected():
     # a fixed-stride block claiming more rows than the payload holds
-    good = encode_batch_v2(1, {"orders": [(1, 2)]}, {}, None, ordinal_of)
+    good = encode_batch(1, {"orders": [(1, 2)]}, {}, None, ordinal_of)
     bogus = good[:-1]  # drop the last row byte
     with pytest.raises(DurabilityError):
-        decode_batch_v2(bogus, TABLES)
+        decode_batch(bogus, TABLES)
     # ...and trailing garbage past a complete decode is refused too
     with pytest.raises(DurabilityError):
-        decode_batch_v2(good + b"\x00", TABLES)
+        decode_batch(good + b"\x00", TABLES)
+    # ...also when the garbage is the next frame of a larger buffer
+    with pytest.raises(DurabilityError):
+        decode_batch(good + good, TABLES, 0, len(good) - 1)
 
 
 def test_unknown_payload_format_byte_stops_the_scan():
-    records, valid_length, tail = decode_records(_framed(b"\x99whatever"))
+    records, valid_length, tail = scan_frames(_framed(b"\x99whatever"))
     assert records == []
     assert tail == "unknown payload format"
-
-
-# -- the shape-cached fast path ---------------------------------------------
-#
-# The hot OLTP record shape — one fixed-stride insert block, no
-# deletes, exactly one counts entry — decodes through a memoized
-# header shape.  The fast and generic decoders must agree exactly.
-
-
-def _fast_shape_payload(rows, count=42):
-    payload = encode_batch_v2(
-        9, {"lineitem": rows}, {}, {"lineitem": count}, ordinal_of
-    )
-    assert payload is not None
-    return payload
-
-
-@pytest.mark.parametrize("n_rows", [1, 2, 7, 127])
-def test_fast_path_agrees_with_generic_decoder(n_rows):
-    from repro.durability.wal import _decode_batch_body, _decode_batch_fast
-
-    rows = [(1000 + k, 2, k, 1.5 * k, k % 2 == 0) for k in range(n_rows)]
-    payload = _fast_shape_payload(rows)
-    for names in (TABLES, None):
-        fast = _decode_batch_fast(payload, 1, len(payload), names)
-        assert fast is not None, "the OLTP shape must take the fast path"
-        generic = _decode_batch_body(payload, 1, len(payload), names)
-        assert fast == generic
-    ins, dele, counts = decode_batch_v2(payload, TABLES)
-    assert ins == {"lineitem": rows}
-    assert dele == {}
-    assert counts == {"lineitem": 42}
-
-
-def test_fast_path_declines_other_shapes():
-    from repro.durability.wal import _decode_batch_fast
-
-    declined = [
-        # no counts section
-        encode_batch_v2(1, {"orders": [(1, 2)]}, {}, None, ordinal_of),
-        # a delete block
-        encode_batch_v2(
-            1, {"orders": [(1,)]}, {"orders": [(2,)]}, {"orders": 5}, ordinal_of
-        ),
-        # two counts entries
-        encode_batch_v2(
-            1,
-            {"orders": [(1,)], "lineitem": [(2,)]},
-            {},
-            {"orders": 1, "lineitem": 1},
-            ordinal_of,
-        ),
-        # tagged mode (strings)
-        encode_batch_v2(1, {"orders": [("x",)]}, {}, {"orders": 1}, ordinal_of),
-    ]
-    for payload in declined:
-        assert payload is not None
-        fast = _decode_batch_fast(payload, 1, len(payload), TABLES)
-        assert fast is None  # generic path decodes these
-        decode_batch_v2(payload, TABLES)  # ...and does so successfully
-
-
-def test_multi_entry_counts_resolution_and_bounds():
-    payload = encode_batch_v2(
-        1,
-        {"orders": [(1,)], "lineitem": [(2,)]},
-        {},
-        {"orders": 10, "lineitem": 20},
-        ordinal_of,
-    )
-    _, _, counts = decode_batch_v2(payload, TABLES)
-    assert counts == {TABLES[0]: 10, TABLES[1]: 20}
-    _, _, raw = decode_batch_v2(payload)
-    assert raw == {0: 10, 1: 20}
-    # counts referencing an ordinal beyond the catalog are loud
-    tall = encode_batch_v2(1, {"t7": [(1,)]}, {}, {"t7": 3}, ordinal_of)
-    with pytest.raises(DurabilityError):
-        decode_batch_v2(tall, TABLES[:3])
-    # ...including when only the COUNTS ordinal is unresolvable (a
-    # hand-corrupted pair: the last 5 payload bytes are ord + u32)
-    bad = bytearray(_fast_shape_payload([(1, 2, 3, 4.0, True)]))
-    bad[-5] = 100
-    with pytest.raises(DurabilityError):
-        decode_batch_v2(bytes(bad), TABLES)

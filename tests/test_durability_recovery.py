@@ -17,19 +17,24 @@ import shutil
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 
 from repro import Database, Tintin, recover
 from repro.durability import (
     WAL_MAGIC,
+    DurabilityManager,
+    WriteAheadLog,
     build_checkpoint_payload,
+    encode_batch,
+    encode_record,
     load_checkpoint,
     read_wal,
     wal_path,
     write_checkpoint,
 )
-from repro.errors import DurabilityError, SQLSyntaxError
+from repro.errors import DurabilityError, RecoveryError, WALCorruptionError
 
 ORDERS_DDL = "CREATE TABLE orders (id INTEGER PRIMARY KEY, total DOUBLE)"
 ITEMS_DDL = (
@@ -51,26 +56,28 @@ def state(db: Database) -> dict:
     }
 
 
-def build_durable(path: str, mode: str = "batch", fmt: str = "v2"):
+def build_durable(path: str, mode: str = "batch", fmt: str = "ordinal"):
     """A durable engine with schema + assertion; returns it plus the
     per-commit state snapshots (``snapshots[k]`` = state after the
     k-th committed batch; ``snapshots`` also carries the pre-commit
     setup state at index -1 conceptually — returned separately).
 
-    ``fmt`` selects the WAL batch-record codec: ``"v2"`` (binary, the
-    default), ``"v1"`` (forced JSON), or ``"mixed"`` — the upgrade
-    shape: the first half of the log is written v1, then the format
-    flips to v2 mid-log, exactly what an in-place release upgrade
-    leaves behind.
+    ``fmt`` says which form the batch records take: ``"ordinal"`` (what
+    a bound engine writes), ``"named"``, or ``"mixed"`` (ordinal first,
+    named from mid-log on).  There is no format selector to flip:
+    named records come from the condition that produces them in
+    production — the unlogged-DDL window, simulated by bumping the
+    catalog version without logging a DDL record, which keeps the
+    manager off ordinals until the next logged DDL.
     """
     tintin = Tintin.open(path, durability=mode)
-    if fmt in ("v1", "mixed"):
-        tintin.durability.batch_format = 1
     db = tintin.db
     db.execute(ORDERS_DDL)
     db.execute(ITEMS_DDL)
     tintin.install()
     tintin.add_assertion(AT_LEAST_ONE)
+    if fmt == "named":
+        db.catalog.bump_version()
     setup_state = state(db)
     snapshots = []
     # three single-session commits (trigger capture -> safeCommit)
@@ -80,8 +87,8 @@ def build_durable(path: str, mode: str = "batch", fmt: str = "v2"):
         assert tintin.safe_commit().committed
         snapshots.append(state(db))
     if fmt == "mixed":
-        # the upgrade point: every batch from here on is binary v2
-        tintin.durability.batch_format = 2
+        # the window opens: every batch from here on is in the named form
+        db.catalog.bump_version()
     # a rejected update: no WAL record, no state change
     db.execute("INSERT INTO orders VALUES (99, 1.0)")
     assert not tintin.safe_commit().committed
@@ -99,11 +106,18 @@ def build_durable(path: str, mode: str = "batch", fmt: str = "v2"):
     session.delete("orders", [(1, 10.5)])
     assert session.commit().committed
     snapshots.append(state(db))
-    if fmt == "mixed":
-        scan = read_wal(wal_path(path))
-        kinds = {bool(r.get("binary")) for r in scan.records if r["type"] == "batch"}
-        assert kinds == {False, True}, "mixed log must hold both formats"
+    stats = tintin.durability.stats
+    assert stats.logged_batches == len(snapshots)
+    assert stats.named_records == {
+        "ordinal": 0,
+        "named": len(snapshots),
+        "mixed": len(snapshots) - 3,
+    }[fmt]
     return tintin, setup_state, snapshots
+
+
+def framed(payload: bytes) -> bytes:
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
 
 
 def frame_spans(raw: bytes) -> list[tuple[int, int]]:
@@ -128,15 +142,15 @@ def crash_copy(source: str, target: str, wal_size: int) -> str:
 def committed_prefix_length(directory: str) -> int:
     """How many committed batch records the (possibly torn) WAL holds."""
     scan = read_wal(wal_path(directory))
-    return sum(1 for r in scan.records if r["type"] == "batch")
+    return sum(1 for r in scan.records if r.type == "batch")
 
 
 def n_setup_records(directory: str) -> int:
     scan = read_wal(wal_path(directory))
-    return sum(1 for r in scan.records if r["type"] != "batch")
+    return sum(1 for r in scan.records if r.type != "batch")
 
 
-@pytest.mark.parametrize("fmt", ["v1", "v2", "mixed"])
+@pytest.mark.parametrize("fmt", ["ordinal", "named", "mixed"])
 @pytest.mark.parametrize("mode", ["batch", "commit"])
 def test_crash_at_every_record_boundary(tmp_path, mode, fmt):
     source = str(tmp_path / "primary")
@@ -164,7 +178,7 @@ def test_crash_at_every_record_boundary(tmp_path, mode, fmt):
             assert list(recovered.assertions) == ["atLeastOneItem"]
 
 
-@pytest.mark.parametrize("fmt", ["v2", "mixed"])
+@pytest.mark.parametrize("fmt", ["ordinal", "named", "mixed"])
 def test_crash_mid_record_torn_tail(tmp_path, fmt):
     source = str(tmp_path / "primary")
     tintin, setup_state, snapshots = build_durable(source, fmt=fmt)
@@ -985,16 +999,11 @@ def test_single_pass_open_truncates_torn_tail(tmp_path):
 def test_recovery_rejects_backwards_sequences(tmp_path):
     """recovery_report's seq-monotonicity verification survives the
     single-pass refactor: a record whose seq goes backwards refuses."""
-    from repro.durability import encode_record
-    from repro.errors import RecoveryError
-
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
     with open(wal_path(source), "ab") as handle:
-        handle.write(
-            encode_record({"type": "batch", "seq": 1, "ins": {}, "del": {}})
-        )
+        handle.write(framed(encode_batch(1, {}, {})))
     with pytest.raises(RecoveryError):
         recover(source)
 
@@ -1003,8 +1012,6 @@ def test_recovery_rejects_forged_shape_signature(tmp_path):
     """recovery_report's catalog-shape verification survives the
     single-pass refactor: a checkpoint whose recorded signature does
     not match the rebuilt catalog refuses."""
-    from repro.errors import RecoveryError
-
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     tintin.close()  # durable checkpoint
@@ -1048,18 +1055,14 @@ def test_parallel_checkpoint_restore(tmp_path, monkeypatch):
     checkpoint = load_checkpoint(source)
     checkpoint["row_counts"]["audit"] = 9999
     write_checkpoint(source, checkpoint)
-    from repro.errors import RecoveryError
-
     with pytest.raises(RecoveryError):
         recover(source)
 
 
-def test_recovery_rejects_unresolvable_v2_ordinal(tmp_path):
-    """A v2 batch record whose table ordinal the replayed catalog
-    cannot resolve refuses recovery loudly (log/catalog divergence)."""
-    from repro.durability import WriteAheadLog
-    from repro.errors import RecoveryError
-
+def test_recovery_rejects_unresolvable_ordinal(tmp_path):
+    """An ordinal-form batch record whose table ordinal the replayed
+    catalog cannot resolve refuses recovery loudly (log/catalog
+    divergence)."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
@@ -1067,7 +1070,7 @@ def test_recovery_rejects_unresolvable_v2_ordinal(tmp_path):
     record = wal.append_batch(
         {"phantom": [(1, 2)]}, {}, ordinal_of=lambda name: 99
     )
-    assert record["binary"]
+    assert not record["named"]
     wal.sync()
     wal.close()
     with pytest.raises(RecoveryError):
@@ -1077,28 +1080,25 @@ def test_recovery_rejects_unresolvable_v2_ordinal(tmp_path):
 def test_recovery_rejects_replay_constraint_violation(tmp_path):
     """A batch whose replay the engine itself rejects (duplicate PK:
     the log and the data disagree) refuses recovery loudly."""
-    from repro.durability import WriteAheadLog, batch_payload
-    from repro.errors import RecoveryError
-
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
     wal = WriteAheadLog(wal_path(source))
     # order 2 already exists: replaying this insert violates the PK
-    wal.append("batch", **batch_payload({"orders": [(2, 99.0)]}, {}))
+    wal.append_batch({"orders": [(2, 99.0)]}, {})
     wal.sync()
     wal.close()
     with pytest.raises(RecoveryError):
         recover(source)
 
 
-def test_unlogged_ddl_window_falls_back_to_v1_records(tmp_path):
-    """v2 ordinals are only meaningful if every catalog change before
-    the batch is already in the log.  In the race window where a DDL's
+def test_unlogged_ddl_window_writes_named_records(tmp_path):
+    """Ordinals are only meaningful if every catalog change before the
+    batch is already in the log.  In the race window where a DDL's
     catalog mutation has landed but its WAL record has not (the DDL
     listener fires after the catalog commit and can lose the manager-
-    lock race to a batch append), the batch must be written as a
-    name-based v1 record — immune to ordinal skew at replay."""
+    lock race to a batch append), the batch must be written in the
+    named form — immune to ordinal skew at replay."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     manager = tintin.durability
@@ -1106,11 +1106,75 @@ def test_unlogged_ddl_window_falls_back_to_v1_records(tmp_path):
     # simulate the window: version bumped, DDL record not yet logged
     db.catalog.bump_version()
     manager.append_batch({"orders": [(71, 1.0)]}, {})
-    assert not read_wal(wal_path(source)).records[-1].get("binary")
-    # the pending DDL record lands: v2 encoding resumes
+    manager.log_prepare("g1", {"orders": [(73, 1.0)]}, {})
+    manager.log_decide("g1", True, {"orders": 6})
+    assert manager.stats.named_records == 3
+    # the pending DDL record lands: the ordinal form resumes
     manager.log_ddl("install", tables=[])
     manager.append_batch({"orders": [(72, 1.0)]}, {})
-    assert read_wal(wal_path(source)).records[-1].get("binary")
+    assert manager.stats.named_records == 3
+    del tintin
+    # both forms replay, each against the catalog it was written under
+    recovered, report = recover(source)
+    orders = recovered.db.table("orders")
+    for key in (71, 72, 73):
+        assert orders.contains_row((key, 1.0))
+    assert report.prepares_seen == report.decides_seen == 1
+
+
+def test_unbound_manager_writes_named_records(tmp_path):
+    """A manager nobody bound a catalog to has no ordinals to offer:
+    whatever it logs is in the named form, and reads back."""
+    manager = DurabilityManager(str(tmp_path / "standalone"))
+    manager.append_batch({"orders": [(1, 1.0)]}, {}, {"orders": 1})
+    assert manager.stats.snapshot()["named_records"] == 1
+    assert manager.metrics()["named_records"] == 1
+    manager.close()
+    scan = read_wal(wal_path(str(tmp_path / "standalone")))
+    assert [(r.type, r.seq) for r in scan.records] == [("batch", 1)]
+
+
+# -- the pre-v2 generation is refused, never half-read -----------------------
+
+
+def _json_frame(kind: str) -> bytes:
+    body = {"ins": {"orders": [[9, 9.0]]}, "del": {}}
+    if kind == "decide":
+        body = {"verdict": "commit"}
+    if kind != "batch":
+        body["gid"] = "g"
+    return encode_record({"type": kind, "seq": 99, **body})
+
+
+@pytest.mark.parametrize(
+    "artifact", ["header", "batch", "prepare", "decide"]
+)
+def test_pre_v2_logs_are_refused_and_left_untouched(tmp_path, artifact):
+    """A generation-1 header, or a JSON frame typed batch / prepare /
+    decide, is a committed record in a layout this build cannot read.
+    Skipping it would drop acknowledged commits and treating it as a
+    torn tail would truncate them, so every way of opening the log
+    raises — and not one byte of the file changes."""
+    source = str(tmp_path / "primary")
+    tintin, _, _ = build_durable(source)
+    del tintin
+    path = wal_path(source)
+    raw = open(path, "rb").read()
+    if artifact == "header":
+        old = WAL_MAGIC[:-1] + b"\x01" + raw[len(WAL_MAGIC) :]
+    else:
+        old = raw + _json_frame(artifact)
+    with open(path, "wb") as handle:
+        handle.write(old)
+    for opener in (
+        lambda: read_wal(path),
+        lambda: WriteAheadLog(path),
+        lambda: recover(source),
+        lambda: Tintin.open(source),
+    ):
+        with pytest.raises(WALCorruptionError, match="pre-v2"):
+            opener()
+        assert open(path, "rb").read() == old
 
 
 def test_report_and_metrics_surfaces(tmp_path):
@@ -1142,21 +1206,15 @@ def test_report_and_metrics_surfaces(tmp_path):
 def test_recovery_verifies_batch_row_counts(tmp_path):
     """A WAL whose batch claims row counts the replay cannot reproduce
     is rejected loudly instead of silently diverging."""
-    from repro.durability import WriteAheadLog, batch_payload
-    from repro.errors import RecoveryError
-
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
     # forge: append a batch record claiming an impossible count
     wal = WriteAheadLog(wal_path(source))
-    wal.append(
-        "batch",
-        **batch_payload(
-            {"orders": [(500, 1.0)], "items": [(500, 1)]},
-            {},
-            counts={"orders": 9999, "items": 9999},
-        ),
+    wal.append_batch(
+        {"orders": [(500, 1.0)], "items": [(500, 1)]},
+        {},
+        counts={"orders": 9999, "items": 9999},
     )
     wal.sync()
     wal.close()

@@ -183,6 +183,27 @@ class TestPrometheusMetrics:
         assert request_counts['{type="commit"}'] == 1.0
         assert request_counts['{type="query"}'] >= 1.0
 
+    def test_durable_engine_renders_wal_and_durability_blocks(self, tmp_path):
+        """Both durability-layer stat blocks ride one collector — and
+        the rare named form is visible: a bound engine writes none."""
+        tintin = Tintin.open(str(tmp_path / "state"), durability="commit")
+        tintin.db.execute("CREATE TABLE items (id INT NOT NULL, qty INT)")
+        tintin.install()
+        server = tintin.listen()
+        try:
+            with TintinClient(*server.address) as client:
+                client.insert("items", [(1, 5)])
+                assert client.commit()["committed"]
+            _, _, body = http_get(server.address, "/metrics")
+        finally:
+            server.shutdown(drain_timeout=5)
+            tintin.close(checkpoint=False)
+        samples = parse_prometheus(body.decode())
+        assert samples["tintin_wal_fsyncs"][""] >= 1
+        assert samples["tintin_durability_logged_batches"][""] == 1
+        assert samples["tintin_durability_logged_ddl"][""] >= 2
+        assert samples["tintin_durability_named_records"][""] == 0
+
     def test_rejected_commit_lands_in_the_violation_series(
         self, plain_server
     ):

@@ -29,7 +29,7 @@ import os
 
 import pytest
 
-from repro.durability import wal_path
+from repro.durability import wal_path, wal_scan_count
 from repro.errors import ShardError
 from repro.shard import ShardedTintin
 
@@ -313,8 +313,15 @@ def test_acked_commits_survive_full_cluster_crash(tmp_path):
     crash(engine, 1)
     engine.close()
 
+    # the coordinator reads coord/decisions.wal exactly once per open:
+    # the scan that rebuilds the decided set is also the log's resume
+    # point (the shards scan their own logs in their own processes)
+    scans = wal_scan_count()
     recovered = reopen(tmp_path)
     try:
+        assert wal_scan_count() - scans == 1
+        assert len(recovered._decided) == 1  # the one cross-shard commit
+        assert recovered._decision_log.last_seq == 1
         assert order_ids(recovered) == sorted(acked)
     finally:
         recovered.close()
