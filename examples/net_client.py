@@ -39,7 +39,7 @@ def main() -> None:
     # -- a normal remote session ------------------------------------------
     client = TintinClient(host, port, priority=1)
     print(f"connected: session {client.session_id}")
-    client.insert("stock", [(1, 10), (2, 4)])
+    client.insert("stock", [(1, 10), (2, 4)])  # deferred: sent with the commit
     verdict = client.commit(timeout=5.0)
     print(f"commit #1: committed={verdict['committed']} "
           f"applied={verdict['applied_rows']}")
@@ -74,7 +74,10 @@ def main() -> None:
     except OverloadError as exc:
         print(f"shed: {exc} (retry_after={exc.retry_after:.3f}s)")
         time.sleep(exc.retry_after)
-        # the retry-aware path does this loop for you:
+        # the retry-aware path does this loop for you.  The retry
+        # sends the COMMIT frame alone: the insert travelled with the
+        # shed commit and was staged then — staging happens outside
+        # admission — so the row is committed once, not staged twice
         verdict = client.commit(timeout=5.0)
         print(f"retried commit: committed={verdict['committed']}")
     background.join()

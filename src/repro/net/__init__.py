@@ -4,10 +4,13 @@
   payloads reuse the WAL v2 tagged-row codec.
 * :mod:`repro.net.admission` — the bounded, priority-shedding,
   watermark-backpressured waiting room in front of the scheduler.
-* :mod:`repro.net.server` — the asyncio server: pipelined sessions,
-  deadlines, SLOWDOWN broadcast, /health + /metrics, graceful drain.
-* :mod:`repro.net.client` — the blocking client: retry with backoff
-  and jitter on idempotent requests, overload-aware commit retry.
+* :mod:`repro.net.server` — the asyncio server: pipelined sessions
+  (one staging run per flush, the commit guard), deadlines, SLOWDOWN
+  broadcast, /health + /metrics, graceful drain.
+* :mod:`repro.net.client` — the blocking client: staging deferred to
+  the commit's flush (one round trip per transaction), retry with
+  backoff and jitter on idempotent requests, overload-aware commit
+  retry.
 * :mod:`repro.net.faults` — deterministic fault injection across the
   full commit path (connection drops, stalled reads, fsync delays,
   scheduler stalls).

@@ -7,15 +7,25 @@ server's error codes back onto the exception hierarchy in
 :class:`DeadlineExceeded` and :class:`SessionExpired` exactly as
 in-process code would.
 
+One round trip per transaction: ``insert``/``delete`` only encode
+their frame into an out-buffer and return.  The next call that needs
+an answer (``commit``, ``query``, ``execute``, ``discard``, ``health``,
+``close``…) sends the buffer and its own frame in one ``sendall`` and
+then reads every deferred answer, in order, before its own.  At most
+:data:`_WINDOW_FRAMES` frames / :data:`_WINDOW_BYTES` bytes are ever
+deferred — a longer run is flushed and its answers read early — which
+stays inside what the server buffers per connection, so neither side
+can block the other by not reading.
+
 Retry discipline — the part that makes the client *safe*, not just
 convenient:
 
 * **idempotent requests** (``query``, ``health``, ``metrics``) retry
   automatically on connection loss and timeouts with exponential
-  backoff and full jitter, reconnecting and re-handshaking as needed.
-  A query is only auto-retried while the session has *no staged
-  events* — staged state dies with the connection, so retrying after
-  reconnect would silently answer against a different session;
+  backoff and full jitter, reconnecting and re-handshaking as needed
+  — but only while the session has *no staged events*: staged state
+  dies with the connection, so retrying after a reconnect would
+  silently answer against (and later commit) a different session;
 * **commits are never retried on an ambiguous failure**: a connection
   that dies between sending COMMIT and reading the verdict leaves the
   outcome unknown (:class:`ConnectionLost` says so), and blindly
@@ -23,9 +33,22 @@ convenient:
   is after an :class:`OverloadError` — the server sheds *before*
   admission, so a shed commit provably touched nothing —
   which :meth:`commit` honours (bounded attempts, server-suggested
-  ``retry_after`` plus jitter) and ``commit(retry=False)`` disables;
+  ``retry_after`` plus jitter) and ``commit(retry=False)`` disables.
+  The retry re-sends the COMMIT frame alone: staging happens outside
+  admission, so the rows that travelled with the shed commit are
+  already staged, once;
+* **a deferred staging error surfaces from the call that reads it**,
+  as the exception the staging call would have raised (the first one,
+  if several frames failed).  That call's own answer is read and
+  dropped; a ``commit`` was refused by the server (it travelled with a
+  ``guard`` — see :data:`repro.net.protocol.T_COMMIT`), a ``query``
+  was answered and a ``discard`` was executed, but none of them
+  returns.  The rows that did stage are still staged: ``discard()``
+  them or ``commit()`` again — that second commit carries no guard and
+  commits them, exactly as an in-process session would after a failed
+  ``insert``;
 * **SLOWDOWN frames** (unsolicited, request id 0) set a pacing delay
-  the client sleeps before each subsequent send, until the server
+  the client sleeps before each subsequent flush, until the server
   broadcasts the all-clear.  This is cooperative backpressure: it
   keeps well-behaved fleets out of the shedding regime entirely.
 """
@@ -44,9 +67,19 @@ from ..errors import (
     NetworkError,
     OverloadError,
     ProtocolError,
+    ReproError,
     SessionExpired,
 )
 from . import protocol as p
+
+#: the most frames / buffered bytes whose answers may be unread at once
+#: (a single larger frame still goes, alone).  Both sit well inside the
+#: server's per-connection request queue, so the server can always take
+#: a whole window off the socket, and a window's answers fit the
+#: socket buffers, so it can always answer it: the client never blocks
+#: in ``sendall`` against a server blocked writing to it.
+_WINDOW_FRAMES = 256
+_WINDOW_BYTES = 1 << 20
 
 
 class RemoteRows:
@@ -99,12 +132,19 @@ class TintinClient:
         self._sock: Optional[socket.socket] = None
         self._rfile = None
         self._next_id = 0
+        #: encoded frames not sent yet
+        self._out = bytearray()
+        #: request ids of staging frames whose answers are unread
+        self._deferred: list[int] = []
         #: out-of-order responses parked by request id (pipelining)
         self._parked: dict[int, tuple[int, bytes]] = {}
         #: current server-suggested pacing delay (0 = no backpressure)
         self.slowdown_delay = 0.0
         self.slowdown_count = 0
-        #: honour SLOWDOWN pacing before each send (set False to model
+        #: ``sendall`` calls made — with deferred staging, one per
+        #: transaction
+        self.flushes = 0
+        #: honour SLOWDOWN pacing before each flush (set False to model
         #: a non-cooperative client — the server's shedding still
         #: protects it, this just opts out of the polite path)
         self.pacing = True
@@ -137,7 +177,6 @@ class TintinClient:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._next_id = 0
-        self._parked.clear()
         self._staged = 0
         reply = self._request(
             p.T_HELLO,
@@ -154,7 +193,11 @@ class TintinClient:
         return reply
 
     def close_socket(self) -> None:
-        """Drop the TCP connection without the GOODBYE exchange."""
+        """Drop the TCP connection without the GOODBYE exchange; what
+        was buffered or unanswered on it is gone with it."""
+        self._out.clear()
+        self._deferred.clear()
+        self._parked.clear()
         if self._rfile is not None:
             try:
                 self._rfile.close()
@@ -175,9 +218,8 @@ class TintinClient:
         if self._sock is None:
             return
         try:
-            req_id = self._send(p.T_GOODBYE)
-            self._wait(req_id)
-        except (NetworkError, OSError):
+            self._request(p.T_GOODBYE)
+        except (ReproError, OSError):
             pass
         finally:
             self.close_socket()
@@ -190,23 +232,64 @@ class TintinClient:
 
     # -- framing -----------------------------------------------------------
 
-    def _send(self, ftype: int, payload: bytes = b"") -> int:
+    def _frame(self, ftype: int, payload: bytes = b"") -> int:
+        """Append one frame to the out-buffer; returns its request id."""
         if self._sock is None:
             raise ConnectionLost("client is not connected")
+        self._next_id += 1
+        self._out += p.encode_frame(ftype, self._next_id, payload)
+        return self._next_id
+
+    def _flush(self) -> None:
+        """Send the out-buffer in one ``sendall``."""
         if self.pacing and self.slowdown_delay > 0:
             # cooperative backpressure: stretch the send interval by
             # the server's suggested delay (plus jitter so a fleet
             # doesn't re-synchronise)
             time.sleep(self.slowdown_delay * (0.5 + self._rng.random()))
-        self._next_id += 1
-        request_id = self._next_id
-        frame = p.encode_frame(ftype, request_id, payload)
+        self.flushes += 1
         try:
-            self._sock.sendall(frame)
+            self._sock.sendall(self._out)
         except OSError as exc:
             self.close_socket()
             raise ConnectionLost(f"send failed: {exc}") from exc
+        self._out.clear()
+
+    def _send(self, ftype: int, payload: bytes = b"") -> int:
+        """Send everything buffered plus this frame, without reading."""
+        request_id = self._frame(ftype, payload)
+        self._flush()
         return request_id
+
+    def _gather(self) -> Optional[bytes]:
+        """Read the answer to every deferred staging frame, in order;
+        returns the first ERROR payload among them (None: all staged)."""
+        if not self._deferred:
+            return None
+        failure = None
+        deferred, self._deferred = self._deferred, []
+        for request_id in deferred:
+            rtype, payload = self._wait(request_id)
+            if rtype == p.T_ERROR and failure is None:
+                failure = payload
+        return failure
+
+    def _stage(self, ftype: int, table: str, rows: Iterable[tuple]) -> int:
+        """Defer one INSERT/DELETE frame; returns the row count, which
+        is what the server answers when the frame stages."""
+        rows = [tuple(row) for row in rows]
+        payload = p.encode_events_payload(table, rows)
+        if self._deferred and (
+            len(self._deferred) >= _WINDOW_FRAMES
+            or len(self._out) + p.HEADER_LEN + len(payload) > _WINDOW_BYTES
+        ):
+            self._flush()
+            failure = self._gather()
+            if failure is not None:
+                self._raise_error(failure)
+        self._deferred.append(self._frame(ftype, payload))
+        self._staged += len(rows)
+        return len(rows)
 
     def _read_frame(self) -> tuple[int, int, bytes]:
         try:
@@ -265,12 +348,23 @@ class TintinClient:
             raise ExecutionError(message)
         raise NetworkError(f"[{code}] {message}")
 
-    def _request(self, ftype: int, payload: bytes = b"") -> dict:
-        """Send one frame, await its response, return the OK payload."""
+    def _call(self, ftype: int, payload: bytes = b"") -> tuple[int, bytes]:
+        """One round trip: flush the deferred frames and this one, read
+        the deferred answers, then this frame's.  A deferred staging
+        error is raised *after* the frame's own answer was read, so the
+        stream stays aligned; any other ERROR answer is raised too."""
         request_id = self._send(ftype, payload)
+        failure = self._gather()
         rtype, rpayload = self._wait(request_id)
+        if failure is not None:
+            self._raise_error(failure)
         if rtype == p.T_ERROR:
             self._raise_error(rpayload)
+        return rtype, rpayload
+
+    def _request(self, ftype: int, payload: bytes = b"") -> dict:
+        """:meth:`_call` for requests answered with a JSON ``OK``."""
+        rtype, rpayload = self._call(ftype, payload)
         if rtype != p.T_OK:
             raise ProtocolError(f"unexpected response type 0x{rtype:02x}")
         return p.decode_json(rpayload) if rpayload else {}
@@ -281,7 +375,11 @@ class TintinClient:
         return cap * self._rng.random()
 
     def _idempotent(self, fn):
-        """Run ``fn`` with reconnect-and-retry on connection loss."""
+        """Run ``fn`` with reconnect-and-retry on connection loss —
+        while nothing is staged: a reconnected session is a new staging
+        area, so a retry with staged state would silently lose it."""
+        if self._staged or self._deferred:
+            return fn()
         attempt = 0
         while True:
             try:
@@ -302,10 +400,7 @@ class TintinClient:
     def execute(self, sql: str):
         """Stage DML / run a SELECT remotely.  DML returns the staged
         row count; SELECT returns a :class:`RemoteRows`."""
-        request_id = self._send(p.T_EXECUTE, sql.encode("utf-8"))
-        rtype, payload = self._wait(request_id)
-        if rtype == p.T_ERROR:
-            self._raise_error(payload)
+        rtype, payload = self._call(p.T_EXECUTE, sql.encode("utf-8"))
         if rtype == p.T_ROWS:
             return RemoteRows(*p.decode_rows_payload(payload))
         staged = p.decode_json(payload).get("staged", 0)
@@ -316,44 +411,36 @@ class TintinClient:
         """Snapshot SELECT (read-your-writes over staged events).
 
         Auto-retries on connection loss *only* while nothing is
-        staged: a reconnected session is a new staging area, so a
-        retry with staged state would silently lose read-your-writes.
+        staged (see :meth:`_idempotent`).
         """
 
         def run():
-            request_id = self._send(p.T_QUERY, sql.encode("utf-8"))
-            rtype, payload = self._wait(request_id)
-            if rtype == p.T_ERROR:
-                self._raise_error(payload)
+            rtype, payload = self._call(p.T_QUERY, sql.encode("utf-8"))
             if rtype != p.T_ROWS:
                 raise ProtocolError(
                     f"unexpected response type 0x{rtype:02x}"
                 )
             return RemoteRows(*p.decode_rows_payload(payload))
 
-        if self._staged == 0:
-            return self._idempotent(run)
-        return run()
+        return self._idempotent(run)
 
     def insert(self, table: str, rows: Iterable[tuple]) -> int:
-        reply = self._request(
-            p.T_INSERT, p.encode_events_payload(table, [tuple(r) for r in rows])
-        )
-        staged = int(reply.get("staged", 0))
-        self._staged += staged
-        return staged
+        """Stage row insertions.  Nothing is sent yet: the frame goes
+        with the next call that needs an answer, and a staging error
+        (unknown table, wrong arity…) surfaces from that call."""
+        return self._stage(p.T_INSERT, table, rows)
 
     def delete(self, table: str, rows: Iterable[tuple]) -> int:
-        reply = self._request(
-            p.T_DELETE, p.encode_events_payload(table, [tuple(r) for r in rows])
-        )
-        staged = int(reply.get("staged", 0))
-        self._staged += staged
-        return staged
+        """Stage row deletions; deferred like :meth:`insert`."""
+        return self._stage(p.T_DELETE, table, rows)
 
     def discard(self) -> int:
-        reply = self._request(p.T_DISCARD)
-        self._staged = 0
+        try:
+            reply = self._request(p.T_DISCARD)
+        finally:
+            # whatever surfaced — a deferred staging error, an expired
+            # session, a dead connection — nothing is staged any more
+            self._staged = 0
         return int(reply.get("discarded", 0))
 
     def commit(
@@ -375,6 +462,11 @@ class TintinClient:
         ack is ambiguous by construction, and an expired deadline
         usually means the caller's budget is gone.
 
+        The deferred staging frames travel with the COMMIT, which then
+        carries their count as its ``guard``: had one of them failed,
+        the server refuses the commit and the staging error is raised
+        here; committing again commits the rows that did stage.
+
         ``trace=True`` asks the server to trace this commit end to end
         (a string supplies the trace id instead of letting the server
         pick one); the verdict then carries ``trace_id``, also kept in
@@ -384,10 +476,15 @@ class TintinClient:
         spec: dict = {"timeout": timeout}
         if trace:
             spec["trace"] = trace
-        payload = p.encode_json(spec)
         budget = attempts if attempts is not None else self.retries
         attempt = 0
         while True:
+            # an overload retry finds nothing deferred: it re-sends the
+            # COMMIT alone, unguarded, over rows staged exactly once
+            unread = len(self._deferred)
+            payload = p.encode_json(
+                {**spec, "guard": unread} if unread else spec
+            )
             try:
                 verdict = self._request(p.T_COMMIT, payload)
             except OverloadError as exc:

@@ -20,6 +20,17 @@ are processed strictly in arrival order per connection — pipelining
 hides round trips, it does not reorder a session's operations.
 ``HEALTH``/``METRICS`` are answered out of band and may overtake them.
 
+The intended use is **one round trip per transaction**: the staging
+frames of an update and the ``COMMIT`` that ends it travel in one
+flush, the server stages the run in one step and answers every frame.
+A ``COMMIT`` sent behind staging frames whose answers its sender has
+not read yet says so in its payload (``guard``, see :data:`T_COMMIT`):
+if one of those frames failed, the server refuses the commit instead of
+committing the part of the update that did stage.  A server buffers a
+bounded number of unprocessed requests per connection and stops reading
+the socket beyond it, so a sender that never reads its answers is
+slowed by TCP flow control, not served without limit.
+
 Row payloads (query results, staged inserts/deletes) reuse the WAL v2
 typed-row codec's tagged-value encoding verbatim
 (:func:`repro.durability.wal.encode_tagged_rows`): NULL/bool/zigzag-
@@ -47,7 +58,9 @@ from ..durability.wal import decode_tagged_rows, encode_tagged_rows
 #: protocol magic, sent in the HELLO payload (not as a frame prefix —
 #: the frame header is uniform so readers stay trivial)
 PROTOCOL_MAGIC = "tintin-net"
-PROTOCOL_VERSION = 1
+#: 2: COMMIT's ``guard`` key (a version 1 server would ignore it and
+#: commit behind a failed staging frame)
+PROTOCOL_VERSION = 2
 
 #: frame header: payload length, frame type, request id
 HEADER = struct.Struct(">IBI")
@@ -63,7 +76,7 @@ T_EXECUTE = 0x02  #: UTF-8 SQL (DML stages; SELECT answers ROWS)
 T_QUERY = 0x03  #: UTF-8 SQL (SELECT only)
 T_INSERT = 0x04  #: binary: table name + tagged rows
 T_DELETE = 0x05  #: binary: table name + tagged rows
-T_COMMIT = 0x06  #: JSON {timeout: seconds | null, trace: true | hex id}
+T_COMMIT = 0x06  #: JSON {timeout: seconds | null, trace: true | hex id, guard: n}
 T_DISCARD = 0x07  #: empty
 T_HEALTH = 0x08  #: empty
 T_METRICS = 0x09  #: empty
@@ -82,6 +95,15 @@ T_SLOWDOWN = 0x84  #: JSON {delay: seconds}; request id 0, unsolicited
 #: caller-chosen id end to end.  Either way the verdict payload echoes
 #: the id as ``trace_id``, so a client can join its own records with
 #: the spans the server's tracer captured.
+#:
+#: The optional ``guard`` key is the number of INSERT/DELETE frames
+#: directly preceding this COMMIT on the connection whose answers the
+#: sender had not read when it sent the COMMIT.  If any of those frames
+#: was answered with an ERROR, the server answers the COMMIT with the
+#: same error, commits nothing and leaves what did stage in the
+#: session; the sender, who has now seen the failure, may DISCARD or
+#: COMMIT again.  Without the key a COMMIT commits whatever is staged —
+#: right for a sender that read every staging answer before committing.
 
 REQUEST_TYPES = frozenset(
     (

@@ -11,12 +11,25 @@ Division of labour per connection:
 * the **read loop** (event loop thread) parses frames and answers
   ``HEALTH``/``METRICS`` immediately; everything session-bound goes
   into the connection's ordered queue — pipelining hides round trips
-  but never reorders one session's operations;
+  but never reorders one session's operations.  The queue is bounded
+  (frames and payload bytes): when it is full the read loop stops
+  reading and TCP flow control holds the peer back;
 * the **connection worker** (an asyncio task) drains that queue:
   staging and queries run on a small thread pool (they only take the
   scheduler's read lock), commits go through the
   :class:`~repro.net.admission.AdmissionQueue` — the bounded,
-  priority-shedding waiting room in front of the commit scheduler;
+  priority-shedding waiting room in front of the commit scheduler.
+  The maximal run of consecutive ``INSERT``/``DELETE`` frames already
+  received is decoded and staged in **one** pool call and answered
+  with one write — a transaction flushed as staging frames + COMMIT
+  costs one pool hop and one admission job, whatever its frame count.
+  Staging stays *outside* the admission job, so a shed or expired
+  commit keeps its staged rows;
+* the **commit guard**: the connection remembers staging failures
+  since its last COMMIT/DISCARD, and a COMMIT whose ``guard`` says its
+  sender had not read the answers of the staging frames before it is
+  refused with the failure instead of committing the rest (see
+  :data:`repro.net.protocol.T_COMMIT`);
 * **backpressure**: admission watermark transitions broadcast
   unsolicited ``SLOWDOWN`` frames (request id 0) to every connection;
   well-behaved clients stretch their send intervals until the
@@ -42,6 +55,7 @@ import json
 import logging
 import threading
 import time
+from collections import deque
 from typing import Optional
 
 from ..errors import (
@@ -69,6 +83,16 @@ from .faults import DropConnection, FaultInjector
 #: configure the root logger) to see them.
 log = logging.getLogger("repro.net")
 
+#: the frames a connection worker coalesces into one staging run
+_STAGE_TYPES = frozenset((p.T_INSERT, p.T_DELETE))
+
+#: per-connection bound on requests read but not yet processed; a
+#: single frame is always admitted.  Several times the client's
+#: in-flight window (:mod:`repro.net.client`), so a well-behaved peer
+#: never meets it.
+_QUEUE_FRAMES = 1024
+_QUEUE_BYTES = 8 << 20
+
 
 class ServerStats(StatsBlock):
     """Front-end counters (connections, requests, errors)."""
@@ -80,6 +104,9 @@ class ServerStats(StatsBlock):
         "dropped_connections",
         "slowdown_frames",
         "http_requests",
+        "stage_frames",
+        "stage_runs",
+        "guarded_commits_refused",
     )
     PREFIX = "tintin_server"
     HELP = {
@@ -89,6 +116,11 @@ class ServerStats(StatsBlock):
         "dropped_connections": "Connections aborted by fault injection",
         "slowdown_frames": "Backpressure SLOWDOWN frames broadcast",
         "http_requests": "Plain HTTP requests served",
+        "stage_frames": "INSERT/DELETE frames staged",
+        "stage_runs": "Staging runs (one pool call per run of frames)",
+        "guarded_commits_refused": (
+            "Guarded COMMITs refused behind a failed staging frame"
+        ),
     }
 
 
@@ -123,6 +155,75 @@ def commit_result_payload(result) -> dict:
     }
 
 
+class _RequestQueue:
+    """One connection's ordered requests between its read loop and its
+    worker: bounded, single producer, single consumer, event loop only."""
+
+    __slots__ = (
+        "_items",
+        "_changed",
+        "closed",
+        "bytes",
+        "peak_frames",
+        "peak_bytes",
+    )
+
+    def __init__(self):
+        self._items: deque = deque()
+        self._changed = asyncio.Event()
+        self.closed = False
+        #: payload bytes queued now / the most frames and bytes ever
+        self.bytes = 0
+        self.peak_frames = 0
+        self.peak_bytes = 0
+
+    async def put(self, item: tuple) -> None:
+        """Queue ``(ftype, request id, payload)``; waits while the
+        queue is full and not empty.  Dropped once the queue closed."""
+        size = len(item[2])
+        while (
+            self._items
+            and not self.closed
+            and (
+                len(self._items) >= _QUEUE_FRAMES
+                or self.bytes + size > _QUEUE_BYTES
+            )
+        ):
+            self._changed.clear()
+            await self._changed.wait()
+        if self.closed:
+            return
+        self._items.append(item)
+        self.bytes += size
+        self.peak_frames = max(self.peak_frames, len(self._items))
+        self.peak_bytes = max(self.peak_bytes, self.bytes)
+        self._changed.set()
+
+    async def get_run(self) -> Optional[list]:
+        """The next request, as a list — extended by every request
+        directly behind it while both are staging frames.  None once
+        the queue is closed and empty."""
+        while not self._items:
+            if self.closed:
+                return None
+            self._changed.clear()
+            await self._changed.wait()
+        items = self._items
+        run = [items.popleft()]
+        if run[0][0] in _STAGE_TYPES:
+            while items and items[0][0] in _STAGE_TYPES:
+                run.append(items.popleft())
+        self.bytes -= sum(len(item[2]) for item in run)
+        self._changed.set()
+        return run
+
+    def close(self) -> None:
+        """No more input (the worker finishes what is queued), or no
+        more worker (the read loop must not wait for room)."""
+        self.closed = True
+        self._changed.set()
+
+
 class _Connection:
     """Per-connection state owned by the event loop thread."""
 
@@ -134,16 +235,24 @@ class _Connection:
         "worker",
         "write_lock",
         "closed",
+        "stage_seq",
+        "stage_failures",
     )
 
     def __init__(self, reader, writer):
         self.reader = reader
         self.writer = writer
         self.session = None
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.queue = _RequestQueue()
         self.worker: Optional[asyncio.Task] = None
         self.write_lock = asyncio.Lock()
         self.closed = False
+        #: staging frames answered so far, and the ``(stage_seq, code,
+        #: message)`` of the first and the latest one answered with an
+        #: ERROR since the last COMMIT/DISCARD — what a guarded COMMIT
+        #: is checked against
+        self.stage_seq = 0
+        self.stage_failures: list[tuple[int, str, str]] = []
 
 
 class TintinServer:
@@ -506,7 +615,7 @@ class TintinServer:
         conn.closed = True
         self._connections.discard(conn)
         if conn.worker is not None:
-            await conn.queue.put(None)  # let in-flight work finish
+            conn.queue.close()  # let in-flight work finish
             try:
                 await asyncio.wait_for(conn.worker, timeout=30)
             except asyncio.CancelledError:
@@ -612,38 +721,57 @@ class TintinServer:
                 await conn.queue.put((ftype, request_id, payload))
 
     async def _conn_worker(self, conn: _Connection) -> None:
-        """Drains one connection's ordered request queue."""
+        """Drains one connection's ordered request queue.  However it
+        ends, the connection ends with it: a worker that is gone must
+        not leave a read loop queueing frames nobody will answer."""
+        try:
+            await self._serve_requests(conn)
+        except DropConnection:
+            self._count("dropped_connections")
+            transport = conn.writer.transport
+            if transport is not None:
+                transport.abort()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            conn.closed = True
+            conn.queue.close()
+            try:
+                conn.writer.close()
+            except Exception:
+                log.debug(
+                    "closing writer behind the worker failed", exc_info=True
+                )
+
+    async def _serve_requests(self, conn: _Connection) -> None:
+        """Process requests until GOODBYE, end of input, or a frame
+        that cannot be parsed (answered ``E_PROTOCOL``; a peer that
+        sends garbage is not resynchronisable)."""
         while True:
-            item = await conn.queue.get()
-            if item is None:
+            run = await conn.queue.get_run()
+            if run is None:
                 return
-            ftype, request_id, payload = item
+            ftype, request_id, payload = run[0]
             started = time.perf_counter()
             try:
-                done = await self._process(conn, ftype, request_id, payload)
-            except DropConnection:
-                self._count("dropped_connections")
-                transport = conn.writer.transport
-                if transport is not None:
-                    transport.abort()
-                conn.closed = True
-                return
-            except (ConnectionError, OSError):
-                conn.closed = True
-                return
-            finally:
-                self.request_seconds.observe(
-                    time.perf_counter() - started,
-                    type=p.FRAME_NAMES.get(ftype, "unknown"),
-                )
-            if done:  # GOODBYE acknowledged
-                conn.closed = True
-                try:
-                    conn.writer.close()
-                except Exception:
-                    log.debug(
-                        "closing writer after GOODBYE failed", exc_info=True
+                if ftype in _STAGE_TYPES:
+                    done = await self._process_stage_run(conn, run)
+                else:
+                    done = await self._process(
+                        conn, ftype, request_id, payload
                     )
+            except ProtocolError as exc:
+                await self._send_error(
+                    conn, request_id, p.E_PROTOCOL, str(exc)
+                )
+                done = True
+            finally:
+                elapsed = time.perf_counter() - started
+                for frame in run:
+                    self.request_seconds.observe(
+                        elapsed, type=p.FRAME_NAMES.get(frame[0], "unknown")
+                    )
+            if done:
                 return
 
     # -- request processing ------------------------------------------------
@@ -676,10 +804,72 @@ class TintinServer:
         loop = asyncio.get_event_loop()
         return await loop.run_in_executor(self._executor, fn, *args)
 
+    def _stage_run(self, session, run: list) -> tuple[list, bool]:
+        """Pool thread: decode and stage a run's frames in order.
+
+        Returns one outcome per frame handled — the staged row count,
+        or ``(code, message)`` — and whether the run stopped at a frame
+        that does not decode (the frames behind it are not handled).
+        """
+        outcomes: list = []
+        for ftype, _, payload in run:
+            try:
+                table, rows = p.decode_events_payload(payload)
+                stage = session.insert if ftype == p.T_INSERT else session.delete
+                outcomes.append(stage(table, rows))
+            except ProtocolError as exc:
+                outcomes.append((p.E_PROTOCOL, str(exc)))
+                return outcomes, True
+            except SessionExpired as exc:
+                outcomes.append((p.E_SESSION, str(exc)))
+            except NetworkError:
+                raise
+            except ReproError as exc:
+                outcomes.append((p.E_EXECUTION, str(exc)))
+        return outcomes, False
+
+    async def _process_stage_run(self, conn: _Connection, run: list) -> bool:
+        """Stage a run of INSERT/DELETE frames with one pool hop and
+        answer every frame with one write; True ends the connection."""
+        if conn.session is None:
+            refusal = (p.E_PROTOCOL, "handshake required before this request")
+            outcomes, garbage = [refusal] * len(run), False
+        else:
+            outcomes, garbage = await self._run_blocking(
+                self._stage_run, conn.session, run
+            )
+        replies = []
+        failed = 0
+        for (_, request_id, _), outcome in zip(run, outcomes):
+            conn.stage_seq += 1
+            if isinstance(outcome, tuple):
+                failed += 1
+                # the first failure stays, the latest replaces the rest
+                conn.stage_failures[1:] = [(conn.stage_seq, *outcome)]
+                replies.append(
+                    p.encode_frame(
+                        p.T_ERROR, request_id, p.error_payload(*outcome)
+                    )
+                )
+            else:
+                replies.append(
+                    p.encode_frame(
+                        p.T_OK, request_id, p.encode_json({"staged": outcome})
+                    )
+                )
+        self.stats.bump(
+            stage_runs=1, stage_frames=len(outcomes), errors_total=failed
+        )
+        async with conn.write_lock:
+            conn.writer.write(b"".join(replies))
+            await conn.writer.drain()
+        return garbage
+
     async def _process(
         self, conn: _Connection, ftype: int, request_id: int, payload: bytes
     ) -> bool:
-        """Handle one session-bound request; True ends the connection."""
+        """Handle one session-bound request that is not staging; True
+        ends the connection."""
         if ftype == p.T_HELLO:
             await self._process_hello(conn, request_id, payload)
             return False
@@ -728,23 +918,8 @@ class TintinServer:
                         request_id,
                         p.encode_json({"staged": result}),
                     )
-            elif ftype == p.T_INSERT:
-                table, rows = p.decode_events_payload(payload)
-                staged = await self._run_blocking(
-                    conn.session.insert, table, rows
-                )
-                await self._send(
-                    conn, p.T_OK, request_id, p.encode_json({"staged": staged})
-                )
-            elif ftype == p.T_DELETE:
-                table, rows = p.decode_events_payload(payload)
-                staged = await self._run_blocking(
-                    conn.session.delete, table, rows
-                )
-                await self._send(
-                    conn, p.T_OK, request_id, p.encode_json({"staged": staged})
-                )
             elif ftype == p.T_DISCARD:
+                conn.stage_failures.clear()
                 dropped = await self._run_blocking(conn.session.discard)
                 await self._send(
                     conn,
@@ -848,6 +1023,20 @@ class TintinServer:
         self, conn: _Connection, request_id: int, payload: bytes
     ) -> None:
         spec = p.decode_json(payload) if payload else {}
+        # the commit guard: this COMMIT ends the staging-failure memory
+        # either way; one that travelled behind ``guard`` unread staging
+        # answers is refused if any of those frames failed
+        guard = spec.get("guard", 0)
+        if not isinstance(guard, int) or guard < 0:
+            raise ProtocolError("COMMIT guard must be a frame count")
+        failures, conn.stage_failures = conn.stage_failures, []
+        read_up_to = conn.stage_seq - guard
+        unread = [failure for failure in failures if failure[0] > read_up_to]
+        if unread:
+            self._count("guarded_commits_refused")
+            _, code, message = unread[0]
+            await self._send_error(conn, request_id, code, message)
+            return
         timeout = spec.get("timeout", self.default_commit_timeout)
         deadline = (
             time.monotonic() + float(timeout) if timeout is not None else None
