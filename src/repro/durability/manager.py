@@ -327,8 +327,9 @@ class DurabilityManager:
         sync: bool = True,
     ) -> None:
         """Append one 2PC decide record (the coordinator's verdict as
-        seen by this participant); fsynced by default so the in-doubt
-        window closes durably."""
+        seen by this participant); fsynced when ``sync``.  The
+        participant passes ``sync=False`` (see
+        ``CommitScheduler.decide_prepared`` for why that is sound)."""
         self._append(
             "decide", (gid, verdict, counts), sync, gid=gid, record="decide"
         )

@@ -36,8 +36,9 @@ sessions exist           update, queued
                          slice               open
 2PC adopt (recovery)     in-doubt slice, the fresh, held     none     none
                          apply stage alone   open
-2PC decide               prepared slice:     the held one,   decide   with the
-                         resume, or undo     closed/undone            record
+2PC decide               prepared slice:     the held one,   decide   rides the
+                         resume, or undo     closed/undone            log's next
+                                                                      fsync
 =======================  ==================  ==============  =======  ========
 
 With many sessions proposing updates concurrently the scheduler
@@ -822,7 +823,15 @@ class CommitScheduler:
         transaction — resume the stopped unit, or roll it back.
         Returns None for an unknown gid — a duplicate decide (the
         router re-decides after crashing mid-resolution) is an
-        idempotent no-op, never an error."""
+        idempotent no-op, never an error.
+
+        The decide record is appended **unsynced**.  That is sound for
+        two reasons: the coordinator's fsynced decision log already
+        resolves a lost decide (the gid comes back in doubt and is
+        driven to the same verdict; a lost abort is an absent gid,
+        which is abort), and every later record of this log is
+        appended after the decide, so whichever fsync acknowledges
+        later state makes the decide durable first."""
         decide_start = time.monotonic() if obs is not None else 0.0
         with self._leader_lock:
             entry = self._prepared.pop(gid, None)
@@ -849,8 +858,9 @@ class CommitScheduler:
                     self.tintin.safe_commit_proc.reset_delta_state()
             manager = self.tintin._log_manager()
             if manager is not None:
-                manager.log_decide(gid, verdict, counts=counts)
-                self.stats.bump(wal_appends=1, wal_fsyncs=1)
+                # unsynced, and no fsync counted: see the docstring
+                manager.log_decide(gid, verdict, counts=counts, sync=False)
+                self.stats.bump(wal_appends=1)
             if verdict:
                 self.stats.bump(commits=1, prepared_commits=1)
                 result = CommitResult(committed=True)

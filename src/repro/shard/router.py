@@ -10,25 +10,38 @@ Commit routing:
 
 * a batch whose shard-key footprint lands on **one** shard is
   forwarded as an ordinary commit — no coordination, no extra fsync;
-* a **cross-shard** batch runs presumed-abort two-phase commit.  The
-  coordinator prepares every participant in ascending shard order
-  (each prepare validates, tentatively applies, and fsyncs a WAL
-  prepare record — the durable yes vote), then fsyncs a commit record
-  to its own decision log *before* sending any decide.  Only abort
-  outcomes are never logged: an in-doubt participant whose gid is
-  absent from the decision log aborts, which is exactly right both
-  for a coordinator that crashed before deciding and for one that
-  deliberately aborted.
+* a **cross-shard** batch runs presumed-abort two-phase commit.  With
+  the participants' routing locks held (taken in ascending shard
+  order), the coordinator sends every prepare at once and then
+  gathers the votes (each prepare validates, tentatively applies, and
+  fsyncs a WAL prepare record — the durable yes vote), then fsyncs a
+  commit record to its own decision log *before* sending any decide,
+  and finally sends every decide at once and gathers the replies.
+  Only abort outcomes are never logged: an in-doubt participant whose
+  gid is absent from the decision log aborts, which is exactly right
+  both for a coordinator that crashed before deciding and for one
+  that deliberately aborted.
+
+Every multi-shard conversation — both 2PC rounds, scatter reads, DDL
+broadcasts, checkpoints — is one :func:`_scatter`: send to every
+shard, then gather every reply, so N shards cost one round trip, not
+N.
 
 Crash handling: a participant that dies after voting yes re-adopts
 the transaction from its prepare record at restart and reports it
 in-doubt in its hello; :meth:`ShardedTintin.restart_shard` resolves
-those gids against the decision log.  A participant that dies before
-voting simply never voted — presumed abort needs no cleanup.
+those gids against the decision log.  The same holds for a
+participant that dies after *deciding*: its decide record is
+appended unsynced (see :mod:`repro.shard.worker`), so it may be lost
+and the gid reported again — the decision log settles it the same
+way.  A participant that dies before voting simply never voted —
+presumed abort needs no cleanup.  :meth:`ShardedTintin.checkpoint`
+compacts the decision log once no shard WAL can report a gid again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import multiprocessing
@@ -74,18 +87,25 @@ class RouterStats(StatsBlock):
         "prepares": "Participant prepare calls issued",
         "aborts": "Cross-shard batches aborted (vote no or failure)",
         "in_doubt_resolved": "Recovered in-doubt transactions resolved",
+        "queries": "Scatter-gather reads issued",
         "restarts": "Shard worker respawns",
     }
+
+
+#: what a pipe to a dead worker raises, on either end
+_DEAD_PIPE = (EOFError, BrokenPipeError, OSError)
 
 
 class ShardHandle:
     """One worker process plus the pipe and lock that guard it.
 
     The lock is re-entrant and does double duty: it serializes pipe
-    I/O (one request in flight per shard) *and* is the routing lock a
-    cross-shard commit holds across its whole prepare/decide
+    I/O (one conversation per shard at a time) *and* is the routing
+    lock a cross-shard commit holds across its whole prepare/decide
     conversation, so no single-shard commit can interleave with a
-    shard's prepared-but-undecided window.
+    shard's prepared-but-undecided window.  :meth:`send` and
+    :meth:`recv` are the two halves of :meth:`call`, for the router's
+    scatter/gather (see :func:`_scatter`); both expect the lock held.
     """
 
     def __init__(self, shard_id: int, directory: str):
@@ -139,29 +159,47 @@ class ShardHandle:
         self.in_doubt = list(hello.get("in_doubt", ()))
         return hello
 
-    def call(self, *message):
-        """One request/reply round trip; raises :class:`ShardError` on
-        a reported failure or a dead pipe (which marks the handle down
-        — the router must :meth:`ShardedTintin.restart_shard` it)."""
-        with self.lock:
-            if not self.alive:
-                raise ShardError(f"shard {self.shard_id} is down")
-            try:
-                self.conn.send(message)
-                reply = self.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                self.alive = False
-                raise ShardError(
-                    f"shard {self.shard_id} died during "
-                    f"{message[0]!r}: {exc!r}"
-                ) from exc
+    def _died(self, what: str, exc: BaseException) -> ShardError:
+        """A dead pipe, on either side: mark the handle down (the
+        router must :meth:`ShardedTintin.restart_shard` it) and return
+        the error to raise."""
+        self.alive = False
+        return ShardError(
+            f"shard {self.shard_id} died during {what!r}: {exc!r}"
+        )
+
+    def send(self, *message) -> None:
+        """Post one request without waiting.  The caller holds
+        :attr:`lock` and owes exactly one :meth:`recv` for it."""
+        if not self.alive:
+            raise ShardError(f"shard {self.shard_id} is down")
+        try:
+            self.conn.send(message)
+        except _DEAD_PIPE as exc:
+            raise self._died(message[0], exc) from exc
+
+    def recv(self, what: str):
+        """Take the reply to the oldest request :meth:`send` posted;
+        raises :class:`ShardError` on a reported failure (the pipe
+        stays aligned) or a dead pipe."""
+        if not self.alive:
+            raise ShardError(f"shard {self.shard_id} is down")
+        try:
+            reply = self.conn.recv()
+        except _DEAD_PIPE as exc:
+            raise self._died(what, exc) from exc
         if reply[0] == "error":
             _, type_name, text = reply
             raise ShardError(
-                f"shard {self.shard_id} {message[0]} failed: "
-                f"{type_name}: {text}"
+                f"shard {self.shard_id} {what} failed: {type_name}: {text}"
             )
         return reply[1]
+
+    def call(self, *message):
+        """One request/reply round trip: :meth:`send` + :meth:`recv`."""
+        with self.lock:
+            self.send(*message)
+            return self.recv(message[0])
 
     def reap(self) -> None:
         """Release the dead worker's pipe and process slot."""
@@ -209,6 +247,69 @@ def _result_from_payload(payload: dict) -> CommitResult:
         deadline_expired=payload.get("deadline_expired", False),
         group_size=payload.get("group_size", 1),
     )
+
+
+@contextlib.contextmanager
+def _locked(handles: list[ShardHandle]):
+    """Hold every handle's lock, taken in the order given — always
+    ascending shard order, so no two multi-shard conversations can
+    deadlock — and released in reverse."""
+    with contextlib.ExitStack() as stack:
+        for handle in handles:
+            stack.enter_context(handle.lock)
+        yield
+
+
+_PENDING = object()
+
+
+def _scatter(
+    requests: list[tuple[ShardHandle, tuple]],
+    stop_at_failed_send: bool = False,
+    obs: Optional[CommitObs] = None,
+    **span_attrs,
+) -> list:
+    """Send every request, then gather every reply in request order —
+    the one way the router talks to several shards at once.  The
+    caller holds every handle's lock.
+
+    Returns one outcome per request sent: the reply payload, or the
+    :class:`ShardError` it met (a failed send, a dead pipe while
+    gathering, a failure the worker reported).  A failed send marks
+    its handle down; with ``stop_at_failed_send`` it also ends the
+    scatter, so the list is shorter than ``requests``.  A failure
+    while gathering never stops the gather: every request sent is
+    answered, so every live pipe stays aligned.  With ``obs``, each
+    reply records a span named after its command, from the first send
+    to that reply."""
+    started = time.monotonic()
+    outcomes: list = []
+    for handle, message in requests:
+        try:
+            handle.send(*message)
+        except ShardError as exc:
+            outcomes.append(exc)
+            if stop_at_failed_send:
+                break
+        else:
+            outcomes.append(_PENDING)
+    for index, (handle, message) in enumerate(requests[: len(outcomes)]):
+        if outcomes[index] is not _PENDING:
+            continue
+        try:
+            outcomes[index] = handle.recv(message[0])
+        except ShardError as exc:
+            outcomes[index] = exc
+            continue
+        if obs is not None:
+            obs.record(
+                message[0],
+                started,
+                time.monotonic(),
+                shard=str(handle.shard_id),
+                **span_attrs,
+            )
+    return outcomes
 
 
 class ShardedTintin:
@@ -268,6 +369,9 @@ class ShardedTintin:
                     if commit:
                         self._decided.add(gid)
         self._decision_log = WriteAheadLog(decisions, resume=resume)
+        #: cross-shard commits over disjoint participant sets run
+        #: concurrently; their decision appends must not interleave
+        self._decision_lock = threading.Lock()
         #: the host process runs threads (net server, admission pool),
         #: so fork is unsafe — spawn is mandatory, not a preference
         self._ctx = multiprocessing.get_context("spawn")
@@ -321,9 +425,22 @@ class ShardedTintin:
         return hello
 
     def checkpoint(self) -> None:
-        """Checkpoint every shard (each refuses while in-doubt)."""
-        for handle in self.handles:
-            handle.call("checkpoint")
+        """Checkpoint every shard, then compact the decision log.
+
+        Every routing lock is held throughout, so no 2PC is in flight.
+        Once every shard has checkpointed, no shard WAL holds a prepare
+        record: no gid can be reported in doubt any more, and every
+        decide record a participant appended unsynced is covered by a
+        durable snapshot.  That is the invariant that makes the
+        unsynced decide safe for good — and it leaves the decision
+        log's verdicts with no reader, so the log is truncated
+        (sequence numbers continue) and the decided set cleared.  A
+        shard that refuses (it holds an undecided prepare) or is down
+        raises, and the decision log is left untouched."""
+        with _locked(self.handles):
+            self._broadcast("checkpoint")
+            self._decision_log.truncate()
+            self._decided.clear()
 
     def close(self) -> None:
         if self._closed:
@@ -335,6 +452,17 @@ class ShardedTintin:
         self._decision_log.close()
 
     # -- DDL / schema broadcast --------------------------------------------
+
+    def _broadcast(self, *message) -> list:
+        """Scatter one request to every shard, holding every routing
+        lock; the payloads in shard order.  The first failure is raised
+        once every reply is in."""
+        with _locked(self.handles):
+            outcomes = _scatter([(handle, message) for handle in self.handles])
+        for outcome in outcomes:
+            if isinstance(outcome, ShardError):
+                raise outcome
+        return outcomes
 
     def execute(self, sql: str):
         """Run DDL on every shard (SELECT scatters, DML is refused).
@@ -351,8 +479,7 @@ class ShardedTintin:
                 "shard-routed and assertion-checked"
             )
         mirrored = self.db.execute(sql)
-        for handle in self.handles:
-            handle.call("execute", sql)
+        self._broadcast("execute", sql)
         return mirrored
 
     def declare(self, sql: str):
@@ -366,10 +493,7 @@ class ShardedTintin:
 
     def install(self, tables: Optional[list[str]] = None) -> list[str]:
         """Install event capture on every shard."""
-        captured: list[str] = []
-        for handle in self.handles:
-            captured = handle.call("install")
-        return captured
+        return self._broadcast("install")[-1]
 
     def add_assertion(self, sql: str) -> str:
         """Compile the assertion on every shard; returns its name.
@@ -378,28 +502,23 @@ class ShardedTintin:
         the rows an assertion joins (cross-shard joins inside one
         assertion are out of scope, as in every hash-partitioned
         constraint checker)."""
-        name = ""
-        for handle in self.handles:
-            name = handle.call("assertion", sql)
-        return name
+        return self._broadcast("assertion", sql)[-1]
 
     # -- reads -------------------------------------------------------------
 
     def query(self, sql: str) -> ResultSet:
         """Scatter-gather read: union of every shard's rows.
 
-        No global ordering is imposed — an ORDER BY is applied within
-        each shard only; callers needing total order sort the result.
+        Every shard runs the query at once (one round trip, not one per
+        shard), under every routing lock, so the union is a consistent
+        cut: no 2PC is half-decided across it.  No global ordering is
+        imposed — an ORDER BY is applied within each shard only;
+        callers needing total order sort the result.
         """
         self.stats.bump(queries=1)
-        columns: Optional[list] = None
-        rows: list[tuple] = []
-        for handle in self.handles:
-            shard_columns, shard_rows = handle.call("query", sql)
-            if columns is None:
-                columns = shard_columns
-            rows.extend(tuple(row) for row in shard_rows)
-        return ResultSet(columns or [], rows)
+        replies = self._broadcast("query", sql)
+        rows = [tuple(row) for _, shard_rows in replies for row in shard_rows]
+        return ResultSet(replies[0][0], rows)
 
     # -- commits -----------------------------------------------------------
 
@@ -442,113 +561,101 @@ class ShardedTintin:
         remaining: Optional[float],
         obs: Optional[CommitObs],
     ) -> CommitResult:
+        """Presumed-abort two-phase commit over the shards ``split``
+        names.
+
+        The participant locks are taken in ascending shard order and
+        held for the whole conversation — two concurrent cross-shard
+        commits can never deadlock, and no single-shard commit slips
+        between a shard's prepare and its decide.  Under them the
+        conversation is two scatter/gather rounds: every prepare is
+        sent before any vote is read; then, after the decision fsync,
+        every decide is sent before any reply is read.  The caller is
+        answered once every decide has been."""
         gid = uuid.uuid4().hex
-        participants = sorted(split)
-        # participant locks are taken in ascending shard order for the
-        # whole conversation — two concurrent cross-shard commits can
-        # never deadlock, and no single-shard commit slips between a
-        # shard's prepare and its decide
-        held: list[ShardHandle] = []
-        try:
-            for shard_id in participants:
-                handle = self.handles[shard_id]
-                handle.lock.acquire()
-                held.append(handle)
-            votes: dict[int, CommitResult] = {}
+        participants = [self.handles[shard_id] for shard_id in sorted(split)]
+        with _locked(participants):
+            prepares = [
+                (handle, ("prepare", gid, *split[handle.shard_id], remaining))
+                for handle in participants
+            ]
+            outcomes = _scatter(
+                prepares, stop_at_failed_send=True, obs=obs, gid=gid
+            )
+            yes: dict[ShardHandle, CommitResult] = {}
             failure: Optional[CommitResult] = None
-            for shard_id in participants:
-                ins, dels = split[shard_id]
-                started = time.monotonic()
-                try:
-                    payload = self.handles[shard_id].call(
-                        "prepare", gid, ins, dels, remaining
-                    )
-                except ShardError as exc:
-                    failure = CommitResult(
+            for handle, outcome in zip(participants, outcomes):
+                if isinstance(outcome, ShardError):
+                    vote = CommitResult(
                         committed=False,
                         constraint_error=(
-                            f"shard {shard_id} failed during prepare: "
-                            f"{exc}"
+                            f"shard {handle.shard_id} failed during "
+                            f"prepare: {outcome}"
                         ),
                     )
-                    break
-                self.stats.bump(prepares=1)
-                if obs is not None:
-                    obs.record(
-                        "prepare",
-                        started,
-                        time.monotonic(),
-                        shard=str(shard_id),
-                        gid=gid,
-                    )
-                vote = _result_from_payload(payload)
-                if not vote.committed:
+                else:
+                    self.stats.bump(prepares=1)
+                    vote = _result_from_payload(outcome)
+                if vote.committed:
+                    yes[handle] = vote
+                elif failure is None:
                     failure = vote
-                    break
-                votes[shard_id] = vote
             if failure is not None:
                 # presumed abort: nothing is logged; yes voters are
                 # told directly, and any that cannot be reached will
                 # find no commit record at recovery and abort anyway
-                for shard_id in votes:
-                    try:
-                        self.handles[shard_id].call("decide", gid, False)
-                    except ShardError:
-                        log.warning(
-                            "shard %d unreachable for abort of %s; it "
-                            "will presume abort at recovery",
-                            shard_id,
-                            gid,
-                            exc_info=True,
-                        )
+                self._decide(list(yes), gid, False, obs)
                 self.stats.bump(cross_shard=1, aborts=1)
                 return failure
             # every participant holds a durable yes vote: make the
             # commit decision durable *before* any participant acts on
             # it — from this fsync on, the transaction commits even if
             # everything crashes right now
-            self._decision_log.append_decide(gid, True)
-            self._decision_log.sync()
-            self._decided.add(gid)
-            applied = checked = skipped = 0
-            for shard_id in participants:
-                vote = votes[shard_id]
-                applied += vote.applied_rows
-                checked += vote.checked_views
-                skipped += vote.skipped_views
-                started = time.monotonic()
-                try:
-                    self.handles[shard_id].call("decide", gid, True)
-                except ShardError:
-                    # the decision is durable; restart_shard replays it
-                    log.warning(
-                        "shard %d unreachable for commit of %s; the "
-                        "decision log will resolve it at restart",
-                        shard_id,
-                        gid,
-                        exc_info=True,
-                    )
-                    continue
-                if obs is not None:
-                    obs.record(
-                        "decide",
-                        started,
-                        time.monotonic(),
-                        shard=str(shard_id),
-                        gid=gid,
-                        verdict="commit",
-                    )
-            self.stats.bump(commits=1, cross_shard=1)
-            return CommitResult(
-                committed=True,
-                applied_rows=applied,
-                checked_views=checked,
-                skipped_views=skipped,
-                group_size=len(participants),
-            )
-        finally:
-            for handle in reversed(held):
-                handle.lock.release()
+            with self._decision_lock:
+                self._decision_log.append_decide(gid, True)
+                self._decision_log.sync()
+                self._decided.add(gid)
+            self._decide(participants, gid, True, obs)
+        self.stats.bump(commits=1, cross_shard=1)
+        votes = yes.values()
+        return CommitResult(
+            committed=True,
+            applied_rows=sum(vote.applied_rows for vote in votes),
+            checked_views=sum(vote.checked_views for vote in votes),
+            skipped_views=sum(vote.skipped_views for vote in votes),
+            group_size=len(participants),
+        )
+
+    def _decide(
+        self,
+        handles: list[ShardHandle],
+        gid: str,
+        verdict: bool,
+        obs: Optional[CommitObs],
+    ) -> None:
+        """Scatter one verdict and gather every reply.  A participant
+        that cannot be reached is recovery work, not a failed commit:
+        it re-reports the gid in doubt at restart, and the decision log
+        — a commit record, or its absence — settles it."""
+        word = "commit" if verdict else "abort"
+        outcomes = _scatter(
+            [(handle, ("decide", gid, verdict)) for handle in handles],
+            obs=obs,
+            gid=gid,
+            verdict=word,
+        )
+        for handle, outcome in zip(handles, outcomes):
+            if isinstance(outcome, ShardError):
+                log.warning(
+                    "shard %d unreachable for %s of %s; %s",
+                    handle.shard_id,
+                    word,
+                    gid,
+                    "the decision log will resolve it at restart"
+                    if verdict
+                    else "it will presume abort at recovery",
+                    exc_info=outcome,
+                )
 
     # -- Tintin-surface compatibility --------------------------------------
 
@@ -668,21 +775,20 @@ class ShardSession:
             for rows in events.values()
         )
 
-    def insert(self, table: str, rows: list[tuple]) -> int:
+    def _stage(self, events: dict, table: str, rows: list[tuple]) -> int:
+        """Validate ``rows`` against the mirror and stage them; returns
+        how many this call staged (as ``Session.insert/delete`` do)."""
         self._check_alive()
         mirror = self.router.db.table(table)
-        staged = self._inserts.setdefault(table, [])
-        for row in rows:
-            staged.append(mirror.validate_row(tuple(row)))
-        return self._staged_rows()
+        validated = [mirror.validate_row(tuple(row)) for row in rows]
+        events.setdefault(table, []).extend(validated)
+        return len(validated)
+
+    def insert(self, table: str, rows: list[tuple]) -> int:
+        return self._stage(self._inserts, table, rows)
 
     def delete(self, table: str, rows: list[tuple]) -> int:
-        self._check_alive()
-        mirror = self.router.db.table(table)
-        staged = self._deletes.setdefault(table, [])
-        for row in rows:
-            staged.append(mirror.validate_row(tuple(row)))
-        return self._staged_rows()
+        return self._stage(self._deletes, table, rows)
 
     def execute(self, sql: str):
         self._check_alive()

@@ -4,21 +4,31 @@ Each worker is a separate OS process (spawned, never forked — the
 router's host process is threaded) owning one shard's catalog,
 scheduler, write-ahead log and checkpoint set rooted at its own
 directory.  The router speaks a tuple protocol over a
-``multiprocessing`` pipe; every request gets exactly one reply:
-``("ok", payload)`` or ``("error", type_name, message)``.
+``multiprocessing`` pipe; every request gets exactly one reply, in
+request order: ``("ok", payload)`` or ``("error", type_name,
+message)``.  That is what lets the router scatter a request to every
+shard and gather the replies afterwards — a pipe never falls out of
+step, whatever a request's outcome.
 
 Deadlines cross the pipe as *relative* remaining seconds, never as
 absolute instants: each process has its own ``time.monotonic()``
 origin, so an absolute monotonic deadline from the router would be
-meaningless here (and a wall-clock deadline would reintroduce the NTP
-bug this PR removes).
+meaningless here (and a wall-clock deadline would break under an
+NTP step).
 
 Two-phase commit discipline enforced here:
 
+* a ``prepare`` answers only after its prepare record is fsynced —
+  the durable record is the yes vote;
+* a ``decide`` appends its record **unsynced** and answers at once:
+  the coordinator's fsynced decision log resolves a lost decide, and
+  the next fsync on this shard's WAL (any later commit's, prepare's or
+  checkpoint's) makes it durable before anything that follows it;
 * at bootstrap, every in-doubt transaction recovery reports (a WAL
-  prepare record with no decide) is re-adopted as prepared, and its
-  gid is surfaced in the hello payload so the router can resolve it
-  against the coordinator's decision log;
+  prepare record with no decide — including one whose decide was
+  lost) is re-adopted as prepared, and its gid is surfaced in the
+  hello payload so the router can resolve it against the
+  coordinator's decision log;
 * ``checkpoint`` is refused while a prepared transaction is pending —
   a checkpoint truncates the WAL, and the prepare record *is* this
   shard's yes vote;

@@ -136,6 +136,18 @@ class TestShardSessions:
         with pytest.raises(Exception):
             session.insert("orders", [("not-an-int", 1.0, "extra")])
 
+    def test_insert_and_delete_return_this_calls_row_count(self, sharded):
+        """As ``Session.insert/delete`` do (and as the network server
+        forwards as ``{"staged": n}``): rows staged by *this* call."""
+        session = sharded.create_session()
+        assert session.insert("orders", [(130, 1.0), (131, 1.0)]) == 2
+        assert session.insert("items", [(130, 1), (131, 1)]) == 2
+        assert session.delete("orders", [(1, 1.0)]) == 1
+        assert session.discard() == 5
+
+    def test_every_router_counter_has_help(self, sharded):
+        assert set(sharded.stats.HELP) == set(sharded.stats.COUNTERS)
+
     def test_discard_drops_staging(self, sharded):
         session = sharded.create_session()
         stage_order(session, 110)
