@@ -4,7 +4,9 @@
 
 1. queries the stored violation views over the proposed update —
    skipping any view whose driving event tables are empty (the paper's
-   "trivially empty" shortcut);
+   "trivially empty" shortcut, decided once per pass for all views by
+   a dispatch index), and running once the core that a family of EDCs
+   differing only in constants shares;
 2. if every view is empty, applies the batch (inserts from ``ins_T``,
    deletes from ``del_T``) under PK/FK enforcement — a trigger-free
    physical write, so capture stays armed;
@@ -25,14 +27,41 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..durability.manager import touched_counts
-from ..errors import ConstraintViolation
+from ..errors import ConstraintViolation, ExecutionError
 from ..minidb.database import Database, PreparedStatement
+from ..minidb.expressions import sql_compare
 from ..minidb.schema import normalize
 from ..minidb.storage import TableOverlay
 from ..minidb.transactions import TransactionManager
 from ..obs.trace import new_span_id
+from ..sqlparser import nodes as n
 from .edc import EDC
 from .event_tables import del_table_name, ins_table_name
+
+
+@dataclass(frozen=True)
+class SharedCore:
+    """What an EDC's violation query can share with other EDCs.
+
+    The core is the EDC's body without its top-level ``Variable op
+    Constant`` builtins; EDCs whose cores render to the same SQL form a
+    *family* whose core runs once per pass.  ``Tintin.add_assertion``
+    attaches one only when that is exact and costs no access path: the
+    EDC has no delta plan and no EventGuard, every constant is
+    type-compatible with its column, and the core's plan reads through
+    the same scans, joins and probes as the EDC's own.
+    """
+
+    #: the core's rendered SQL — the family key
+    key: str
+    #: the core's query
+    query: n.Query
+    #: ``(output position, op, constant)`` per removed builtin: a core
+    #: row witnesses this EDC iff every comparison is True
+    residual: tuple[tuple[int, str, object], ...]
+    #: the core compiled once for the family (every member holds the
+    #: same handle); None while no other EDC shares the key
+    prepared: Optional[PreparedStatement] = None
 
 
 @dataclass
@@ -61,6 +90,9 @@ class CompiledEDC:
     #: drifts — i.e. after any write that did not go through the
     #: validated commit path
     delta_armed: bool = False
+    #: the shared core this EDC may run through, or None to always run
+    #: its own plan
+    core: Optional[SharedCore] = None
 
 
 @dataclass
@@ -198,13 +230,18 @@ class SafeCommit:
         self._delta_catalog_version: Optional[int] = None
         #: cached union of the delta base tables over ``compiled``
         self._delta_tables_cache: Optional[tuple[str, ...]] = None
+        #: the check units indexed by the event tables that wake them;
+        #: rebuilt lazily after any register / unregister
+        self._dispatch: Optional[_Dispatch] = None
 
     def register(self, compiled: CompiledEDC) -> None:
         self.compiled.append(compiled)
         self._delta_tables_cache = None
+        self._dispatch = None
 
     def register_aggregate(self, checker) -> None:
         self.aggregate_checkers.append(checker)
+        self._dispatch = None
 
     def unregister_assertion(self, assertion: str) -> None:
         self.compiled = [
@@ -214,6 +251,7 @@ class SafeCommit:
             c for c in self.aggregate_checkers if c.spec.name != assertion
         ]
         self._delta_tables_cache = None
+        self._dispatch = None
 
     # -- the procedure body -------------------------------------------------
 
@@ -343,17 +381,29 @@ class SafeCommit:
         overlaying the *event tables* instead of physically loading
         them, so validation never mutates shared state.
 
+        Each event table any check can be driven by is probed for
+        emptiness once; the set of non-empty ones selects the check
+        units to run (see :class:`_Dispatch`), and every other view is
+        skipped without being looked at.
+
         ``trace`` is a list of ``(obs, parent_span_id)`` pairs (one per
         commit this check serves — a group's union validation serves
-        several): each executed view emits one ``check.<view>`` span
-        into every listed trace, nested under the given validate span.
+        several): each executed unit emits one ``check.<view>`` span
+        (``check.<lead view>.shared`` for a family) into every listed
+        trace, nested under the given validate span.
 
         Returns ``(violations, executed_view_count, skipped_view_count)``.
         """
-        violations: list[Violation] = []
-        checked = 0
-        skipped = 0
+        dispatch = self._dispatch
+        if dispatch is None:
+            dispatch = self._dispatch = _Dispatch(
+                self.compiled, self.aggregate_checkers
+            )
+        units, skipped = dispatch.wake(dispatch.nonempty(db, overlays))
         profiler = self.profiler
+        if profiler is not None:
+            for name in skipped:
+                profiler.record_skip(name)
         timed = profiler is not None or trace
         rearm: list[CompiledEDC] = []
         self._rearm = rearm
@@ -363,108 +413,162 @@ class SafeCommit:
             and db.plan_cache_enabled
             and self._delta_stamp_valid(db)
         )
-        for compiled in self.compiled:
-            if self._trivially_empty(db, compiled, overlays):
-                skipped += 1
-                if profiler is not None:
-                    profiler.record_skip(compiled.view_name)
-                continue
-            checked += 1
-            use_delta = (
-                delta_ok
-                and compiled.delta_armed
-                and compiled.delta_prepared is not None
-                and compiled.delta_prepared.db is db
-            )
-            label = (
-                compiled.view_name + ".delta"
-                if use_delta
-                else compiled.view_name
-            )
+        found: list[tuple[int, Violation]] = []
+        checked = 0
+        for unit in units:
             collector = profiler.collector() if profiler is not None else None
             check_start = time.monotonic() if timed else 0.0
             t0 = time.perf_counter() if timed else 0.0
-            if use_delta:
-                result = compiled.delta_prepared.execute(
-                    overlays=overlays, collector=collector
-                )
-            elif (
-                compiled.prepared is not None
-                and compiled.prepared.db is db
-                and db.plan_cache_enabled
-            ):
-                result = compiled.prepared.execute(
-                    overlays=overlays, collector=collector
+            if unit.__class__ is CompiledEDC:
+                label = None
+                outcomes = [
+                    self._run_view(
+                        unit, db, overlays, collector, delta_ok, rearm
+                    )
+                ]
+            elif unit.__class__ is _Family:
+                label = unit.label
+                outcomes = self._run_family(
+                    unit, db, overlays, collector, delta_ok, rearm
                 )
             else:
-                # fresh-plan path: parse and plan the view query anew
-                # (also the comparator the E7 bench measures against)
-                result = db.query(
-                    f"SELECT * FROM {compiled.view_name}", overlays=overlays
-                )
-            if (
-                not use_delta
-                and compiled.delta_prepared is not None
-                and not result.rows
-            ):
-                # the full view just proved the post-update state
-                # consistent for this EDC; once this update is applied
-                # the seeded path becomes sound again
-                rearm.append(compiled)
+                violation = unit.check(db, overlays)
+                label = None
+                outcomes = [
+                    (unit, unit.spec.name, int(violation is not None), violation)
+                ]
+            checked += len(outcomes)
             if timed:
                 elapsed = time.perf_counter() - t0
                 if profiler is not None:
-                    profiler.record_check(
-                        label,
-                        elapsed,
-                        violations=len(result.rows),
-                        rows_scanned=(
-                            collector.rows_scanned() if collector else 0
-                        ),
-                    )
+                    # a shared core's cost is split evenly over its
+                    # members; its scanned rows are charged to the lead
+                    share = elapsed / len(outcomes)
+                    rows = collector.rows_scanned() if collector else 0
+                    for _, name, hits, _ in outcomes:
+                        profiler.record_check(
+                            name, share, violations=hits, rows_scanned=rows
+                        )
+                        rows = 0
                 if trace:
+                    attrs = {} if label is None else {"members": len(outcomes)}
                     self._trace_check(
                         trace,
-                        label,
+                        label or outcomes[0][1],
                         check_start,
                         elapsed,
-                        len(result.rows),
+                        sum(outcome[2] for outcome in outcomes),
+                        **attrs,
                     )
-            if result.rows:
-                violations.append(
-                    Violation(
-                        assertion=compiled.edc.assertion,
-                        edc_name=compiled.edc.name,
-                        columns=result.columns,
-                        rows=result.rows,
-                    )
+            for owner, _, _, violation in outcomes:
+                if violation is not None:
+                    found.append((dispatch.rank[id(owner)], violation))
+        # installation order, whichever unit found each violation
+        found.sort(key=lambda ranked: ranked[0])
+        return [violation for _, violation in found], checked, len(skipped)
+
+    def _run_view(
+        self,
+        compiled: CompiledEDC,
+        db: Database,
+        overlays: Optional[dict[str, TableOverlay]],
+        collector,
+        delta_ok: bool,
+        rearm: list[CompiledEDC],
+    ) -> tuple:
+        """Execute one violation view: the armed delta plan, the
+        prepared full plan, or (plan cache off) a fresh parse and plan.
+        Returns ``(compiled, profile label, witness count, violation)``."""
+        use_delta = (
+            delta_ok
+            and compiled.delta_armed
+            and compiled.delta_prepared is not None
+            and compiled.delta_prepared.db is db
+        )
+        if use_delta:
+            result = compiled.delta_prepared.execute(
+                overlays=overlays, collector=collector
+            )
+        elif (
+            compiled.prepared is not None
+            and compiled.prepared.db is db
+            and db.plan_cache_enabled
+        ):
+            result = compiled.prepared.execute(
+                overlays=overlays, collector=collector
+            )
+        else:
+            # fresh-plan path: parse and plan the view query anew
+            # (also the comparator the E7 bench measures against)
+            result = db.query(
+                f"SELECT * FROM {compiled.view_name}", overlays=overlays
+            )
+        if (
+            not use_delta
+            and compiled.delta_prepared is not None
+            and not result.rows
+        ):
+            # the full view just proved the post-update state
+            # consistent for this EDC; once this update is applied
+            # the seeded path becomes sound again
+            rearm.append(compiled)
+        label = (
+            compiled.view_name + ".delta" if use_delta else compiled.view_name
+        )
+        return (
+            compiled,
+            label,
+            len(result.rows),
+            _violation(compiled, result.columns, result.rows),
+        )
+
+    def _run_family(
+        self,
+        family: "_Family",
+        db: Database,
+        overlays: Optional[dict[str, TableOverlay]],
+        collector,
+        delta_ok: bool,
+        rearm: list[CompiledEDC],
+    ) -> list[tuple]:
+        """Execute a family's shared core once and hand each member the
+        core rows its residual comparisons accept (SQL semantics: an
+        UNKNOWN comparison keeps nothing).  With the plan cache off —
+        or if the core raised where a member's own plan might not —
+        every member runs its own view instead."""
+        prepared = family.prepared
+        result = None
+        if prepared.db is db and db.plan_cache_enabled:
+            try:
+                result = prepared.execute(overlays=overlays, collector=collector)
+            except ExecutionError:
+                pass
+        if result is None:
+            return [
+                self._run_view(member, db, overlays, collector, delta_ok, rearm)
+                for member in family.members
+            ]
+        outcomes = []
+        core_rows = result.rows
+        for member in family.members:
+            residual = member.core.residual
+            rows = [
+                row
+                for row in core_rows
+                if all(
+                    sql_compare(op, row[position], constant) is True
+                    for position, op, constant in residual
                 )
-        for checker in self.aggregate_checkers:
-            name = checker.spec.name
-            if all(
-                self._effectively_empty(db, t, overlays)
-                for t in checker.driving_tables
-            ):
-                skipped += 1
-                if profiler is not None:
-                    profiler.record_skip(name)
-                continue
-            checked += 1
-            check_start = time.monotonic() if timed else 0.0
-            t0 = time.perf_counter() if timed else 0.0
-            violation = checker.check(db, overlays)
-            if timed:
-                elapsed = time.perf_counter() - t0
-                found = 0 if violation is None else 1
-                if profiler is not None:
-                    profiler.record_check(name, elapsed, violations=found)
-                if trace:
-                    self._trace_check(
-                        trace, name, check_start, elapsed, found
-                    )
-            if violation is not None:
-                violations.append(violation)
-        return violations, checked, skipped
+            ]
+            outcomes.append(
+                (
+                    member,
+                    member.view_name,
+                    len(rows),
+                    _violation(member, result.columns, rows),
+                )
+            )
+        return outcomes
 
     # -- delta memo state ---------------------------------------------------
 
@@ -576,7 +680,12 @@ class SafeCommit:
 
     @staticmethod
     def _trace_check(
-        trace: list, view: str, start: float, elapsed: float, found: int
+        trace: list,
+        view: str,
+        start: float,
+        elapsed: float,
+        found: int,
+        **attrs,
     ) -> None:
         for obs, parent in trace:
             obs.record(
@@ -586,24 +695,8 @@ class SafeCommit:
                 parent=parent,
                 view=view,
                 violations=found,
+                **attrs,
             )
-
-    @classmethod
-    def _trivially_empty(
-        cls,
-        db: Database,
-        compiled: CompiledEDC,
-        overlays: Optional[dict[str, TableOverlay]],
-    ) -> bool:
-        for table in compiled.event_tables:
-            if cls._effectively_empty(db, table, overlays):
-                return True
-        if compiled.guard_tables and all(
-            cls._effectively_empty(db, t, overlays)
-            for t in compiled.guard_tables
-        ):
-            return True
-        return False
 
     @staticmethod
     def _effectively_empty(
@@ -622,3 +715,122 @@ class SafeCommit:
             return False
         overlay = overlays.get(normalize(name)) if overlays else None
         return overlay is None or not overlay.inserts
+
+
+def _violation(
+    compiled: CompiledEDC, columns: list[str], rows: list[tuple]
+) -> Optional[Violation]:
+    if not rows:
+        return None
+    return Violation(
+        assertion=compiled.edc.assertion,
+        edc_name=compiled.edc.name,
+        columns=list(columns),
+        rows=rows,
+    )
+
+
+class _Family:
+    """Two or more EDCs whose shared cores render to the same SQL: the
+    core runs once per pass for all of them."""
+
+    __slots__ = ("members", "prepared", "label")
+
+    def __init__(self, members: list[CompiledEDC]):
+        self.members = members
+        self.prepared = members[0].core.prepared
+        self.label = members[0].view_name + ".shared"
+
+
+class _Dispatch:
+    """The check units of one assertion set, indexed by the event tables
+    that wake them.
+
+    A unit is a single violation view, a :class:`_Family` or an
+    aggregate checker.  A view wakes when every event table it reads
+    positively is non-empty and, if it has an EventGuard, one of the
+    guard's tables is; a family wakes as its members do (they share
+    their positive atoms and have no guard); an aggregate checker wakes
+    when any of its driving tables is non-empty.  The answer for one
+    set of non-empty tables is computed once and cached, so a pass
+    costs one emptiness probe per distinct event table plus one dict
+    lookup.  Built lazily from the registered checks and dropped on
+    every register / unregister.
+    """
+
+    #: distinct non-empty-table sets remembered; past this, new shapes
+    #: are computed per pass rather than stored
+    CACHE_LIMIT = 1024
+
+    def __init__(self, compiled: list[CompiledEDC], aggregates: list):
+        groups: dict[str, list[CompiledEDC]] = {}
+        for c in compiled:
+            if c.core is not None and c.core.prepared is not None:
+                groups.setdefault(c.core.key, []).append(c)
+        #: ``(unit, required tables, any-of tables or None, view names)``
+        self.index: list[tuple] = []
+        for c in compiled:
+            members = groups.get(c.core.key) if c.core is not None else None
+            if members is not None and len(members) > 1:
+                if members[0] is c:
+                    self._add(_Family(members), c, [m.view_name for m in members])
+                continue
+            self._add(c, c, [c.view_name])
+        for checker in aggregates:
+            self.index.append(
+                (
+                    checker,
+                    frozenset(),
+                    frozenset(normalize(t) for t in checker.driving_tables),
+                    (checker.spec.name,),
+                )
+            )
+        tables: set[str] = set()
+        for _, required, any_of, _ in self.index:
+            tables.update(required)
+            tables.update(any_of or ())
+        #: every event table some unit is driven by, probed once a pass
+        self.tables = tuple(sorted(tables))
+        #: installation order of views and checkers: violations are
+        #: reported in it whichever unit found them
+        self.rank = {
+            id(owner): i for i, owner in enumerate([*compiled, *aggregates])
+        }
+        self._cache: dict[frozenset, tuple[tuple, tuple[str, ...]]] = {}
+
+    def _add(self, unit, compiled: CompiledEDC, names: list[str]) -> None:
+        guard = compiled.guard_tables
+        self.index.append(
+            (
+                unit,
+                frozenset(normalize(t) for t in compiled.event_tables),
+                frozenset(normalize(t) for t in guard) if guard else None,
+                tuple(names),
+            )
+        )
+
+    def nonempty(
+        self, db: Database, overlays: Optional[dict[str, TableOverlay]]
+    ) -> frozenset:
+        empty = SafeCommit._effectively_empty
+        return frozenset(
+            name for name in self.tables if not empty(db, name, overlays)
+        )
+
+    def wake(self, nonempty: frozenset) -> tuple[tuple, tuple[str, ...]]:
+        """``(units to run, names of the views they skip)``."""
+        entry = self._cache.get(nonempty)
+        if entry is None:
+            run: list = []
+            skipped: list[str] = []
+            for unit, required, any_of, names in self.index:
+                if required <= nonempty and (
+                    any_of is None or not any_of.isdisjoint(nonempty)
+                ):
+                    run.append(unit)
+                else:
+                    skipped.extend(names)
+            entry = (tuple(run), tuple(skipped))
+            if len(self._cache) < self.CACHE_LIMIT:
+                self._cache[nonempty] = entry
+        return entry

@@ -54,8 +54,11 @@ class SQLGenerator:
 
     # -- public API -------------------------------------------------------
 
-    def edc_query(self, edc: EDC) -> n.Select:
-        """The violation query of one EDC (non-empty answer = violation)."""
+    def edc_query(self, edc: EDC, canon_out: Optional[dict] = None) -> n.Select:
+        """The violation query of one EDC (non-empty answer = violation).
+
+        ``canon_out``, when given, receives each variable's binding
+        column reference (the first positive occurrence)."""
         aux_index = {a.predicate.name.lower(): a for a in edc.aux}
         positives: list[Atom] = []
         negatives: list = []
@@ -81,7 +84,8 @@ class SQLGenerator:
             )
         aliases = _AliasGenerator()
         return self._build_select(
-            positives, negatives, builtins, guards, {}, aliases, aux_index
+            positives, negatives, builtins, guards, {}, aliases, aux_index,
+            canon_out=canon_out,
         )
 
     def delta_query(self, edc: EDC, branches) -> n.Query:

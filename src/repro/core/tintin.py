@@ -23,21 +23,32 @@ the database so TINTIN could disconnect afterwards (§3, feature 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import CompilationError, DurabilityError, SessionError
-from ..minidb.database import Database
+from ..logic import Builtin, Constant, Variable
+from ..minidb.database import Database, PreparedStatement
+from ..minidb.planner import access_skeleton
+from ..minidb.types import probe_key
 from ..obs.profiler import AssertionProfiler
 from ..obs.trace import CommitObs, NullTracer, Tracer
+from ..sqlparser import print_query
 from .assertion import Assertion
 from .baseline import NonIncrementalChecker
 from .delta import DeltaCompiler
 from .denial_compiler import DenialCompiler
+from .edc import EDC
 from .edc_generator import EDCGenerator
 from .event_tables import EventTableManager
 from .optimizer import OptimizationReport, SemanticOptimizer
-from .safe_commit import CommitResult, CompiledEDC, SafeCommit, log_update
+from .safe_commit import (
+    CommitResult,
+    CompiledEDC,
+    SafeCommit,
+    SharedCore,
+    log_update,
+)
 from .sql_generator import SQLGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server import Session, SessionManager
 
 SAFE_COMMIT_PROCEDURE = "safeCommit"
+
+#: the comparison seen from the other side: ``c op x`` is ``x op' c``
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class Tintin:
@@ -376,6 +390,11 @@ class Tintin:
                 if delta is not None and delta.query is not None
                 else None
             )
+            core = (
+                self._shared_core(edc, sql_gen, prepared)
+                if delta_prepared is None and edc.guard is None
+                else None
+            )
             self.safe_commit_proc.register(
                 CompiledEDC(
                     edc=edc,
@@ -385,6 +404,7 @@ class Tintin:
                     prepared=prepared,
                     delta=delta,
                     delta_prepared=delta_prepared,
+                    core=core,
                 )
             )
 
@@ -394,6 +414,73 @@ class Tintin:
         if self.durability is not None:
             self.durability.log_ddl("assertion_add", sql=assertion.sql)
         return assertion
+
+    def _shared_core(
+        self, edc: EDC, sql_gen: SQLGenerator, prepared: PreparedStatement
+    ) -> Optional[SharedCore]:
+        """The core ``edc`` can share with EDCs differing from it only in
+        constants, or None when sharing would not be exact and free.
+
+        The core is the body minus its top-level ``Variable op
+        Constant`` builtins; each removed builtin becomes a residual
+        comparison on the core's output row.  Refused when a constant
+        is not type-compatible with its column (a row could then raise
+        on one path and not the other).  The core is compiled only once
+        a second EDC renders to it, and every EDC whose own plan reads
+        through other scans, joins or probes than the core's leaves the
+        family — so sharing never turns a probe into a scan.
+        """
+        body: list = []
+        removed: list[tuple[Variable, str, object]] = []
+        for literal in edc.body:
+            if isinstance(literal, Builtin):
+                left, right = literal.left, literal.right
+                if isinstance(left, Variable) and isinstance(right, Constant):
+                    removed.append((left, literal.op, right.value))
+                    continue
+                if isinstance(left, Constant) and isinstance(right, Variable):
+                    removed.append((right, _MIRRORED[literal.op], left.value))
+                    continue
+            body.append(literal)
+        canon: dict = {}
+        query = sql_gen.edc_query(replace(edc, body=tuple(body)), canon_out=canon)
+        offsets: dict[str, tuple[int, object]] = {}
+        width = 0
+        for ref in query.from_items:
+            table = self.db.catalog.require_table(ref.name)
+            offsets[ref.binding] = (width, table)
+            width += len(table.schema.columns)
+        residual = []
+        for variable, op, constant in removed:
+            column_ref = canon[variable]
+            start, table = offsets[column_ref.table]
+            index = table.schema.column_names.index(column_ref.column)
+            if not probe_key(constant, table.schema.columns[index].sql_type):
+                return None
+            residual.append((start + index, op, constant))
+        key = print_query(query)
+        peers = [
+            c
+            for c in self.safe_commit_proc.compiled
+            if c.core is not None and c.core.key == key
+        ]
+        if not peers:
+            return SharedCore(key, query, tuple(residual))
+        handle = next(
+            (c.core.prepared for c in peers if c.core.prepared is not None),
+            None,
+        ) or self.db.prepare_query(query)
+        skeleton = access_skeleton(handle.plan)
+        for peer in peers:
+            if peer.core.prepared is None:
+                peer.core = (
+                    replace(peer.core, prepared=handle)
+                    if access_skeleton(peer.prepared.plan) == skeleton
+                    else None
+                )
+        if access_skeleton(prepared.plan) != skeleton:
+            return None
+        return SharedCore(key, query, tuple(residual), handle)
 
     def drop_assertion(self, name: str) -> None:
         """Remove an assertion and its views."""

@@ -125,7 +125,9 @@ class _PlanState(NamedTuple):
     plan: PlanNode
     columns: list[str]
     catalog_version: int
-    row_counts: dict[str, int]
+    #: ``(table, row count at plan time)`` per base table the planner
+    #: touched — the drift check's input, resolved once here
+    drift_pairs: tuple[tuple[Table, int], ...]
     table_refs: dict[str, Table]
 
 
@@ -165,18 +167,20 @@ class PreparedStatement:
             plan=plan,
             columns=planner.output_columns(self.query),
             catalog_version=catalog_version,
-            row_counts=dict(planner.tables_used),
+            drift_pairs=tuple(
+                (planner.table_refs[name], count)
+                for name, count in planner.tables_used.items()
+            ),
             table_refs=dict(planner.table_refs),
         )
 
     def _state_is_valid(self, state: _PlanState) -> bool:
-        catalog = self.db.catalog
-        if state.catalog_version != catalog.version:
+        # tables are added and dropped only by version-bumping DDL, so
+        # under an unchanged version the planned Table objects are
+        # still the catalog's own: no lookup by name is needed
+        if state.catalog_version != self.db.catalog.version:
             return False
-        for name, planned_count in state.row_counts.items():
-            table = catalog.get_table(name, default=None)
-            if table is None:
-                return False
+        for table, planned_count in state.drift_pairs:
             if _row_count_drifted(planned_count, len(table)):
                 return False
         return True

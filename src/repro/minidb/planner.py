@@ -17,7 +17,9 @@ joined against large indexed base tables):
    load time.  The whole pushed-down predicate stays a ``Filter`` on
    top, so the rows — and the errors — are those of ``Filter(SeqScan)``.
 2. **Greedy equi-join ordering** — start from the smallest estimated
-   relation and repeatedly attach the smallest connected one.  When the
+   relation and repeatedly attach the smallest connected one (equal
+   estimates go in FROM order, so a plan never depends on the
+   process's string-hash seed).  When the
    accumulated stream is much smaller than the next base table, the
    planner emits an :class:`~repro.minidb.plan.IndexJoin` that probes the
    table's hash index instead of materializing it — this is what makes
@@ -374,8 +376,15 @@ class Planner:
             return plans[only.binding]
 
         by_binding = {rel.binding: rel for rel in relations}
+        # equal estimates break toward FROM order, so a query plans the
+        # same in every process whatever its string-hash seed
+        rank = {binding: i for i, binding in enumerate(by_binding)}
+
+        def cost(binding: str) -> tuple[float, int]:
+            return plans[binding].estimate, rank[binding]
+
         remaining = set(by_binding)
-        start = min(remaining, key=lambda b: plans[b].estimate)
+        start = min(remaining, key=cost)
         current = plans[start]
         current_set = {start}
         remaining.discard(start)
@@ -389,12 +398,12 @@ class Planner:
             }
             connected &= remaining
             if connected:
-                chosen = min(connected, key=lambda b: plans[b].estimate)
+                chosen = min(connected, key=cost)
                 current = self._attach(
                     current, current_set, by_binding[chosen], plans[chosen], edges, outer
                 )
             else:
-                chosen = min(remaining, key=lambda b: plans[b].estimate)
+                chosen = min(remaining, key=cost)
                 current = NestedLoopCross(current, plans[chosen])
             current_set.add(chosen)
             remaining.discard(chosen)
@@ -958,6 +967,38 @@ class Planner:
                 return
             current = current.outer
         # unknown reference: leave for compile_expr to raise with context
+
+
+def access_skeleton(plan: PlanNode) -> tuple:
+    """The access paths of ``plan``: its scan, join and probe nodes with
+    their tables and key columns, with Filter, Project and Rename
+    erased.  Two plans with equal skeletons read the same rows through
+    the same indexes, whatever predicates they evaluate on the way."""
+    while isinstance(plan, (Filter, Project, Rename)):
+        plan = plan.child
+    if isinstance(plan, SeqScan):
+        return ("SeqScan", plan.table.name)
+    if isinstance(plan, IndexScan):
+        return ("IndexScan", plan.table.name, plan.columns)
+    if isinstance(plan, IndexJoin):
+        return (
+            "IndexJoin",
+            plan.table.name,
+            plan.table_columns,
+            plan.outer_positions,
+            access_skeleton(plan.outer),
+        )
+    if isinstance(plan, HashJoin):
+        return (
+            "HashJoin",
+            plan.left_positions,
+            plan.right_positions,
+            access_skeleton(plan.left),
+            access_skeleton(plan.right),
+        )
+    return (type(plan).__name__,) + tuple(
+        access_skeleton(child) for child in plan.children()
+    )
 
 
 def _rescope(plan: PlanNode, scope: Scope) -> PlanNode:

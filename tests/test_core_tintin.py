@@ -314,6 +314,139 @@ class TestMultipleAssertions:
         assert "o_orderkey" in violation.columns
 
 
+def bound_assertion(k: int) -> str:
+    """Twins differing only in constants: one family of shared cores."""
+    return (
+        f"CREATE ASSERTION qtyBound{k} CHECK (NOT EXISTS ("
+        "SELECT * FROM orders AS o, lineitem AS l "
+        f"WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity > {10 + k} "
+        f"AND o.o_custkey > {100 + k}))"
+    )
+
+
+@pytest.fixture
+def twins(installed):
+    db, tintin = installed
+    for k in range(3):
+        tintin.add_assertion(bound_assertion(k))
+    return db, tintin
+
+
+def spy_executions(monkeypatch) -> list:
+    """Every prepared plan executed from here on, in order."""
+    from repro.minidb.database import PreparedStatement
+
+    executed = []
+    real = PreparedStatement.execute
+
+    def spy(self, *args, **kwargs):
+        executed.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedStatement, "execute", spy)
+    return executed
+
+
+class TestDispatch:
+    def test_one_emptiness_probe_per_event_table_per_pass(
+        self, twins, monkeypatch
+    ):
+        from repro.core.safe_commit import SafeCommit
+
+        db, tintin = twins
+        probes = []
+        real = SafeCommit._effectively_empty
+
+        def spy(db_, name, overlays):
+            probes.append(name)
+            return real(db_, name, overlays)
+
+        monkeypatch.setattr(SafeCommit, "_effectively_empty", staticmethod(spy))
+        db.execute("INSERT INTO orders VALUES (5, 50)")
+        tintin.check_pending()
+        assert probes
+        assert len(probes) == len(set(probes))
+        tables = {
+            t.lower()
+            for c in tintin.safe_commit_proc.compiled
+            for t in c.event_tables + c.guard_tables
+        }
+        assert set(probes) == tables
+
+    def test_no_plan_executes_for_a_skipped_unit(self, twins, monkeypatch):
+        db, tintin = twins
+        db.execute("INSERT INTO orders VALUES (5, 50)")
+        executed = spy_executions(monkeypatch)
+        result = tintin.check_pending()
+        compiled = tintin.safe_commit_proc.compiled
+        # only ins_orders is non-empty: the views it alone drives wake
+        # (a twin family through its one core), nothing else runs
+        woken = [
+            c
+            for c in compiled
+            if set(c.event_tables) == {"ins_orders"} and not c.guard_tables
+        ]
+        plans = {
+            c.core.prepared if c.core and c.core.prepared else c.prepared
+            for c in woken
+        }
+        assert len(woken) == 4 and len(plans) == 2
+        assert len(executed) == len(plans) and set(executed) == plans
+        assert result.checked_views == len(woken)
+        assert result.skipped_views == len(compiled) - len(woken)
+
+    def test_a_family_core_runs_once_for_all_members(
+        self, twins, monkeypatch
+    ):
+        db, tintin = twins
+        db.execute("INSERT INTO orders VALUES (5, 150)")
+        db.execute("INSERT INTO lineitem VALUES (5, 1, 11)")
+        executed = spy_executions(monkeypatch)
+        result = tintin.check_pending()
+        cores = {
+            c.core.prepared
+            for c in tintin.safe_commit_proc.compiled
+            if c.core is not None and c.core.prepared is not None
+        }
+        assert len(cores) == 3  # one per EDC shape of the twins
+        assert sum(1 for p in executed if p in cores) == 3
+        own = {c.prepared for c in tintin.safe_commit_proc.compiled}
+        assert not [
+            p for p in executed if p in own and "qtyBound" in (p.sql or "")
+        ]
+        # quantity 11 trips qtyBound0 only; each member is still counted
+        assert {v.assertion for v in result.violations} == {"qtyBound0"}
+        assert result.checked_views + result.skipped_views == len(
+            tintin.safe_commit_proc.compiled
+        )
+
+    def test_plan_cache_off_runs_no_core(self, twins, monkeypatch):
+        db, tintin = twins
+        db.execute("INSERT INTO orders VALUES (5, 150)")
+        db.execute("INSERT INTO lineitem VALUES (5, 1, 12)")
+        cached = tintin.check_pending()
+        db.plan_cache_enabled = False
+        executed = spy_executions(monkeypatch)
+        fresh = tintin.check_pending()
+        cores = {
+            c.core.prepared
+            for c in tintin.safe_commit_proc.compiled
+            if c.core is not None
+        }
+        assert not [p for p in executed if p in cores]
+        assert [(v.assertion, v.rows) for v in fresh.violations] == [
+            (v.assertion, v.rows) for v in cached.violations
+        ]
+        assert {v.assertion for v in fresh.violations} == {
+            "qtyBound0",
+            "qtyBound1",
+        }
+        assert (fresh.checked_views, fresh.skipped_views) == (
+            cached.checked_views,
+            cached.skipped_views,
+        )
+
+
 # ---------------------------------------------------------------------------
 # Differential property: incremental == full recheck
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Tintin
 from repro.minidb import Database
-from repro.obs import AssertionProfiler, PlanStatsCollector
+from repro.obs import AssertionProfiler, PlanStatsCollector, RecordingTracer
 
 
 def make_engine():
@@ -101,6 +101,63 @@ class TestAssertionProfiler:
         assert profiler.snapshot()
         profiler.reset()
         assert profiler.snapshot() == {}
+
+
+def add_twins(tintin, count=3):
+    """Assertions differing only in constants: their EDCs share cores."""
+    for k in range(count):
+        tintin.add_assertion(
+            f"CREATE ASSERTION qtyBound{k} CHECK (NOT EXISTS ("
+            "SELECT * FROM orders AS o, lineitem AS l "
+            f"WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity > {10 + k} "
+            f"AND o.o_custkey > {100 + k}))"
+        )
+
+
+class TestSharedCores:
+    def test_every_member_still_counts_one_check(self):
+        db, tintin = make_engine()
+        add_twins(tintin)
+        profiler = tintin.enable_profiling(capture_rows=True)
+        session = tintin.create_session()
+        session.insert("orders", [(7, 150)])
+        session.insert("lineitem", [(7, 1, 11)])
+        result = session.commit()
+        assert not result.committed  # quantity 11 trips qtyBound0
+        snap = profiler.snapshot()
+        views = [
+            c.view_name
+            for c in tintin.safe_commit_proc.compiled
+            if c.view_name.startswith("qtyBound")
+        ]
+        assert len(views) == 9
+        # both staged tables are non-empty: every twin view is driven
+        assert all(snap[view]["checks"] == 1 for view in views)
+        assert [v for v in views if snap[v]["violations"]] == ["qtyBound01"]
+        assert sum(v["checks"] for v in snap.values()) == result.checked_views
+        assert sum(v["skips"] for v in snap.values()) == result.skipped_views
+
+    def test_shared_span_nests_under_validate(self):
+        db, tintin = make_engine()
+        add_twins(tintin)
+        tracer = RecordingTracer()
+        tintin.set_tracer(tracer)
+        session = tintin.create_session()
+        session.insert("orders", [(7, 50)])
+        session.insert("lineitem", [(7, 1, 5)])
+        assert session.commit().committed
+        spans = tracer.spans()
+        validate = next(s for s in spans if s.name == "validate")
+        shared = [s for s in spans if s.name.endswith(".shared")]
+        assert {s.name for s in shared} == {
+            f"check.qtyBound0{i}.shared" for i in (1, 2, 3)
+        }
+        for span in shared:
+            assert span.parent_id == validate.span_id
+            assert span.attrs["members"] == 3
+        assert not [
+            s for s in spans if s.name.startswith("check.qtyBound1")
+        ]
 
 
 class TestExplainAnalyze:

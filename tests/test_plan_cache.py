@@ -13,6 +13,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.minidb import Database, PreparedStatement
 from repro.minidb.database import _row_count_drifted, _split_explain
+from repro.minidb.planner import access_skeleton
 from repro.sqlparser.parser import parse_query, parse_statement
 from repro.sqlparser import nodes as n
 
@@ -116,6 +117,21 @@ class TestPreparedStatement:
 
 
 class TestDriftCriterion:
+    def test_equal_estimates_join_in_from_order(self):
+        # a tie must not be broken by set order, which follows the
+        # process's string-hash seed: the plan (and so whether two
+        # views share an access skeleton) would differ run to run
+        db = Database()
+        db.execute("CREATE TABLE a (x INTEGER)")
+        db.execute("CREATE TABLE b (x INTEGER)")
+        for first, second in (("a", "b"), ("b", "a")):
+            plan = db.prepare(
+                f"SELECT * FROM {first}, {second} WHERE a.x = b.x"
+            ).plan
+            assert access_skeleton(plan) == (
+                "HashJoin", (0,), (0,), ("SeqScan", first), ("SeqScan", second)
+            )
+
     def test_small_oscillation_is_stable(self):
         # event tables swing 0 <-> update-size every commit; the cache
         # must not thrash on that
