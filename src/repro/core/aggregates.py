@@ -34,7 +34,8 @@ from typing import Optional
 from ..errors import AssertionDefinitionError
 from ..minidb.catalog import Catalog
 from ..minidb.database import Database
-from ..minidb.expressions import Compiled, Scope, compile_expr, sql_compare
+from ..minidb.codegen import compile_expression
+from ..minidb.expressions import Compiled, Scope, sql_compare
 from ..minidb.plan import aggregate_value
 from ..sqlparser import nodes as n
 from .assertion import Assertion
@@ -209,11 +210,11 @@ class AggregateAssertionCompiler:
             outer_table=outer.schema.name,
             outer_binding=outer_ref.binding.lower(),
             outer_condition=(
-                compile_expr(n.conjoin(plain), outer_scope) if plain else None
+                compile_expression(n.conjoin(plain), outer_scope) if plain else None
             ),
             func=call.func,
             argument=(
-                compile_expr(call.argument, inner_scope)
+                compile_expression(call.argument, inner_scope)
                 if call.argument is not None
                 else None
             ),
@@ -221,7 +222,7 @@ class AggregateAssertionCompiler:
             inner_binding=inner_ref.binding.lower(),
             correlation=tuple(correlation),
             inner_condition=(
-                compile_expr(n.conjoin(inner_conditions), inner_scope)
+                compile_expression(n.conjoin(inner_conditions), inner_scope)
                 if inner_conditions
                 else None
             ),

@@ -16,7 +16,6 @@ from .database import (
     PreparedStatement,
     ResultSet,
 )
-from .plan import ExecutionContext
 from .schema import Column, ForeignKey, TableSchema
 from .storage import Table
 from .types import (
@@ -37,7 +36,6 @@ __all__ = [
     "DATE",
     "DOUBLE",
     "Database",
-    "ExecutionContext",
     "ForeignKey",
     "INTEGER",
     "PlanCache",

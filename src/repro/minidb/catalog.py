@@ -84,6 +84,9 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, View] = {}
         self._triggers: dict[str, Trigger] = {}
+        #: (normalized table, event) -> its triggers in creation order;
+        #: every DML statement looks its triggers up here, lock-free
+        self._trigger_index: dict[tuple[str, str], tuple[Trigger, ...]] = {}
         self._procedures: dict[str, Procedure] = {}
         self._version = 0
         self._lock = threading.RLock()
@@ -153,6 +156,8 @@ class Catalog:
                 if normalize(tr.table) == key
             ]:
                 del self._triggers[trigger_name]
+            for event in ("insert", "delete"):
+                self._trigger_index.pop((key, event), None)
             self.bump_version()
             return True
 
@@ -233,6 +238,8 @@ class Catalog:
                 )
             self.require_table(trigger.table)
             self._triggers[key] = trigger
+            slot = (normalize(trigger.table), trigger.event)
+            self._trigger_index[slot] = self._trigger_index.get(slot, ()) + (trigger,)
             self.bump_version()
 
     def drop_trigger(self, name: str) -> None:
@@ -240,17 +247,19 @@ class Catalog:
             key = normalize(name)
             if key not in self._triggers:
                 raise CatalogError(f"unknown trigger {name!r}")
-            del self._triggers[key]
+            trigger = self._triggers.pop(key)
+            slot = (normalize(trigger.table), trigger.event)
+            remaining = tuple(
+                t for t in self._trigger_index.get(slot, ()) if t is not trigger
+            )
+            if remaining:
+                self._trigger_index[slot] = remaining
+            else:
+                self._trigger_index.pop(slot, None)
             self.bump_version()
 
     def triggers_for(self, table: str, event: str) -> list[Trigger]:
-        key = normalize(table)
-        with self._lock:
-            return [
-                t
-                for t in self._triggers.values()
-                if normalize(t.table) == key and t.event == event
-            ]
+        return list(self._trigger_index.get((normalize(table), event), ()))
 
     def active_triggers_for(self, table: str, event: str) -> list[Trigger]:
         return [t for t in self.triggers_for(table, event) if t.enabled]
@@ -263,8 +272,8 @@ class Catalog:
     def set_triggers_enabled(self, table: str, enabled: bool) -> None:
         with self._lock:
             key = normalize(table)
-            for trigger in self._triggers.values():
-                if normalize(trigger.table) == key:
+            for event in ("insert", "delete"):
+                for trigger in self._trigger_index.get((key, event), ()):
                     trigger.enabled = enabled
 
     # -- stable shape serialization (durability subsystem) -------------------

@@ -24,15 +24,17 @@ Compilation is amortized through two cooperating layers:
   whatever its constants.
 
 Both layers rely on plans being immutable and reusable (see
-:mod:`repro.minidb.plan`); set ``plan_cache_enabled = False`` to parse
-and plan every statement fresh.
+:mod:`repro.minidb.plan`).  A prepared statement compiles its plan to
+one generated Python function (:mod:`repro.minidb.codegen`) and every
+execution calls that function; a re-plan regenerates it.  Set
+``plan_cache_enabled = False`` to parse, plan and compile every
+statement fresh.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from time import perf_counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -49,8 +51,9 @@ from ..sqlparser.parser import parse_shape, parse_statement
 from ..sqlparser.shape import statement_shape
 from .catalog import Catalog, Procedure, Trigger, View
 from .constraints import ConstraintChecker, validate_foreign_keys
-from .expressions import ARGS_KEY, Compiled, Scope, compile_expr
-from .plan import ExecutionContext, PlanNode, execution_params
+from .codegen import CompiledPlan, compile_expression, compile_plan, compile_rows
+from .expressions import ARGS_KEY, Scope
+from .plan import PlanNode
 from .planner import Planner
 from .schema import Column, TableSchema
 from .storage import Table, TableOverlay
@@ -123,6 +126,8 @@ class _PlanState(NamedTuple):
     """
 
     plan: PlanNode
+    #: the plan compiled to Python — what every execution runs
+    program: CompiledPlan
     columns: list[str]
     catalog_version: int
     #: ``(table, row count at plan time)`` per base table the planner
@@ -165,6 +170,7 @@ class PreparedStatement:
         plan = planner.plan_query(self.query)
         return _PlanState(
             plan=plan,
+            program=compile_plan(plan),
             columns=planner.output_columns(self.query),
             catalog_version=catalog_version,
             drift_pairs=tuple(
@@ -219,21 +225,26 @@ class PreparedStatement:
         overlays: Optional[dict[str, TableOverlay]] = None,
         collector: Optional[object] = None,
     ) -> ResultSet:
-        """Run the prepared plan under a fresh execution context.
+        """Run the compiled plan.
 
-        ``overlays`` (normalized table name ->
+        ``params`` carries the statement constants under
+        :data:`~repro.minidb.expressions.ARGS_KEY`.  ``overlays``
+        (normalized table name ->
         :class:`~repro.minidb.storage.TableOverlay`) merges staged
         events into the named tables for this execution only — the
         overlay-merge read path of server sessions.  The compiled plan
         itself is shared and untouched.  ``collector`` (see
-        :class:`repro.obs.profiler.PlanStatsCollector`) observes this
-        one execution's per-node row counts and timings.
+        :class:`repro.obs.profiler.PlanStatsCollector`) receives this
+        one execution's per-node row counts and its time, from the
+        instrumented compile of the same plan.
         """
         state = self._validated_state()
-        ctx = ExecutionContext(overlays, collector=collector)
-        return ResultSet(
-            list(state.columns), list(state.plan.run(params, ctx))
-        )
+        args = params.get(ARGS_KEY, ()) if params else ()
+        if collector is None:
+            rows = state.program.run(args, overlays)
+        else:
+            rows = state.program.analyze(args, overlays, collector)
+        return ResultSet(list(state.columns), rows)
 
     def explain(self) -> str:
         """The current physical plan as an indented tree."""
@@ -279,25 +290,24 @@ class CachedStatement:
     constants.  ``prepared`` is the query the statement reads through:
     a SELECT's own query (compiled with the entry), the victim query
     of a DELETE/UPDATE … WHERE or the source of an INSERT … SELECT
-    (compiled on first execution).  ``values`` are the compiled rows of
-    an INSERT … VALUES.  All three are immutable and shared: whatever
-    differs between two executions arrives in their ``params``.
+    (compiled on first execution).  ``values`` computes the rows of an
+    INSERT … VALUES from ``params``; ``assign`` is an UPDATE's
+    ``(table, compiled SET expressions)``, compiled on first execution
+    against the table it found.  All are shared: whatever differs
+    between two executions arrives in their ``params``.
     """
 
-    __slots__ = ("stmt", "prepared", "values")
+    __slots__ = ("stmt", "prepared", "values", "assign")
 
     def __init__(
         self, stmt: n.Statement, prepared: Optional[PreparedStatement] = None
     ):
         self.stmt = stmt
         self.prepared = prepared
-        self.values: Optional[list[list[Compiled]]] = None
+        self.values = None
+        self.assign = None
         if isinstance(stmt, n.Insert) and stmt.query is None:
-            no_columns = Scope([])
-            self.values = [
-                [compile_expr(value, no_columns) for value in row]
-                for row in stmt.rows
-            ]
+            self.values = compile_rows(stmt.rows)
 
 
 class PlanCache:
@@ -566,14 +576,14 @@ class Database:
             table, victims = self.resolve_delete_rows(entry, params)
             return self.delete_rows(table.name, victims)
         if isinstance(stmt, n.Update):
-            return self._execute_update(entry, params)
+            return self._run_update(entry, params)
         if isinstance(stmt, n.Explain):
             # AST entry point: no SQL text to key the cache with — plan
             # fresh and report the tree (the text entry point in
             # :meth:`execute` adds cache hit/miss information).
             plan = Planner(self.catalog).plan_query(stmt.query)
             if getattr(stmt, "analyze", False):
-                return _run_explain_analyze(plan)
+                return _run_explain_analyze(compile_plan(plan))
             return plan.explain()
         if isinstance(stmt, n.CreateTable):
             self.create_table_ast(stmt)
@@ -645,9 +655,7 @@ class Database:
         planner = Planner(self.catalog)
         plan = planner.plan_query(query)
         columns = planner.output_columns(query)
-        return ResultSet(
-            columns, list(plan.run(ctx=ExecutionContext(overlays)))
-        )
+        return ResultSet(columns, compile_plan(plan).run((), overlays))
 
     def explain(self, sql: str) -> str:
         """The physical plan for a query, as an indented tree, headed by
@@ -660,12 +668,13 @@ class Database:
         overlays: Optional[dict[str, TableOverlay]] = None,
     ) -> str:
         """Execute a query and return its plan tree annotated with
-        actual per-node row counts and inclusive timings (same output
-        as ``EXPLAIN ANALYZE <query>``).  Goes through the statement
-        cache like a normal query."""
+        actual per-node row counts, plus the statement's time (same
+        output as ``EXPLAIN ANALYZE <query>``).  Goes through the
+        statement cache like a normal query."""
         prepared, params, _ = self._select(sql, required_by="EXPLAIN ANALYZE")
         state = prepared._validated_state()
-        return _run_explain_analyze(state.plan, overlays, params)
+        args = params.get(ARGS_KEY, ()) if params else ()
+        return _run_explain_analyze(state.program, overlays, args)
 
     def _explain_text(self, sql: str) -> str:
         """EXPLAIN body: cache status header + the plan tree.
@@ -777,11 +786,7 @@ class Database:
                 entry.prepared = PreparedStatement(self, stmt.query)
             raw_rows: list[tuple] = entry.prepared.execute(params).rows
         else:
-            constants = params or {}
-            raw_rows = [
-                tuple(value((), constants) for value in row)
-                for row in entry.values
-            ]
+            raw_rows = entry.values(params or {})
         rows = [self._arrange_columns(table, stmt.columns, r) for r in raw_rows]
         return table, rows
 
@@ -892,16 +897,19 @@ class Database:
         """
         stmt = entry.stmt
         table = self.catalog.require_table(stmt.table)
-        binding = stmt.alias or table.name
-        scope = Scope([(binding, c) for c in table.schema.column_names])
-        assignments: dict[int, object] = {}
-        for column, expr in stmt.assignments:
-            position = table.schema.column_index(column)
-            if position in assignments:
-                raise ExecutionError(
-                    f"UPDATE {table.name!r} assigns column {column!r} twice"
-                )
-            assignments[position] = compile_expr(expr, scope)
+        if entry.assign is None or entry.assign[0] is not table:
+            binding = stmt.alias or table.name
+            scope = Scope([(binding, c) for c in table.schema.column_names])
+            compiled: dict[int, object] = {}
+            for column, expr in stmt.assignments:
+                position = table.schema.column_index(column)
+                if position in compiled:
+                    raise ExecutionError(
+                        f"UPDATE {table.name!r} assigns column {column!r} twice"
+                    )
+                compiled[position] = compile_expression(expr, scope)
+            entry.assign = (table, compiled)
+        assignments = entry.assign[1]
         old_rows = self._matching_rows(entry, params, table)
         constants = params or {}
         new_rows = []
@@ -912,7 +920,7 @@ class Database:
             new_rows.append(table.validate_row(tuple(values)))
         return table, old_rows, new_rows
 
-    def _execute_update(
+    def _run_update(
         self, entry: CachedStatement, params: Optional[dict] = None
     ) -> int:
         """UPDATE is executed as delete-old + insert-new.
@@ -1084,8 +1092,7 @@ class Database:
     @staticmethod
     def _literal_value(expr: n.Expr):
         """Evaluate a row-less expression (INSERT values, CALL args)."""
-        fn = compile_expr(expr, Scope([]))
-        return fn((), {})
+        return compile_expression(expr, Scope([]))((), {})
 
     def table(self, name: str) -> Table:
         """Direct access to a table's storage (tests and tooling)."""
@@ -1132,21 +1139,20 @@ def _split_explain(sql: str) -> Optional[tuple[bool, str]]:
 
 
 def _run_explain_analyze(
-    plan: PlanNode,
+    program: CompiledPlan,
     overlays: Optional[dict[str, TableOverlay]] = None,
-    params: Optional[dict] = None,
+    args: tuple = (),
 ) -> str:
-    """Execute ``plan`` under a fresh stats collector and render the
-    annotated tree plus a one-line execution summary."""
+    """Execute the instrumented compile of ``program``'s plan and
+    render the tree with actual rows per node, plus a one-line summary
+    carrying the statement's time (there is no per-node time: the plan
+    runs as one function)."""
     from ..obs.profiler import PlanStatsCollector
 
     collector = PlanStatsCollector()
-    ctx = ExecutionContext(overlays, collector=collector)
-    start = perf_counter()
-    rows = sum(1 for _ in plan.run(params, ctx))
-    elapsed = perf_counter() - start
+    rows = program.analyze(args, overlays, collector)
     return (
-        collector.annotate(plan)
-        + f"\n-- {rows} rows in {elapsed:.6f}s"
+        collector.annotate(program.plan)
+        + f"\n-- {len(rows)} rows in {collector.seconds:.6f}s"
         + f" ({collector.rows_scanned()} rows scanned)"
     )

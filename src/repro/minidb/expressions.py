@@ -1,16 +1,21 @@
-"""Expression compilation with SQL three-valued logic.
+"""Expression binding and SQL three-valued logic.
 
-AST expressions are compiled once per query into Python closures
-evaluated per row.  A closure has the signature ``fn(row, params)``:
+The planner *binds* every expression it places in a plan
+(:func:`bind`): column references become :class:`Slot` nodes naming the
+scope and tuple position they read, and subqueries become the probe
+nodes the planner chose for them.  The bound tree is data — the code
+generator in :mod:`repro.minidb.codegen` turns it into Python source.
 
-* ``row`` — the operator's current output tuple;
-* ``params`` — a dict of outer-query column values, keyed by
-  ``(binding, column)`` in normalized (lower) case, used for correlated
-  subqueries.  One reserved string key, :data:`ARGS_KEY`, carries the
-  constants of this execution of a statement *shape*
-  (:mod:`repro.sqlparser.shape`) — :class:`~repro.sqlparser.nodes.Parameter`
+A bound expression sees two kinds of input:
+
+* the current row of the scope it was bound in, and the rows of the
+  enclosing scopes (correlation) — both through :class:`Slot`;
+* the constants of this execution of a statement *shape*
+  (:mod:`repro.sqlparser.shape`): :class:`~repro.sqlparser.nodes.Parameter`
   nodes read them, so nothing of one call's constants is ever compiled
-  into a shared plan.
+  into a shared plan.  Standalone expressions
+  (:func:`repro.minidb.codegen.compile_expression`) receive them in a
+  ``params`` dict under the reserved key :data:`ARGS_KEY`.
 
 Boolean results use Kleene three-valued logic: ``True``, ``False`` or
 ``None`` (SQL UNKNOWN).  WHERE keeps a row only when the predicate is
@@ -19,6 +24,7 @@ exactly ``True``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..errors import ExecutionError, SchemaError
@@ -26,19 +32,20 @@ from ..sqlparser import nodes as n
 from .types import comparable
 
 #: Reserved ``params`` key holding the tuple of statement constants
-#: (regular correlation keys are ``(binding, column)`` tuples, so a
-#: plain string can never collide with them).
+#: (correlation keys are ``(binding, column)`` tuples, so a plain string
+#: can never collide with them).
 ARGS_KEY = "__args__"
 
 #: Normalized (binding, column) pair.
 ColumnKey = tuple[str, str]
 
-#: A compiled expression.
+#: A compiled standalone expression: ``fn(row, params)``.
 Compiled = Callable[[tuple, dict], object]
 
-#: Resolves a subquery node to a closure ``fn(params) -> bool | None``.
-#: Provided by the planner (which knows how to build and run subplans).
-SubqueryCompiler = Callable[[n.Expr], Callable[[dict], object]]
+#: Binds a subquery node (``[NOT] EXISTS``, ``IN (subquery)``, scalar
+#: subquery) in the scope the callback closes over; the planner supplies
+#: one that plans the subquery.
+SubqueryBinder = Callable[[n.Expr], n.Expr]
 
 
 def _norm(name: Optional[str]) -> Optional[str]:
@@ -51,8 +58,7 @@ class Scope:
     The scope is an ordered sequence of ``(binding, column)`` pairs, one
     per tuple position.  Unqualified column references must be
     unambiguous across bindings.  References that cannot be resolved
-    locally fall through to the ``outer`` scope chain and compile into
-    parameter lookups (correlation).
+    locally fall through to the ``outer`` scope chain (correlation).
     """
 
     def __init__(self, entries: list[ColumnKey], outer: Optional["Scope"] = None):
@@ -80,23 +86,17 @@ class Scope:
             raise SchemaError(f"cannot resolve column reference {ref}")
         return position
 
-    def resolve_with_outer(self, ref: n.ColumnRef):
-        """Resolve locally (-> ('local', pos)) or in outer scopes
-        (-> ('outer', key)).  Raises SchemaError if not found anywhere."""
-        position = self.try_resolve(ref)
-        if position is not None:
-            return ("local", position)
-        scope = self.outer
+    def locate(self, ref: n.ColumnRef) -> tuple["Scope", int]:
+        """The scope ``ref`` resolves in — this one, else the nearest
+        enclosing one (correlation) — and its position there.  Raises
+        SchemaError if it resolves nowhere."""
+        scope: Optional[Scope] = self
         while scope is not None:
             position = scope.try_resolve(ref)
             if position is not None:
-                binding, column = scope.entries[position]
-                return ("outer", (binding, column))
+                return scope, position
             scope = scope.outer
         raise SchemaError(f"cannot resolve column reference {ref}")
-
-    def key_at(self, position: int) -> ColumnKey:
-        return self.entries[position]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,8 @@ def sql_compare(op: str, left, right) -> object:
     raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
-def _arith(op: str, left, right):
+def sql_arith(op: str, left, right):
+    """Binary arithmetic; NULL operands yield NULL."""
     if left is None or right is None:
         return None
     if isinstance(left, bool) or isinstance(right, bool):
@@ -185,116 +186,69 @@ def _arith(op: str, left, right):
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
 
 
+def sql_negate(value):
+    """The parser's ``-<literal>`` fold applied to a statement constant:
+    numbers negate, anything else is the arithmetic ``0 - value``."""
+    if isinstance(value, (int, float)):
+        return -value
+    return sql_arith("-", 0, value)
+
+
 # ---------------------------------------------------------------------------
-# Compiler
+# Binding
 
 
-def compile_expr(
-    expr: n.Expr,
-    scope: Scope,
-    subquery_compiler: Optional[SubqueryCompiler] = None,
-) -> Compiled:
-    """Compile an expression AST into ``fn(row, params)``.
+@dataclass(frozen=True, eq=False)
+class Slot(n.Expr):
+    """A bound column reference: position ``position`` of the rows of
+    ``scope`` — the scope the expression was bound in, or an enclosing
+    one (a correlated reference)."""
 
-    ``subquery_compiler`` is required when the expression contains
-    ``[NOT] EXISTS`` or ``[NOT] IN (subquery)`` nodes; the planner
-    supplies one that builds and executes the subplan per invocation.
+    scope: Scope
+    position: int
+
+
+def bind(
+    expr: n.Expr, scope: Scope, subquery: Optional[SubqueryBinder] = None
+) -> n.Expr:
+    """Resolve ``expr`` against ``scope`` (and its outer chain).
+
+    Column references become :class:`Slot` nodes; subquery nodes are
+    handed to ``subquery``, which must be given when the expression
+    contains any.  Raises SchemaError for a reference that resolves
+    nowhere and ExecutionError for a construct with no value here.
     """
-    if isinstance(expr, n.Literal):
-        value = expr.value
-        return lambda row, params: value
-
-    if isinstance(expr, n.Parameter):
-        index = expr.index
-        if not expr.negated:
-            return lambda row, params: params[ARGS_KEY][index]
-
-        def negated(row, params):
-            # exactly the parser's ``-<literal>`` fold: numbers negate,
-            # anything else is the arithmetic ``0 - value``
-            value = params[ARGS_KEY][index]
-            if isinstance(value, (int, float)):
-                return -value
-            return _arith("-", 0, value)
-
-        return negated
-
+    if isinstance(expr, (n.Literal, n.Parameter)):
+        return expr
     if isinstance(expr, n.ColumnRef):
-        kind, where = scope.resolve_with_outer(expr)
-        if kind == "local":
-            position = where
-            return lambda row, params: row[position]
-        key = where
-        return lambda row, params: params[key]
-
-    if isinstance(expr, n.Comparison):
-        op = expr.op
-        left = compile_expr(expr.left, scope, subquery_compiler)
-        right = compile_expr(expr.right, scope, subquery_compiler)
-        return lambda row, params: sql_compare(op, left(row, params), right(row, params))
-
-    if isinstance(expr, n.Arithmetic):
-        op = expr.op
-        left = compile_expr(expr.left, scope, subquery_compiler)
-        right = compile_expr(expr.right, scope, subquery_compiler)
-        return lambda row, params: _arith(op, left(row, params), right(row, params))
-
-    if isinstance(expr, n.And):
-        items = [compile_expr(item, scope, subquery_compiler) for item in expr.items]
-        return lambda row, params: sql_and(item(row, params) for item in items)
-
-    if isinstance(expr, n.Or):
-        items = [compile_expr(item, scope, subquery_compiler) for item in expr.items]
-        return lambda row, params: sql_or(item(row, params) for item in items)
-
+        return Slot(*scope.locate(expr))
+    if isinstance(expr, (n.Comparison, n.Arithmetic)):
+        return type(expr)(
+            expr.op,
+            bind(expr.left, scope, subquery),
+            bind(expr.right, scope, subquery),
+        )
+    if isinstance(expr, (n.And, n.Or)):
+        return type(expr)(tuple(bind(item, scope, subquery) for item in expr.items))
     if isinstance(expr, n.Not):
-        inner = compile_expr(expr.item, scope, subquery_compiler)
-        return lambda row, params: sql_not(inner(row, params))
-
+        return n.Not(bind(expr.item, scope, subquery))
     if isinstance(expr, n.IsNull):
-        inner = compile_expr(expr.item, scope, subquery_compiler)
-        if expr.negated:
-            return lambda row, params: inner(row, params) is not None
-        return lambda row, params: inner(row, params) is None
-
+        return n.IsNull(bind(expr.item, scope, subquery), expr.negated)
     if isinstance(expr, n.InList):
-        item = compile_expr(expr.item, scope, subquery_compiler)
-        values = [compile_expr(v, scope, subquery_compiler) for v in expr.values]
-        negated = expr.negated
-
-        def run_in(row, params):
-            subject = item(row, params)
-            result = sql_or(
-                sql_compare("=", subject, value(row, params)) for value in values
-            )
-            return sql_not(result) if negated else result
-
-        return run_in
-
+        return n.InList(
+            bind(expr.item, scope, subquery),
+            tuple(bind(value, scope, subquery) for value in expr.values),
+            expr.negated,
+        )
     if isinstance(expr, (n.Exists, n.InSubquery, n.ScalarSubquery)):
-        if subquery_compiler is None:
+        if subquery is None:
             raise ExecutionError(
-                "subquery encountered but no subquery compiler provided"
+                "subquery encountered but no subquery planner provided"
             )
-        run = subquery_compiler(expr)
-        return lambda row, params: run(_merge_params(scope, row, params))
-
+        return subquery(expr)
     if isinstance(expr, n.AggregateCall):
         raise ExecutionError(
             f"{expr.func} is only valid in the select list of an "
             "aggregate query"
         )
-
     raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
-
-
-def _merge_params(scope: Scope, row: tuple, params: dict) -> dict:
-    """Extend outer params with the current row's columns.
-
-    Used when entering a subquery: every column of the current scope
-    becomes available to the subplan as a correlation parameter.
-    """
-    merged = dict(params)
-    for position, key in enumerate(scope.entries):
-        merged[key] = row[position]
-    return merged

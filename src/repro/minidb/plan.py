@@ -1,21 +1,15 @@
-"""Physical plan operators (iterator model).
+"""Physical plan operators.
 
-Each operator exposes ``execute(params)`` yielding output tuples, plus a
-``scope`` (:class:`repro.minidb.expressions.Scope`) describing the tuple
-layout, and an ``estimate`` used by the planner's greedy join ordering.
-
-``params`` carries correlation values from enclosing queries — operators
-pass it through unchanged; only compiled expressions read it.  One
-reserved string key (:data:`CTX_KEY` — disjoint from the normal
-``(binding, column)`` tuple keys) carries the
-:class:`ExecutionContext`, the per-execution mutable state of an
-otherwise immutable compiled plan.  Because subquery memoization lives
-in the context rather than in compile-time closures, a plan can be
-executed any number of times (the prepared-statement cache in
-:mod:`repro.minidb.database` depends on this).  Call
-:meth:`PlanNode.run` (or seed ``params`` with
-:func:`execution_params`) to start a top-level execution with a fresh
-context.
+A plan is a tree of immutable operator descriptions.  Each operator
+carries a ``scope`` (:class:`repro.minidb.expressions.Scope`) describing
+its output tuple layout and an ``estimate`` used by the planner's greedy
+join ordering; expressions inside a plan are *bound* ASTs
+(:func:`repro.minidb.expressions.bind`).  Nothing here executes: the
+code generator in :mod:`repro.minidb.codegen` turns a whole plan into
+the source of one Python function, and that function is what runs.
+Because a plan holds no per-execution state, one compiled plan serves
+any number of executions (the prepared-statement cache in
+:mod:`repro.minidb.database` depends on this).
 
 The operator set is deliberately small:
 
@@ -29,159 +23,33 @@ The operator set is deliberately small:
   must be materialized anyway;
 * :class:`NestedLoopCross` — cartesian product (rare: only for
   disconnected join graphs);
-* :class:`Filter`, :class:`Project`, :class:`Distinct`,
-  :class:`UnionAll`, :class:`UnionDistinct`.
+* :class:`Filter`, :class:`Project`, :class:`Rename`, :class:`Distinct`,
+  :class:`UnionAll`, :class:`UnionDistinct`, :class:`Aggregate`,
+  :class:`DeltaSeed`.
 
-Subqueries (``[NOT] EXISTS`` / ``[NOT] IN``) never appear as join
-operators: the planner compiles them into *probe closures* evaluated
-inside :class:`Filter` predicates (see :mod:`repro.minidb.planner`),
-which probe table indexes directly.
+Subqueries (``[NOT] EXISTS`` / ``[NOT] IN`` / scalar aggregates) never
+appear as join operators: the planner binds them into the expression
+that uses them, as an :class:`IndexProbe` (one base table probed on its
+equi-correlated columns) or a :class:`SubPlan` (a plan of its own, run
+once per distinct correlation value).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-from .expressions import Compiled, Scope
-from .storage import Table, TableOverlay
-from .types import probe_key
-
-#: Reserved ``params`` key carrying the :class:`ExecutionContext`.  All
-#: regular correlation keys are ``(binding, column)`` tuples, so a plain
-#: string can never collide with them.
-CTX_KEY = "__ctx__"
-
-
-class ExecutionContext:
-    """Per-execution mutable state for a compiled plan.
-
-    Compiled plans are immutable; every piece of state that one
-    execution must not leak into the next — the memo tables of the
-    planner's generic subquery probes, and the optional table
-    *overlays* — lives here.  Each probe owns a sentinel token
-    allocated at compile time and retrieves its private memo dict with
-    :meth:`memo`.
-
-    ``overlays`` maps a normalized base-table name to a
-    :class:`~repro.minidb.storage.TableOverlay`.  Scan and probe
-    operators merge the overlay into their output on the fly, so one
-    immutable plan can serve both plain reads (no overlay) and a
-    session's read-your-writes view — without ever mutating base
-    storage.
-
-    ``collector`` is an optional per-execution plan-statistics sink
-    (duck-typed: anything with ``wrap(node, iterator)``, see
-    :class:`repro.obs.profiler.PlanStatsCollector`).  When present,
-    every node's output iterator is routed through it — this powers
-    EXPLAIN ANALYZE and per-assertion row accounting.  When absent
-    (the default), execution pays one ``is None`` test per node.
-    """
-
-    __slots__ = ("_memos", "overlays", "collector")
-
-    def __init__(
-        self,
-        overlays: Optional[dict[str, TableOverlay]] = None,
-        collector: Optional[object] = None,
-    ):
-        self._memos: dict[object, dict] = {}
-        self.overlays = overlays or None
-        self.collector = collector
-
-    def memo(self, token: object) -> dict:
-        """The mutable memo dict owned by ``token`` for this execution."""
-        memo = self._memos.get(token)
-        if memo is None:
-            memo = self._memos[token] = {}
-        return memo
-
-    def overlay_for(self, table: Table) -> Optional[TableOverlay]:
-        """The overlay staged on ``table`` in this execution, if any."""
-        overlays = self.overlays
-        if overlays is None:
-            return None
-        return overlays.get(table.schema.name.lower())
-
-
-def execution_params(
-    params: Optional[dict] = None, ctx: Optional[ExecutionContext] = None
-) -> dict:
-    """A top-level ``params`` dict carrying a (fresh) execution context."""
-    merged = dict(params) if params else {}
-    merged[CTX_KEY] = ctx if ctx is not None else ExecutionContext()
-    return merged
-
-
-def context_memo(params: dict, token: object) -> dict:
-    """The memo dict for ``token`` in the execution carried by ``params``.
-
-    When no context is present (a bare ``plan.execute({})`` — tests,
-    ad-hoc tooling) a throwaway dict is returned: memoization is simply
-    disabled and correctness is unaffected.
-    """
-    ctx = params.get(CTX_KEY)
-    if ctx is None:
-        return {}
-    return ctx.memo(token)
-
-
-def table_overlay(params: dict, table: Table) -> Optional[TableOverlay]:
-    """The overlay staged on ``table`` in the execution carried by
-    ``params`` (None for plain reads or bare executions)."""
-    ctx = params.get(CTX_KEY)
-    if ctx is None:
-        return None
-    return ctx.overlay_for(table)
-
-
-def scan_table(params: dict, table: Table) -> Iterator[tuple]:
-    """Scan ``table`` through the execution's overlay, if any."""
-    overlay = table_overlay(params, table)
-    if overlay is None:
-        return table.scan()
-    return overlay.scan(table)
-
-
-def probe_table(
-    params: dict, table: Table, columns: tuple[str, ...], key: tuple
-) -> Iterator[tuple]:
-    """Index-probe ``table`` through the execution's overlay, if any."""
-    overlay = table_overlay(params, table)
-    if overlay is None:
-        return table.lookup_secondary(columns, key)
-    return overlay.lookup(table, columns, key)
+from ..errors import ExecutionError
+from ..sqlparser import nodes as n
+from .expressions import Scope
+from .storage import Table
 
 
 class PlanNode:
-    """Base class for physical operators.
-
-    Subclasses implement :meth:`_execute`; the public :meth:`execute`
-    routes the node's output through the execution's plan-statistics
-    collector when one is installed (EXPLAIN ANALYZE, profiling) and
-    is otherwise a direct pass-through.
-    """
+    """Base class for physical operators."""
 
     scope: Scope
     estimate: float
-
-    def _execute(self, params: dict) -> Iterator[tuple]:  # pragma: no cover
-        raise NotImplementedError
-
-    def execute(self, params: dict) -> Iterator[tuple]:
-        ctx = params.get(CTX_KEY)
-        if ctx is None or ctx.collector is None:
-            return self._execute(params)
-        return ctx.collector.wrap(self, self._execute(params))
-
-    def run(
-        self,
-        params: Optional[dict] = None,
-        ctx: Optional[ExecutionContext] = None,
-    ) -> Iterator[tuple]:
-        """Execute as a top-level statement under a fresh (or given)
-        :class:`ExecutionContext`.  This is the entry point for repeated
-        execution of a cached plan."""
-        return self.execute(execution_params(params, ctx))
 
     def explain(self, indent: int = 0) -> str:
         """Human-readable plan tree (used in tests and debugging)."""
@@ -201,9 +69,9 @@ class SeqScan(PlanNode):
     """Full scan of a base table under a binding name.
 
     When the execution carries an overlay for the table, the scan
-    merges it on the fly (staged deletes masked with multiset
-    semantics, staged inserts appended) — base storage is never read
-    through a mutated state.
+    merges it on the fly (:meth:`~repro.minidb.storage.TableOverlay.scan`:
+    staged deletes masked with multiset semantics, staged inserts
+    appended) — base storage is never read through a mutated state.
     """
 
     def __init__(self, table: Table, binding: str):
@@ -214,9 +82,6 @@ class SeqScan(PlanNode):
         )
         self.estimate = float(max(len(table), 1))
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        return scan_table(params, self.table)
-
     def describe(self) -> str:
         return f"SeqScan({self.table.name} AS {self.binding}, ~{len(self.table)} rows)"
 
@@ -224,11 +89,10 @@ class SeqScan(PlanNode):
 class IndexScan(PlanNode):
     """The rows of a base table whose ``columns`` equal constants.
 
-    The constants are compiled row-free expressions (literals or
+    The constants are bound row-free expressions (literals or
     statement parameters) evaluated per execution, so the node — like
-    every plan node — holds nothing of one call's values.  The probe
-    goes through :func:`probe_table`: overlay-aware exactly as
-    :class:`IndexJoin` is, and in scan order, so the node yields what a
+    every plan node — holds nothing of one call's values.  The probe is
+    overlay-aware exactly as :class:`IndexJoin`'s is, and in scan order, so the node yields what a
     :class:`SeqScan` filtered on the same equalities would, row for
     row.  A key the index cannot answer (NULL, or a value the column
     comparison rejects) falls back to the full scan; the planner keeps
@@ -241,7 +105,7 @@ class IndexScan(PlanNode):
         table: Table,
         binding: str,
         columns: tuple[str, ...],
-        key: list[Compiled],
+        key: list[n.Expr],
         via: str,
         estimate: float,
     ):
@@ -255,13 +119,6 @@ class IndexScan(PlanNode):
             [(binding, column) for column in table.schema.column_names]
         )
         self.estimate = estimate
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        key = tuple(fn((), params) for fn in self.key)
-        for value, sql_type in zip(key, self.key_types):
-            if not probe_key(value, sql_type):
-                return scan_table(params, self.table)
-        return probe_table(params, self.table, self.columns, key)
 
     def describe(self) -> str:
         cols = ", ".join(self.columns)
@@ -303,18 +160,6 @@ class DeltaSeed(PlanNode):
         #: nodes exposing a ``table`` (the first source stands for all)
         self.table = self.tables[0]
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        positions = self.positions
-        seen: set[tuple] = set()
-        for table in self.tables:
-            for row in scan_table(params, table):
-                key = tuple(row[p] for p in positions)
-                if any(v is None for v in key):
-                    continue
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
     def describe(self) -> str:
         names = ", ".join(t.name for t in self.tables)
         cols = ", ".join(self.columns)
@@ -322,42 +167,33 @@ class DeltaSeed(PlanNode):
 
 
 class Filter(PlanNode):
-    """Keep rows where the compiled predicate evaluates to exactly True."""
+    """Keep rows where the bound predicate evaluates to exactly True."""
 
-    def __init__(self, child: PlanNode, predicate: Compiled, selectivity: float = 0.25):
+    def __init__(self, child: PlanNode, predicate: n.Expr, selectivity: float = 0.25):
         self.child = child
         self.predicate = predicate
         self.scope = child.scope
         self.estimate = max(child.estimate * selectivity, 1.0)
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        predicate = self.predicate
-        for row in self.child.execute(params):
-            if predicate(row, params) is True:
-                yield row
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
 
 class Project(PlanNode):
-    """Compute output expressions per row."""
+    """Compute output expressions per row: each item is a bound
+    expression over the child's scope, or the int position of a child
+    column (``*``)."""
 
     def __init__(
         self,
         child: PlanNode,
-        exprs: list[Compiled],
+        exprs: list,
         out_scope: Scope,
     ):
         self.child = child
         self.exprs = exprs
         self.scope = out_scope
         self.estimate = child.estimate
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        exprs = self.exprs
-        for row in self.child.execute(params):
-            yield tuple(expr(row, params) for expr in exprs)
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -370,13 +206,6 @@ class Distinct(PlanNode):
         self.child = child
         self.scope = child.scope
         self.estimate = child.estimate
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for row in self.child.execute(params):
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -392,8 +221,8 @@ class IndexJoin(PlanNode):
 
     ``outer_positions`` select the probe key from the outer tuple;
     ``table_columns`` name the indexed columns of the inner table.  An
-    optional ``residual`` predicate (compiled against the concatenated
-    scope) filters probed matches — this is where non-equi or nested
+    optional ``residual`` predicate (bound in this node's own,
+    concatenated scope) filters probed matches — this is where non-equi or nested
     subquery conditions on the inner table land.
 
     NULL probe keys never match (SQL equality semantics).
@@ -406,33 +235,19 @@ class IndexJoin(PlanNode):
         binding: str,
         table_columns: tuple[str, ...],
         outer_positions: tuple[int, ...],
-        residual: Optional[Compiled] = None,
     ):
         self.outer = outer
         self.table = table
         self.binding = binding
         self.table_columns = table_columns
         self.outer_positions = outer_positions
-        self.residual = residual
+        #: set by the planner once the node's scope exists
+        self.residual: Optional[n.Expr] = None
         inner_scope = Scope(
             [(binding, column) for column in table.schema.column_names]
         )
         self.scope = _concat_scopes(outer.scope, inner_scope)
         self.estimate = max(outer.estimate, 1.0)
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        table = self.table
-        columns = self.table_columns
-        positions = self.outer_positions
-        residual = self.residual
-        for outer_row in self.outer.execute(params):
-            key = tuple(outer_row[p] for p in positions)
-            if any(v is None for v in key):
-                continue
-            for inner_row in probe_table(params, table, columns, key):
-                combined = outer_row + inner_row
-                if residual is None or residual(combined, params) is True:
-                    yield combined
 
     def children(self) -> list[PlanNode]:
         return [self.outer]
@@ -458,32 +273,13 @@ class HashJoin(PlanNode):
         right: PlanNode,
         left_positions: tuple[int, ...],
         right_positions: tuple[int, ...],
-        residual: Optional[Compiled] = None,
     ):
         self.left = left
         self.right = right
         self.left_positions = left_positions
         self.right_positions = right_positions
-        self.residual = residual
         self.scope = _concat_scopes(left.scope, right.scope)
         self.estimate = max(left.estimate, right.estimate)
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        build: dict[tuple, list[tuple]] = {}
-        for row in self.right.execute(params):
-            key = tuple(row[p] for p in self.right_positions)
-            if any(v is None for v in key):
-                continue
-            build.setdefault(key, []).append(row)
-        residual = self.residual
-        for left_row in self.left.execute(params):
-            key = tuple(left_row[p] for p in self.left_positions)
-            if any(v is None for v in key):
-                continue
-            for right_row in build.get(key, ()):
-                combined = left_row + right_row
-                if residual is None or residual(combined, params) is True:
-                    yield combined
 
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
@@ -498,12 +294,6 @@ class NestedLoopCross(PlanNode):
         self.scope = _concat_scopes(left.scope, right.scope)
         self.estimate = left.estimate * right.estimate
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        right_rows = list(self.right.execute(params))
-        for left_row in self.left.execute(params):
-            for right_row in right_rows:
-                yield left_row + right_row
-
     def children(self) -> list[PlanNode]:
         return [self.left, self.right]
 
@@ -516,10 +306,6 @@ class UnionAll(PlanNode):
         self.scope = parts[0].scope
         self.estimate = sum(p.estimate for p in parts)
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        for part in self.parts:
-            yield from part.execute(params)
-
     def children(self) -> list[PlanNode]:
         return list(self.parts)
 
@@ -531,14 +317,6 @@ class UnionDistinct(PlanNode):
         self.parts = parts
         self.scope = parts[0].scope
         self.estimate = sum(p.estimate for p in parts)
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        seen: set[tuple] = set()
-        for part in self.parts:
-            for row in part.execute(params):
-                if row not in seen:
-                    seen.add(row)
-                    yield row
 
     def children(self) -> list[PlanNode]:
         return list(self.parts)
@@ -603,7 +381,7 @@ def aggregate_value(func: str, values) -> object:
 class Aggregate(PlanNode):
     """Ungrouped aggregation: consumes the child, emits exactly one row.
 
-    ``specs`` is a list of ``(func, compiled_arg_or_None)`` — a None
+    ``specs`` is a list of ``(func, bound_arg_or_None)`` — a None
     argument means COUNT(*).  Each spec folds incrementally via
     :class:`AggregateState`; per-spec value lists are never
     materialized.  (Engine extension used by the aggregate-assertion
@@ -616,29 +394,74 @@ class Aggregate(PlanNode):
         self.scope = out_scope
         self.estimate = 1.0
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        states = [AggregateState(func) for func, _ in self.specs]
-        args = [arg for _, arg in self.specs]
-        for row in self.child.execute(params):
-            for state, arg in zip(states, args):
-                if arg is None:
-                    state.count += 1  # COUNT(*): count rows directly
-                else:
-                    state.add(arg(row, params))
-        yield tuple(state.result() for state in states)
-
     def children(self) -> list[PlanNode]:
         return [self.child]
 
 
-class Empty(PlanNode):
-    """Produces no rows; used when the planner proves a branch is empty
-    (e.g. a view over an event table known to be empty is *not* assumed
-    empty — this is only for structurally impossible branches)."""
+class Rename(PlanNode):
+    """Expose a subplan's output columns under a new binding name.
 
-    def __init__(self, scope: Scope):
-        self.scope = scope
-        self.estimate = 0.0
+    Used for views and subselect-as-relation: the underlying plan keeps
+    its own scope; this wrapper presents ``(binding, output_column)``.
+    """
 
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        return iter(())
+    def __init__(self, child: PlanNode, binding: str, columns: list[str]):
+        if len(columns) != len(child.scope.entries):
+            raise ExecutionError(
+                f"rename of {binding!r}: {len(columns)} names for "
+                f"{len(child.scope.entries)} columns"
+            )
+        self.child = child
+        self.binding = binding
+        self.scope = Scope([(binding, c) for c in columns], outer=child.scope.outer)
+        self.estimate = child.estimate
+
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+    def describe(self) -> str:
+        return f"Rename({self.binding})"
+
+
+# ---------------------------------------------------------------------------
+# Bound subqueries (expression nodes the planner substitutes for
+# ``[NOT] EXISTS``, ``IN (subquery)`` and scalar aggregate subqueries)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexProbe(n.Expr):
+    """A subquery over one base table answered by one index probe.
+
+    ``kind`` is ``"exists"``, ``"in"`` or ``"scalar"``.  The rows of
+    ``table`` whose ``columns`` equal the correlation values ``key``
+    (bound in the enclosing scope) are probed — for ``"in"`` the first
+    column is the subquery's output column, matched against
+    ``subject`` — and filtered by ``residual``, bound in ``scope`` (the
+    probed table's rows, whose outer chain is the enclosing scope).  A
+    NULL correlation value matches nothing.  A scalar probe folds
+    ``argument`` (None: ``COUNT(*)``) with ``func``.
+    """
+
+    kind: str
+    table: Table
+    scope: Scope
+    columns: tuple[str, ...]
+    key: tuple[n.Expr, ...]
+    residual: Optional[n.Expr] = None
+    subject: Optional[n.Expr] = None
+    func: Optional[str] = None
+    argument: Optional[n.Expr] = None
+
+
+@dataclass(frozen=True, eq=False)
+class SubPlan(n.Expr):
+    """A subquery with a plan of its own (``kind`` as for
+    :class:`IndexProbe`).  It runs at most once per distinct value of
+    the enclosing columns it reads, per execution: EXISTS asks for one
+    row, IN collects the first column (``subject`` is matched against
+    it with SQL's three-valued semantics), scalar takes the one row's
+    value."""
+
+    kind: str
+    plan: PlanNode
+    subject: Optional[n.Expr] = None

@@ -24,17 +24,18 @@ joined against large indexed base tables):
    planner emits an :class:`~repro.minidb.plan.IndexJoin` that probes the
    table's hash index instead of materializing it — this is what makes
    the generated incremental views touch only update-adjacent data.
-3. **Subquery probes** — ``[NOT] EXISTS`` / ``[NOT] IN`` compile into
-   probe closures, not join operators.  A probe over a single base table
-   with equi-correlation becomes an index probe; anything else falls
-   back to a per-call subplan execution memoized on its correlation
-   values (so uncorrelated subqueries run exactly once).
+3. **Subquery probes** — ``[NOT] EXISTS`` / ``[NOT] IN`` / scalar
+   aggregates are bound into the expression that uses them, not into
+   join operators.  A subquery over a single base table with
+   equi-correlation becomes an :class:`~repro.minidb.plan.IndexProbe`;
+   anything else a :class:`~repro.minidb.plan.SubPlan`, run once per
+   distinct correlation value (so an uncorrelated subquery runs exactly
+   once per execution).
 
-Plans are **reusable**: all per-execution state (the memo tables of the
-generic subquery probes) lives in an
-:class:`~repro.minidb.plan.ExecutionContext` threaded through the
-``params`` dict, so a compiled plan may be executed any number of times
-— this is what the prepared-statement cache in
+Every expression in a plan is bound (:func:`~repro.minidb.expressions.bind`)
+before it is stored, so reference errors surface at planning time.  Plans
+hold no per-execution state, so a compiled plan may be executed any
+number of times — this is what the prepared-statement cache in
 :mod:`repro.minidb.database` builds on.  The planner records every base
 table it resolves in :attr:`Planner.tables_used` together with its row
 count at plan time, so the cache can re-plan when table sizes drift far
@@ -43,11 +44,11 @@ from what the greedy join ordering assumed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 from ..errors import CatalogError, ExecutionError, SchemaError
 from ..sqlparser import nodes as n
-from .expressions import Compiled, Scope, compile_expr, sql_not, sql_or
+from .expressions import Scope, bind
 from .plan import (
     Aggregate,
     DeltaSeed,
@@ -55,17 +56,16 @@ from .plan import (
     Filter,
     HashJoin,
     IndexJoin,
+    IndexProbe,
     IndexScan,
     NestedLoopCross,
     PlanNode,
     Project,
+    Rename,
     SeqScan,
+    SubPlan,
     UnionAll,
     UnionDistinct,
-    aggregate_value,
-    context_memo,
-    probe_table,
-    scan_table,
 )
 from .storage import Table
 from .types import probe_key
@@ -77,37 +77,6 @@ _INDEX_JOIN_RATIO = 0.25
 #: Assumed fraction of a table sharing one value of a non-unique key
 #: (a FOREIGN KEY or PRIMARY KEY prefix) — the IndexScan estimate.
 _KEY_SELECTIVITY = 0.01
-
-_MISSING = object()
-
-
-class Rename(PlanNode):
-    """Expose a subplan's output columns under a new binding name.
-
-    Used for views and subselect-as-relation: the underlying plan keeps
-    its own scope; this wrapper presents ``(binding, output_column)``.
-    """
-
-    def __init__(self, child: PlanNode, binding: str, columns: list[str]):
-        if len(columns) != len(child.scope.entries):
-            raise ExecutionError(
-                f"rename of {binding!r}: {len(columns)} names for "
-                f"{len(child.scope.entries)} columns"
-            )
-        self.child = child
-        self.binding = binding
-        self.scope = Scope([(binding, c) for c in columns], outer=child.scope.outer)
-        self.estimate = child.estimate
-
-    def _execute(self, params: dict) -> Iterator[tuple]:
-        return self.child.execute(params)
-
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return f"Rename({self.binding})"
-
 
 class _Relation:
     """A FROM-clause relation during planning.
@@ -256,13 +225,7 @@ class Planner:
         if residual:
             # every plan leaving _join_relations is already scoped with
             # ``outer`` as its correlation chain
-            scope = joined.scope
-            predicate = compile_expr(
-                n.conjoin(residual),
-                scope,
-                self._subquery_compiler(scope),
-            )
-            joined = Filter(joined, predicate)
+            joined = Filter(joined, self._bind(n.conjoin(residual), joined.scope))
 
         return joined
 
@@ -292,14 +255,7 @@ class Planner:
             if call.argument is None:
                 specs.append((call.func, None))
             else:
-                specs.append(
-                    (
-                        call.func,
-                        compile_expr(
-                            call.argument, scope, self._subquery_compiler(scope)
-                        ),
-                    )
-                )
+                specs.append((call.func, self._bind(call.argument, scope)))
             names.append(item.alias or call.func.lower())
         out_scope = Scope([(None, name) for name in names], outer=outer)
         return Aggregate(source, specs, out_scope)
@@ -364,11 +320,7 @@ class Planner:
             if rel.pushdown:
                 if rel.table is not None:
                     plan = self._access_path(rel, plan)
-                scope = plan.scope
-                predicate = compile_expr(
-                    n.conjoin(rel.pushdown), scope, self._subquery_compiler(scope)
-                )
-                plan = Filter(plan, predicate)
+                plan = Filter(plan, self._bind(n.conjoin(rel.pushdown), plan.scope))
             plans[rel.binding] = plan
 
         if len(relations) == 1:
@@ -456,7 +408,7 @@ class Planner:
         else:
             return scan
         estimate = 1.0 if unique else max(len(table) * _KEY_SELECTIVITY, 1.0)
-        key = [compile_expr(constants[c], Scope([])) for c in columns]
+        key = [constants[c] for c in columns]  # literals and parameters
         plan = IndexScan(table, scan.binding, columns, key, via, estimate)
         return _rescope(plan, scan.scope)
 
@@ -492,29 +444,15 @@ class Planner:
             and current.estimate <= len(chosen.table) * _INDEX_JOIN_RATIO
         )
         if use_index:
-            residual = None
-            if chosen.pushdown:
-                combined_entries = current_scope.entries + [
-                    (chosen.binding, c)
-                    for c in chosen.table.schema.column_names
-                ]
-                combined = Scope(combined_entries, outer=outer)
-                residual = compile_expr(
-                    n.conjoin(chosen.pushdown),
-                    combined,
-                    self._subquery_compiler(combined),
-                )
             columns = tuple(
                 chosen.table.schema.column(r.column).name for r in inner_refs
             )
-            return IndexJoin(
-                current,
-                chosen.table,
-                chosen.binding,
-                columns,
-                outer_positions,
-                residual,
+            join = IndexJoin(
+                current, chosen.table, chosen.binding, columns, outer_positions
             )
+            if chosen.pushdown:
+                join.residual = self._bind(n.conjoin(chosen.pushdown), join.scope)
+            return join
 
         inner_positions = tuple(chosen_plan.scope.resolve(r) for r in inner_refs)
         return HashJoin(
@@ -530,7 +468,7 @@ class Planner:
         self, child: PlanNode, select: n.Select, outer: Optional[Scope]
     ) -> PlanNode:
         scope = child.scope  # already chained onto ``outer`` by _plan_source
-        exprs: list[Compiled] = []
+        exprs: list = []
         names: list[str] = []
         for item in select.items:
             if isinstance(item, n.Star):
@@ -542,12 +480,10 @@ class Planner:
                         continue
                     for position, (binding, column) in enumerate(scope.entries):
                         if binding == wanted:
-                            exprs.append(_position_getter(position))
+                            exprs.append(position)
                             names.append(column)
             else:
-                exprs.append(
-                    compile_expr(item.expr, scope, self._subquery_compiler(scope))
-                )
+                exprs.append(self._bind(item.expr, scope))
                 if item.alias:
                     names.append(item.alias)
                 elif isinstance(item.expr, n.ColumnRef):
@@ -560,64 +496,104 @@ class Planner:
             plan = Distinct(plan)
         return plan
 
-    # -- subquery probes ------------------------------------------------------------
+    # -- subqueries ---------------------------------------------------------------
 
-    def _subquery_compiler(self, scope: Scope):
-        """A :data:`SubqueryCompiler` bound to the given enclosing scope."""
+    def _bind(self, expr: n.Expr, scope: Scope) -> n.Expr:
+        """Bind ``expr`` in ``scope``, planning the subqueries it holds."""
+        return bind(expr, scope, lambda node: self._bind_subquery(node, scope))
 
-        def compile_subquery(node: n.Expr) -> Callable[[dict], object]:
-            if isinstance(node, n.Exists):
-                probe = self._compile_exists(node.query, scope)
-                if node.negated:
-                    return lambda params: sql_not(probe(params))
-                return probe
-            if isinstance(node, n.InSubquery):
-                probe = self._compile_in(node, scope)
-                if node.negated:
-                    return lambda params: sql_not(probe(params))
-                return probe
-            if isinstance(node, n.ScalarSubquery):
-                return self._compile_scalar(node, scope)
-            raise ExecutionError(
-                f"unexpected subquery node {type(node).__name__}"
-            )
+    def _bind_subquery(self, node: n.Expr, scope: Scope) -> n.Expr:
+        if isinstance(node, n.Exists):
+            probe = self._bind_exists(node.query, scope)
+        elif isinstance(node, n.InSubquery):
+            probe = self._bind_in(node, scope)
+        elif isinstance(node, n.ScalarSubquery):
+            return self._bind_scalar(node, scope)
+        else:
+            raise ExecutionError(f"unexpected subquery node {type(node).__name__}")
+        return n.Not(probe) if node.negated else probe
 
-        return compile_subquery
+    def _bind_exists(self, query: n.Query, scope: Scope) -> n.Expr:
+        """``EXISTS (query)``: a union is the OR of its branches."""
+        if isinstance(query, n.Union):
+            return n.Or(tuple(self._bind_exists(s, scope) for s in query.selects))
+        parts = self._probe_parts(query, scope, required=True)
+        if parts is None:
+            return SubPlan("exists", self.plan_query(query, outer=scope))
+        table, inner_scope, columns, key, residual = parts
+        return IndexProbe("exists", table, inner_scope, columns, key, residual)
 
-    def _compile_scalar(
-        self, node: n.ScalarSubquery, scope: Scope
-    ) -> Callable[[dict], object]:
-        """Compile a scalar aggregate subquery into ``fn(params) -> value``.
-
-        Like EXISTS probes, a single-table equi-correlated aggregate is
-        evaluated by probing the table's hash index and folding the
-        matched rows — this keeps aggregate assertions incremental (the
-        group is recomputed, but only for update-adjacent keys)."""
+    def _bind_scalar(self, node: n.ScalarSubquery, scope: Scope) -> n.Expr:
+        """A scalar aggregate subquery.  Like EXISTS, a single-table
+        equi-correlated aggregate folds the rows of one index probe —
+        this keeps aggregate assertions incremental (the group is
+        recomputed, but only for update-adjacent keys)."""
         query = node.query
         assert isinstance(query, n.Select)  # parser guarantees
-        fast = self._try_index_scalar(query, scope)
-        if fast is not None:
-            return fast
+        parts = self._probe_parts(query, scope, required=True)
+        if parts is None:
+            return SubPlan("scalar", self.plan_query(query, outer=scope))
+        table, inner_scope, columns, key, residual = parts
+        call = query.items[0].expr
+        argument = (
+            None
+            if call.argument is None
+            else self._bind(call.argument, inner_scope)
+        )
+        return IndexProbe(
+            "scalar",
+            table,
+            inner_scope,
+            columns,
+            key,
+            residual,
+            func=call.func,
+            argument=argument,
+        )
+
+    def _bind_in(self, node: n.InSubquery, scope: Scope) -> n.Expr:
+        """``subject IN (query)`` with SQL three-valued semantics
+        (positive form; negation wraps it).  The index form needs a
+        single-table subquery whose output is a bare NOT NULL column
+        (NULL-freeness makes probe semantics exact); it probes the
+        output column together with the correlated ones."""
+        query = node.query
+        subject = bind(node.item, Scope([], outer=scope))
+        if len(self.output_columns(query)) != 1:
+            raise ExecutionError("IN subquery must produce exactly one column")
+        item = query.items[0] if isinstance(query, n.Select) else None
+        if (
+            isinstance(query, n.Select)
+            and not query.distinct
+            and len(query.items) == 1
+            and isinstance(item, n.SelectItem)
+            and isinstance(item.expr, n.ColumnRef)
+        ):
+            parts = self._probe_parts(query, scope, required=False)
+            if parts is not None:
+                table, inner_scope, columns, key, residual = parts
+                position = inner_scope.try_resolve(item.expr)
+                if position is not None:
+                    out_column = table.schema.columns[position]
+                    if out_column.not_null:
+                        return IndexProbe(
+                            "in",
+                            table,
+                            inner_scope,
+                            (out_column.name,) + columns,
+                            key,
+                            residual,
+                            subject=subject,
+                        )
         plan = self.plan_query(query, outer=scope)
-        outer_keys = self._collect_outer_keys(query, scope)
-        token = object()  # identifies this probe's memo in the context
+        return SubPlan("in", plan, subject=subject)
 
-        def run(params: dict) -> object:
-            memo = context_memo(params, token)
-            key = tuple(params.get(k, _MISSING) for k in outer_keys)
-            try:
-                return memo[key]
-            except KeyError:
-                pass
-            row = next(iter(plan.execute(params)))
-            memo[key] = row[0]
-            return row[0]
-
-        return run
-
-    def _try_index_scalar(
-        self, select: n.Select, scope: Scope
-    ) -> Optional[Callable[[dict], object]]:
+    def _probe_parts(self, select: n.Select, scope: Scope, required: bool):
+        """``(table, inner scope, key columns, key exprs, residual)`` of
+        a subquery over one base table, splitting its WHERE into
+        equi-correlated conjuncts (the probe key) and the rest; None
+        when it ranges over anything else, or — with ``required`` —
+        when no conjunct correlates."""
         if len(select.from_items) != 1:
             return None
         ref = select.from_items[0]
@@ -625,126 +601,31 @@ class Planner:
         if table is None:
             return None
         self._note_table(table)
-        call = select.items[0].expr
-        binding = ref.binding
         inner_scope = Scope(
-            [(binding, c) for c in table.schema.column_names], outer=scope
+            [(ref.binding, c) for c in table.schema.column_names], outer=scope
         )
         params_scope = Scope([], outer=scope)
-        key_columns: list[str] = []
-        key_exprs: list[Compiled] = []
+        columns: list[str] = []
+        key: list[n.Expr] = []
         residual: list[n.Expr] = []
         for conjunct in n.conjuncts(select.where):
             corr = self._split_equi_correlation(conjunct, inner_scope, params_scope)
             if corr is not None:
-                position, outer_fn = corr
-                key_columns.append(table.schema.columns[position].name)
-                key_exprs.append(outer_fn)
+                position, outer_expr = corr
+                columns.append(table.schema.columns[position].name)
+                key.append(outer_expr)
             else:
                 residual.append(conjunct)
-        if not key_columns:
+        if required and not columns:
             return None
-        residual_fn: Optional[Compiled] = None
-        if residual:
-            residual_fn = compile_expr(
-                n.conjoin(residual),
-                inner_scope,
-                self._subquery_compiler(inner_scope),
-            )
-        arg_fn: Optional[Compiled] = None
-        if call.argument is not None:
-            arg_fn = compile_expr(
-                call.argument, inner_scope, self._subquery_compiler(inner_scope)
-            )
-        columns = tuple(key_columns)
-        func = call.func
-
-        def probe(params: dict) -> object:
-            key = tuple(fn((), params) for fn in key_exprs)
-            if any(v is None for v in key):
-                return 0 if func == "COUNT" else None
-            values = []
-            count = 0
-            for row in probe_table(params, table, columns, key):
-                if residual_fn is not None and residual_fn(row, params) is not True:
-                    continue
-                if arg_fn is None:
-                    count += 1
-                else:
-                    values.append(arg_fn(row, params))
-            if arg_fn is None:
-                return count
-            return aggregate_value(func, values)
-
-        return probe
-
-    def _compile_exists(
-        self, query: n.Query, scope: Scope
-    ) -> Callable[[dict], object]:
-        """Compile ``EXISTS (query)`` into ``fn(params) -> True | False``."""
-        if isinstance(query, n.Union):
-            branch_probes = [self._compile_exists(s, scope) for s in query.selects]
-            return lambda params: any(p(params) is True for p in branch_probes)
-        probe = self._try_index_exists(query, scope)
-        if probe is not None:
-            return probe
-        return self._generic_exists(query, scope)
-
-    def _try_index_exists(
-        self, select: n.Select, scope: Scope
-    ) -> Optional[Callable[[dict], object]]:
-        """Index-probe EXISTS when the subquery is one base table with at
-        least one equi-correlated conjunct."""
-        if len(select.from_items) != 1:
-            return None
-        ref = select.from_items[0]
-        table = self.catalog.get_table(ref.name, default=None)
-        if table is None:
-            return None
-        self._note_table(table)
-        binding = ref.binding
-        inner_scope = Scope(
-            [(binding, c) for c in table.schema.column_names], outer=scope
-        )
-        key_columns: list[str] = []
-        key_exprs: list[Compiled] = []
-        residual: list[n.Expr] = []
-        params_scope = Scope([], outer=scope)
-        for conjunct in n.conjuncts(select.where):
-            corr = self._split_equi_correlation(conjunct, inner_scope, params_scope)
-            if corr is not None:
-                column_position, outer_fn = corr
-                key_columns.append(table.schema.columns[column_position].name)
-                key_exprs.append(outer_fn)
-            else:
-                residual.append(conjunct)
-        if not key_columns:
-            return None
-        residual_fn: Optional[Compiled] = None
-        if residual:
-            residual_fn = compile_expr(
-                n.conjoin(residual),
-                inner_scope,
-                self._subquery_compiler(inner_scope),
-            )
-        columns = tuple(key_columns)
-
-        def probe(params: dict) -> bool:
-            key = tuple(fn((), params) for fn in key_exprs)
-            if any(v is None for v in key):
-                return False
-            for row in probe_table(params, table, columns, key):
-                if residual_fn is None or residual_fn(row, params) is True:
-                    return True
-            return False
-
-        return probe
+        bound = self._bind(n.conjoin(residual), inner_scope) if residual else None
+        return table, inner_scope, tuple(columns), tuple(key), bound
 
     def _split_equi_correlation(
         self, conjunct: n.Expr, inner_scope: Scope, params_scope: Scope
-    ) -> Optional[tuple[int, Compiled]]:
+    ) -> Optional[tuple[int, n.Expr]]:
         """If ``conjunct`` is ``inner_col = outer_expr`` (either side),
-        return ``(inner column position, compiled outer expr)``."""
+        return ``(inner column position, bound outer expr)``."""
         if not (isinstance(conjunct, n.Comparison) and conjunct.op == "="):
             return None
         for inner, other in (
@@ -759,214 +640,11 @@ class Planner:
             if _contains_subquery(other):
                 continue
             try:
-                outer_fn = compile_expr(other, params_scope)
+                outer_expr = bind(other, params_scope)
             except SchemaError:
                 continue
-            return (position, outer_fn)
+            return (position, outer_expr)
         return None
-
-    def _generic_exists(
-        self, query: n.Query, scope: Scope
-    ) -> Callable[[dict], object]:
-        """Fallback: execute the subplan per call, memoized on the values
-        of the outer columns it references (uncorrelated -> runs once
-        per statement execution; the memo lives in the ExecutionContext,
-        never in the plan)."""
-        plan = self.plan_query(query, outer=scope)
-        outer_keys = self._collect_outer_keys(query, scope)
-        token = object()
-
-        def probe(params: dict) -> bool:
-            memo = context_memo(params, token)
-            key = tuple(params.get(k, _MISSING) for k in outer_keys)
-            try:
-                return memo[key]
-            except KeyError:
-                pass
-            except TypeError:  # unhashable — never for SQL values, be safe
-                return any(True for _ in plan.execute(params))
-            result = next(iter(plan.execute(params)), _MISSING) is not _MISSING
-            memo[key] = result
-            return result
-
-        return probe
-
-    def _compile_in(
-        self, node: n.InSubquery, scope: Scope
-    ) -> Callable[[dict], object]:
-        """Compile ``subject IN (query)`` into ``fn(params)`` with SQL
-        three-valued semantics (positive form; negation happens outside)."""
-        query = node.query
-        subject_fn = compile_expr(node.item, Scope([], outer=scope))
-        out_columns = self.output_columns(query)
-        if len(out_columns) != 1:
-            raise ExecutionError("IN subquery must produce exactly one column")
-
-        probe = self._try_index_in(node, scope, subject_fn)
-        if probe is not None:
-            return probe
-
-        plan = self.plan_query(query, outer=scope)
-        outer_keys = self._collect_outer_keys(query, scope)
-        token = object()
-
-        def generic(params: dict) -> object:
-            memo = context_memo(params, token)
-            key = tuple(params.get(k, _MISSING) for k in outer_keys)
-            cached = memo.get(key)
-            if cached is None:
-                values = set()
-                has_null = False
-                for row in plan.execute(params):
-                    if row[0] is None:
-                        has_null = True
-                    else:
-                        values.add(row[0])
-                cached = (frozenset(values), has_null)
-                memo[key] = cached
-            values, has_null = cached
-            subject = subject_fn((), params)
-            if subject is None:
-                return None if (values or has_null) else False
-            if subject in values:
-                return True
-            return None if has_null else False
-
-        return generic
-
-    def _try_index_in(
-        self, node: n.InSubquery, scope: Scope, subject_fn: Compiled
-    ) -> Optional[Callable[[dict], object]]:
-        """Index-probe IN: requires a single-table subquery whose output
-        is a bare NOT NULL column (NULL-freeness makes probe semantics
-        exact)."""
-        query = node.query
-        if not isinstance(query, n.Select) or query.distinct:
-            return None
-        if len(query.from_items) != 1 or len(query.items) != 1:
-            return None
-        item = query.items[0]
-        if isinstance(item, n.Star) or not isinstance(item.expr, n.ColumnRef):
-            return None
-        ref = query.from_items[0]
-        table = self.catalog.get_table(ref.name, default=None)
-        if table is None:
-            return None
-        self._note_table(table)
-        binding = ref.binding
-        inner_scope = Scope(
-            [(binding, c) for c in table.schema.column_names], outer=scope
-        )
-        out_position = inner_scope.try_resolve(item.expr)
-        if out_position is None:
-            return None
-        out_column = table.schema.columns[out_position]
-        if not out_column.not_null:
-            return None
-        params_scope = Scope([], outer=scope)
-        key_columns = [out_column.name]
-        key_exprs: list[Optional[Compiled]] = [None]  # slot 0 = subject
-        residual: list[n.Expr] = []
-        for conjunct in n.conjuncts(query.where):
-            corr = self._split_equi_correlation(conjunct, inner_scope, params_scope)
-            if corr is not None:
-                position, outer_fn = corr
-                key_columns.append(table.schema.columns[position].name)
-                key_exprs.append(outer_fn)
-            else:
-                residual.append(conjunct)
-        residual_fn: Optional[Compiled] = None
-        if residual:
-            residual_fn = compile_expr(
-                n.conjoin(residual),
-                inner_scope,
-                self._subquery_compiler(inner_scope),
-            )
-        columns = tuple(key_columns)
-
-        corr_exprs = key_exprs[1:]
-
-        def probe(params: dict) -> object:
-            subject = subject_fn((), params)
-            corr_values = [fn((), params) for fn in corr_exprs]
-            if subject is None:
-                # x IN S is UNKNOWN when S is non-empty and FALSE when S
-                # is empty — check whether the (possibly correlated)
-                # inner set has any member at all
-                if any(v is None for v in corr_values):
-                    return False  # correlation with NULL: empty set
-                if corr_exprs:
-                    rows = probe_table(
-                        params, table, tuple(columns[1:]), tuple(corr_values)
-                    )
-                else:
-                    rows = scan_table(params, table)
-                for row in rows:
-                    if residual_fn is None or residual_fn(row, params) is True:
-                        return None
-                return False
-            if any(v is None for v in corr_values):
-                return False
-            for row in probe_table(
-                params, table, columns, tuple([subject] + corr_values)
-            ):
-                if residual_fn is None or residual_fn(row, params) is True:
-                    return True
-            return False
-
-        return probe
-
-    # -- correlation analysis ---------------------------------------------------------
-
-    def _collect_outer_keys(self, query: n.Query, scope: Scope) -> tuple:
-        """Normalized outer (binding, column) keys referenced anywhere in
-        ``query`` — the memoization key components for generic probes."""
-        keys: set = set()
-        self._collect_from_query(query, [], scope, keys)
-        return tuple(sorted(keys, key=lambda k: (k[0] or "", k[1])))
-
-    def _collect_from_query(
-        self, query: n.Query, frames: list[set[str]], scope: Scope, keys: set
-    ) -> None:
-        selects = query.selects if isinstance(query, n.Union) else (query,)
-        for select in selects:
-            local: set[str] = set()
-            for ref in select.from_items:
-                local.add(ref.binding.lower())
-                for column in self._relation_columns(ref.name):
-                    local.add(column.lower())
-            new_frames = frames + [local]
-            if select.where is not None:
-                self._collect_from_expr(select.where, new_frames, scope, keys)
-            for item in select.items:
-                if isinstance(item, n.SelectItem):
-                    self._collect_from_expr(item.expr, new_frames, scope, keys)
-
-    def _collect_from_expr(
-        self, expr: n.Expr, frames: list[set[str]], scope: Scope, keys: set
-    ) -> None:
-        for node in n.walk_expr(expr):
-            if isinstance(node, n.ColumnRef):
-                if not self._resolves_in_frames(node, frames):
-                    self._add_outer_key(node, scope, keys)
-            elif isinstance(node, (n.Exists, n.InSubquery, n.ScalarSubquery)):
-                self._collect_from_query(node.query, frames, scope, keys)
-
-    @staticmethod
-    def _resolves_in_frames(ref: n.ColumnRef, frames: list[set[str]]) -> bool:
-        name = (ref.table or ref.column).lower()
-        return any(name in frame for frame in frames)
-
-    @staticmethod
-    def _add_outer_key(ref: n.ColumnRef, scope: Scope, keys: set) -> None:
-        current: Optional[Scope] = scope
-        while current is not None:
-            position = current.try_resolve(ref)
-            if position is not None:
-                keys.add(current.entries[position])
-                return
-            current = current.outer
-        # unknown reference: leave for compile_expr to raise with context
 
 
 def access_skeleton(plan: PlanNode) -> tuple:
@@ -1005,10 +683,6 @@ def _rescope(plan: PlanNode, scope: Scope) -> PlanNode:
     """Attach a scope (with outer chain) to an existing plan node."""
     plan.scope = scope
     return plan
-
-
-def _position_getter(position: int) -> Compiled:
-    return lambda row, params: row[position]
 
 
 def _contains_subquery(expr: n.Expr) -> bool:

@@ -6,92 +6,73 @@ pruning), how many violations it surfaced, cumulative wall time, and —
 when row capture is enabled — cumulative rows pulled out of storage.
 The timing half is cheap (two ``perf_counter`` calls and one lock bump
 per checked view) and is always on once a profiler is installed; row
-capture threads a :class:`PlanStatsCollector` through plan execution
-and is opt-in because it touches every operator boundary.
+capture runs each check through the instrumented compile of its plan
+and is opt-in because that adds a counter increment per row per node.
 
 :class:`PlanStatsCollector` is also the machinery behind
-``EXPLAIN ANALYZE``: it wraps each plan node's iterator, counting rows
-yielded and inclusive wall time per node, keyed by node identity so an
-annotated plan tree can be printed afterwards.
+``EXPLAIN ANALYZE``: it receives the rows each plan node output, keyed
+by node identity so an annotated plan tree can be printed afterwards.
 
-A collector instance observes exactly one plan execution (it is carried
-in that execution's :class:`~repro.minidb.plan.ExecutionContext` and is
-not thread-safe); cumulative aggregation across executions happens in
-the profiler, under its lock.
+A collector instance observes the executions of one caller and is not
+thread-safe; cumulative aggregation across executions happens in the
+profiler, under its lock.
 """
 
 from __future__ import annotations
 
 import threading
-from time import perf_counter
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["AssertionProfiler", "PlanStatsCollector"]
 
 
 class PlanStatsCollector:
-    """Counts rows and inclusive wall time per plan node for one
-    execution.
+    """Rows per plan node, and the wall time, of plan executions.
 
-    Installed via ``ExecutionContext(collector=...)``;
-    :class:`~repro.minidb.plan.PlanNode` routes every node's iterator
-    through :meth:`wrap`.  Time is *inclusive* — a join's time contains
-    its children's, since their ``next()`` runs inside the parent's.
+    Passed as ``PreparedStatement.execute(collector=...)``: the
+    statement then runs the instrumented compile of its plan (see
+    :mod:`repro.minidb.codegen`), which counts every row each node
+    outputs and hands the counts here through :meth:`record`.  The plan
+    runs as one generated function, so there is one time per statement,
+    not one per node.
     """
 
-    __slots__ = ("_stats",)
+    __slots__ = ("_stats", "seconds")
 
     def __init__(self) -> None:
-        # id(node) -> [node, rows, seconds]
+        # id(node) -> [node, rows]
         self._stats: Dict[int, list] = {}
+        self.seconds = 0.0
 
-    def wrap(self, node: Any, iterator: Iterator[tuple]) -> Iterator[tuple]:
-        entry = self._stats.get(id(node))
-        if entry is None:
-            entry = self._stats[id(node)] = [node, 0, 0.0]
-        it = iter(iterator)
-        while True:
-            t0 = perf_counter()
-            try:
-                row = next(it)
-            except StopIteration:
-                entry[2] += perf_counter() - t0
-                return
-            entry[2] += perf_counter() - t0
-            entry[1] += 1
-            yield row
+    def record(self, nodes, counts, seconds: float) -> None:
+        """Add one execution: ``counts[i]`` rows out of ``nodes[i]``."""
+        for node, count in zip(nodes, counts):
+            entry = self._stats.get(id(node))
+            if entry is None:
+                entry = self._stats[id(node)] = [node, 0]
+            entry[1] += count
+        self.seconds += seconds
 
     def rows_for(self, node: Any) -> int:
         entry = self._stats.get(id(node))
         return entry[1] if entry else 0
 
-    def seconds_for(self, node: Any) -> float:
-        entry = self._stats.get(id(node))
-        return entry[2] if entry else 0.0
-
     def rows_scanned(self) -> int:
         """Rows produced by storage-touching nodes (scans and index
         probes — anything holding a base ``table``)."""
         return sum(
-            rows
-            for node, rows, _ in self._stats.values()
-            if hasattr(node, "table")
+            rows for node, rows in self._stats.values() if hasattr(node, "table")
         )
 
     def annotate(self, plan: Any) -> str:
-        """The plan tree with ``(actual rows=N, time=T)`` per node —
-        the body of an EXPLAIN ANALYZE report."""
+        """The plan tree with ``(actual rows=N)`` per node — the body
+        of an EXPLAIN ANALYZE report."""
         lines = []
 
         def walk(node: Any, indent: int) -> None:
             lines.append(
-                "%s%s  (actual rows=%d, time=%.6fs)"
-                % (
-                    "  " * indent,
-                    node.describe(),
-                    self.rows_for(node),
-                    self.seconds_for(node),
-                )
+                "%s%s  (actual rows=%d)"
+                % ("  " * indent, node.describe(), self.rows_for(node))
             )
             for child in node.children():
                 walk(child, indent + 1)

@@ -268,8 +268,10 @@ class _PendingCommit:
     session: Optional["Session"]
     inserts: dict[str, list[tuple]]
     deletes: dict[str, list[tuple]]
-    footprint: _Footprint
     transactions: TransactionManager
+    #: the keys this commit touches, for the window partition; built by
+    #: the leader, and only for a window of two or more requests
+    footprint: Optional[_Footprint] = None
     #: absolute ``time.monotonic()`` deadline, or None for "no limit".
     #: Checked at the window start and by the commit unit's gates
     #: before and after the violation-view pass, so a doomed request
@@ -600,7 +602,6 @@ class CommitScheduler:
             session=session,
             inserts=inserts,
             deletes=deletes,
-            footprint=self._footprint(inserts, deletes),
             transactions=transactions or TransactionManager(),
             deadline=deadline,
             obs=obs,
@@ -749,7 +750,7 @@ class CommitScheduler:
             self._fault("scheduler.prepare", gid=gid)
             txn = TransactionManager()
             member = _PendingCommit(
-                None, inserts, deletes, _Footprint(), txn, deadline, obs=obs
+                None, inserts, deletes, txn, deadline=deadline, obs=obs
             )
             try:
                 with self._exclusive_window():
@@ -1101,6 +1102,14 @@ class CommitScheduler:
         if not batch:
             return
         self.stats.bump(batches=1, commits=len(batch))
+        if len(batch) > 1 and self.policy != "serial":
+            # only the partition reads footprints; build them before
+            # the write lock, and never for a window of one
+            for pending in batch:
+                if pending.footprint is None:
+                    pending.footprint = self._footprint(
+                        pending.inserts, pending.deletes
+                    )
         start = time.perf_counter()
         #: committed members whose WAL records are appended but not yet
         #: durable; their results are withheld until the window flush

@@ -1,7 +1,7 @@
 """A deliberately naive reference evaluator for SELECT queries.
 
 Used by differential tests: the optimizing planner (index joins, probe
-closures, memoization) must produce exactly the same bags of rows as
+probes, memoization) must produce exactly the same bags of rows as
 this brute-force implementation, which evaluates the relational
 semantics as directly as possible:
 

@@ -101,6 +101,35 @@ class TestCaptureAndPending:
         assert sorted(db.table("parent").scan()) == [(1,), (2,)]
 
 
+    def test_capture_after_drop_and_recreate(self, db):
+        EventTableManager(db).install()
+        for name in ("child", "ins_child", "del_child"):
+            db.execute(f"DROP TABLE {name}")
+        assert db.catalog.triggers_for("child", "insert") == []
+        db.execute(
+            "CREATE TABLE child (id INTEGER PRIMARY KEY, pid INTEGER NOT NULL, "
+            "FOREIGN KEY (pid) REFERENCES parent (id))"
+        )
+        db.execute("INSERT INTO child VALUES (11, 1)")  # not captured yet
+        assert db.table("child").rows_snapshot() == [(11, 1)]
+        manager = EventTableManager(db)
+        manager.install(["child"])
+        db.execute("INSERT INTO child VALUES (12, 2)")
+        db.execute("DELETE FROM child WHERE id = 11")
+        assert manager.pending_insertions("child") == [(12, 2)]
+        assert manager.pending_deletions("child") == [(11, 1)]
+        assert db.table("child").rows_snapshot() == [(11, 1)]
+        assert [t.name for t in db.catalog.triggers_for("child", "delete")] == [
+            "capture_del_child"
+        ]
+        # the parent's capture never moved
+        db.execute("INSERT INTO parent VALUES (3)")
+        assert db.table("ins_parent").rows_snapshot() == [(3,)]
+        db.disable_triggers("parent")
+        db.execute("INSERT INTO parent VALUES (4)")
+        assert (4,) in db.table("parent").rows_snapshot()
+
+
 class TestApplyPending:
     def test_apply_moves_events_to_base(self, db):
         manager = EventTableManager(db)

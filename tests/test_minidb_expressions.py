@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError, SchemaError
+from repro.minidb.codegen import compile_expression
 from repro.minidb.expressions import (
     Scope,
-    compile_expr,
     sql_and,
     sql_compare,
     sql_not,
@@ -19,7 +19,7 @@ from repro.sqlparser import nodes as n
 
 def evaluate(text, row=(), entries=(), params=None):
     scope = Scope(list(entries))
-    fn = compile_expr(parse_expression(text), scope)
+    fn = compile_expression(parse_expression(text), scope)
     return fn(row, params or {})
 
 
@@ -104,15 +104,15 @@ class TestScope:
     def test_outer_chain_resolution(self):
         outer = Scope([("o", "x")])
         inner = Scope([("i", "y")], outer=outer)
-        kind, key = inner.resolve_with_outer(n.ColumnRef("x", "o"))
-        assert kind == "outer"
-        assert key == ("o", "x")
+        scope, position = inner.locate(n.ColumnRef("x", "o"))
+        assert scope is outer
+        assert scope.entries[position] == ("o", "x")
 
     def test_local_shadows_outer(self):
         outer = Scope([("t", "a")])
         inner = Scope([("t", "a")], outer=outer)
-        kind, where = inner.resolve_with_outer(n.ColumnRef("a", "t"))
-        assert kind == "local"
+        scope, _ = inner.locate(n.ColumnRef("a", "t"))
+        assert scope is inner
 
 
 class TestCompiledExpressions:
@@ -188,14 +188,14 @@ class TestCompiledExpressions:
     def test_params_lookup(self):
         outer = Scope([("o", "x")])
         inner = Scope([("t", "a")], outer=outer)
-        fn = compile_expr(parse_expression("a = o.x"), inner)
+        fn = compile_expression(parse_expression("a = o.x"), inner)
         assert fn((5,), {("o", "x"): 5}) is True
         assert fn((5,), {("o", "x"): 6}) is False
 
     def test_subquery_without_compiler_raises(self):
         scope = Scope([("t", "a")])
         with pytest.raises(ExecutionError):
-            compile_expr(
+            compile_expression(
                 parse_expression("EXISTS (SELECT * FROM u)"), scope
             )
 

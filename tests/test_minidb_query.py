@@ -368,7 +368,7 @@ class TestPlanShapes:
             "SELECT * FROM orders AS o WHERE NOT EXISTS "
             "(SELECT * FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey)"
         )
-        # subqueries compile to probe closures inside Filter, not plan joins
+        # subqueries are probes inside the Filter predicate, not plan joins
         assert "Filter" in plan
         assert "HashJoin" not in plan
 

@@ -1,8 +1,8 @@
 """Prepared statements, the transparent plan cache, and EXPLAIN.
 
 Covers the contract the TINTIN hot path relies on: compiled plans are
-immutable and reusable (per-execution state lives in the
-ExecutionContext), cached plans see live data, and invalidation —
+immutable and reusable (per-execution state lives in the generated
+function's locals), cached plans see live data, and invalidation —
 catalog version on DDL, row-count drift on growth — is sound.
 """
 

@@ -5,7 +5,7 @@ plans vs the ``SeqScan + Filter`` plans of the same queries.
 Hypothesis generates random data and random queries over a two-table
 schema (including NULLs, correlated [NOT] EXISTS, [NOT] IN subqueries,
 IN-lists, scalar COUNT/SUM subqueries and UNIONs).  The planner — with
-its index joins, probe closures and memoization — must return exactly
+its index joins, subquery probes and memoization — must return exactly
 the same bag of rows as the brute-force evaluator.
 """
 
@@ -21,7 +21,7 @@ from tests.reference_executor import ReferenceExecutor
 from repro import Tintin
 from repro.errors import ExecutionError
 from repro.minidb import Database
-from repro.minidb.plan import ExecutionContext
+from repro.minidb.codegen import compile_plan
 from repro.minidb.planner import Planner
 from repro.minidb.storage import TableOverlay
 from repro.sqlparser import nodes as n
@@ -454,7 +454,7 @@ def run_plan(db, planner_class, query, overlays):
     """``("rows", [...])`` or ``("error", type, message)``."""
     plan = planner_class(db.catalog).plan_query(query)
     try:
-        return ("rows", list(plan.run(ctx=ExecutionContext(overlays)))), plan
+        return ("rows", compile_plan(plan).run((), overlays)), plan
     except ExecutionError as error:
         return ("error", type(error), str(error)), plan
 

@@ -124,6 +124,46 @@ class TestDifferential:
         }
 
 
+class TestFootprints:
+    def test_only_multi_member_windows_build_footprints(self, monkeypatch):
+        from repro.server.scheduler import _PendingCommit
+
+        tintin = build_tintin()
+        scheduler = tintin.sessions.scheduler
+        built = []
+        real = scheduler._footprint
+
+        def spy(inserts, deletes):
+            built.append(sorted(inserts))
+            return real(inserts, deletes)
+
+        monkeypatch.setattr(scheduler, "_footprint", spy)
+        session = tintin.create_session()
+        session.insert("orders", [(1,)])
+        session.insert("items", [(1, 1, 5)])
+        assert session.commit().committed
+        assert built == []  # a window of one is never partitioned
+        pendings = []
+        for key in (2, 3):
+            member = tintin.create_session()
+            member.insert("orders", [(key,)])
+            member.insert("items", [(key, 1, 5)])
+            inserts, deletes = member.events.snapshot()
+            member.events.truncate()
+            pending = _PendingCommit(
+                session=member,
+                inserts=inserts,
+                deletes=deletes,
+                transactions=member.transactions,
+            )
+            scheduler._queue.append(pending)
+            pendings.append(pending)
+        scheduler._process_batch()
+        assert len(built) == 2
+        assert all(p.result.committed for p in pendings)
+        assert pendings[0].result.group_size == 2
+
+
 class TestConcurrentReaderDifferential:
     def test_staged_readers_during_group_commits(self):
         """N reader threads, each holding staged events, query through
