@@ -3,32 +3,33 @@
 Four clients hammer one TINTIN instance concurrently.  Each owns a
 :class:`repro.server.Session` — a private staging area mirroring the
 paper's event tables — so nobody observes anyone else's uncommitted
-update.  Commits funnel through the serialized group-commit scheduler:
-compatible updates are validated in one violation-view pass and applied
-in one trigger-disable window; one client repeatedly proposes an
-invalid update and gets each one rejected with the offending assertion,
-while everyone else keeps committing.
+update.  Commits funnel through the serialized scheduler: a commit
+window validates and applies its members one by one, in arrival order,
+and the committed ones share one fsync (group commit).  One client
+repeatedly proposes an invalid update and gets each one rejected with
+the offending assertion, while everyone else keeps committing.
 
 Run:  PYTHONPATH=src python examples/multi_client.py
 """
 
+import tempfile
 import threading
 
-from repro import Database, Tintin
+from repro import Tintin
 
 CLIENTS = 4
 ROUNDS = 10
 
 
-def build_shop() -> Tintin:
-    db = Database("shop")
+def build_shop(directory: str) -> Tintin:
+    tintin = Tintin.open(directory, durability="batch")
+    db = tintin.db
     db.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY)")
     db.execute(
         "CREATE TABLE items (order_id INTEGER, n INTEGER, qty INTEGER, "
         "PRIMARY KEY (order_id, n), "
         "FOREIGN KEY (order_id) REFERENCES orders (id))"
     )
-    tintin = Tintin(db)
     tintin.install()
     tintin.add_assertion(
         "CREATE ASSERTION atLeastOneItem CHECK (NOT EXISTS ("
@@ -39,7 +40,7 @@ def build_shop() -> Tintin:
         "CREATE ASSERTION positiveQty CHECK (NOT EXISTS ("
         "SELECT * FROM items AS i WHERE i.qty < 1))"
     )
-    # a small gather window fattens commit groups under concurrency
+    # a small gather window lets concurrent commits share a window
     tintin.serve(gather_seconds=0.001)
     return tintin
 
@@ -56,10 +57,7 @@ def well_behaved_client(tintin: Tintin, client: int, log: list) -> None:
         )
         assert len(mine) == 1
         result = session.commit()
-        log.append(
-            f"client {client} round {round_no}: {result} "
-            f"(group of {result.group_size})"
-        )
+        log.append(f"client {client} round {round_no}: {result}")
 
 
 def rule_breaking_client(tintin: Tintin, client: int, log: list) -> None:
@@ -74,7 +72,15 @@ def rule_breaking_client(tintin: Tintin, client: int, log: list) -> None:
 
 
 def main() -> None:
-    tintin = build_shop()
+    with tempfile.TemporaryDirectory() as directory:
+        tintin = build_shop(directory)
+        try:
+            run(tintin)
+        finally:
+            tintin.close()
+
+
+def run(tintin: Tintin) -> None:
     logs: dict[int, list] = {c: [] for c in range(CLIENTS)}
     workers = []
     for client in range(CLIENTS):
@@ -104,10 +110,9 @@ def main() -> None:
         f"{(CLIENTS - 1) * ROUNDS} expected from well-behaved clients"
     )
     print(
-        f"scheduler: {stats.commits} commits in {stats.batches} batches, "
-        f"{stats.group_fast_path} via the group fast path "
-        f"(largest group {stats.max_group_size}), "
-        f"{stats.fallbacks} fallbacks to serial validation"
+        f"scheduler: {stats.commits} commits in {stats.batches} windows "
+        f"(largest {stats.max_group_size}); {stats.wal_appends} WAL "
+        f"records made durable by {stats.wal_fsyncs} fsyncs"
     )
     assert len(db.table("orders")) == (CLIENTS - 1) * ROUNDS
 

@@ -543,111 +543,92 @@ def _rename_item(item, mapping):
     return item.rename(mapping) if mapping else item
 
 
-# -- group-commit coupling ---------------------------------------------------
+# -- join structure ----------------------------------------------------------
 #
-# The commit scheduler groups pairwise-compatible commits and validates
-# the group as one union.  Whether two commits may interact under an
-# assertion is a *static* property of its denials: the compiler's
-# union-find has already forced every equi-correlated column — across
-# any nesting depth — onto one shared Variable, so a variable's
-# occurrence list IS the set of columns through which staged rows of
-# different tables can reach the same witness.  ``derive_coupling``
-# turns that into value-comparable keyspaces (replacing the old
-# FK-reference heuristic, which could not see non-FK joins between two
-# event-receiving tables and forced ``policy="serial"`` for them).
+# Whether one shard can check a denial against only its own rows is a
+# *static* property of the denial: the compiler's union-find has
+# already forced every equi-correlated column — across any nesting
+# depth — onto one shared Variable, so a variable's occurrence list IS
+# the set of columns through which rows of different atoms meet in one
+# witness.  ``derive_coupling`` exposes that join structure; the shard
+# router's co-location check (``ShardConfig.require_local``) reads it.
 
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """The interaction surface one denial exposes to the scheduler.
+    """The join structure of one denial.
 
-    ``keyspaces`` — one entry per shared variable of the denial; each
-    is a tuple of occurrences ``(atom index, table, column position,
-    role)`` where ``role`` is ``"pos"`` for a top-level positive atom
-    and ``"neg"`` for an atom under negation (any depth).  Two commits
-    staging the same value into one keyspace *may* share a witness;
-    whether that can mask a violation in the union depends on role and
-    operation (see ``_Footprint.compatible``): deleting at a positive
-    occurrence or inserting at a negated one *removes* witnesses — the
-    dangerous, FIFO-breaking direction — while inserting at a positive
-    occurrence or deleting at a negated one only *creates* violations,
-    which the union pass catches and re-runs serially.  The atom index
-    lets the scheduler skip the one removal/creation pairing that is
-    not a repair: a delete and an insert aimed at the *same* positive
-    atom touch distinct witness tuples unless the staged rows are
-    identical (and identical rows already collide on key stakes).
+    ``atoms`` — the table of each atom, positive or negated at any
+    depth, by atom index.
 
-    ``wildcard_pairs`` — table pairs whose interaction carries no
-    comparable key: atoms related only through an inequality builtin,
-    or cross-product atoms in disconnected components.  Commits staging
-    events in both tables of a pair always serialize.
+    ``keyspaces`` — one entry per variable shared by two or more atoms:
+    its occurrences as ``(atom index, column position)``.  Rows of two
+    atoms meet in a witness only by agreeing on such a variable.
+
+    ``wildcard_pairs`` — table pairs whose atoms can share a witness
+    with no comparable key: related only through an inequality builtin,
+    or a plain cross product (disconnected components of the join
+    graph).
     """
 
     denial: str
-    keyspaces: tuple[tuple[tuple[int, str, int, str], ...], ...]
+    atoms: tuple[str, ...]
+    keyspaces: tuple[tuple[tuple[int, int], ...], ...]
     wildcard_pairs: tuple[tuple[str, str], ...]
 
 
 def derive_coupling(denials) -> tuple[CouplingSpec, ...]:
-    """Static coupling specs for every denial (see :class:`CouplingSpec`)."""
+    """The join structure of every denial (see :class:`CouplingSpec`)."""
     specs = []
     for denial in denials:
-        atoms: list[tuple[Atom, bool]] = []
+        atoms: list[Atom] = []
         builtins: list[Builtin] = []
-        _collect_literals(denial.body, False, atoms, builtins)
+        _collect_literals(denial.body, atoms, builtins)
+        tables = tuple(_norm(atom.predicate.name) for atom in atoms)
 
-        #: variable -> {(atom index, table, position, role)}
+        #: variable -> {(atom index, position)}
         occurrences: dict[Variable, set] = {}
-        spans: dict[Variable, set] = {}
-        for index, (atom, negated) in enumerate(atoms):
-            table = _norm(atom.predicate.name)
-            role = "neg" if negated else "pos"
+        for index, atom in enumerate(atoms):
             for position, term in enumerate(atom.terms):
                 if isinstance(term, Variable):
-                    occurrences.setdefault(term, set()).add(
-                        (index, table, position, role)
-                    )
-                    spans.setdefault(term, set()).add(index)
+                    occurrences.setdefault(term, set()).add((index, position))
 
         keyspaces = tuple(
             tuple(sorted(occurrences[var]))
-            for var in sorted(
-                (v for v, atom_ids in spans.items() if len(atom_ids) > 1),
-                key=lambda v: v.name,
-            )
+            for var in sorted(occurrences, key=lambda v: v.name)
+            if len({index for index, _ in occurrences[var]}) > 1
         )
-
         specs.append(
             CouplingSpec(
                 denial=denial.name,
+                atoms=tables,
                 keyspaces=keyspaces,
-                wildcard_pairs=_wildcard_pairs(
-                    atoms, builtins, occurrences
-                ),
+                wildcard_pairs=_wildcard_pairs(tables, builtins, occurrences),
             )
         )
     return tuple(specs)
 
 
-def _collect_literals(items, negated: bool, atoms: list, builtins: list):
+def _collect_literals(items, atoms: list, builtins: list):
     for item in items:
         if isinstance(item, Builtin):
             builtins.append(item)
         elif isinstance(item, NegatedConjunction):
-            _collect_literals(item.items, True, atoms, builtins)
+            _collect_literals(item.items, atoms, builtins)
         elif isinstance(item, Atom):
-            atoms.append((item, negated or item.negated))
+            atoms.append(item)
 
 
 def _wildcard_pairs(atoms, builtins, occurrences) -> tuple[tuple[str, str], ...]:
     """Table pairs with no shared (value-comparable) variable that can
     still share a witness: linked by a builtin, or a plain cross
-    product (disconnected components of the join graph)."""
-    tables = sorted({_norm(atom.predicate.name) for atom, _ in atoms})
+    product (disconnected components of the join graph).  ``atoms`` is
+    the table of each atom by index."""
+    tables = sorted(set(atoms))
     if len(tables) < 2:
         return ()
     var_tables = {
-        var: {table for _, table, _, _ in occs}
+        var: {atoms[index] for index, _ in occs}
         for var, occs in occurrences.items()
     }
     shared: set[tuple[str, str]] = set()

@@ -121,8 +121,8 @@ class CommitResult:
     applied_rows: int = 0
     checked_views: int = 0
     skipped_views: int = 0
-    #: how many sessions' updates shared this commit's validation-and-
-    #: apply window (1 unless the group-commit fast path batched it)
+    #: how many shards took part in this commit: a cross-shard 2PC
+    #: reports its participant count, every local commit 1
     group_size: int = 1
     #: True when the request was cancelled by its own deadline before
     #: being applied or logged — nothing changed, retrying is safe
@@ -261,8 +261,7 @@ class SafeCommit:
         *,
         hold_open: bool = False,
         deadline: Optional[float] = None,
-        observers=(),
-        group: int = 1,
+        obs=None,
         log=None,
         gid: Optional[str] = None,
         fault=None,
@@ -277,7 +276,8 @@ class SafeCommit:
         violation-view pass — doomed work is cancelled, not performed —
         and again after it: a lapse mid-validation cancels before the
         apply and its WAL record exist, so an expired request stays
-        invisible and is safe to retry.  Each of ``observers`` gets the
+        invisible and is safe to retry.  ``obs`` (the commit's
+        :class:`~repro.obs.trace.CommitObs`, or None) gets the
         ``validate``/``check.<view>``/``apply``/``wal.append`` spans;
         ``fault`` is the scheduler's fault hook.  ``hold_open`` leaves
         the undo log open (a 2PC prepare, whose :meth:`note_applied`
@@ -291,19 +291,18 @@ class SafeCommit:
         if deadline is not None and time.monotonic() > deadline:
             return deadline_result(), False
         if fault is not None:
-            fault("scheduler.validate", group=group)
-        trace = [(obs, new_span_id()) for obs in observers]
-        start = time.monotonic() if trace else 0.0
+            fault("scheduler.validate")
+        trace = None if obs is None else (obs, new_span_id())
+        start = time.monotonic() if obs is not None else 0.0
         violations, checked, skipped = self.check_only(
-            db, overlays=event_overlays(inserts, deletes), trace=trace or None
+            db, overlays=event_overlays(inserts, deletes), trace=trace
         )
-        for obs, span_id in trace:
+        if obs is not None:
             obs.record(
                 "validate",
                 start,
                 time.monotonic(),
-                span_id=span_id,
-                group=group,
+                span_id=trace[1],
                 checked=checked,
                 skipped=skipped,
             )
@@ -317,7 +316,7 @@ class SafeCommit:
         )
         if violations:
             return result, False
-        start = time.monotonic() if trace else 0.0
+        start = time.monotonic() if obs is not None else 0.0
         try:
             result.applied_rows = self.apply(
                 db, inserts, deletes, transactions, hold_open
@@ -328,13 +327,12 @@ class SafeCommit:
         result.committed = True
         if not hold_open:
             self.note_applied(db, inserts, deletes)
-        for obs, _ in trace:
-            obs.record("apply", start, time.monotonic(), group=group)
-        start = time.monotonic() if trace else 0.0
+        if obs is not None:
+            obs.record("apply", start, time.monotonic())
+            start = time.monotonic()
         logged = log_update(db, log, inserts, deletes, gid)
-        if logged:
-            for obs, _ in trace:
-                obs.record("wal.append", start, time.monotonic(), group=group)
+        if logged and obs is not None:
+            obs.record("wal.append", start, time.monotonic())
         return result, logged
 
     def apply(
@@ -367,14 +365,14 @@ class SafeCommit:
         self,
         db: Database,
         overlays: Optional[dict[str, TableOverlay]] = None,
-        trace: Optional[list] = None,
+        trace: Optional[tuple] = None,
     ) -> tuple[list[Violation], int, int]:
         """Run the violation views without applying or truncating.
 
         ``overlays`` (normalized table name ->
         :class:`~repro.minidb.storage.TableOverlay`) merges a staged
         update into the referenced tables at read time — the commit
-        scheduler validates a session's (or group's) events by
+        scheduler validates a session's events by
         overlaying the *event tables* instead of physically loading
         them, so validation never mutates shared state.
 
@@ -383,11 +381,10 @@ class SafeCommit:
         units to run (see :class:`_Dispatch`), and every other view is
         skipped without being looked at.
 
-        ``trace`` is a list of ``(obs, parent_span_id)`` pairs (one per
-        commit this check serves — a group's union validation serves
-        several): each executed unit emits one ``check.<view>`` span
-        (``check.<lead view>.shared`` for a family) into every listed
-        trace, nested under the given validate span.
+        ``trace`` is the ``(obs, parent_span_id)`` pair of the commit
+        this check serves: each executed unit emits one
+        ``check.<view>`` span (``check.<lead view>.shared`` for a
+        family) into it, nested under the given validate span.
 
         Returns ``(violations, executed_view_count, skipped_view_count)``.
         """
@@ -401,7 +398,7 @@ class SafeCommit:
         if profiler is not None:
             for name in skipped:
                 profiler.record_skip(name)
-        timed = profiler is not None or trace
+        timed = profiler is not None or trace is not None
         rearm: list[CompiledEDC] = []
         self._rearm = rearm
         # one stamp sweep covers every armed EDC in this pass
@@ -443,7 +440,7 @@ class SafeCommit:
                             name, share, violations=hits, rows_scanned=rows
                         )
                         rows = 0
-                if trace:
+                if trace is not None:
                     attrs = {} if label is None else {"members": len(outcomes)}
                     self._trace_check(
                         trace,
@@ -672,23 +669,23 @@ class SafeCommit:
 
     @staticmethod
     def _trace_check(
-        trace: list,
+        trace: tuple,
         view: str,
         start: float,
         elapsed: float,
         found: int,
         **attrs,
     ) -> None:
-        for obs, parent in trace:
-            obs.record(
-                "check." + view,
-                start,
-                start + elapsed,
-                parent=parent,
-                view=view,
-                violations=found,
-                **attrs,
-            )
+        obs, parent = trace
+        obs.record(
+            "check." + view,
+            start,
+            start + elapsed,
+            parent=parent,
+            view=view,
+            violations=found,
+            **attrs,
+        )
 
     @staticmethod
     def _effectively_empty(

@@ -195,8 +195,8 @@ class Tintin:
         ``durability`` selects how committed batches reach disk:
         ``"off"`` (checkpoint-only), ``"commit"`` (append + fsync per
         commit, strict per-transaction durability) or ``"batch"``
-        (group commit: one combined record and one shared fsync per
-        compatible commit group).
+        (group commit: each member of a commit window appends its own
+        record, and the committed members share one fsync).
         """
         from ..durability import (
             DurabilityManager,
@@ -519,7 +519,6 @@ class Tintin:
 
     def serve(
         self,
-        policy: str = "group",
         gather_seconds: float = 0.0,
         default_ttl: Optional[float] = None,
         sweep_interval: Optional[float] = None,
@@ -527,10 +526,11 @@ class Tintin:
     ) -> "SessionManager":
         """Activate the server layer with explicit scheduler options.
 
-        ``policy='serial'`` disables group batching (strict one-at-a-
-        time semantics); ``gather_seconds`` lets a commit leader wait
-        for stragglers to fatten batches.  ``sweep_interval`` starts
-        the background expiry sweeper (reaping lapsed-TTL sessions —
+        Every commit window validates its members one by one, in FIFO
+        order; ``gather_seconds`` lets a commit leader wait for
+        stragglers, so more committed members share the window's one
+        fsync.  ``sweep_interval`` starts the background expiry
+        sweeper (reaping lapsed-TTL sessions —
         and, with ``max_idle``, idle ones — without waiting for
         another call to touch the manager; stopped by :meth:`close`).
         Must be called before the first session is created; without
@@ -545,7 +545,6 @@ class Tintin:
         self._sessions = SessionManager(
             self,
             default_ttl=default_ttl,
-            policy=policy,
             gather_seconds=gather_seconds,
         )
         if sweep_interval is not None:

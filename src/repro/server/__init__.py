@@ -13,10 +13,10 @@ concurrent service:
   overlays (base tables are never touched; any number of readers run
   concurrently);
 * :class:`CommitScheduler` — serializes validate-and-apply through a
-  FIFO queue with group-commit batching: compatible (key-disjoint)
-  updates are validated in one violation-view pass — the events
-  presented to the views as overlays on the global event tables — and
-  applied in one combined batch.
+  FIFO queue: a commit window runs the paper's safeCommit once per
+  member, in arrival order — each update presented to the violation
+  views as overlays on the global event tables — and the committed
+  members' WAL records share one fsync (group commit).
 """
 
 from .locks import ReadWriteLock

@@ -23,13 +23,11 @@ route                    members             txn manager     record   flush
 =======================  ==================  ==============  =======  ========
 stored procedure /       the captured        database's      batch    inline
 default session, no      update (no queue,   own, closed
-sessions                 window, footprint)
+sessions                 no window)
 default session once     the captured        fresh, closed   batch    window's
 sessions exist           update, queued
-``policy="serial"``      each queued member  member's,       batch    window's
-                                             closed
-``policy="group"``       compatible members, scheduler's     batch    window's
-                         events unioned      group, closed
+a commit window          its members, one    member's,       batch    window's
+                         by one              closed
 ``durability="commit"``  a window of one     member's,       batch    inline
                                              closed
 2PC prepare              participant's       fresh, held     prepare  inline
@@ -42,54 +40,23 @@ sessions exist           update, queued
 =======================  ==================  ==============  =======  ========
 
 With many sessions proposing updates concurrently the scheduler
-serializes exactly that step — and amortizes it.  Commits are queued
-FIFO; whichever client thread first grabs the leader lock drains the
-queue and processes the whole batch inside a single exclusive window
-(one write-lock acquisition).  Inside the window the batch is split into *groups* of pairwise compatible members; a
-group's union passes **one** validation and one apply — k commits for
-the price of one — and any non-clean outcome (violation, constraint
-error, a deadline lapsing mid-validation) replays the group member by
-member in FIFO order, which also attributes each violation to the
-session that staged the offending events.
+serializes exactly that step and amortizes only its fsync.  Commits
+are queued FIFO; whichever client thread first grabs the leader lock
+drains the queue and processes the whole batch inside a single
+exclusive window (one write-lock acquisition).  Inside the window the
+commit unit runs once per member, in FIFO order: each member is
+validated against the state its predecessors left, exactly as if the
+sessions had committed one after another, so a rejection lands on the
+session whose events violate and no member's apply can mask another
+member's violation.  Group commit is the one shared fsync: the
+committed members' WAL records ride the window until a single flush
+makes them all durable.
 
 The window flush is adaptive in ``batch`` mode: with no backlog the
 leader fsyncs inline; with requests already queued behind the window
 it hands the flush to the :class:`LogWriter` thread, which coalesces
 consecutive windows into shared fsyncs.  Acknowledgements always wait
 for the fsync covering their record.
-
-Compatibility is a conservative static check on the members' *key
-footprints*:
-
-* staged-row stakes — the key values a member inserts or deletes, per
-  table and per referencable key space (PK and any UNIQUE key an FK
-  targets) — must be pairwise disjoint (no write-write conflicts);
-* one member's stakes must not intersect another's *FK references*
-  (the keys its staged rows point at), in either direction — no
-  member's apply can create or erase another member's violation
-  witnesses through an FK join onto a staged row;
-* staged values meeting in a denial *keyspace* — a shared variable of
-  an installed assertion's denial, whose occurrence list the compiler
-  derives statically (:func:`repro.core.denial_compiler
-  .derive_coupling`) — must not pair a witness-creating member with a
-  witness-*removing* one: deleting at a positive occurrence or
-  inserting at a negated one can mask another member's violation in
-  the union, so such members serialize (two sessions editing the
-  lineitems of one order under an at-least-one assertion interact;
-  orders sharing a customer parent no keyspace ties to their events do
-  not).  Because the keyspaces come from the unified denial variables
-  rather than declared FKs, assertions joining two event-receiving
-  tables on non-FK attributes are covered too — ``policy="serial"`` is
-  no longer required for them (tables a denial relates without any
-  comparable key, e.g. through an inequality builtin alone, serialize
-  pairwise via the spec's wildcard pairs);
-* for aggregate assertions, the members' affected group keys must be
-  disjoint (two sessions growing the same order's lineitem count must
-  serialize).
-
-The differential tests (sequential vs concurrent runs must
-accept/reject identical updates) exercise the shipped workloads, with
-``policy="serial"`` as the reference.
 """
 
 from __future__ import annotations
@@ -98,11 +65,10 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import DurabilityError
-from ..minidb.schema import normalize
 from ..minidb.transactions import TransactionManager
 from ..core.safe_commit import CommitResult, deadline_result
 from ..durability.manager import touched_counts
@@ -112,136 +78,6 @@ from ..obs.metrics import StatsBlock
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tintin import Tintin
     from .session import Session
-
-
-@dataclass
-class _Footprint:
-    """The key surface one staged update touches (see module docstring)."""
-
-    #: table -> row identities (PK values, whole rows for keyless
-    #: tables) staged ins+del: the write-write conflict surface
-    stakes: dict[str, set] = field(default_factory=dict)
-    #: (table, referenced-columns) -> staged rows projected onto that
-    #: key space — one bucket per key an FK can reference (PK or a
-    #: declared UNIQUE key), so stakes and refs always compare values
-    #: of the same columns
-    key_stakes: dict[tuple, set] = field(default_factory=dict)
-    #: (parent table, referenced-columns) -> key values this update's
-    #: staged rows point at through their FKs
-    refs: dict[tuple, set] = field(default_factory=dict)
-    #: aggregate-spec name -> affected group-key values
-    agg_groups: dict[str, set] = field(default_factory=dict)
-    #: normalized names of tables this update stages events in
-    event_tables: set = field(default_factory=set)
-    #: keyspace signature (its occurrence tuple — shared by
-    #: structurally identical denials) -> the values this update's
-    #: staged rows bind in that keyspace, split by occurrence role and
-    #: operation (see ``CouplingSpec`` and ``_KeyspaceBindings``)
-    coupling: dict[tuple, "_KeyspaceBindings"] = field(default_factory=dict)
-
-    def compatible(self, other: "_Footprint", coupling) -> bool:
-        """Whether grouping with ``other`` preserves FIFO semantics.
-
-        ``coupling`` is the tuple of statically derived
-        :class:`~repro.core.denial_compiler.CouplingSpec` — two members
-        serialize when one stages a witness-*removing* binding (a
-        delete at a positive occurrence or an insert at a negated one)
-        into a denial keyspace where the other stages a witness-
-        *creating* one (an insert at a positive occurrence or a delete
-        at a negated one): the removal could repair the other member's
-        violation, making a union pass where FIFO would have rejected.
-        Removal-vs-creation aimed at the *same* positive atom is exempt
-        — there it only repairs if the exact staged rows coincide,
-        which the stakes check already serializes.  They also
-        serialize when staging events on opposite sides of a wildcard
-        pair.  Creating-vs-creating overlaps stay groupable: they can
-        only turn a clean union violating, which the union pass detects
-        and replays serially anyway.
-        """
-        for table, keys in self.stakes.items():
-            if keys & other.stakes.get(table, _EMPTY):
-                return False
-        for space, keys in self.key_stakes.items():
-            if keys & other.refs.get(space, _EMPTY):
-                return False
-        for space, keys in self.refs.items():
-            if keys & other.key_stakes.get(space, _EMPTY):
-                return False
-        for key, mine in self.coupling.items():
-            theirs = other.coupling.get(key)
-            if theirs is not None and mine.conflicts(theirs):
-                return False
-        for spec in coupling:
-            for a, b in spec.wildcard_pairs:
-                if (
-                    a in self.event_tables and b in other.event_tables
-                ) or (b in self.event_tables and a in other.event_tables):
-                    return False
-        for spec, keys in self.agg_groups.items():
-            if keys & other.agg_groups.get(spec, _EMPTY):
-                return False
-        return True
-
-
-_EMPTY: frozenset = frozenset()
-
-
-class _KeyspaceBindings:
-    """One update's staged values in one denial keyspace, split four
-    ways: positive-atom inserts/deletes by atom index (``pi``/``pd``)
-    and negated-occurrence inserts/deletes combined (``ni``/``nd``).
-
-    Witness-removing bindings are ``pd`` and ``ni``; witness-creating
-    ones are ``pi`` and ``nd``.  :meth:`conflicts` pairs each removal
-    with the creations it could repair — every combination except a
-    delete and an insert aimed at the *same* positive atom, which bind
-    distinct witness tuples unless the staged rows are identical (and
-    identical rows already collide on stakes).
-    """
-
-    __slots__ = ("pi", "pd", "ni", "nd", "removes", "creates")
-
-    def __init__(self):
-        self.pi: dict[int, set] = {}
-        self.pd: dict[int, set] = {}
-        self.ni: set = set()
-        self.nd: set = set()
-        #: flat unions (sealed by :meth:`seal` after projection): any
-        #: precise repair pairing implies these coarse sets intersect,
-        #: so disjointness is a cheap early exit for the common case
-        #: of key-disjoint members
-        self.removes: set = set()
-        self.creates: set = set()
-
-    def seal(self) -> None:
-        self.removes = self.ni.union(*self.pd.values())
-        self.creates = self.nd.union(*self.pi.values())
-
-    def conflicts(self, other: "_KeyspaceBindings") -> bool:
-        if (
-            not (self.removes & other.creates)
-            and not (other.removes & self.creates)
-        ):
-            return False
-        return self._repairs(other) or other._repairs(self)
-
-    def _repairs(self, other: "_KeyspaceBindings") -> bool:
-        """Whether one of our removals could repair one of ``other``'s
-        creations in the union state."""
-        if self.ni and (
-            self.ni & other.nd
-            or any(self.ni & values for values in other.pi.values())
-        ):
-            return True
-        if other.nd and any(
-            values & other.nd for values in self.pd.values()
-        ):
-            return True
-        for atom, deleted in self.pd.items():
-            for other_atom, inserted in other.pi.items():
-                if atom != other_atom and deleted & inserted:
-                    return True
-        return False
 
 
 def commit_verdict(result: CommitResult) -> str:
@@ -256,10 +92,6 @@ def commit_verdict(result: CommitResult) -> str:
     return "error"
 
 
-def _columns_key(columns: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(normalize(c) for c in columns)
-
-
 @dataclass
 class _PendingCommit:
     """One safeCommit request (events already snapshotted): a queued
@@ -269,9 +101,6 @@ class _PendingCommit:
     inserts: dict[str, list[tuple]]
     deletes: dict[str, list[tuple]]
     transactions: TransactionManager
-    #: the keys this commit touches, for the window partition; built by
-    #: the leader, and only for a window of two or more requests
-    footprint: Optional[_Footprint] = None
     #: absolute ``time.monotonic()`` deadline, or None for "no limit".
     #: Checked at the window start and by the commit unit's gates
     #: before and after the violation-view pass, so a doomed request
@@ -300,18 +129,20 @@ class SchedulerStats(StatsBlock):
 
     Notable fields: ``deadline_expired`` counts requests whose deadline
     lapsed before their violation-view pass ran (cancelled inside the
-    scheduler, never validated or applied); ``wal_fsyncs`` <
-    ``wal_appends`` is group commit at work (several commits' records
-    shared one fsync); ``writer_windows`` > ``writer_flushes`` is the
-    log-writer thread's burst coalescing (several windows per fsync).
+    scheduler, never validated or applied); ``serial_commits`` equals
+    ``commits`` — every member runs the commit unit on its own — and
+    stays for readers of the serial share; ``max_group_size`` is the
+    largest window, whose committed members shared one fsync;
+    ``wal_fsyncs`` < ``wal_appends`` is group commit at work (several
+    commits' records shared one fsync); ``writer_windows`` >
+    ``writer_flushes`` is the log-writer thread's burst coalescing
+    (several windows per fsync).
     """
 
     COUNTERS = (
         "batches",
         "commits",
-        "group_fast_path",
         "serial_commits",
-        "fallbacks",
         "deadline_expired",
         "wal_appends",
         "wal_fsyncs",
@@ -326,16 +157,12 @@ class SchedulerStats(StatsBlock):
     PREFIX = "tintin_scheduler"
     HELP = {
         "commits": "Commits applied by the scheduler",
-        "group_fast_path": "Commits validated and applied as part of a compatible group",
-        "fallbacks": "Groups that failed joint validation and re-ran serially",
+        "max_group_size": "Largest commit window (members sharing one fsync)",
         "deadline_expired": "Commits cancelled in the scheduler after their deadline lapsed",
         "prepares": "Two-phase commit prepare votes logged (yes votes)",
         "prepared_commits": "Prepared transactions committed by coordinator decision",
         "prepared_aborts": "Prepared transactions aborted by coordinator decision",
     }
-
-    def saw_group(self, size: int) -> None:
-        self.record_max(max_group_size=size)
 
 
 class LogWriter:
@@ -352,10 +179,10 @@ class LogWriter:
     the window here and immediately processes the next one.  The
     dedicated log-writer thread then drains every submitted window
     and issues **one** fsync for the whole burst: flushes batch
-    *across* commit windows (on top of the one-record-per-group
-    batching inside each window) while the leader's validation of the
-    next window overlaps the disk wait — the fsync releases the GIL,
-    so the overlap is real even on one core.
+    *across* commit windows (on top of the one shared fsync inside
+    each window) while the leader's validation of the next window
+    overlaps the disk wait — the fsync releases the GIL, so the
+    overlap is real even on one core.
 
     The fsyncgate discipline is preserved end to end: acknowledgements
     still wait on the flush (a member's result is withheld until the
@@ -482,21 +309,18 @@ class LogWriter:
 
 
 class CommitScheduler:
-    """Serializes (and group-batches) safeCommit across sessions."""
+    """Serializes safeCommit across sessions; a window's committed
+    members share one fsync."""
 
     def __init__(
         self,
         tintin: "Tintin",
-        policy: str = "group",
         max_batch: int = 64,
         gather_seconds: float = 0.0,
     ):
-        if policy not in ("group", "serial"):
-            raise ValueError(f"unknown scheduler policy {policy!r}")
         self.tintin = tintin
         self.db = tintin.db
         self.events = tintin.events
-        self.policy = policy
         self.max_batch = max_batch
         #: upper bound on how long a leader waits before draining the
         #: queue, giving concurrent submitters time to join the batch.
@@ -515,12 +339,6 @@ class CommitScheduler:
         self._queue: deque[_PendingCommit] = deque()
         self._queue_lock = threading.Lock()
         self._leader_lock = threading.Lock()
-        #: undo-log manager for combined (multi-session) applies
-        self._group_transactions = TransactionManager()
-        #: (assertion-set version, derived CouplingSpec tuple)
-        self._coupling_cache: Optional[tuple] = None
-        #: (assertion-set version, per-table keyspace projection index)
-        self._coupling_proj_cache: Optional[tuple] = None
         #: the flush routine and its log-writer thread (batch-mode
         #: windows with a backlog hand it their deferred members; it
         #: batches fsyncs across windows)
@@ -666,30 +484,22 @@ class CommitScheduler:
                 self.events.load_events(*stashed)
 
     def _unit(
-        self,
-        members: list[_PendingCommit],
-        inserts: dict[str, list[tuple]],
-        deletes: dict[str, list[tuple]],
-        transactions: TransactionManager,
-        gid: Optional[str] = None,
+        self, member: _PendingCommit, gid: Optional[str] = None
     ) -> tuple[CommitResult, bool]:
-        """Run the commit unit over ``members``' events (theirs alone,
-        or a group's union): the earliest member deadline gates it,
-        every observed member gets its spans, and the record it
-        appends is counted.  With ``gid`` it is a 2PC prepare: the
-        undo log stays open and the record is a prepare record.
-        Returns the unit's ``(result, logged)``; a logged result must
-        be withheld until the flush."""
-        deadlines = [p.deadline for p in members if p.deadline is not None]
+        """Run the commit unit over one member's events, gated by its
+        deadline and observed by its trace, and count the record it
+        appends.  With ``gid`` it is a 2PC prepare: the undo log stays
+        open and the record is a prepare record.  Returns the unit's
+        ``(result, logged)``; a logged result must be withheld until
+        the flush."""
         result, logged = self.tintin.safe_commit_proc(
             self.db,
-            inserts,
-            deletes,
-            transactions,
+            member.inserts,
+            member.deletes,
+            member.transactions,
             hold_open=gid is not None,
-            deadline=min(deadlines) if deadlines else None,
-            observers=[p.obs for p in members if p.obs is not None],
-            group=len(members),
+            deadline=member.deadline,
+            obs=member.obs,
             log=self.tintin._log_manager(),
             gid=gid,
             fault=self.fault_hook,
@@ -754,9 +564,7 @@ class CommitScheduler:
             )
             try:
                 with self._exclusive_window():
-                    result, logged = self._unit(
-                        [member], inserts, deletes, txn, gid=gid
-                    )
+                    result, logged = self._unit(member, gid=gid)
                 if logged:
                     self._log_writer.flush(
                         self.tintin._log_manager(), [[(member, result)]]
@@ -881,159 +689,6 @@ class CommitScheduler:
                 )
             return result
 
-    # -- footprints --------------------------------------------------------
-
-    def _footprint(
-        self,
-        inserts: dict[str, list[tuple]],
-        deletes: dict[str, list[tuple]],
-    ) -> _Footprint:
-        fp = _Footprint()
-        checker = self.db.checker
-        agg_specs = [
-            checker_.spec
-            for checker_ in self.tintin.safe_commit_proc.aggregate_checkers
-        ]
-        staged: dict[str, dict[str, list[tuple]]] = {"ins": {}, "del": {}}
-        for source, mode in ((inserts, "ins"), (deletes, "del")):
-            for name, rows in source.items():
-                if rows:
-                    staged[mode].setdefault(normalize(name), []).extend(rows)
-        for source in (inserts, deletes):
-            for name, rows in source.items():
-                if not rows:
-                    continue
-                table = self.db.table(name)
-                key = normalize(name)
-                fp.event_tables.add(key)
-                schema = table.schema
-                if schema.primary_key:
-                    positions = schema.key_positions(schema.primary_key)
-                    stakes = {tuple(row[p] for p in positions) for row in rows}
-                else:
-                    stakes = set(rows)
-                fp.stakes.setdefault(key, set()).update(stakes)
-                # project staged rows onto every key space an FK can
-                # reference on this table (the PK or a UNIQUE key)
-                for inc in checker.incoming_fks(table):
-                    space = (key, _columns_key(inc.fk.ref_columns))
-                    bucket = fp.key_stakes.setdefault(space, set())
-                    for row in rows:
-                        value = tuple(row[p] for p in inc.parent_positions)
-                        if not any(v is None for v in value):
-                            bucket.add(value)
-                for spec in checker.outgoing_fks(table):
-                    space = (
-                        normalize(spec.fk.ref_table),
-                        _columns_key(spec.fk.ref_columns),
-                    )
-                    bucket = fp.refs.setdefault(space, set())
-                    for row in rows:
-                        value = tuple(row[p] for p in spec.positions)
-                        if not any(v is None for v in value):
-                            bucket.add(value)
-                for spec in agg_specs:
-                    if key == normalize(spec.inner_table):
-                        columns = spec.inner_key_columns
-                    elif key == normalize(spec.outer_table):
-                        columns = spec.outer_key_columns
-                    else:
-                        continue
-                    positions = schema.key_positions(columns)
-                    fp.agg_groups.setdefault(spec.name, set()).update(
-                        tuple(row[p] for p in positions) for row in rows
-                    )
-        # project the staged rows onto every installed denial keyspace
-        # via the inverted per-table index (statically derived; see
-        # CouplingSpec).  NULLs never join, so NULL bindings are
-        # dropped; a column projection shared by several keyspaces is
-        # computed once per staged table.
-        proj = self._coupling_projection()
-        for mode in ("ins", "del"):
-            for table, rows in staged[mode].items():
-                entries = proj.get(table)
-                if not entries:
-                    continue
-                by_position: dict[int, set] = {}
-                for sig, atom, position, role in entries:
-                    values = by_position.get(position)
-                    if values is None:
-                        values = {
-                            row[position]
-                            for row in rows
-                            if row[position] is not None
-                        }
-                        by_position[position] = values
-                    if not values:
-                        continue
-                    bindings = fp.coupling.get(sig)
-                    if bindings is None:
-                        bindings = fp.coupling.setdefault(
-                            sig, _KeyspaceBindings()
-                        )
-                    if role == "pos":
-                        bucket = (
-                            bindings.pi if mode == "ins" else bindings.pd
-                        )
-                        bucket.setdefault(atom, set()).update(values)
-                    elif mode == "ins":
-                        bindings.ni |= values
-                    else:
-                        bindings.nd |= values
-        for bindings in fp.coupling.values():
-            bindings.seal()
-        return fp
-
-    def _coupling_specs(self) -> tuple:
-        """The statically derived coupling specs of every installed
-        denial (see :func:`repro.core.denial_compiler.derive_coupling`),
-        cached against the facade's assertion-set version — re-adding
-        an assertion under the same name with a different body bumps
-        the version, so the cache can never serve a stale body."""
-        from ..core.denial_compiler import derive_coupling
-
-        version = self.tintin.assertion_version
-        cached = self._coupling_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        specs = derive_coupling(
-            [
-                denial
-                for assertion in self.tintin.assertions.values()
-                for denial in assertion.denials
-            ]
-        )
-        self._coupling_cache = (version, specs)
-        return specs
-
-    def _coupling_projection(self) -> dict:
-        """Inverted projection index over the coupling specs: normalized
-        table name -> list of ``(signature, atom, position, role)``.
-
-        The signature is the keyspace's occurrence tuple itself —
-        structurally identical keyspaces (e.g. a family of bound-style
-        denials that all join ``orders`` to ``lineitem`` on the order
-        key) project to identical bindings, so they collapse into one
-        footprint entry and are checked once per member pair instead
-        of once per denial."""
-        version = self.tintin.assertion_version
-        cached = self._coupling_proj_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        proj: dict[str, list] = {}
-        seen: set = set()
-        for spec in self._coupling_specs():
-            for keyspace in spec.keyspaces:
-                if keyspace in seen:
-                    continue
-                seen.add(keyspace)
-                for atom, table, position, role in keyspace:
-                    proj.setdefault(table, []).append(
-                        (keyspace, atom, position, role)
-                    )
-        self._coupling_proj_cache = (version, proj)
-        return proj
-
     # -- the commit window -------------------------------------------------
 
     def _gather(self) -> None:
@@ -1101,29 +756,31 @@ class CommitScheduler:
         batch = alive
         if not batch:
             return
-        self.stats.bump(batches=1, commits=len(batch))
-        if len(batch) > 1 and self.policy != "serial":
-            # only the partition reads footprints; build them before
-            # the write lock, and never for a window of one
-            for pending in batch:
-                if pending.footprint is None:
-                    pending.footprint = self._footprint(
-                        pending.inserts, pending.deletes
-                    )
+        self.stats.bump(
+            batches=1, commits=len(batch), serial_commits=len(batch)
+        )
+        self.stats.record_max(max_group_size=len(batch))
         start = time.perf_counter()
         #: committed members whose WAL records are appended but not yet
         #: durable; their results are withheld until the window flush
         deferred: list[tuple[_PendingCommit, CommitResult]] = []
         try:
             with self._exclusive_window():
-                for group in self._partition(batch):
-                    self.stats.saw_group(len(group))
-                    self._commit_group(group, deferred)
+                # the paper's safeCommit, once per member in FIFO
+                # order: each validation sees its predecessors' applies
+                for pending in batch:
+                    result, logged = self._unit(pending)
+                    if logged:
+                        deferred.append((pending, result))
+                    else:
+                        pending.result = result
+                        if result.deadline_expired:
+                            self.stats.bump(deadline_expired=1)
         except BaseException as exc:
             # an unexpected engine error must not strand the batch —
-            # but members whose *own* groups already committed (applied
-            # and WAL-appended, results riding in ``deferred``) must
-            # not be swallowed by a later group's failure: flush their
+            # but members that already committed (applied and
+            # WAL-appended, results riding in ``deferred``) must not
+            # be swallowed by a later member's failure: flush their
             # records and acknowledge them first.  The flush is inline
             # even in ``batch`` mode — the leader is about to propagate
             # the window failure, and every deferred member must be
@@ -1174,100 +831,3 @@ class CommitScheduler:
                 self._log_writer.submit(manager, deferred)
             else:
                 self._log_writer.flush(manager, [deferred])
-
-    def _partition(
-        self, batch: list[_PendingCommit]
-    ) -> list[list[_PendingCommit]]:
-        """Split the FIFO batch into runs of pairwise-compatible members
-        (order-preserving, so serial replays keep submission order);
-        ``policy="serial"`` makes every member its own run.  A
-        ``durability="commit"`` window holds one request, so it needs
-        no rule of its own."""
-        if self.policy == "serial":
-            return [[pending] for pending in batch]
-        coupling = self._coupling_specs()
-        groups: list[list[_PendingCommit]] = []
-        current: list[_PendingCommit] = []
-        for pending in batch:
-            if current and not all(
-                pending.footprint.compatible(other.footprint, coupling)
-                for other in current
-            ):
-                groups.append(current)
-                current = []
-            current.append(pending)
-        if current:
-            groups.append(current)
-        return groups
-
-    def _commit_group(
-        self,
-        group: list[_PendingCommit],
-        deferred: list[tuple[_PendingCommit, CommitResult]],
-    ) -> None:
-        """Decide one run of compatible members: the commit unit once
-        over their union, or — for a run of one, and as the replay of
-        any union that did not come back clean — once per member, the
-        exact single-session protocol in FIFO order.
-
-        A committed member whose record was appended rides in
-        ``deferred`` until the window flush, so it is never
-        acknowledged before its record is on disk; rejections carry no
-        record and are assigned immediately.
-        """
-        if len(group) > 1:
-            union_ins: dict[str, list[tuple]] = {}
-            union_del: dict[str, list[tuple]] = {}
-            # per-member applied-row accounting against the pre-apply
-            # state, so a grouped commit reports the same number the
-            # serial protocol would: staged deletes of rows an earlier
-            # batch already removed apply as no-ops
-            applied_by_member = []
-            for pending in group:
-                applied = 0
-                for table, rows in pending.inserts.items():
-                    union_ins.setdefault(table, []).extend(rows)
-                    applied += len(rows)
-                for table, rows in pending.deletes.items():
-                    union_del.setdefault(table, []).extend(rows)
-                    find_rowid = self.db.table(table).find_rowid
-                    applied += sum(
-                        1 for row in rows if find_rowid(row) is not None
-                    )
-                applied_by_member.append(applied)
-            # the group-commit payoff: ONE validation, one apply and
-            # ONE combined WAL record for the whole group, made durable
-            # by the window's single shared fsync
-            union, logged = self._unit(
-                group, union_ins, union_del, self._group_transactions
-            )
-            if union.committed:
-                self.stats.bump(group_fast_path=len(group))
-                for pending, applied in zip(group, applied_by_member):
-                    result = replace(
-                        union, applied_rows=applied, group_size=len(group)
-                    )
-                    if logged:
-                        deferred.append((pending, result))
-                    else:
-                        pending.result = result
-                return
-            # someone's events violate an assertion or a constraint:
-            # replay strictly serially so the rejection lands on the
-            # session that staged them.  Likewise when a member's
-            # deadline lapsed before or during union validation:
-            # dropping the expired member's events from a validated
-            # union is not violation-preserving, and the replay
-            # enforces each member's deadline precisely.
-            self.stats.bump(fallbacks=1)
-        for pending in group:
-            self.stats.bump(serial_commits=1)
-            result, logged = self._unit(
-                [pending], pending.inserts, pending.deletes, pending.transactions
-            )
-            if logged:
-                deferred.append((pending, result))
-            else:
-                pending.result = result
-                if result.deadline_expired:
-                    self.stats.bump(deadline_expired=1)

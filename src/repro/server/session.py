@@ -378,8 +378,8 @@ class Session:
         obs: Optional[object] = None,
     ) -> "CommitResult":
         """Validate-and-apply this session's staged update through the
-        serialized commit scheduler (group commit may batch it with
-        other sessions' compatible updates).
+        serialized commit scheduler (its record may share one fsync
+        with other sessions' commits of the same window).
 
         The session is *pinned* for the duration: an idle-expiry sweep
         (or TTL lapse) racing the queued request cannot discard the
@@ -428,16 +428,13 @@ class SessionManager:
         self,
         tintin: "Tintin",
         default_ttl: Optional[float] = None,
-        policy: str = "group",
         gather_seconds: float = 0.0,
     ):
         from .scheduler import CommitScheduler  # local: avoid import cycle
 
         self.tintin = tintin
         self.default_ttl = default_ttl
-        self.scheduler = CommitScheduler(
-            tintin, policy=policy, gather_seconds=gather_seconds
-        )
+        self.scheduler = CommitScheduler(tintin, gather_seconds=gather_seconds)
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
         #: the background expiry sweeper (see :meth:`start_sweeper`)

@@ -1,4 +1,5 @@
-"""Shard-key declarations and commit-footprint classification.
+"""Shard-key declarations, commit-footprint classification, and the
+co-location check assertions must pass.
 
 The router's one routing decision per commit is made here: every
 staged row is mapped to a shard by hashing its declared shard-key
@@ -14,7 +15,10 @@ from __future__ import annotations
 import zlib
 from typing import Optional
 
-from ..errors import SchemaError
+from ..core.aggregates import AggregateAssertionCompiler
+from ..core.assertion import Assertion
+from ..core.denial_compiler import CouplingSpec, DenialCompiler, derive_coupling
+from ..errors import CompilationError, SchemaError
 
 
 class ShardConfig:
@@ -90,3 +94,105 @@ class ShardConfig:
                     bucket = out.setdefault(shard, ({}, {}))
                     bucket[side].setdefault(table, []).append(row)
         return out
+
+    def require_local(self, db, sql: str) -> None:
+        """Refuse an assertion one shard cannot check on its own rows.
+
+        Each shard validates its slice of a commit against only the
+        rows it holds, which is sound exactly when every row of a
+        violation lives on one shard.  The assertion is compiled on
+        ``db`` (the router's catalog mirror) and every denial must be
+        *co-located*: a union-find over its atoms — positive or
+        negated, at any depth — must join them all.  Two atoms join
+        when one shared variable of the denial sits at both tables'
+        shard-key columns and those columns have the same declared
+        type (``shard_of(5) != shard_of(5.0)``); tables pinned to shard
+        0 join each other and nothing else.  A table pair related
+        through no equated key (a wildcard pair) is refused unless both
+        are pinned.  An aggregate assertion is checked the same way
+        over its outer and inner table, joined by its correlation
+        columns.  Raises :class:`CompilationError` naming the offending
+        join.
+        """
+        assertion = Assertion.parse(sql)
+        if AggregateAssertionCompiler.is_aggregate_assertion(assertion):
+            spec = AggregateAssertionCompiler(db.catalog).compile(assertion)
+            joins = [
+                CouplingSpec(
+                    assertion.name,
+                    (spec.outer_table.lower(), spec.inner_table.lower()),
+                    tuple(
+                        ((0, outer), (1, inner))
+                        for inner, outer in spec.correlation
+                    ),
+                    (),
+                )
+            ]
+        else:
+            denials = DenialCompiler(db.catalog).compile(assertion)
+            joins = derive_coupling(denials)
+        for coupling in joins:
+            self._require_colocated(db, assertion.name, coupling)
+
+    def _require_colocated(self, db, assertion: str, spec) -> None:
+        tables = spec.atoms
+        keys = [self._key_position(db, table) for table in tables]
+
+        def column(atom: int, position: int) -> str:
+            name = db.table(tables[atom]).schema.column_names[position]
+            return f"{tables[atom]}.{name}"
+
+        def refuse(what: str):
+            placement = ", ".join(
+                f"{table} keyed on {self.keys[table]}"
+                if key is not None
+                else f"{table} pinned to shard 0"
+                for table, key in dict(zip(tables, keys)).items()
+            )
+            raise CompilationError(
+                f"assertion {assertion!r} cannot be checked shard by "
+                f"shard: {what} ({placement}), so the rows of one "
+                "violation may live on different shards"
+            )
+
+        for a, b in spec.wildcard_pairs:
+            if self._key_position(db, a) is not None or (
+                self._key_position(db, b) is not None
+            ):
+                refuse(f"{a} and {b} are related through no equated key")
+        parent = list(range(len(tables)))
+
+        def find(atom: int) -> int:
+            while parent[atom] != atom:
+                parent[atom] = parent[parent[atom]]
+                atom = parent[atom]
+            return atom
+
+        pinned = [atom for atom, key in enumerate(keys) if key is None]
+        for atom in pinned[1:]:
+            parent[find(atom)] = find(pinned[0])
+        for keyspace in spec.keyspaces:
+            # one representative per declared type: 5 and 5.0 place apart
+            first_of_type: dict[str, int] = {}
+            for atom, position in keyspace:
+                if keys[atom] == position:
+                    schema = db.table(tables[atom]).schema
+                    kind = schema.columns[position].sql_type.kind
+                    lead = first_of_type.setdefault(kind, atom)
+                    parent[find(atom)] = find(lead)
+        if len({find(atom) for atom in range(len(tables))}) > 1:
+            crossing = sorted(
+                {
+                    " = ".join(sorted((column(a, pa), column(b, pb))))
+                    for keyspace in spec.keyspaces
+                    for a, pa in keyspace
+                    for b, pb in keyspace
+                    if find(a) != find(b)
+                }
+            )
+            refuse(
+                f"its join on {' and '.join(crossing)} does not equate "
+                "co-located shard keys"
+                if crossing
+                else "its atoms share no equated key"
+            )

@@ -499,10 +499,11 @@ class ShardedTintin:
     def add_assertion(self, sql: str) -> str:
         """Compile the assertion on every shard; returns its name.
 
-        Each shard checks its own slice — the shard key must co-locate
-        the rows an assertion joins (cross-shard joins inside one
-        assertion are out of scope, as in every hash-partitioned
-        constraint checker)."""
+        Each shard checks only its own slice, so the assertion is
+        first compiled on the catalog mirror and refused — before any
+        shard sees it — unless the shard keys co-locate every row a
+        violation joins (see :meth:`ShardConfig.require_local`)."""
+        self.config.require_local(self.db, sql)
         return self._broadcast("assertion", sql)[-1]
 
     # -- reads -------------------------------------------------------------

@@ -3,8 +3,8 @@
 One seeded script — accepts, assertion rejects, PK/FK rejects, an
 empty update, delete-then-reinsert — is run through each route the
 engine offers (stored procedure, default session beside sessions,
-``Session.commit`` under both policies and under per-commit
-durability, a grouped window, 2PC prepare + decide).  Each must yield
+``Session.commit`` alone and under per-commit durability, a window
+shared with a second member, 2PC prepare + decide).  Each must yield
 the same verdict per step, the same final tables and, after
 ``close(checkpoint=False)`` + ``Tintin.open``, the same replayed state.
 """
@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro import Database, Tintin
+from repro.minidb.transactions import TransactionManager
 from repro.server.scheduler import _PendingCommit
 
 ORDERS_DDL = "CREATE TABLE orders (id INTEGER PRIMARY KEY, total DOUBLE)"
@@ -24,6 +25,8 @@ ITEMS_DDL = (
     "PRIMARY KEY (order_id, n), "
     "FOREIGN KEY (order_id) REFERENCES orders (id))"
 )
+#: a table no assertion reads: the shared window's second member writes it
+TICKS_DDL = "CREATE TABLE ticks (n INTEGER PRIMARY KEY)"
 ASSERTIONS = (
     "CREATE ASSERTION atLeastOneItem CHECK (NOT EXISTS ("
     "SELECT * FROM orders AS o WHERE NOT EXISTS ("
@@ -104,8 +107,8 @@ def verdict(result) -> tuple:
 
 def state(db: Database) -> dict:
     return {
-        t.schema.name: sorted(t.rows_snapshot())
-        for t in db.catalog.tables(namespace="main")
+        name: sorted(db.table(name).rows_snapshot())
+        for name in ("orders", "items")
     }
 
 
@@ -143,29 +146,29 @@ def session_commit(tintin, step, index):
     return stage_session(tintin, step).commit()
 
 
-def grouped_window(tintin, step, index):
-    """The step shares one window with an empty companion request:
-    compatible with anything, so the pair takes the group route (and a
-    rejected union replays serially)."""
+def shared_window(tintin, step, index):
+    """The step shares one window with a second member that always
+    commits (a ``ticks`` row): FIFO decides the step first, exactly as
+    alone, and both members' records ride one fsync."""
     scheduler = tintin.sessions.scheduler
     session = stage_session(tintin, step)
-    members = []
-    for events in (session.events.snapshot(), ({}, {})):
-        member = _PendingCommit(
-            session=None,
-            inserts=events[0],
-            deletes=events[1],
-            footprint=scheduler._footprint(*events),
-            transactions=session.transactions,
-        )
-        scheduler._queue.append(member)
-        members.append(member)
+    inserts, deletes = session.events.snapshot()
     session.events.truncate()
+    members = [
+        _PendingCommit(None, inserts, deletes, session.transactions),
+        _PendingCommit(None, {"ticks": [(index,)]}, {}, TransactionManager()),
+    ]
+    stats = scheduler.stats
+    appends, fsyncs = stats.wal_appends, stats.wal_fsyncs
+    scheduler._queue.extend(members)
     scheduler._process_batch()
     assert all(member.done.is_set() for member in members)
     assert members[1].result.committed
-    if members[0].result.committed:
-        assert members[0].result.group_size == 2
+    logged = members[0].result.committed and any(
+        rows for rows in (*inserts.values(), *deletes.values())
+    )
+    assert stats.wal_appends == appends + 1 + logged
+    assert stats.wal_fsyncs == fsyncs + 1
     return members[0].result
 
 
@@ -184,9 +187,8 @@ def prepare_and_decide(tintin, step, index):
 ROUTES = {
     "stored_procedure": ({}, stored_procedure),
     "default_session": ({}, default_session_beside_sessions),
-    "serial_policy": ({"policy": "serial"}, session_commit),
-    "group_policy": ({}, session_commit),
-    "grouped_window": ({}, grouped_window),
+    "session_commit": ({}, session_commit),
+    "shared_window": ({}, shared_window),
     "per_commit_durability": ({"durability": "commit"}, session_commit),
     "prepare_decide": ({}, prepare_and_decide),
 }
@@ -197,11 +199,10 @@ def run_route(name: str, path: str, seed: int):
     tintin = Tintin.open(path, durability=options.get("durability", "batch"))
     tintin.db.execute(ORDERS_DDL)
     tintin.db.execute(ITEMS_DDL)
+    tintin.db.execute(TICKS_DDL)
     tintin.install()
     for sql in ASSERTIONS:
         tintin.add_assertion(sql)
-    if "policy" in options:
-        tintin.serve(policy=options["policy"])
     verdicts = [
         verdict(commit(tintin, step, index))
         for index, step in enumerate(script(seed))

@@ -408,7 +408,8 @@ def test_crash_between_checkpoint_and_wal_truncation(tmp_path):
 def test_concurrent_group_commits_recover(tmp_path):
     """Commits racing through the group-commit scheduler: whatever the
     scheduler acknowledged must be on disk after a crash, byte-for-byte
-    equal to the live state (combined group records replay correctly)."""
+    equal to the live state (records that shared an fsync replay
+    correctly)."""
     source = str(tmp_path / "primary")
     tintin = Tintin.open(source, durability="batch")
     db = tintin.db
@@ -416,7 +417,7 @@ def test_concurrent_group_commits_recover(tmp_path):
     db.execute(ITEMS_DDL)
     tintin.install()
     tintin.add_assertion(AT_LEAST_ONE)
-    tintin.serve(policy="group", gather_seconds=0.0005)
+    tintin.serve(gather_seconds=0.0005)
 
     def worker(worker_id: int) -> None:
         session = tintin.create_session()
@@ -453,7 +454,7 @@ def test_concurrent_sessions_fsyncs_by_mode(tmp_path, mode):
     tintin.db.execute(ITEMS_DDL)
     tintin.install()
     tintin.add_assertion(AT_LEAST_ONE)
-    tintin.serve(policy="group", gather_seconds=0.002)
+    tintin.serve(gather_seconds=0.002)
     sessions, rounds = 4, 16
     barrier = threading.Barrier(sessions)
 
@@ -610,10 +611,10 @@ def test_user_views_survive_recovery(tmp_path):
 
 
 def test_committed_groups_survive_later_window_failure(tmp_path, monkeypatch):
-    """A window holding several groups: when a later group's apply
-    dies on an engine error, the earlier groups' members — already
-    applied and WAL-appended — are flushed and acknowledged as
-    committed, not swallowed by the window-failure rejection."""
+    """A window of several members: when a later member's apply dies
+    on an engine error, the earlier members — already applied and
+    WAL-appended — are flushed and acknowledged as committed, not
+    swallowed by the window-failure rejection."""
     source = str(tmp_path / "primary")
     tintin = Tintin.open(source, durability="batch")
     db = tintin.db
@@ -626,8 +627,7 @@ def test_committed_groups_survive_later_window_failure(tmp_path, monkeypatch):
     first.insert("orders", [(1, 1.0)])
     first.insert("items", [(1, 1)])
     second = tintin.create_session()
-    # same PK, different payload: incompatible footprints, so the two
-    # requests land in separate groups of one window
+    # same PK, different payload: whichever applies second fails
     second.insert("orders", [(1, 2.0)])
     second.insert("items", [(1, 2)])
 
@@ -671,7 +671,7 @@ def test_committed_groups_survive_later_window_failure(tmp_path, monkeypatch):
     for thread in threads:
         thread.join(timeout=10)
 
-    # FIFO: first's group applies before second's group dies.  First
+    # FIFO: first applies before second's apply dies.  First
     # must NEVER see a false rejection — its outcome is either its
     # committed result, or (when it happened to lead the window) the
     # raw window exception, but its decided result is committed=True
@@ -685,7 +685,7 @@ def test_committed_groups_survive_later_window_failure(tmp_path, monkeypatch):
     second_outcome = outcomes["second"]
     if not isinstance(second_outcome, BaseException):
         assert not second_outcome.committed, outcomes
-    # the committed group's rows are in the base tables AND durable
+    # the committed member's rows are in the base tables AND durable
     monkeypatch.setattr(db, "apply_batch", real_apply)
     assert db.table("orders").rows_snapshot() == [(1, 1.0)]
     expected = {n: sorted(db.table(n).rows_snapshot()) for n in ("orders", "items")}

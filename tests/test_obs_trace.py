@@ -130,15 +130,10 @@ class TestConcurrentGroupCommits:
         assert all(r.committed for r in results)
         traces = by_trace(tracer.spans())
         assert len(traces) == n
-        grouped = 0
         for spans in traces.values():
             assert_well_formed(spans)
-            validate = next(s for s in spans if s.name == "validate")
-            grouped = max(grouped, validate.attrs.get("group", 1))
-        # group commit batched at least some of the simultaneous burst
-        # (scheduling-dependent; the structural assertions above are
-        # the real point)
-        assert grouped >= 1
+            # each member of a window validates on its own
+            assert sum(s.name == "validate" for s in spans) == 1
 
 
 class TestTracers:

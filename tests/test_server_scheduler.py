@@ -1,14 +1,16 @@
-"""The commit scheduler: leader election, group batching, the serial
-policy, the read/write lock, and the differential guarantee — N
-sessions committing sequentially and concurrently must accept/reject
-exactly the same updates and produce the same final state."""
+"""The commit scheduler: leader election, FIFO commit windows, the
+read/write lock, and the differential guarantee — N sessions committing
+sequentially and concurrently must accept/reject exactly the same
+updates and produce the same final state."""
 
 import threading
 
 import pytest
 
 from repro import Database, Tintin
+from repro.minidb.transactions import TransactionManager
 from repro.server.locks import ReadWriteLock
+from repro.server.scheduler import _PendingCommit
 from tests.splice_oracle import query_spliced
 
 ASSERTIONS = (
@@ -105,14 +107,13 @@ def table_state(db: Database) -> dict:
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("policy", ["group", "serial"])
-    def test_sequential_and_concurrent_agree(self, policy):
+    def test_sequential_and_concurrent_agree(self):
         script = scripted_updates(workers=6, rounds=8)
 
-        sequential = build_tintin(policy="serial")
+        sequential = build_tintin()
         seq_outcomes = run_script(sequential, script, concurrent=False)
 
-        concurrent = build_tintin(policy=policy, gather_seconds=0.002)
+        concurrent = build_tintin(gather_seconds=0.002)
         conc_outcomes = run_script(concurrent, script, concurrent=True)
 
         assert seq_outcomes == conc_outcomes
@@ -124,44 +125,61 @@ class TestDifferential:
         }
 
 
-class TestFootprints:
-    def test_only_multi_member_windows_build_footprints(self, monkeypatch):
-        from repro.server.scheduler import _PendingCommit
+class TestWindowOrder:
+    """A window decides its members exactly as one-by-one commits in
+    arrival order would."""
 
+    @staticmethod
+    def queue(scheduler, *updates):
+        members = [
+            _PendingCommit(None, inserts, {}, TransactionManager())
+            for inserts in updates
+        ]
+        scheduler._queue.extend(members)
+        return members
+
+    def test_later_member_cannot_repair_an_earlier_violation(self):
+        """Denial ``a ⋈ b ∧ ¬c`` with b holding (5, 7).  Queued first,
+        a(1, 5) joins b(5, 7) while c has no 7, so FIFO rejects it; the
+        c(7) queued second then commits.  Validating the window's union
+        would pass both: the masking runs through b, a table neither
+        member writes."""
+        db = Database("fifo")
+        db.execute("CREATE TABLE a (x INTEGER PRIMARY KEY, y INTEGER)")
+        db.execute(
+            "CREATE TABLE b (y INTEGER, z INTEGER, PRIMARY KEY (y, z))"
+        )
+        db.execute("CREATE TABLE c (z INTEGER PRIMARY KEY)")
+        db.execute("INSERT INTO b VALUES (5, 7)")
+        tintin = Tintin(db)
+        tintin.install()
+        tintin.add_assertion(
+            "CREATE ASSERTION bCovered CHECK (NOT EXISTS ("
+            "SELECT * FROM a, b WHERE a.y = b.y AND NOT EXISTS ("
+            "SELECT * FROM c WHERE c.z = b.z)))"
+        )
+        scheduler = tintin.sessions.scheduler
+        members = self.queue(scheduler, {"a": [(1, 5)]}, {"c": [(7,)]})
+        scheduler._process_batch()
+        assert [m.result.committed for m in members] == [False, True]
+        assert members[0].result.violations[0].assertion == "bCovered"
+        assert db.table("a").rows_snapshot() == []
+        assert db.table("c").rows_snapshot() == [(7,)]
+
+    def test_clean_window_commits_every_member(self):
         tintin = build_tintin()
         scheduler = tintin.sessions.scheduler
-        built = []
-        real = scheduler._footprint
-
-        def spy(inserts, deletes):
-            built.append(sorted(inserts))
-            return real(inserts, deletes)
-
-        monkeypatch.setattr(scheduler, "_footprint", spy)
-        session = tintin.create_session()
-        session.insert("orders", [(1,)])
-        session.insert("items", [(1, 1, 5)])
-        assert session.commit().committed
-        assert built == []  # a window of one is never partitioned
-        pendings = []
-        for key in (2, 3):
-            member = tintin.create_session()
-            member.insert("orders", [(key,)])
-            member.insert("items", [(key, 1, 5)])
-            inserts, deletes = member.events.snapshot()
-            member.events.truncate()
-            pending = _PendingCommit(
-                session=member,
-                inserts=inserts,
-                deletes=deletes,
-                transactions=member.transactions,
-            )
-            scheduler._queue.append(pending)
-            pendings.append(pending)
+        members = self.queue(
+            scheduler,
+            *({"orders": [(k,)], "items": [(k, 1, 5)]} for k in (1, 2, 3)),
+        )
         scheduler._process_batch()
-        assert len(built) == 2
-        assert all(p.result.committed for p in pendings)
-        assert pendings[0].result.group_size == 2
+        assert all(m.result.committed for m in members)
+        assert all(m.result.group_size == 1 for m in members)
+        stats = scheduler.stats
+        assert stats.batches == 1 and stats.max_group_size == 3
+        assert stats.serial_commits == stats.commits == 3
+        assert len(tintin.db.table("orders")) == 3
 
 
 class TestConcurrentReaderDifferential:
@@ -174,7 +192,7 @@ class TestConcurrentReaderDifferential:
         reader's result must equal the single-threaded splice oracle.
         """
         readers, writers, rounds = 4, 3, 12
-        tintin = build_tintin(policy="group", gather_seconds=0.001)
+        tintin = build_tintin(gather_seconds=0.001)
 
         reader_sessions = []
         for index in range(readers):
@@ -255,31 +273,8 @@ class TestGroupCommit:
         stats = tintin.sessions.scheduler.stats
         # with an explicit gather window all 8 land in very few batches
         assert stats.max_group_size >= 2
-        assert stats.group_fast_path >= 2
-        assert max(r.group_size for r in results.values()) >= 2
-
-    def test_serial_policy_never_groups(self):
-        tintin = build_tintin(policy="serial", gather_seconds=0.05)
-        barrier = threading.Barrier(4)
-        results = {}
-
-        def client(k):
-            session = tintin.create_session()
-            session.insert("orders", [(k,)])
-            session.insert("items", [(k, 1, 5)])
-            barrier.wait()
-            results[k] = session.commit()
-
-        threads = [
-            threading.Thread(target=client, args=(k,)) for k in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = tintin.sessions.scheduler.stats
-        assert stats.group_fast_path == 0
-        assert stats.serial_commits == 4
+        # ... and every member was still validated on its own
+        assert stats.serial_commits == stats.commits == 8
         assert all(r.group_size == 1 for r in results.values())
 
     def test_default_session_serializes_through_scheduler(self):

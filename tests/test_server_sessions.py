@@ -1,7 +1,7 @@
 """Session isolation: private staging, snapshot reads, expiry, and the
 edge cases the multi-session design must get right (overlapping staged
 deletes, expiry with staged events, violation attribution in a mixed
-group-commit batch)."""
+commit window)."""
 
 import threading
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro import Database, Tintin
 from repro.errors import ExecutionError, SessionExpired
+from repro.server.scheduler import _PendingCommit
 from tests.splice_oracle import query_spliced
 
 ASSERTION = (
@@ -46,6 +47,20 @@ def commit_order(tintin: Tintin, key: int, items: int = 1):
     result = session.commit()
     assert result.committed, result
     return result
+
+
+def inject(scheduler, session):
+    """Queue a session's staged update without processing it."""
+    inserts, deletes = session.events.snapshot()
+    session.events.truncate()
+    pending = _PendingCommit(
+        session=session,
+        inserts=inserts,
+        deletes=deletes,
+        transactions=session.transactions,
+    )
+    scheduler._queue.append(pending)
+    return pending
 
 
 class TestIsolation:
@@ -156,33 +171,56 @@ class TestOverlappingDeletes:
         assert sorted(tintin.db.table("orders").rows_snapshot()) == [(1,)]
 
     def test_overlapping_footprints_are_incompatible(self):
+        """Two members of one window deleting the same order: the first
+        delete wins and the second applies as a no-op, while a
+        key-disjoint third member commits beside them."""
         tintin = build_tintin()
         commit_order(tintin, 1)
+        commit_order(tintin, 2)
         scheduler = tintin.sessions.scheduler
-        coupling = scheduler._coupling_specs()
-        row = (1,)
-        fp1 = scheduler._footprint({}, {"orders": [row]})
-        fp2 = scheduler._footprint({}, {"orders": [row]})
-        fp3 = scheduler._footprint({"orders": [(9,)]}, {})
-        assert not fp1.compatible(fp2, coupling)
-        assert fp1.compatible(fp3, coupling)
-        assert fp3.compatible(fp1, coupling)
+        sessions = []
+        for _ in range(2):
+            session = tintin.create_session()
+            session.delete("items", [(2, 1)])
+            session.delete("orders", [(2,)])
+            sessions.append(session)
+        fresh = tintin.create_session()
+        fresh.insert("orders", [(9,)])
+        fresh.insert("items", [(9, 1)])
+        sessions.append(fresh)
+        pendings = [inject(scheduler, s) for s in sessions]
+        scheduler._process_batch()
+        assert all(p.result.committed for p in pendings)
+        assert [p.result.applied_rows for p in pendings] == [2, 0, 2]
+        assert sorted(tintin.db.table("orders").rows_snapshot()) == [
+            (1,),
+            (9,),
+        ]
 
     def test_stake_vs_reference_collision_is_incompatible(self):
+        """One window: a member deleting order 5, then a member adding
+        an item to order 5.  FIFO applies the delete first, so the item
+        then references no order and is rejected."""
         tintin = build_tintin()
+        commit_order(tintin, 5)
         scheduler = tintin.sessions.scheduler
-        coupling = scheduler._coupling_specs()
-        # one session deletes order 5, another stages an item *referencing*
-        # order 5: applying in either order changes the other's validity
-        fp_del = scheduler._footprint({}, {"orders": [(5,)]})
-        fp_ref = scheduler._footprint({"items": [(5, 1)]}, {})
-        assert not fp_del.compatible(fp_ref, coupling)
-        assert not fp_ref.compatible(fp_del, coupling)
+        remover = tintin.create_session()
+        remover.delete("items", [(5, 1)])
+        remover.delete("orders", [(5,)])
+        adder = tintin.create_session()
+        adder.insert("items", [(5, 2)])
+        first, second = [inject(scheduler, s) for s in (remover, adder)]
+        scheduler._process_batch()
+        assert first.result.committed
+        assert not second.result.committed
+        assert second.result.constraint_error
+        assert tintin.db.table("orders").rows_snapshot() == []
+        assert tintin.db.table("items").rows_snapshot() == []
 
     def test_shared_quantified_parent_serializes(self):
-        """Two sessions editing the same order's items must not take the
-        group fast path: under atLeastOneItem, one session's insert
-        could mask the other's delete-the-last-item violation."""
+        """Two sessions editing the same order's items in one window:
+        under atLeastOneItem one session's insert must not mask the
+        other's delete-the-last-item violation."""
         tintin = build_tintin()
         commit_order(tintin, 1)  # order 1 with item (1, 1)
         s_del = tintin.create_session()
@@ -190,14 +228,11 @@ class TestOverlappingDeletes:
         s_del.delete("items", [(1, 1)])   # removes order 1's only item
         s_ins.insert("items", [(1, 2)])   # adds a new item to order 1
         scheduler = tintin.sessions.scheduler
-        coupling = scheduler._coupling_specs()
-        fp_del = scheduler._footprint(*s_del.events.snapshot())
-        fp_ins = scheduler._footprint(*s_ins.events.snapshot())
-        assert not fp_del.compatible(fp_ins, coupling)
+        p_del, p_ins = [inject(scheduler, s) for s in (s_del, s_ins)]
+        scheduler._process_batch()
         # FIFO semantics: the delete (first) violates and is rejected,
-        # the insert then commits — never "both commit" via the union
-        r_del = s_del.commit()
-        r_ins = s_ins.commit()
+        # the insert then commits — never "both commit" via a union
+        r_del, r_ins = p_del.result, p_ins.result
         assert not r_del.committed and r_del.violations
         assert r_del.violations[0].assertion == "atLeastOneItem"
         assert r_ins.committed
@@ -207,8 +242,8 @@ class TestOverlappingDeletes:
         ]
 
     def test_unquantified_shared_parent_stays_groupable(self):
-        """Sharing a parent that no negation quantifies over (orders
-        referencing one customer, say) must not break grouping."""
+        """Orders sharing a customer parent that no negation quantifies
+        over share one window, and both commit."""
         db = Database("cust")
         db.execute("CREATE TABLE customer (id INTEGER PRIMARY KEY)")
         db.execute(
@@ -226,13 +261,16 @@ class TestOverlappingDeletes:
         boot.insert("customer", [(1,)])
         assert boot.commit().committed
         scheduler = tintin.sessions.scheduler
-        coupling = scheduler._coupling_specs()
-        # both sessions reference customer 1, but neither stages
-        # customer events — and orders is quantified over customer,
-        # not the other way round
-        fp_a = scheduler._footprint({"orders": [(10, 1)]}, {})
-        fp_b = scheduler._footprint({"orders": [(11, 1)]}, {})
-        assert fp_a.compatible(fp_b, coupling)
+        sessions = []
+        for key in (10, 11):
+            session = tintin.create_session()
+            session.insert("orders", [(key, 1)])
+            sessions.append(session)
+        pendings = [inject(scheduler, s) for s in sessions]
+        scheduler._process_batch()
+        assert all(p.result.committed for p in pendings)
+        assert scheduler.stats.max_group_size == 2
+        assert len(db.table("orders")) == 2
 
 
 class TestExpiry:
@@ -357,22 +395,6 @@ class TestExpiry:
 
 
 class TestViolationAttribution:
-    def _inject(self, scheduler, session):
-        """Queue a session's staged update without processing it."""
-        from repro.server.scheduler import _PendingCommit
-
-        inserts, deletes = session.events.snapshot()
-        session.events.truncate()
-        pending = _PendingCommit(
-            session=session,
-            inserts=inserts,
-            deletes=deletes,
-            footprint=scheduler._footprint(inserts, deletes),
-            transactions=session.transactions,
-        )
-        scheduler._queue.append(pending)
-        return pending
-
     def test_mixed_batch_attributes_violation_to_offender(self):
         tintin = build_tintin()
         scheduler = tintin.sessions.scheduler
@@ -385,7 +407,7 @@ class TestViolationAttribution:
         good2.insert("orders", [(3,)])
         good2.insert("items", [(3, 1)])
         pendings = [
-            self._inject(scheduler, s) for s in (good1, bad, good2)
+            inject(scheduler, s) for s in (good1, bad, good2)
         ]
         scheduler._process_batch()
         results = [p.result for p in pendings]
@@ -393,28 +415,12 @@ class TestViolationAttribution:
         assert not results[1].committed
         assert results[1].violations
         assert results[1].violations[0].assertion == "atLeastOneItem"
-        # the violating batch fell back to the serial protocol
-        assert scheduler.stats.fallbacks >= 1
+        # one window decided all three, each member on its own
+        assert scheduler.stats.max_group_size == 3
         assert sorted(tintin.db.table("orders").rows_snapshot()) == [
             (1,),
             (3,),
         ]
-
-    def test_clean_compatible_batch_takes_fast_path(self):
-        tintin = build_tintin()
-        scheduler = tintin.sessions.scheduler
-        sessions = []
-        for key in (1, 2, 3):
-            s = tintin.create_session()
-            s.insert("orders", [(key,)])
-            s.insert("items", [(key, 1)])
-            sessions.append(s)
-        pendings = [self._inject(scheduler, s) for s in sessions]
-        scheduler._process_batch()
-        assert all(p.result.committed for p in pendings)
-        assert all(p.result.group_size == 3 for p in pendings)
-        assert scheduler.stats.group_fast_path == 3
-        assert scheduler.stats.fallbacks == 0
 
     def test_aggregate_groups_serialize_per_order(self):
         tintin = build_tintin(ASSERTION, MAX_THREE_ITEMS)
@@ -424,11 +430,7 @@ class TestViolationAttribution:
         s2 = tintin.create_session()
         s1.insert("items", [(1, 10)])  # order 1 now at 2 items
         s2.insert("items", [(1, 20), (1, 21)])  # would push it to 4
-        pendings = [self._inject(scheduler, s) for s in (s1, s2)]
-        # same aggregate group key -> incompatible -> strict FIFO
-        assert not pendings[0].footprint.compatible(
-            pendings[1].footprint, scheduler._coupling_specs()
-        )
+        pendings = [inject(scheduler, s) for s in (s1, s2)]
         scheduler._process_batch()
         assert pendings[0].result.committed
         assert not pendings[1].result.committed
@@ -449,14 +451,11 @@ class TestViolationAttribution:
         inserts, deletes = s2.events.snapshot()
         # bypass net-staging to force the duplicate through
         inserts["items"] = [(1, 1)]
-        p1 = self._inject(scheduler, s1)
-        from repro.server.scheduler import _PendingCommit
-
+        p1 = inject(scheduler, s1)
         p2 = _PendingCommit(
             session=s2,
             inserts=inserts,
             deletes={},
-            footprint=scheduler._footprint(inserts, {}),
             transactions=s2.transactions,
         )
         scheduler._queue.append(p2)
