@@ -216,8 +216,12 @@ def durability_metrics(tintin=None) -> dict:
     manager = getattr(tintin, "durability", None)
     if manager is None:
         return {"mode": "off", "attached": False}
-    metrics = manager.metrics()
-    metrics["attached"] = True
+    metrics = {
+        "mode": manager.mode,
+        "attached": True,
+        **manager.stats.snapshot(),
+        **manager.wal.stats.snapshot(),
+    }
     if tintin.serving:
         stats = tintin.sessions.scheduler.stats
         metrics["scheduler_wal_appends"] = stats.wal_appends

@@ -31,6 +31,7 @@ from ..logic import Builtin, Constant, Variable
 from ..minidb.database import Database, PreparedStatement
 from ..minidb.planner import access_skeleton
 from ..minidb.types import probe_key
+from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import AssertionProfiler
 from ..obs.trace import CommitObs, NullTracer, Tracer
 from ..sqlparser import print_query
@@ -71,11 +72,6 @@ class Tintin:
         self.baseline = NonIncrementalChecker(self.events)
         self.optimizer = SemanticOptimizer(db.catalog, enabled=optimize)
         self.assertions: dict[str, Assertion] = {}
-        #: bumped on every add/drop — consumers caching anything derived
-        #: from the assertion set (the scheduler's coupling specs) key
-        #: their caches on this, so a same-name re-add with a different
-        #: body can never serve stale derived state
-        self.assertion_version = 0
         self.reports: dict[str, OptimizationReport] = {}
         self._installed = False
         self._sessions: Optional["SessionManager"] = None
@@ -91,6 +87,12 @@ class Tintin:
         #: structured line on the ``repro.obs.slowlog`` logger; None
         #: disables the slow-commit log
         self.slow_commit_seconds: Optional[float] = None
+        #: every counter block of this engine, each registered once by
+        #: its owner (plan cache here, the scheduler when it is
+        #: created, WAL and durability when attached); ``/metrics``
+        #: renders it, and so does ``registry.render()`` with no server
+        self.registry = MetricsRegistry()
+        self.registry.register(db.plan_cache_stats)
 
     # -- observability ------------------------------------------------------
 
@@ -235,6 +237,8 @@ class Tintin:
                 "a durability manager is already attached to this engine"
             )
         self.durability = manager
+        self.registry.register(manager.wal.stats)
+        self.registry.register(manager.stats)
         # the catalog resolves the v2 codec's schema ordinals
         manager.bind_db(self.db)
         # facade-level schema DDL flows into the WAL from here on
@@ -295,6 +299,8 @@ class Tintin:
         self.db.ddl_listener = None
         manager = self.durability
         self.durability = None
+        self.registry.unregister(manager.wal.stats)
+        self.registry.unregister(manager.stats)
         manager.close()
 
     # -- installation -------------------------------------------------------
@@ -347,7 +353,6 @@ class Tintin:
             self.safe_commit_proc.register_aggregate(AggregateChecker(spec))
             self.baseline.register(assertion)
             self.assertions[assertion.name] = assertion
-            self.assertion_version += 1
             if self.durability is not None:
                 self.durability.log_ddl("assertion_add", sql=assertion.sql)
             return assertion
@@ -410,7 +415,6 @@ class Tintin:
 
         self.baseline.register(assertion)
         self.assertions[assertion.name] = assertion
-        self.assertion_version += 1
         if self.durability is not None:
             self.durability.log_ddl("assertion_add", sql=assertion.sql)
         return assertion
@@ -494,7 +498,6 @@ class Tintin:
         for denial in assertion.denials:
             self.safe_commit_proc.unregister_assertion(denial.name)
         self.baseline.unregister(name)
-        self.assertion_version += 1
         if self.durability is not None:
             self.durability.log_ddl("assertion_drop", name=assertion.name)
 

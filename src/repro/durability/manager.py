@@ -177,12 +177,6 @@ class DurabilityManager:
         """Whether committed batches are being logged at all."""
         return self.mode != "off"
 
-    def metrics(self) -> dict:
-        payload = {"mode": self.mode, "directory": self.directory}
-        payload.update(self.stats.snapshot())
-        payload.update(self.wal.stats.snapshot())
-        return payload
-
     # -- schema ordinals ---------------------------------------------------
 
     def bind_db(self, db: "Database") -> None:

@@ -12,7 +12,6 @@ from .catalog import Catalog, Procedure, Trigger, View
 from .database import (
     Database,
     PlanCache,
-    PlanCacheStats,
     PreparedStatement,
     ResultSet,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ForeignKey",
     "INTEGER",
     "PlanCache",
-    "PlanCacheStats",
     "PreparedStatement",
     "Procedure",
     "ResultSet",

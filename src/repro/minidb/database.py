@@ -36,7 +36,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..errors import (
@@ -46,6 +45,7 @@ from ..errors import (
     SQLSyntaxError,
     SchemaError,
 )
+from ..obs.metrics import StatsBlock
 from ..sqlparser import nodes as n
 from ..sqlparser.parser import parse_shape, parse_statement
 from ..sqlparser.shape import statement_shape
@@ -202,7 +202,7 @@ class PreparedStatement:
         with self._replan_lock:
             state = self._state
             if not self._state_is_valid(state):
-                self.db.plan_cache_stats.invalidations += 1
+                self.db.plan_cache_stats.bump(invalidations=1)
                 state = self._compile()
                 self._state = state
             return state
@@ -258,28 +258,26 @@ class PreparedStatement:
         )
 
 
-@dataclass
-class PlanCacheStats:
+class StatementCacheStats(StatsBlock):
     """Counters for the statement cache (inspect via EXPLAIN)."""
 
-    #: SELECT shapes: found (hit) or parsed, planned and stored (miss)
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-    #: INSERT/DELETE/UPDATE shapes, counted the same way
-    dml_ast_hits: int = 0
-    dml_ast_misses: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "dml_ast_hits": self.dml_ast_hits,
-            "dml_ast_misses": self.dml_ast_misses,
-        }
+    COUNTERS = (
+        "hits",
+        "misses",
+        "invalidations",
+        "evictions",
+        "dml_ast_hits",
+        "dml_ast_misses",
+    )
+    PREFIX = "tintin_plan_cache"
+    HELP = {
+        "hits": "SELECT shapes found in the statement cache",
+        "misses": "SELECT shapes parsed, planned and stored",
+        "invalidations": "Prepared plans re-planned after DDL or row drift",
+        "evictions": "Entries the LRU dropped to stay within capacity",
+        "dml_ast_hits": "INSERT/DELETE/UPDATE shapes found in the cache",
+        "dml_ast_misses": "INSERT/DELETE/UPDATE shapes parsed and stored",
+    }
 
 
 class CachedStatement:
@@ -409,7 +407,7 @@ class Database:
         #: statement fresh
         self.plan_cache = PlanCache(plan_cache_size)
         self.plan_cache_enabled = True
-        self.plan_cache_stats = PlanCacheStats()
+        self.plan_cache_stats = StatementCacheStats()
         self._cache_pruned_version = -1
         #: optional DDL observer ``(event, **payload)`` invoked after a
         #: facade-level schema change succeeds.  The durability manager
@@ -499,20 +497,20 @@ class Database:
         entry = self.plan_cache.get(shape)
         if entry is not None:
             if isinstance(entry.stmt, n.SelectStatement):
-                stats.hits += 1
+                stats.bump(hits=1)
             else:
-                stats.dml_ast_hits += 1
+                stats.bump(dml_ast_hits=1)
             return entry, params, True
         try:
             stmt = parse_shape(shape)
         except SQLSyntaxError:
             return None
         entry = self._compile(stmt, shape)
+        evictions = self.plan_cache.put(shape, entry)
         if isinstance(stmt, n.SelectStatement):
-            stats.misses += 1
+            stats.bump(misses=1, evictions=evictions)
         else:
-            stats.dml_ast_misses += 1
-        stats.evictions += self.plan_cache.put(shape, entry)
+            stats.bump(dml_ast_misses=1, evictions=evictions)
         return entry, params, False
 
     def _compile(self, stmt: n.Statement, label: Optional[str] = None):

@@ -124,23 +124,6 @@ class ServerStats(StatsBlock):
     }
 
 
-class _WalStatsCollector:
-    """Renders the WAL's and the durability manager's stats when (and
-    only when) durability is attached — the WAL may be opened after
-    the server was constructed."""
-
-    __slots__ = ("_tintin",)
-
-    def __init__(self, tintin):
-        self._tintin = tintin
-
-    def collect(self):
-        durability = self._tintin.durability
-        if durability is None:
-            return ()
-        return (*durability.wal.stats.collect(), *durability.stats.collect())
-
-
 def commit_result_payload(result) -> dict:
     """A CommitResult as its JSON wire shape."""
     return {
@@ -309,17 +292,12 @@ class TintinServer:
             on_backpressure=self._on_backpressure,
         )
         self.stats = ServerStats()
-        #: every engine and front-end counter block plus the latency
-        #: histograms, rendered as one Prometheus page by ``/metrics``
+        #: the front end's own blocks, histograms and gauges; the
+        #: engine's counters live on ``tintin.registry`` and the pages
+        #: render that first, then this
         self.registry = MetricsRegistry()
         self.registry.register(self.stats)
         self.registry.register(self.admission.stats)
-        self.registry.register(tintin.sessions.scheduler.stats)
-        self.registry.register(_WalStatsCollector(tintin))
-        # engines may expose extra collector blocks — the shard router
-        # contributes per-shard scheduler counters labelled by shard id
-        for collector in getattr(tintin, "metrics_collectors", ()):
-            self.registry.register(collector)
         self.request_seconds = self.registry.histogram(
             "tintin_request_seconds",
             "Frame handling latency by request type",
@@ -560,27 +538,21 @@ class TintinServer:
 
     def render_metrics(self) -> str:
         """The Prometheus text exposition page (``GET /metrics``)."""
-        return self.registry.render()
+        return self.tintin.registry.render() + self.registry.render()
 
     def metrics(self) -> dict:
-        tintin = self.tintin
-        scheduler = tintin.sessions.scheduler
-        server = self.stats.snapshot()
-        server["connections_open"] = len(self._connections)
-        payload = {
-            "server": server,
-            "admission": self.admission.metrics(),
-            "scheduler": scheduler.stats.snapshot(),
+        """The JSON view (``GET /metrics.json``, the METRICS frame):
+        one section per counter block, plus the live sessions."""
+        sessions = self.tintin.sessions
+        return {
+            **self.tintin.registry.snapshot(),
+            **self.registry.snapshot(),
             "sessions": {
-                "active": tintin.sessions.active_count,
-                "swept": tintin.sessions.swept_sessions,
-                "sweeper_running": tintin.sessions.sweeper_running,
+                "active": sessions.active_count,
+                "swept": sessions.swept_sessions,
+                "sweeper_running": sessions.sweeper_running,
             },
         }
-        if tintin.durability is not None:
-            payload["durability"] = tintin.durability.metrics()
-            payload["wal"] = tintin.durability.wal.stats.snapshot()
-        return payload
 
     # -- connection handling ----------------------------------------------
 

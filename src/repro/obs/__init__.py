@@ -19,8 +19,9 @@ Three layers, one package:
 * :mod:`repro.obs.metrics` — a metrics registry: counters, gauges and
   fixed-bucket latency histograms (p50/p95/p99 derivable), rendered in
   Prometheus text exposition format.  :class:`StatsBlock` is the
-  shared bump-under-lock/consistent-snapshot counter block the
-  scheduler, WAL and admission stats are built on.
+  shared bump-under-lock/consistent-snapshot counter block every
+  stats object is built on; each engine's blocks register once on
+  its ``registry``.
 * :mod:`repro.obs.profiler` — per-assertion check accounting
   (:class:`AssertionProfiler`: cumulative count, wall time, rows) and
   the per-node :class:`PlanStatsCollector` behind ``EXPLAIN ANALYZE``.

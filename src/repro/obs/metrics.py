@@ -4,10 +4,10 @@ The registry is deliberately tiny: a *collector* is anything with a
 ``collect() -> Iterable[str]`` method yielding Prometheus text
 exposition lines.  :class:`Counter`, :class:`Gauge` and
 :class:`Histogram` are the built-in collectors; :class:`StatsBlock` is
-the shared base for the engine's existing bump-under-lock stats
-(scheduler / WAL / admission), which keeps their attribute surfaces
-(``stats.commits``, ``stats.snapshot()``) intact while also rendering
-into ``/metrics``.
+the shared base for the engine's bump-under-lock stats (plan cache /
+scheduler / WAL / durability / router / admission / server), which
+read as attributes (``stats.commits``), copy out consistently
+(``stats.snapshot()``) and render into ``/metrics``.
 
 Histograms use fixed bucket boundaries (cumulative ``le`` counts, as
 Prometheus expects) so p50/p95/p99 are derivable client-side; the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -326,6 +326,28 @@ class Histogram:
             )
 
 
+class _Field:
+    """One :class:`StatsBlock` field as an attribute: a read takes the
+    block's lock, an assignment raises."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, block: Any, owner: Any = None) -> Any:
+        if block is None:
+            return self
+        with block._lock:
+            return block._values[self.name]
+
+    def __set__(self, block: Any, value: Any) -> None:
+        raise AttributeError(
+            "%s.%s is a stats field: change it with bump() or record_max()"
+            % (type(block).__name__, self.name)
+        )
+
+
 class StatsBlock:
     """Base for the engine's bump-under-lock counter blocks.
 
@@ -337,10 +359,11 @@ class StatsBlock:
     * ``HIGH_WATER`` — maxima updated via :meth:`record_max`; rendered
       as gauges
 
-    Field access (``stats.commits``) and assignment (``stats.commits
-    += 1``) transparently hit a lock-guarded value dict, so existing
-    call sites and tests keep working unchanged.  ``PREFIX`` namespaces
-    the Prometheus sample names (``<PREFIX>_<field>``).
+    Fields read as attributes (``stats.commits``) but change only
+    through :meth:`bump` and :meth:`record_max`: assigning one raises.
+    ``PREFIX`` namespaces the Prometheus sample names
+    (``<PREFIX>_<field>``) and, without its ``tintin_``, names the
+    block's section in :meth:`MetricsRegistry.snapshot`.
     """
 
     COUNTERS: Tuple[str, ...] = ()
@@ -349,87 +372,63 @@ class StatsBlock:
     PREFIX: str = "tintin"
     HELP: Dict[str, str] = {}
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in (*cls.COUNTERS, *cls.ACCUMULATORS, *cls.HIGH_WATER):
+            setattr(cls, name, _Field(name))
+
     def __init__(self) -> None:
-        object.__setattr__(self, "_lock", threading.Lock())
-        values: Dict[str, float] = {}
-        for name in self.COUNTERS:
-            values[name] = 0
-        for name in self.ACCUMULATORS:
-            values[name] = 0.0
-        for name in self.HIGH_WATER:
-            values[name] = 0
-        object.__setattr__(self, "_values", values)
-
-    def _fields(self) -> Iterable[str]:
-        return (*self.COUNTERS, *self.ACCUMULATORS, *self.HIGH_WATER)
-
-    def __getattr__(self, name: str) -> Any:
-        values = object.__getattribute__(self, "_values")
-        if name in values:
-            lock = object.__getattribute__(self, "_lock")
-            with lock:
-                return values[name]
-        raise AttributeError(
-            "%s has no field %r" % (type(self).__name__, name)
-        )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        values = object.__getattribute__(self, "_values")
-        if name in values:
-            lock = object.__getattribute__(self, "_lock")
-            with lock:
-                values[name] = value
-            return
-        object.__setattr__(self, name, value)
+        self._lock = threading.Lock()
+        self._values: Dict[str, float] = {
+            **dict.fromkeys(self.COUNTERS, 0),
+            **dict.fromkeys(self.ACCUMULATORS, 0.0),
+            **dict.fromkeys(self.HIGH_WATER, 0),
+        }
 
     def bump(self, **deltas: float) -> None:
         """Atomically add the given deltas to their fields."""
-        values = object.__getattribute__(self, "_values")
-        lock = object.__getattribute__(self, "_lock")
-        with lock:
-            for name, delta in deltas.items():
-                if name not in values:
-                    raise AttributeError(
-                        "%s has no field %r" % (type(self).__name__, name)
-                    )
-                values[name] += delta
+        values = self._values
+        with self._lock:
+            try:
+                for name, delta in deltas.items():
+                    values[name] += delta
+            except KeyError as exc:
+                raise AttributeError(
+                    "%s has no field %r" % (type(self).__name__, exc.args[0])
+                ) from None
 
     def record_max(self, **candidates: float) -> None:
         """Raise high-water fields to the given values if larger."""
-        values = object.__getattribute__(self, "_values")
-        lock = object.__getattribute__(self, "_lock")
-        with lock:
+        values = self._values
+        with self._lock:
             for name, candidate in candidates.items():
                 if candidate > values[name]:
                     values[name] = candidate
 
     def snapshot(self) -> Dict[str, float]:
         """A consistent point-in-time copy of every field."""
-        values = object.__getattribute__(self, "_values")
-        lock = object.__getattribute__(self, "_lock")
-        with lock:
-            return {name: values[name] for name in self._fields()}
+        with self._lock:
+            return dict(self._values)
 
     def collect(self) -> Iterator[str]:
-        snap = self.snapshot()
-        for name in (*self.COUNTERS, *self.ACCUMULATORS):
+        for name, value in self.snapshot().items():
             metric = "%s_%s" % (self.PREFIX, name)
             help_text = self.HELP.get(name)
             if help_text:
                 yield "# HELP %s %s" % (metric, help_text)
-            yield "# TYPE %s counter" % metric
-            yield "%s %s" % (metric, format_value(float(snap[name])))
-        for name in self.HIGH_WATER:
-            metric = "%s_%s" % (self.PREFIX, name)
-            help_text = self.HELP.get(name)
-            if help_text:
-                yield "# HELP %s %s" % (metric, help_text)
-            yield "# TYPE %s gauge" % metric
-            yield "%s %s" % (metric, format_value(float(snap[name])))
+            kind = "gauge" if name in self.HIGH_WATER else "counter"
+            yield "# TYPE %s %s" % (metric, kind)
+            yield "%s %s" % (metric, format_value(float(value)))
 
 
 class MetricsRegistry:
-    """Holds collectors; renders them as one Prometheus text page."""
+    """Holds collectors; renders them as one Prometheus text page, and
+    its :class:`StatsBlock` collectors as one JSON view.
+
+    Each component registers its blocks once, where it is created or
+    attached (``Tintin.registry`` holds the engine's); a surface only
+    renders.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -440,6 +439,11 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(collector)
         return collector
+
+    def unregister(self, collector: Any) -> None:
+        """Drop a collector whose owner was detached."""
+        with self._lock:
+            self._collectors.remove(collector)
 
     def counter(
         self,
@@ -474,3 +478,15 @@ class MetricsRegistry:
         for collector in collectors:
             lines.extend(collector.collect())
         return "\n".join(lines) + "\n" if lines else ""
+
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
+        """Every registered block's :meth:`StatsBlock.snapshot`, keyed
+        by its ``PREFIX`` without the ``tintin_`` (``scheduler``,
+        ``wal``, ``plan_cache``, ...)."""
+        with self._lock:
+            collectors = list(self._collectors)
+        return {
+            block.PREFIX.removeprefix("tintin_"): block.snapshot()
+            for block in collectors
+            if isinstance(block, StatsBlock)
+        }

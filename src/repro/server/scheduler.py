@@ -336,6 +336,7 @@ class CommitScheduler:
         # window that is using the global event tables as scratchpad
         self.events.set_capture_gate(self.rwlock.read_locked)
         self.stats = SchedulerStats()
+        tintin.registry.register(self.stats)
         self._queue: deque[_PendingCommit] = deque()
         self._queue_lock = threading.Lock()
         self._leader_lock = threading.Lock()

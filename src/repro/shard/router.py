@@ -55,7 +55,7 @@ from ..core.safe_commit import CommitResult
 from ..durability.wal import WriteAheadLog, decode_decide, read_wal
 from ..errors import ExecutionError, SessionExpired, ShardError
 from ..minidb.database import Database, ResultSet
-from ..obs.metrics import StatsBlock
+from ..obs.metrics import MetricsRegistry, StatsBlock
 from ..obs.trace import CommitObs, NullTracer
 from ..server.scheduler import SchedulerStats
 from .config import ShardConfig
@@ -340,13 +340,17 @@ class ShardedTintin:
         #: positions and staged-row validation
         self.db = Database(name)
         #: Tintin-surface compatibility: the router has no WAL of its
-        #: own commits (each shard does), so the front end's
-        #: durability-specific metrics sections simply stay absent
+        #: own commits (each shard does), so fault injection has no
+        #: durability points to hook here
         self.durability = None
         self.tracer = NullTracer()
         self.slow_commit_seconds: Optional[float] = None
         self.serving = True
         self.stats = RouterStats()
+        #: the router's counters, then each live shard's scheduler
+        #: counters read over its pipe (see :class:`_ShardStatsCollector`)
+        self.registry = MetricsRegistry()
+        self.registry.register(self.stats)
         self._durability_mode = durability
         self._gather_seconds = gather_seconds
         self._sessions: Optional[ShardSessionManager] = None
@@ -385,8 +389,7 @@ class ShardedTintin:
             handle.spawn(self._ctx, durability, gather_seconds)
             self.handles.append(handle)
         self._resolve_in_doubt(self.handles)
-        #: extra Prometheus collector blocks the net server picks up
-        self.metrics_collectors = [_ShardStatsCollector(self)]
+        self.registry.register(_ShardStatsCollector(self))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -690,12 +693,10 @@ class ShardedTintin:
 
 class _RouterSchedulerFacade:
     """The slice of CommitScheduler the front end touches on a router:
-    a stats block for the metrics registry and a settable fault hook
-    (fault injection on the sharded path targets the router, not a
-    scheduler it does not have)."""
+    a settable fault hook (fault injection on the sharded path targets
+    the router, not a scheduler it does not have)."""
 
-    def __init__(self, stats: RouterStats):
-        self.stats = stats
+    def __init__(self):
         self.fault_hook = None
 
 
@@ -709,7 +710,7 @@ class ShardSessionManager:
 
     def __init__(self, router: ShardedTintin):
         self.router = router
-        self.scheduler = _RouterSchedulerFacade(router.stats)
+        self.scheduler = _RouterSchedulerFacade()
         self.swept_sessions = 0
         self.sweeper_running = False
         self._lock = threading.Lock()

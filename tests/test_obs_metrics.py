@@ -195,11 +195,10 @@ class _DemoStats(StatsBlock):
 
 
 class TestStatsBlock:
-    def test_attribute_reads_and_augmented_writes(self):
+    def test_attribute_reads(self):
         s = _DemoStats()
         assert s.commits == 0
-        s.commits += 2
-        s.busy_seconds += 0.5
+        s.bump(commits=2, busy_seconds=0.5)
         assert s.commits == 2
         assert s.busy_seconds == pytest.approx(0.5)
 
@@ -222,6 +221,19 @@ class TestStatsBlock:
             s.bump(nope=1)
         with pytest.raises(AttributeError):
             s.nope
+
+    def test_assigning_a_field_raises(self):
+        """A field changes only through bump/record_max: an assignment
+        would shadow it while snapshot() and collect() kept reporting
+        the old value."""
+        s = _DemoStats()
+        with pytest.raises(AttributeError, match="bump"):
+            s.commits = 1
+        with pytest.raises(AttributeError, match="bump"):
+            s.busy_seconds += 0.5
+        assert s.snapshot()["commits"] == 0
+        s.note = "not a field"  # other attributes stay settable
+        assert s.note == "not a field"
 
     def test_collect_prefixes_and_types(self):
         s = _DemoStats()
@@ -254,6 +266,22 @@ class TestRegistry:
         assert 'lat_seconds_bucket' in samples
         assert '{type="commit",le="+Inf"}' in samples["lat_seconds_bucket"]
         assert samples["demo_commits"][""] == 0
+
+    def test_snapshot_keys_blocks_by_prefix(self):
+        class _EngineStats(_DemoStats):
+            PREFIX = "tintin_engine"
+
+        reg = MetricsRegistry()
+        reg.gauge("b_now", fn=lambda: 2)  # not a block: not in the view
+        engine = reg.register(_EngineStats())
+        engine.bump(commits=1)
+        reg.register(_DemoStats())
+        view = reg.snapshot()
+        assert set(view) == {"engine", "demo"}
+        assert view["engine"]["commits"] == 1
+        reg.unregister(engine)
+        assert set(reg.snapshot()) == {"demo"}
+        assert "tintin_engine_commits" not in reg.render()
 
     @pytest.mark.parametrize(
         "page",

@@ -8,6 +8,9 @@ catalog version on DDL, row-count drift on growth — is sound.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ExecutionError
@@ -200,6 +203,35 @@ class TestTransparentCache:
         db.execute("CREATE TABLE i (ik INTEGER NOT NULL)")
         db.query("SELECT * FROM o")
         assert "SELECT * FROM i" not in db.plan_cache
+
+    def test_counters_lose_no_update_under_concurrent_lookups(self):
+        """Session threads share one cache; every lookup is counted
+        once even when threads switch mid-update."""
+        db = make_db()
+        db.query("SELECT ok FROM o WHERE ck > 5")
+        before = db.plan_cache_stats.snapshot()
+        threads, per_thread = 6, 300
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: [
+                        db.query("SELECT ok FROM o WHERE ck > 5")
+                        for _ in range(per_thread)
+                    ]
+                )
+                for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        after = db.plan_cache_stats.snapshot()
+        assert after["hits"] - before["hits"] == threads * per_thread
 
     def test_lru_eviction(self):
         db = Database(plan_cache_size=2)

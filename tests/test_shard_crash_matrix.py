@@ -180,8 +180,8 @@ def test_dead_participant_fails_prepare_and_aborts_survivors(tmp_path):
     try:
         crash(engine, 1)
         # the scrape skips the dead shard instead of erroring
-        lines = engine.metrics_collectors[0].collect()
-        assert not any('shard="1"' in line for line in lines)
+        page = engine.registry.render()
+        assert 'shard="1"' not in page
         session = engine.create_session()
         session.insert("orders", [(2, 1.0), (3, 1.0)])  # shards 0 and 1
         session.insert("items", [(2, 1), (3, 1)])

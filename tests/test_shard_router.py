@@ -185,18 +185,20 @@ class TestShardSessions:
 
 class TestShardObservability:
     def test_per_shard_metrics_are_labelled(self, sharded):
-        lines = sharded.metrics_collectors[0].collect()
-        assert any('shard="0"' in line for line in lines)
-        assert any('shard="1"' in line for line in lines)
+        """The router's registry holds its own counters and the
+        per-shard ones, each shard's labelled by its id."""
+        page = sharded.registry.render()
+        assert 'shard="0"' in page
+        assert 'shard="1"' in page
         assert all(
-            line.startswith(("tintin_shard_", "# TYPE tintin_shard_"))
-            for line in lines
+            name.startswith(("tintin_router_", "tintin_shard_"))
+            for name in parse_prometheus(page)
         )
 
     def test_per_shard_families_are_contiguous_and_typed_once(self, sharded):
         """One group per family across both shards, one TYPE line each:
         a gauge for the high-water mark, counters for the rest."""
-        page = "\n".join(sharded.metrics_collectors[0].collect())
+        page = sharded.registry.render()
         samples = parse_prometheus(page)
         assert set(samples["tintin_shard_commits"]) == {
             '{shard="0"}',
@@ -240,12 +242,12 @@ class TestShardObservability:
         holder.start()
         try:
             assert held.wait(5.0)
-            lines = sharded.metrics_collectors[0].collect()
+            page = sharded.registry.render()
         finally:
             release.set()
             holder.join()
-        assert not any('shard="0"' in line for line in lines)
-        assert any('shard="1"' in line for line in lines)
+        assert 'shard="0"' not in page
+        assert 'shard="1"' in page
 
     def test_two_phase_emits_prepare_and_decide_spans(self, sharded):
         from repro.obs.trace import RecordingTracer
