@@ -43,11 +43,6 @@ class Assertion:
             )
         return cls(stmt.name, stmt.check, sql)
 
-    @property
-    def check_sql(self) -> str:
-        """The CHECK condition as SQL text."""
-        return print_expr(self.check)
-
     def inner_queries(self) -> list[n.Query]:
         """The queries under the top-level NOT EXISTS conditions.
 

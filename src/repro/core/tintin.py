@@ -239,8 +239,6 @@ class Tintin:
         self.durability = manager
         self.registry.register(manager.wal.stats)
         self.registry.register(manager.stats)
-        # the catalog resolves the v2 codec's schema ordinals
-        manager.bind_db(self.db)
         # facade-level schema DDL flows into the WAL from here on
         self.db.ddl_listener = manager.log_ddl
         manager.log_open(self.db.name)

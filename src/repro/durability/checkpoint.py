@@ -115,8 +115,8 @@ def _build_checkpoint_locked(tintin: "Tintin", wal_seq: int) -> dict:
 
 def _in_creation_order(db, tables: list[dict]) -> list[dict]:
     """Order serialized tables so every FK parent precedes its children
-    — and so restore-side table positions match the WAL's v2 schema
-    ordinals (see :meth:`Catalog.tables_in_creation_order`)."""
+    (creation order is FK-topological; see
+    :meth:`Catalog.tables_in_creation_order`)."""
     created = [
         t.schema.name
         for t in db.catalog.tables_in_creation_order(namespace="main")

@@ -26,15 +26,10 @@ synced immediately in both durable modes: it is rare, and replay
 correctness depends on it strictly preceding the batches that assume
 it.
 
-Committed batches are logged as binary records in the *ordinal form*
-(typed columns, tables referenced by schema ordinal) whenever the
-engine's catalog is bound — :meth:`bind_db` supplies it, and the
-ordinal map is memoized on the catalog version so DDL invalidates it.
-A record the ordinal form cannot express, every record of a manager
-without a bound catalog, and every record appended inside the
-unlogged-DDL window (see :meth:`_append`) is written in the *named
-form* instead; ``stats.named_records`` counts them.  How either form
-is laid out on disk is :mod:`~repro.durability.wal`'s business alone.
+Committed batches are logged as binary records that spell their
+table names, so a record means the same thing whatever the catalog
+looks like when it is written or replayed.  How a record is laid out
+on disk is :mod:`~repro.durability.wal`'s business alone.
 
 When ``Tintin.open`` recovered the engine from disk, it hands the
 recovery report to the constructor: the report already carries the
@@ -51,7 +46,7 @@ import threading
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import DurabilityError
-from ..minidb.schema import TableSchema, normalize
+from ..minidb.schema import TableSchema
 from ..obs.metrics import StatsBlock
 from .checkpoint import (
     build_checkpoint_payload,
@@ -63,7 +58,6 @@ from .wal import WalResume, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tintin import Tintin
-    from ..minidb.database import Database
 
 DURABILITY_MODES = ("off", "commit", "batch")
 
@@ -86,16 +80,12 @@ def touched_counts(db, inserts: dict, deletes: dict) -> dict[str, int]:
 class DurabilityStats(StatsBlock):
     """Manager-level counters (the WAL adds its own byte-level stats)."""
 
-    COUNTERS = ("checkpoints", "logged_batches", "logged_ddl", "named_records")
+    COUNTERS = ("checkpoints", "logged_batches", "logged_ddl")
     PREFIX = "tintin_durability"
     HELP = {
         "checkpoints": "Checkpoints written",
         "logged_batches": "Committed batch records appended to the WAL",
         "logged_ddl": "DDL records appended to the WAL",
-        "named_records": (
-            "Batch/prepare/decide records the ordinal form could not "
-            "express, written in the named form"
-        ),
     }
 
 
@@ -145,16 +135,6 @@ class DurabilityManager:
             if checkpoint is not None:
                 self.wal.advance_seq(checkpoint.get("wal_seq", 0))
         self.stats = DurabilityStats()
-        #: the engine's database, for schema-ordinal resolution (bound
-        #: by ``Tintin._attach_durability``; a standalone manager logs
-        #: named-form records)
-        self._db: Optional["Database"] = None
-        self._ordinal_version = -1
-        self._ordinals: dict[str, int] = {}
-        #: the catalog version as of the last WAL-logged DDL — the
-        #: ordinal form is only safe when the live catalog matches it
-        #: (see :meth:`_append`)
-        self._ddl_synced_version = -1
         #: serializes appends/syncs from concurrent writers (the commit
         #: scheduler's window is already exclusive, but DDL and the
         #: single-session facade can race it)
@@ -176,35 +156,6 @@ class DurabilityManager:
     def durable(self) -> bool:
         """Whether committed batches are being logged at all."""
         return self.mode != "off"
-
-    # -- schema ordinals ---------------------------------------------------
-
-    def bind_db(self, db: "Database") -> None:
-        """Give the manager the catalog that resolves schema ordinals
-        (enables the ordinal form)."""
-        self._db = db
-        # everything in the catalog as of binding is (or will be)
-        # covered by the checkpoint/recovery state, not by pending DDL
-        # records — ordinal encoding is safe from here
-        self._ddl_synced_version = db.catalog.version
-
-    def _ordinal_of(self, name: str) -> Optional[int]:
-        """The table's position in the catalog's creation-ordered
-        ``main``-namespace list (memoized on the catalog version, so
-        any DDL rebuilds the map).  Callers hold ``self._lock``."""
-        catalog = self._db.catalog
-        if catalog.version != self._ordinal_version:
-            # read the version first: racing DDL can only make the memo
-            # *stale* (rebuilt next call), never wrong for this version
-            version = catalog.version
-            self._ordinals = {
-                normalize(t.schema.name): i
-                for i, t in enumerate(
-                    catalog.tables_in_creation_order(namespace="main")
-                )
-            }
-            self._ordinal_version = version
-        return self._ordinals.get(normalize(name))
 
     # -- logging -----------------------------------------------------------
 
@@ -228,10 +179,6 @@ class DurabilityManager:
             self.wal.append(event, **payload)
             self.wal.sync()
             self.stats.bump(logged_ddl=1)
-            if self._db is not None:
-                # the catalog state this DDL produced is now in the
-                # log; batches may reference it by ordinal again
-                self._ddl_synced_version = self._db.catalog.version
 
     def _append(self, kind: str, args: tuple, sync: bool, **fault_ctx) -> None:
         """Append one ``kind`` (batch / prepare / decide) record under
@@ -239,29 +186,9 @@ class DurabilityManager:
         if not self.durable:
             return
         with self._lock:
-            # ordinals are positions in the catalog's table list, so a
-            # record's ordinals are only meaningful if every catalog
-            # change before it is already in the log.  A live catalog
-            # NEWER than the last logged DDL means a DDL's mutation has
-            # landed but its WAL record has not (the listener fires
-            # after the catalog commit and may lose the race for this
-            # lock) — encoding ordinals now would let replay resolve
-            # them against the wrong table list.  Write the named form
-            # for exactly that window; the pending log_ddl resyncs the
-            # version right behind us.
-            ordinal_of = (
-                self._ordinal_of
-                if self._db is not None
-                and self._db.catalog.version == self._ddl_synced_version
-                else None
-            )
-            record = getattr(self.wal, "append_" + kind)(
-                *args, ordinal_of=ordinal_of
-            )
+            getattr(self.wal, "append_" + kind)(*args)
             if kind == "batch":
                 self.stats.bump(logged_batches=1)
-            if record["named"]:
-                self.stats.bump(named_records=1)
             self._fault("wal.after_append", **fault_ctx)
             if sync:
                 self._fault("wal.before_fsync", **fault_ctx)

@@ -18,9 +18,9 @@ checkpoint nor re-scans the WAL.  One checkpoint parse, one log scan,
 per open.
 
 Checkpoint restore loads per-table rows in parallel (tables are
-independent once created in FK order); ordinal-form batch records
-reference tables by schema ordinal, resolved against the catalog
-exactly as replay has rebuilt it at each record.
+independent once created in FK order).  Binary records name their
+tables, so replay decodes each one on its own, in place in the scanned
+file.
 
 Verification is built in rather than bolted on:
 
@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ConstraintViolation, DurabilityError, RecoveryError
+from ..errors import DatabaseError, DurabilityError, RecoveryError
 from ..minidb.database import Database
 from ..minidb.schema import TableSchema
 from .checkpoint import load_checkpoint
@@ -138,28 +138,6 @@ class RecoveryReport:
         )
 
 
-class _CatalogNames:
-    """The creation-ordered ``main``-namespace table list, memoized on
-    the catalog version — ordinal-form records resolve their schema
-    ordinals through this, against the catalog exactly as replay has
-    rebuilt it when each record is reached."""
-
-    def __init__(self, db: Database):
-        self._db = db
-        self._version = -1
-        self._names: list[str] = []
-
-    def names(self) -> list[str]:
-        catalog = self._db.catalog
-        if catalog.version != self._version:
-            self._names = [
-                t.schema.name
-                for t in catalog.tables_in_creation_order(namespace="main")
-            ]
-            self._version = catalog.version
-        return self._names
-
-
 def recover(
     directory: str, optimize: bool = True
 ) -> tuple["Tintin", RecoveryReport]:  # noqa: F821
@@ -201,7 +179,6 @@ def recover(
         report.checkpoint_used = True
         report.checkpoint_seq = checkpoint_seq
 
-    names = _CatalogNames(db)
     last_seq = checkpoint_seq
     for record in scan.records:
         seq = record.seq
@@ -213,7 +190,7 @@ def recover(
                 f"(after {last_seq}) — the log is inconsistent"
             )
         last_seq = seq
-        _replay_record(tintin, record, report, names, scan.data)
+        _replay_record(tintin, record, report, scan.data)
         report.records_replayed += 1
     report.last_seq = (
         max(last_seq, scan.records[-1].seq) if scan.records else last_seq
@@ -291,35 +268,22 @@ def _restore_checkpoint(
 
 
 def _replay_record(
-    tintin,
-    record: WalRecord,
-    report: RecoveryReport,
-    names: _CatalogNames,
-    data: bytes,
+    tintin, record: WalRecord, report: RecoveryReport, data: bytes
 ) -> None:
     db = tintin.db
     kind, seq, start, end, fields = record
     if fields is None:
-        # a binary frame: decode its span of the file in place, ordinals
-        # resolved against the catalog exactly as replay has rebuilt it
-        # — one pass, one dict build
+        # a binary frame: decode its span of the file in place
         try:
             if kind == "batch":
-                inserts, deletes, counts = decode_batch(
-                    data, names.names(), start, end
-                )
+                inserts, deletes, counts = decode_batch(data, start, end)
             elif kind == "prepare":
-                gid, inserts, deletes, _ = decode_prepare(
-                    data, names.names(), start, end
-                )
+                gid, inserts, deletes, _ = decode_prepare(data, start, end)
             else:  # "decide"
-                gid, commit, counts = decode_decide(
-                    data, names.names(), start, end
-                )
+                gid, commit, counts = decode_decide(data, start, end)
         except DurabilityError as exc:
             raise RecoveryError(
-                f"{kind} record seq={seq} cannot be resolved against the "
-                f"replayed catalog: {exc}"
+                f"{kind} record seq={seq} cannot be decoded: {exc}"
             ) from exc
         if kind == "batch":
             _replay_batch(tintin, seq, inserts, deletes, counts, report)
@@ -392,7 +356,7 @@ def _replay_batch(
     db = tintin.db
     try:
         applied = db.apply_batch(inserts, deletes)
-    except ConstraintViolation as exc:
+    except DatabaseError as exc:  # a constraint, or a table it lacks
         raise RecoveryError(
             f"replay of committed batch seq={seq} was "
             f"rejected by the engine: {exc} — the log and the data "

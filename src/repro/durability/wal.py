@@ -25,22 +25,17 @@ A payload's first byte says what it is:
     (rare, human-debuggable, synced immediately);
 ``0xB2`` / ``0xB3`` / ``0xB4``
     a binary ``batch`` / ``prepare`` / ``decide`` record — the only
-    layout committed events are ever written in.  It comes in two
-    forms, told apart by a flags bit: the *ordinal form* references
-    tables by their *schema ordinal* (position in the catalog's
-    creation-ordered ``main``-namespace table list), resolved at replay
-    against the catalog exactly as replay has rebuilt it by the time
-    it reaches the record; the *named form* spells table names inline
-    and makes every count a varint, so it can express anything — it is
-    written for the whole record whenever the ordinal form cannot be
-    (no bound catalog, the unlogged-DDL window, an ordinal or a table
-    count ≥ 128, > 255 columns, a row count ≥ 2^32).  The layout is
-    spelled out above :func:`encode_batch`.
+    layout committed events are ever written in.  It has one form:
+    tables are spelled by name and every count is a varint, so any
+    batch the engine can hold encodes and a record decodes without a
+    catalog.  The layout is spelled out above :func:`encode_batch`.
 
-Logs of the pre-v2 generation — a generation-1 header, or a JSON
-frame typed ``batch`` / ``prepare`` / ``decide`` — are **refused**
-with :class:`~repro.errors.WALCorruptionError`, never skipped and never
-half-read: open them with the release that wrote them and checkpoint.
+Logs of an earlier generation are **refused** with
+:class:`~repro.errors.WALCorruptionError`, never skipped and never
+half-read: a generation-1 or generation-2 header (generation 2 could
+reference tables by catalog position instead of by name), or a JSON
+frame typed ``batch`` / ``prepare`` / ``decide`` (the pre-v2 layout).
+Open them with the release that wrote them and checkpoint.
 
 Record types:
 
@@ -88,15 +83,14 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..errors import DurabilityError, WALCorruptionError
 from ..obs.metrics import StatsBlock
 
 #: 8-byte file header: magic + format generation.  No other generation
-#: is readable (see the module docstring on pre-v2 logs).
-WAL_MAGIC = b"TNTWAL\x00\x02"
+#: is readable (see the module docstring on earlier logs).
+WAL_MAGIC = b"TNTWAL\x00\x03"
 _HEADER_LEN = len(WAL_MAGIC)
 
 _FRAME = struct.Struct(">II")  # payload length, CRC32(payload)
@@ -145,39 +139,33 @@ def encode_record(record: dict) -> bytes:
 #   varint  seq
 #   [decide]          u8 verdict (1 = commit, 0 = abort)
 #   [prepare/decide]  str gid
-#   u8      flags: bit 0 — a counts section closes the record;
-#                  bit 1 — the record is in the NAMED form
+#   u8      flags: bit 0 — a counts section closes the record (every
+#                  other bit is reserved and refused on read)
 #   [batch/prepare]   the insert table blocks, then the delete table
-#                     blocks, each preceded by their number
-#   [flags&1]         the counts entries, preceded by their number
+#                     blocks, each section a varint block count
+#   [flags&1]         varint entry count, then per entry the str table
+#                     name and the varint post-apply row count
 #
-#                        ORDINAL form (flags&2 = 0)   NAMED form
-#   number of blocks     u8, < 128                    varint
-#   table reference      u8 schema ordinal, < 128     str name
-#   column count         u8                           varint
-#   number of counts     u8, < 128                    varint
-#   one counts entry     u8 ordinal + u32 row count   str name + varint
-#
-# One table block: the table reference, then
+# One table block: str table name, then
 #
 #   u8      mode: 0 = column-typed fixed stride, 1 = tagged values
-#   mode 0: column count, then one struct code per column (one of
+#   mode 0: varint column count, one struct code per column (one of
 #           b/h/i/q  = signed int of 1/2/4/8 bytes, chosen per column
 #           from the narrowest width that holds every value,
 #           d = IEEE-754 double, ? = bool), varint row count, then
 #           row count × struct(">"+codes) packed rows — decoded in one
 #           C-level struct.iter_unpack pass;
-#   mode 1: varint row count, then per row: column count and per
-#           value a type tag — 0 NULL, 1 False, 2 True, 3 int (zigzag
-#           varint, arbitrary precision), 4 float (8-byte BE double),
-#           5 str.
+#   mode 1: exactly :func:`encode_tagged_rows` — varint row count,
+#           then per row a varint column count and per value a type
+#           tag: 0 NULL, 1 False, 2 True, 3 int (zigzag varint,
+#           arbitrary precision), 4 float (8-byte BE double), 5 str.
 #
 # Mode 0 is the fast path (every value non-NULL, columns uniformly
 # int/float/bool, ints within i64): numeric OLTP batches decode at
 # struct speed.  Mode 1 covers everything else (strings, NULLs, mixed
-# columns, >64-bit ints).  The ordinal form is what a bound engine
-# writes; a record it cannot express is written in the named form as
-# a whole, so the codec is total and one reader reads both.
+# columns, >64-bit ints).  Every count is a varint and every table is
+# named, so the codec is total: any batch the engine can hold encodes,
+# and a record decodes without a catalog.
 
 _TAG_NULL = 0
 _TAG_FALSE = 1
@@ -187,13 +175,8 @@ _TAG_FLOAT = 4
 _TAG_STR = 5
 
 _FLAG_COUNTS = 1
-_FLAG_NAMED = 2
 
 _F64 = struct.Struct(">d")
-#: one ordinal-form counts entry: table ordinal (u8) + post-apply row
-#: count (u32).  Fixed-width so the whole section decodes in one C
-#: call; a table beyond 2^32 rows pushes the record to the named form.
-_COUNT_PAIR = struct.Struct(">BI")
 
 #: struct.Struct cache for mode-0 row formats, keyed by the code bytes
 _ROW_STRUCTS: dict[bytes, struct.Struct] = {}
@@ -332,16 +315,13 @@ def _encode_tagged_value(out: bytearray, value) -> None:
 
 
 def encode_tagged_rows(rows: Iterable[tuple]) -> bytes:
-    """Rows as a standalone tagged-value block (the network row codec).
+    """Rows as a standalone tagged-value block: a WAL mode-1 table
+    block, and the network front end's result/row payloads.
 
-    The network front end's result/row payloads reuse the batch
-    codec's mode-1 value encoding verbatim — same tags, same zigzag
-    varints, same NaN rejection — framed as: varint row count, then
-    per row a varint arity followed by the tagged values, which is
-    exactly a named-form mode-1 table block (the ordinal form's arity
-    is a raw byte; query results are not bound by its 255-column
-    limit).  Rows may be heterogeneous in width (a result set never
-    is, but the codec does not care).
+    Framed as: varint row count, then per row a varint arity followed
+    by the tagged values — same tags, same zigzag varints, same NaN
+    rejection wherever it is used.  Rows may be heterogeneous in width
+    (a result set never is, but the codec does not care).
     """
     materialized = [tuple(row) for row in rows]
     out = bytearray()
@@ -353,20 +333,16 @@ def encode_tagged_rows(rows: Iterable[tuple]) -> bytes:
     return bytes(out)
 
 
-def decode_tagged_rows(
-    data: bytes, i: int = 0, u8_arity: bool = False
-) -> tuple[list[tuple], int]:
+def decode_tagged_rows(data: bytes, i: int = 0) -> tuple[list[tuple], int]:
     """Inverse of :func:`encode_tagged_rows`; returns ``(rows, end)``
     so callers embedding a block inside a larger payload can keep
-    decoding after it.  ``u8_arity`` reads each row's arity as one raw
-    byte instead of a varint — a mode-1 table block of the WAL's
-    ordinal form, the one place the two framings differ."""
+    decoding after it."""
     n_rows, i = _read_uvarint(data, i)
     rows: list[tuple] = []
     for _ in range(n_rows):
         n_cols = data[i]
         i += 1
-        if n_cols >= 0x80 and not u8_arity:
+        if n_cols >= 0x80:
             n_cols, i = _read_uvarint(data, i - 1)
         row = []
         for _ in range(n_cols):
@@ -395,99 +371,36 @@ def decode_tagged_rows(
     return rows, i
 
 
-def _encode_table_blocks(
-    out: bytearray,
-    events: dict[str, list[tuple]],
-    ordinal_of: Optional[Callable[[str], Optional[int]]],
-) -> bool:
-    """Append one section of table blocks — in the named form when
-    ``ordinal_of`` is None (always succeeds), else in the ordinal form,
-    returning False as soon as that form cannot express the section."""
-    named = ordinal_of is None
-    put = partial(_append_uvarint, out) if named else out.append
+def _append_table_blocks(out: bytearray, events: dict[str, list[tuple]]) -> None:
+    """Append one section of table blocks (tables with no rows write
+    none)."""
     blocks = [(name, rows) for name, rows in events.items() if rows]
-    if not named and len(blocks) >= 128:
-        return False
-    put(len(blocks))
+    _append_uvarint(out, len(blocks))
     for name, rows in blocks:
-        arity = len(rows[0])
-        if named:
-            _append_str(out, name)
-        else:
-            ordinal = ordinal_of(name)
-            if ordinal is None or not 0 <= ordinal < 128 or arity > 255:
-                return False
-            out.append(ordinal)
+        _append_str(out, name)
         codes = _column_codes(rows)
-        if codes is not None:
-            out.append(0)  # mode: fixed stride
-            put(arity)
-            out += codes
-            _append_uvarint(out, len(rows))
-            pack = _row_struct(codes).pack
-            for row in rows:
-                out += pack(*row)
-        else:
+        if codes is None:
             out.append(1)  # mode: tagged
-            _append_uvarint(out, len(rows))
-            for row in rows:
-                if not named and len(row) > 255:
-                    return False
-                put(len(row))
-                for value in row:
-                    _encode_tagged_value(out, value)
-    return True
+            out += encode_tagged_rows(rows)
+            continue
+        out.append(0)  # mode: fixed stride
+        _append_uvarint(out, len(codes))
+        out += codes
+        _append_uvarint(out, len(rows))
+        pack = _row_struct(codes).pack
+        for row in rows:
+            out += pack(*row)
 
 
-def _append_counts(
-    out: bytearray,
-    counts: dict[str, int],
-    ordinal_of: Optional[Callable[[str], Optional[int]]],
-) -> bool:
-    """The counts section, under the same contract as
-    :func:`_encode_table_blocks`."""
-    if ordinal_of is None:
-        _append_uvarint(out, len(counts))
-        for name, count in counts.items():
-            if count < 0:  # a varint cannot hold it (and no table can)
-                raise DurabilityError(
-                    f"row count {count} of table {name!r} is negative"
-                )
-            _append_str(out, name)
-            _append_uvarint(out, count)
-        return True
-    if len(counts) >= 128:
-        return False
-    out.append(len(counts))
+def _append_counts(out: bytearray, counts: dict[str, int]) -> None:
+    _append_uvarint(out, len(counts))
     for name, count in counts.items():
-        ordinal = ordinal_of(name)
-        if ordinal is None or not 0 <= ordinal < 128:
-            return False
-        if not 0 <= count <= 0xFFFFFFFF:
-            return False
-        out += _COUNT_PAIR.pack(ordinal, count)
-    return True
-
-
-def _encode_body(
-    out: bytearray,
-    inserts: Optional[dict],
-    deletes: Optional[dict],
-    counts: Optional[dict[str, int]],
-    ordinal_of: Optional[Callable[[str], Optional[int]]],
-) -> bool:
-    """Flags byte, table sections (``inserts`` None: a decide has
-    none) and counts; False when the ordinal form cannot express it."""
-    out.append(
-        (_FLAG_COUNTS if counts is not None else 0)
-        | (_FLAG_NAMED if ordinal_of is None else 0)
-    )
-    if inserts is not None and not (
-        _encode_table_blocks(out, inserts, ordinal_of)
-        and _encode_table_blocks(out, deletes, ordinal_of)
-    ):
-        return False
-    return counts is None or _append_counts(out, counts, ordinal_of)
+        if count < 0:  # a varint cannot hold it (and no table can)
+            raise DurabilityError(
+                f"row count {count} of table {name!r} is negative"
+            )
+        _append_str(out, name)
+        _append_uvarint(out, count)
 
 
 def _encode(
@@ -498,25 +411,22 @@ def _encode(
     inserts: Optional[dict],
     deletes: Optional[dict],
     counts: Optional[dict[str, int]],
-    ordinal_of: Optional[Callable[[str], Optional[int]]],
-) -> tuple[bytes, bool]:
-    """One binary payload and whether it took the named form: the
-    ordinal form when ``ordinal_of`` is given and can express the
-    record, else the whole record again in the named form."""
+) -> bytes:
+    """One binary payload (``inserts`` None: a decide has no table
+    sections)."""
     out = bytearray((tag,))
     _append_uvarint(out, seq)
     if verdict is not None:
         out.append(1 if verdict else 0)
     if gid is not None:
         _append_str(out, gid)
-    body = len(out)
-    named = ordinal_of is None or not _encode_body(
-        out, inserts, deletes, counts, ordinal_of
-    )
-    if named:
-        del out[body:]
-        _encode_body(out, inserts, deletes, counts, None)
-    return bytes(out), named
+    out.append(_FLAG_COUNTS if counts is not None else 0)
+    if inserts is not None:
+        _append_table_blocks(out, inserts)
+        _append_table_blocks(out, deletes)
+    if counts is not None:
+        _append_counts(out, counts)
+    return bytes(out)
 
 
 def encode_batch(
@@ -524,20 +434,10 @@ def encode_batch(
     inserts: dict[str, list[tuple]],
     deletes: dict[str, list[tuple]],
     counts: Optional[dict[str, int]] = None,
-    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
 ) -> bytes:
-    """One binary ``batch`` payload.
-
-    ``ordinal_of`` maps a table name to its schema ordinal — its
-    position in the catalog's creation-ordered ``main``-namespace
-    table list — or None for a table the catalog does not hold.  With
-    it the record takes the ordinal form whenever that form can
-    express it; without it (or otherwise) the named form.  NaN and
-    non-scalar values raise :class:`DurabilityError`.
-    """
-    return _encode(
-        BATCH_V2_TAG, seq, None, None, inserts, deletes, counts, ordinal_of
-    )[0]
+    """One binary ``batch`` payload.  NaN and non-scalar values raise
+    :class:`DurabilityError`."""
+    return _encode(BATCH_V2_TAG, seq, None, None, inserts, deletes, counts)
 
 
 def encode_prepare(
@@ -546,13 +446,10 @@ def encode_prepare(
     inserts: dict[str, list[tuple]],
     deletes: dict[str, list[tuple]],
     counts: Optional[dict[str, int]] = None,
-    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
 ) -> bytes:
     """One binary ``prepare`` payload: the batch layout with the
     global transaction id spliced in between the seq and the flags."""
-    return _encode(
-        PREPARE_V2_TAG, seq, gid, None, inserts, deletes, counts, ordinal_of
-    )[0]
+    return _encode(PREPARE_V2_TAG, seq, gid, None, inserts, deletes, counts)
 
 
 def encode_decide(
@@ -560,23 +457,16 @@ def encode_decide(
     gid: str,
     verdict: bool,
     counts: Optional[dict[str, int]] = None,
-    ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
 ) -> bytes:
     """One binary ``decide`` payload: seq, verdict byte (1 = commit,
     0 = abort), the gid, then an optional counts section (commit
     decides log the post-apply row counts for replay verification).
     """
-    return _encode(
-        DECIDE_V2_TAG, seq, gid, bool(verdict), None, None, counts, ordinal_of
-    )[0]
+    return _encode(DECIDE_V2_TAG, seq, gid, bool(verdict), None, None, counts)
 
 
 def _decode(
-    tag: int,
-    data: bytes,
-    table_names: Optional[list[str]],
-    start: int,
-    end: Optional[int],
+    tag: int, data: bytes, start: int, end: Optional[int]
 ) -> tuple[
     Optional[str], Optional[bool], Optional[dict], Optional[dict], Optional[dict]
 ]:
@@ -584,13 +474,9 @@ def _decode(
     payload copy — ``data`` is usually the whole log file) as
     ``(gid, verdict, inserts, deletes, counts)``.
 
-    Ordinal-form events and counts key by table name when
-    ``table_names`` (the catalog's creation-ordered main-namespace
-    list) is given, by raw ordinal otherwise; named-form ones carry
-    their names.  Raises :class:`DurabilityError` for an ordinal the
-    catalog cannot resolve or a payload that lies about its own shape
-    (the CRC already passed, so that is an encoder bug, not a torn
-    write).
+    Raises :class:`DurabilityError` for a payload that lies about its
+    own shape (the CRC already passed, so that is an encoder bug, not a
+    torn write).
     """
     if end is None:
         end = len(data)
@@ -611,14 +497,13 @@ def _decode(
             gid, i = _read_str(data, i)
         flags = data[i]
         i += 1
-        if flags & ~(_FLAG_COUNTS | _FLAG_NAMED):
+        if flags & ~_FLAG_COUNTS:
             raise ValueError(f"unknown flags byte {flags:#x}")
-        named = bool(flags & _FLAG_NAMED)
         if tag != DECIDE_V2_TAG:
-            inserts, i = _decode_table_blocks(data, i, end, table_names, named)
-            deletes, i = _decode_table_blocks(data, i, end, table_names, named)
+            inserts, i = _decode_table_blocks(data, i, end)
+            deletes, i = _decode_table_blocks(data, i, end)
         if flags & _FLAG_COUNTS:
-            counts, i = _decode_counts(data, i, end, table_names, named)
+            counts, i = _decode_counts(data, i)
         if i != end:
             raise ValueError(f"payload has {end - i} trailing byte(s)")
         return gid, verdict, inserts, deletes, counts
@@ -632,97 +517,64 @@ def _decode(
 
 
 def decode_batch(
-    data: bytes,
-    table_names: Optional[list[str]] = None,
-    start: int = 0,
-    end: Optional[int] = None,
+    data: bytes, start: int = 0, end: Optional[int] = None
 ) -> tuple[dict, dict, Optional[dict]]:
     """One binary ``batch`` record as ``(inserts, deletes, counts)``;
-    see :func:`_decode` for the in-place span and name resolution."""
-    return _decode(BATCH_V2_TAG, data, table_names, start, end)[2:]
+    see :func:`_decode` for the in-place span."""
+    return _decode(BATCH_V2_TAG, data, start, end)[2:]
 
 
 def decode_prepare(
-    data: bytes,
-    table_names: Optional[list[str]] = None,
-    start: int = 0,
-    end: Optional[int] = None,
+    data: bytes, start: int = 0, end: Optional[int] = None
 ) -> tuple[str, dict, dict, Optional[dict]]:
     """One binary ``prepare`` record as ``(gid, inserts, deletes,
     counts)``."""
     gid, _, inserts, deletes, counts = _decode(
-        PREPARE_V2_TAG, data, table_names, start, end
+        PREPARE_V2_TAG, data, start, end
     )
     return gid, inserts, deletes, counts
 
 
 def decode_decide(
-    data: bytes,
-    table_names: Optional[list[str]] = None,
-    start: int = 0,
-    end: Optional[int] = None,
+    data: bytes, start: int = 0, end: Optional[int] = None
 ) -> tuple[str, bool, Optional[dict]]:
     """One binary ``decide`` record as ``(gid, commit, counts)`` —
     ``commit`` True for a commit verdict, False for an abort;
     ``counts`` only on commit decides that logged post-apply row
     counts."""
-    gid, commit, _, _, counts = _decode(
-        DECIDE_V2_TAG, data, table_names, start, end
-    )
+    gid, commit, _, _, counts = _decode(DECIDE_V2_TAG, data, start, end)
     return gid, commit, counts
 
 
-def _decode_table_blocks(
-    p: bytes,
-    i: int,
-    length: int,
-    table_names: Optional[list[str]],
-    named: bool,
-) -> tuple[dict, int]:
+def _decode_table_blocks(p: bytes, i: int, length: int) -> tuple[dict, int]:
     """One section of table blocks at ``i``; returns ``(events,
     next_offset)``.  ``p`` is usually the whole file and ``length``
     the frame's end offset.
 
     This is recovery's hot loop, hence the inlined single-byte varint
-    fast path: an all-numeric OLTP batch costs a few byte reads plus
-    one C-level ``struct`` unpack per table.
+    fast paths: an all-numeric OLTP batch costs a few byte reads, one
+    name decode and one C-level ``struct`` unpack per table.
     """
     structs = _ROW_STRUCTS
     n_tables = p[i]
     i += 1
-    if named and n_tables >= 0x80:
+    if n_tables >= 0x80:
         n_tables, i = _read_uvarint(p, i - 1)
     events: dict = {}
     for _ in range(n_tables):
-        if named:
-            key, i = _read_str(p, i)
-        else:
-            ordinal = p[i]
-            i += 1
-            if table_names is None:
-                key = ordinal
-            elif ordinal < len(table_names):
-                key = table_names[ordinal]
-            else:
-                raise DurabilityError(
-                    f"batch record references table ordinal {ordinal}, "
-                    f"but the catalog holds only {len(table_names)} "
-                    "table(s) at this replay point"
-                )
+        name, i = _read_str(p, i)
         mode = p[i]
         i += 1
         if mode == 0:
             n_cols = p[i]
             i += 1
-            if named and n_cols >= 0x80:
+            if n_cols >= 0x80:
                 n_cols, i = _read_uvarint(p, i - 1)
             codes = p[i : i + n_cols]
             i += n_cols
-            b = p[i]
+            n_rows = p[i]
             i += 1
-            if b < 0x80:
-                n_rows = b
-            else:
+            if n_rows >= 0x80:
                 n_rows, i = _read_uvarint(p, i - 1)
             fmt = structs.get(codes)
             if fmt is None:
@@ -731,53 +583,25 @@ def _decode_table_blocks(
             if end > length:
                 raise ValueError("fixed-stride block overruns the payload")
             if n_rows == 1:
-                events[key] = [fmt.unpack_from(p, i)]
+                events[name] = [fmt.unpack_from(p, i)]
             else:
-                events[key] = list(fmt.iter_unpack(memoryview(p)[i:end]))
+                events[name] = list(fmt.iter_unpack(memoryview(p)[i:end]))
             i = end
         elif mode == 1:
-            events[key], i = decode_tagged_rows(p, i, not named)
+            events[name], i = decode_tagged_rows(p, i)
         else:
             raise ValueError(f"unknown table-block mode {mode}")
     return events, i
 
 
-def _decode_counts(
-    p: bytes,
-    i: int,
-    length: int,
-    table_names: Optional[list[str]],
-    named: bool,
-) -> tuple[dict, int]:
+def _decode_counts(p: bytes, i: int) -> tuple[dict, int]:
     """One counts section at ``i``; returns ``(counts, next_offset)``."""
-    n_counts = p[i]
-    i += 1
-    if named:
-        if n_counts >= 0x80:
-            n_counts, i = _read_uvarint(p, i - 1)
-        counts: dict = {}
-        for _ in range(n_counts):
-            name, i = _read_str(p, i)
-            counts[name], i = _read_uvarint(p, i)
-        return counts, i
-    end = i + n_counts * _COUNT_PAIR.size
-    if end > length:
-        raise ValueError("counts section overruns the payload")
-    if n_counts == 1:
-        ordinal, value = _COUNT_PAIR.unpack_from(p, i)
-        pairs = ((ordinal, value),)
-    else:
-        pairs = _COUNT_PAIR.iter_unpack(memoryview(p)[i:end])
-    if table_names is None:
-        return dict(pairs), end
-    try:
-        return {table_names[o]: v for o, v in pairs}, end
-    except IndexError:
-        raise DurabilityError(
-            f"batch record counts reference a table ordinal the "
-            f"catalog cannot resolve ({len(table_names)} table(s) "
-            "at this replay point)"
-        ) from None
+    n_counts, i = _read_uvarint(p, i)
+    counts: dict = {}
+    for _ in range(n_counts):
+        name, i = _read_str(p, i)
+        counts[name], i = _read_uvarint(p, i)
+    return counts, i
 
 
 # -- frame scanning ----------------------------------------------------------
@@ -785,9 +609,8 @@ def _decode_counts(
 
 class WalRecord(NamedTuple):
     """The scan-time view of one frame, whatever its payload: a
-    durable open needs types and sequences, not rows — and ordinals
-    can only resolve against the catalog as replay rebuilds it, which
-    a file scan cannot know — so binary payloads stay undecoded."""
+    durable open needs types and sequences, not rows, so binary
+    payloads stay undecoded until replay reaches them."""
 
     type: Optional[str]
     seq: int
@@ -956,9 +779,8 @@ def read_wal(path: str) -> WalScan:
         if header[:-1] == WAL_MAGIC[:-1]:
             raise WALCorruptionError(
                 f"{path!r} is a WAL of format generation {header[-1]}; this "
-                f"build reads generation {WAL_MAGIC[-1]} only (a pre-v2 log "
-                "must be opened and checkpointed by the release that wrote "
-                "it)"
+                f"build reads generation {WAL_MAGIC[-1]} only (open it with "
+                "the release that wrote it and checkpoint)"
             )
         raise WALCorruptionError(
             f"{path!r} does not start with the WAL magic header "
@@ -1056,32 +878,24 @@ class WriteAheadLog:
         return record
 
     def _append_binary(self, tag: int, *args) -> dict:
-        """Buffer one binary record; returns its type, ``seq`` and
-        whether it had to take the named form."""
+        """Buffer one binary record; returns its type and ``seq``."""
         self._check_usable()
-        payload, named = _encode(tag, self.last_seq + 1, *args)
+        payload = _encode(tag, self.last_seq + 1, *args)
         self.last_seq += 1
         self._write_frame(
             _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         )
-        return {
-            "type": _BINARY_TAGS[tag],
-            "seq": self.last_seq,
-            "named": named,
-        }
+        return {"type": _BINARY_TAGS[tag], "seq": self.last_seq}
 
     def append_batch(
         self,
         inserts: dict[str, list[tuple]],
         deletes: dict[str, list[tuple]],
         counts: Optional[dict[str, int]] = None,
-        ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
     ) -> dict:
-        """Buffer one committed-batch record — in the ordinal form
-        when ``ordinal_of`` (the catalog's schema-ordinal map) is given
-        and can express it, in the named form otherwise."""
+        """Buffer one committed-batch record."""
         return self._append_binary(
-            BATCH_V2_TAG, None, None, inserts, deletes, counts, ordinal_of
+            BATCH_V2_TAG, None, None, inserts, deletes, counts
         )
 
     def append_prepare(
@@ -1090,7 +904,6 @@ class WriteAheadLog:
         inserts: dict[str, list[tuple]],
         deletes: dict[str, list[tuple]],
         counts: Optional[dict[str, int]] = None,
-        ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
     ) -> dict:
         """Buffer one 2PC ``prepare`` record.
 
@@ -1098,7 +911,7 @@ class WriteAheadLog:
         the durable prepare record *is* the vote.
         """
         return self._append_binary(
-            PREPARE_V2_TAG, gid, None, inserts, deletes, counts, ordinal_of
+            PREPARE_V2_TAG, gid, None, inserts, deletes, counts
         )
 
     def append_decide(
@@ -1106,13 +919,12 @@ class WriteAheadLog:
         gid: str,
         verdict: bool,
         counts: Optional[dict[str, int]] = None,
-        ordinal_of: Optional[Callable[[str], Optional[int]]] = None,
     ) -> dict:
         """Buffer one 2PC ``decide`` record: the coordinator's verdict
         for ``gid`` (True = commit, False = abort); commit decides may
         carry post-apply row counts for replay verification."""
         return self._append_binary(
-            DECIDE_V2_TAG, gid, bool(verdict), None, None, counts, ordinal_of
+            DECIDE_V2_TAG, gid, bool(verdict), None, None, counts
         )
 
     def sync(self) -> None:

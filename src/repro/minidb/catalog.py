@@ -175,13 +175,10 @@ class Catalog:
     ) -> list[Table]:
         """Tables in the order they were created (dict insertion order).
 
-        This order is a **durability contract**, not an implementation
-        detail: creation order is a valid FK-topological order by
-        construction (CREATE TABLE validates that referenced parents
-        already exist), so checkpoints serialize tables this way — and
-        WAL format v2 batch records reference tables by their *position
-        in this list* (the schema ordinal).  Changing how the catalog
-        stores tables must preserve it, or existing logs stop replaying.
+        Creation order is a valid FK-topological order by construction
+        (CREATE TABLE validates that referenced parents already exist),
+        so checkpoints serialize tables this way and restore recreates
+        every parent before its children.
         """
         with self._lock:
             return [
@@ -242,22 +239,6 @@ class Catalog:
             self._trigger_index[slot] = self._trigger_index.get(slot, ()) + (trigger,)
             self.bump_version()
 
-    def drop_trigger(self, name: str) -> None:
-        with self._lock:
-            key = normalize(name)
-            if key not in self._triggers:
-                raise CatalogError(f"unknown trigger {name!r}")
-            trigger = self._triggers.pop(key)
-            slot = (normalize(trigger.table), trigger.event)
-            remaining = tuple(
-                t for t in self._trigger_index.get(slot, ()) if t is not trigger
-            )
-            if remaining:
-                self._trigger_index[slot] = remaining
-            else:
-                self._trigger_index.pop(slot, None)
-            self.bump_version()
-
     def triggers_for(self, table: str, event: str) -> list[Trigger]:
         return list(self._trigger_index.get((normalize(table), event), ()))
 
@@ -309,15 +290,6 @@ class Catalog:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # -- procedures ----------------------------------------------------------------
-
-    def add_procedure(self, procedure: Procedure) -> None:
-        with self._lock:
-            key = normalize(procedure.name)
-            if key in self._procedures:
-                raise CatalogError(
-                    f"procedure {procedure.name!r} already exists"
-                )
-            self._procedures[key] = procedure
 
     def replace_procedure(self, procedure: Procedure) -> None:
         with self._lock:

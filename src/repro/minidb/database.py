@@ -417,11 +417,12 @@ class Database:
         #: higher-level ``install`` record instead and bypass this hook.
         self.ddl_listener = None
         #: makes a facade DDL's catalog mutation and its listener call
-        #: one atomic step.  WAL format v2 batch records reference
-        #: tables by catalog position, so the log's DDL order must
-        #: match the catalog's mutation order — without this lock two
-        #: racing DDLs could mutate in one order and log in the other,
-        #: and replay would resolve ordinals against the wrong list.
+        #: one atomic step, so the log's DDL order matches the
+        #: catalog's mutation order.  Replay re-runs DDL in log order:
+        #: two racing DDLs that mutated in one order and logged in the
+        #: other (a child table logged before its FK parent, a DROP
+        #: before the CREATE it undid) would replay to another catalog
+        #: or not at all.
         self._ddl_lock = threading.Lock()
 
     # -- transactions (per-session binding) ---------------------------------
@@ -546,18 +547,6 @@ class Database:
             return self._explain_text(inner)
         entry, params, _ = self.statement(sql)
         return self._run(entry, params)
-
-    def execute_script(self, sql: str) -> list:
-        """Execute a ``;``-separated script; returns per-statement results.
-
-        Script statements run through the AST path and deliberately
-        bypass the statement cache (the parser does not preserve
-        per-statement source text to key it with); scripts are a setup
-        convenience, not a hot path.
-        """
-        from ..sqlparser.parser import parse_script
-
-        return [self.execute_statement(stmt) for stmt in parse_script(sql)]
 
     def execute_statement(self, stmt: n.Statement):
         """Execute a pre-parsed statement (no text, so no cache)."""

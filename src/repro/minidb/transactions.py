@@ -37,10 +37,6 @@ class Transaction:
     def record_delete(self, table: Table, row: tuple, rowid: int) -> None:
         self._log.append(_UndoRecord("delete", table, row, rowid))
 
-    @property
-    def change_count(self) -> int:
-        return len(self._log)
-
     def rollback(self) -> int:
         """Undo every logged change in reverse order; returns the count."""
         count = len(self._log)

@@ -156,9 +156,3 @@ class FaultInjector:
         tintin.sessions.scheduler.fault_hook = self.fire
         if tintin.durability is not None:
             tintin.durability.fault_hook = self.fire
-
-    def uninstall(self, tintin) -> None:
-        if tintin._sessions is not None:
-            tintin._sessions.scheduler.fault_hook = None
-        if tintin.durability is not None:
-            tintin.durability.fault_hook = None

@@ -558,7 +558,3 @@ class SessionManager:
     def active_count(self) -> int:
         with self._lock:
             return len(self._sessions)
-
-    def active_sessions(self) -> list[Session]:
-        with self._lock:
-            return list(self._sessions.values())

@@ -369,7 +369,7 @@ class ShardedTintin:
             for record in scan.records:
                 if record.type == "decide":
                     gid, commit, _ = decode_decide(
-                        scan.data, None, record.start, record.end
+                        scan.data, record.start, record.end
                     )
                     if commit:
                         self._decided.add(gid)

@@ -267,6 +267,43 @@ class TestSafeCommit:
         assert len(db.table("ins_orders")) == 1  # still pending
 
 
+NULL_LOGIC = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 1: EDCs use 2-valued logic on nullable columns",
+)
+
+
+class TestNullableColumns:
+    """SQL's three-valued logic on nullable columns.  Both cases reach
+    the wrong verdict today; once EDCs are fixed they XPASS and the
+    strict markers fail the run until they are removed."""
+
+    @NULL_LOGIC
+    def test_deleting_the_only_lineitem_with_a_null_column_rejected(self):
+        db = make_db()
+        tintin = Tintin(db)
+        tintin.install()
+        tintin.add_assertion(AT_LEAST_ONE)
+        db.insert_rows("orders", [(1, 10)], bypass_triggers=True)
+        db.insert_rows("lineitem", [(1, 1, None)], bypass_triggers=True)
+        db.execute("DELETE FROM lineitem WHERE l_orderkey = 1")
+        assert tintin.safe_commit().rejected
+        assert len(db.table("lineitem")) == 1
+
+    @NULL_LOGIC
+    def test_null_never_equals_itself(self):
+        db = Database("nulls")
+        db.execute("CREATE TABLE s (x INTEGER PRIMARY KEY, y INTEGER)")
+        tintin = Tintin(db)
+        tintin.install()
+        tintin.add_assertion(
+            "CREATE ASSERTION noSelfEqual CHECK (NOT EXISTS ("
+            "SELECT * FROM s AS a0 WHERE a0.y = a0.y))"
+        )
+        db.execute("INSERT INTO s VALUES (2, NULL)")
+        assert tintin.safe_commit().committed
+
+
 class TestBaselineAgreement:
     def test_baseline_accepts_valid_update(self, installed):
         db, tintin = installed

@@ -24,9 +24,10 @@ import pytest
 from repro import Database, Tintin, recover
 from repro.durability import (
     WAL_MAGIC,
-    DurabilityManager,
     WriteAheadLog,
     build_checkpoint_payload,
+    decode_decide,
+    decode_prepare,
     encode_batch,
     encode_record,
     load_checkpoint,
@@ -56,19 +57,15 @@ def state(db: Database) -> dict:
     }
 
 
-def build_durable(path: str, mode: str = "batch", fmt: str = "ordinal"):
+def build_durable(path: str, mode: str = "batch", two_phase: bool = False):
     """A durable engine with schema + assertion; returns it plus the
     per-commit state snapshots (``snapshots[k]`` = state after the
     k-th committed batch; ``snapshots`` also carries the pre-commit
     setup state at index -1 conceptually — returned separately).
 
-    ``fmt`` says which form the batch records take: ``"ordinal"`` (what
-    a bound engine writes), ``"named"``, or ``"mixed"`` (ordinal first,
-    named from mid-log on).  There is no format selector to flip:
-    named records come from the condition that produces them in
-    production — the unlogged-DDL window, simulated by bumping the
-    catalog version without logging a DDL record, which keeps the
-    manager off ordinals until the next logged DDL.
+    ``two_phase`` appends the participant's 2PC records: a prepare
+    decided commit (a committed batch, snapshotted), one decided
+    abort, and a last one left in doubt.
     """
     tintin = Tintin.open(path, durability=mode)
     db = tintin.db
@@ -76,8 +73,6 @@ def build_durable(path: str, mode: str = "batch", fmt: str = "ordinal"):
     db.execute(ITEMS_DDL)
     tintin.install()
     tintin.add_assertion(AT_LEAST_ONE)
-    if fmt == "named":
-        db.catalog.bump_version()
     setup_state = state(db)
     snapshots = []
     # three single-session commits (trigger capture -> safeCommit)
@@ -86,9 +81,6 @@ def build_durable(path: str, mode: str = "batch", fmt: str = "ordinal"):
         db.execute(f"INSERT INTO items VALUES ({k}, 1)")
         assert tintin.safe_commit().committed
         snapshots.append(state(db))
-    if fmt == "mixed":
-        # the window opens: every batch from here on is in the named form
-        db.catalog.bump_version()
     # a rejected update: no WAL record, no state change
     db.execute("INSERT INTO orders VALUES (99, 1.0)")
     assert not tintin.safe_commit().committed
@@ -108,11 +100,18 @@ def build_durable(path: str, mode: str = "batch", fmt: str = "ordinal"):
     snapshots.append(state(db))
     stats = tintin.durability.stats
     assert stats.logged_batches == len(snapshots)
-    assert stats.named_records == {
-        "ordinal": 0,
-        "named": len(snapshots),
-        "mixed": len(snapshots) - 3,
-    }[fmt]
+    if two_phase:
+        scheduler = tintin.sessions.scheduler
+        for gid, key, verdict in (("g-commit", 6, True), ("g-abort", 7, False)):
+            events = {"orders": [(key, 6.0)], "items": [(key, 1)]}
+            assert scheduler.prepare_events(gid, events, {}).committed
+            scheduler.decide_prepared(gid, verdict)
+            if verdict:
+                snapshots.append(state(db))
+        # the last prepare's fsync (the yes vote) also makes the
+        # unsynced decides before it durable
+        events = {"orders": [(8, 6.0)], "items": [(8, 1)]}
+        assert scheduler.prepare_events("g-open", events, {}).committed
     return tintin, setup_state, snapshots
 
 
@@ -139,22 +138,37 @@ def crash_copy(source: str, target: str, wal_size: int) -> str:
     return target
 
 
-def committed_prefix_length(directory: str) -> int:
-    """How many committed batch records the (possibly torn) WAL holds."""
+def wal_outcome(directory: str) -> tuple[int, set[str]]:
+    """How many committed batches the (possibly torn) WAL holds — batch
+    records and commit decides — and which prepared gids it leaves
+    undecided."""
     scan = read_wal(wal_path(directory))
-    return sum(1 for r in scan.records if r.type == "batch")
+    committed, undecided = 0, set()
+    for r in scan.records:
+        if r.type == "batch":
+            committed += 1
+        elif r.type == "prepare":
+            undecided.add(decode_prepare(scan.data, r.start, r.end)[0])
+        elif r.type == "decide":
+            gid, commit, _ = decode_decide(scan.data, r.start, r.end)
+            undecided.discard(gid)
+            committed += commit
+    return committed, undecided
 
 
 def n_setup_records(directory: str) -> int:
+    """The JSON control records: every DDL of the set-up."""
     scan = read_wal(wal_path(directory))
-    return sum(1 for r in scan.records if r.type != "batch")
+    return sum(1 for r in scan.records if r.fields is not None)
 
 
-@pytest.mark.parametrize("fmt", ["ordinal", "named", "mixed"])
+@pytest.mark.parametrize("two_phase", [False, True], ids=["batches", "2pc"])
 @pytest.mark.parametrize("mode", ["batch", "commit"])
-def test_crash_at_every_record_boundary(tmp_path, mode, fmt):
+def test_crash_at_every_record_boundary(tmp_path, mode, two_phase):
     source = str(tmp_path / "primary")
-    tintin, setup_state, snapshots = build_durable(source, mode=mode, fmt=fmt)
+    tintin, setup_state, snapshots = build_durable(
+        source, mode=mode, two_phase=two_phase
+    )
     raw = open(wal_path(source), "rb").read()
     spans = frame_spans(raw)
     setup_records = n_setup_records(source)
@@ -165,8 +179,9 @@ def test_crash_at_every_record_boundary(tmp_path, mode, fmt):
         crash_copy(source, target, end)
         recovered, report = recover(target)
         assert report.torn_tail is None
-        batches = committed_prefix_length(target)
+        batches, undecided = wal_outcome(target)
         assert report.batches_replayed == batches
+        assert set(report.in_doubt) == undecided
         if index + 1 >= setup_records:
             # full setup intact: state must equal the live snapshot
             expected = snapshots[batches - 1] if batches else setup_state
@@ -178,10 +193,10 @@ def test_crash_at_every_record_boundary(tmp_path, mode, fmt):
             assert list(recovered.assertions) == ["atLeastOneItem"]
 
 
-@pytest.mark.parametrize("fmt", ["ordinal", "named", "mixed"])
-def test_crash_mid_record_torn_tail(tmp_path, fmt):
+@pytest.mark.parametrize("two_phase", [False, True], ids=["batches", "2pc"])
+def test_crash_mid_record_torn_tail(tmp_path, two_phase):
     source = str(tmp_path / "primary")
-    tintin, setup_state, snapshots = build_durable(source, fmt=fmt)
+    tintin, setup_state, snapshots = build_durable(source, two_phase=two_phase)
     raw = open(wal_path(source), "rb").read()
     spans = frame_spans(raw)
     setup_records = n_setup_records(source)
@@ -197,7 +212,8 @@ def test_crash_mid_record_torn_tail(tmp_path, fmt):
             # the half-written record is reported and dropped — the
             # state is exactly the previous record's committed prefix
             assert report.torn_tail is not None
-            batches = committed_prefix_length(target)
+            batches, undecided = wal_outcome(target)
+            assert set(report.in_doubt) == undecided
             if index >= setup_records:
                 assert state(recovered.db) == (
                     snapshots[batches - 1] if batches else setup_state
@@ -370,7 +386,7 @@ def test_checkpoint_bounds_replay(tmp_path):
     source = str(tmp_path / "primary")
     tintin, _, snapshots = build_durable(source)
     tintin.checkpoint()
-    assert committed_prefix_length(source) == 0  # WAL compacted
+    assert wal_outcome(source)[0] == 0  # WAL compacted
     db = tintin.db
     db.execute("INSERT INTO orders VALUES (70, 7.0)")
     db.execute("INSERT INTO items VALUES (70, 1)")
@@ -1100,22 +1116,43 @@ def test_parallel_checkpoint_restore(tmp_path, monkeypatch):
         recover(source)
 
 
-def test_recovery_rejects_unresolvable_ordinal(tmp_path):
-    """An ordinal-form batch record whose table ordinal the replayed
-    catalog cannot resolve refuses recovery loudly (log/catalog
-    divergence)."""
+def test_recovery_rejects_batch_naming_an_unknown_table(tmp_path):
+    """A batch record naming a table the replayed catalog does not hold
+    refuses recovery loudly (log/catalog divergence)."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
     wal = WriteAheadLog(wal_path(source))
-    record = wal.append_batch(
-        {"phantom": [(1, 2)]}, {}, ordinal_of=lambda name: 99
-    )
-    assert not record["named"]
+    wal.append_batch({"phantom": [(1, 2)]}, {})
     wal.sync()
     wal.close()
-    with pytest.raises(RecoveryError):
+    with pytest.raises(RecoveryError, match="phantom"):
         recover(source)
+
+
+def test_prepare_decide_replay_and_in_doubt(tmp_path):
+    """2PC records replay by gid: a commit decide applies its prepare
+    (and its counts are verified), an abort discards it, a repeated
+    decide is ignored, and a prepare with no decide is in doubt."""
+    source = str(tmp_path / "primary")
+    tintin, _, snapshots = build_durable(source)
+    manager = tintin.durability
+    manager.log_prepare("g-commit", {"orders": [(71, 1.0)]}, {})
+    manager.log_prepare("g-abort", {"orders": [(72, 1.0)]}, {})
+    manager.log_prepare("g-open", {}, {"items": [(2, 1)]})
+    manager.log_decide(
+        "g-commit", True, {"orders": len(snapshots[-1]["orders"]) + 1}
+    )
+    manager.log_decide("g-abort", False)
+    manager.log_decide("g-commit", True)  # a duplicate resolution
+    del tintin
+
+    recovered, report = recover(source)
+    assert (report.prepares_seen, report.decides_seen) == (3, 3)
+    assert report.in_doubt == {"g-open": ({}, {"items": [(2, 1)]})}
+    expected = snapshots[-1]
+    expected["orders"] = sorted(expected["orders"] + [(71, 1.0)])
+    assert state(recovered.db) == expected
 
 
 def test_recovery_rejects_replay_constraint_violation(tmp_path):
@@ -1133,48 +1170,7 @@ def test_recovery_rejects_replay_constraint_violation(tmp_path):
         recover(source)
 
 
-def test_unlogged_ddl_window_writes_named_records(tmp_path):
-    """Ordinals are only meaningful if every catalog change before the
-    batch is already in the log.  In the race window where a DDL's
-    catalog mutation has landed but its WAL record has not (the DDL
-    listener fires after the catalog commit and can lose the manager-
-    lock race to a batch append), the batch must be written in the
-    named form — immune to ordinal skew at replay."""
-    source = str(tmp_path / "primary")
-    tintin, _, _ = build_durable(source)
-    manager = tintin.durability
-    db = tintin.db
-    # simulate the window: version bumped, DDL record not yet logged
-    db.catalog.bump_version()
-    manager.append_batch({"orders": [(71, 1.0)]}, {})
-    manager.log_prepare("g1", {"orders": [(73, 1.0)]}, {})
-    manager.log_decide("g1", True, {"orders": 6})
-    assert manager.stats.named_records == 3
-    # the pending DDL record lands: the ordinal form resumes
-    manager.log_ddl("install", tables=[])
-    manager.append_batch({"orders": [(72, 1.0)]}, {})
-    assert manager.stats.named_records == 3
-    del tintin
-    # both forms replay, each against the catalog it was written under
-    recovered, report = recover(source)
-    orders = recovered.db.table("orders")
-    for key in (71, 72, 73):
-        assert orders.contains_row((key, 1.0))
-    assert report.prepares_seen == report.decides_seen == 1
-
-
-def test_unbound_manager_writes_named_records(tmp_path):
-    """A manager nobody bound a catalog to has no ordinals to offer:
-    whatever it logs is in the named form, and reads back."""
-    manager = DurabilityManager(str(tmp_path / "standalone"))
-    manager.append_batch({"orders": [(1, 1.0)]}, {}, {"orders": 1})
-    assert manager.stats.snapshot()["named_records"] == 1
-    manager.close()
-    scan = read_wal(wal_path(str(tmp_path / "standalone")))
-    assert [(r.type, r.seq) for r in scan.records] == [("batch", 1)]
-
-
-# -- the pre-v2 generation is refused, never half-read -----------------------
+# -- earlier generations are refused, never half-read ------------------------
 
 
 def _json_frame(kind: str) -> bytes:
@@ -1187,23 +1183,31 @@ def _json_frame(kind: str) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "artifact", ["header", "batch", "prepare", "decide"]
+    "artifact",
+    ["generation-1", "generation-2", "batch", "prepare", "decide"],
 )
 def test_pre_v2_logs_are_refused_and_left_untouched(tmp_path, artifact):
-    """A generation-1 header, or a JSON frame typed batch / prepare /
-    decide, is a committed record in a layout this build cannot read.
-    Skipping it would drop acknowledged commits and treating it as a
-    torn tail would truncate them, so every way of opening the log
-    raises — and not one byte of the file changes."""
+    """A generation-1 or generation-2 header, or a JSON frame typed
+    batch / prepare / decide, is a committed record in a layout this
+    build cannot read.  Skipping it would drop acknowledged commits and
+    treating it as a torn tail would truncate them, so every way of
+    opening the log raises — naming what it found — and not one byte
+    of the file changes."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     del tintin
     path = wal_path(source)
     raw = open(path, "rb").read()
-    if artifact == "header":
-        old = WAL_MAGIC[:-1] + b"\x01" + raw[len(WAL_MAGIC) :]
+    if artifact.startswith("generation-"):
+        generation = int(artifact[-1])
+        old = WAL_MAGIC[:-1] + bytes([generation]) + raw[len(WAL_MAGIC) :]
+        match = (
+            f"format generation {generation}; this build reads "
+            f"generation {WAL_MAGIC[-1]} only"
+        )
     else:
         old = raw + _json_frame(artifact)
+        match = f"{artifact} record seq=99 .* pre-v2 JSON layout"
     with open(path, "wb") as handle:
         handle.write(old)
     for opener in (
@@ -1212,7 +1216,7 @@ def test_pre_v2_logs_are_refused_and_left_untouched(tmp_path, artifact):
         lambda: recover(source),
         lambda: Tintin.open(source),
     ):
-        with pytest.raises(WALCorruptionError, match="pre-v2"):
+        with pytest.raises(WALCorruptionError, match=match):
             opener()
         assert open(path, "rb").read() == old
 

@@ -47,7 +47,7 @@ event_dicts = st.dictionaries(table_names, rows, max_size=3)
 
 def batch_events(scan, record) -> dict:
     """The inserts of one scanned ``batch`` record."""
-    return decode_batch(scan.data, None, record.start, record.end)[0]
+    return decode_batch(scan.data, record.start, record.end)[0]
 
 
 # -- round-trip properties --------------------------------------------------
@@ -67,7 +67,7 @@ def test_file_round_trip(tmp_path_factory, batches):
     assert [r.seq for r in scan.records] == list(range(1, len(batches) + 1))
     for record, (inserts, deletes) in zip(scan.records, batches):
         got_ins, got_del, counts = decode_batch(
-            scan.data, None, record.start, record.end
+            scan.data, record.start, record.end
         )
         assert got_ins == {t: r for t, r in inserts.items() if r}
         assert got_del == {t: r for t, r in deletes.items() if r}
@@ -191,11 +191,14 @@ def test_torn_creation_artifacts_reinitialize(tmp_path):
         assert [r.seq for r in read_wal(str(path)).records] == [1]
 
 
-def test_future_format_version_rejected(tmp_path):
+@pytest.mark.parametrize("generation", [1, 2, WAL_MAGIC[-1] + 1])
+def test_other_format_generations_rejected(tmp_path, generation):
     path = tmp_path / "wal.log"
-    future = WAL_MAGIC[:-1] + bytes([WAL_MAGIC[-1] + 1])
-    path.write_bytes(future)
-    with pytest.raises(WALCorruptionError):
+    path.write_bytes(WAL_MAGIC[:-1] + bytes([generation]))
+    with pytest.raises(
+        WALCorruptionError,
+        match=f"generation {generation}; this build reads generation 3 only",
+    ):
         read_wal(str(path))
 
 
