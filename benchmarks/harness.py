@@ -234,11 +234,6 @@ def durability_line(tintin=None) -> str:
     m = durability_metrics(tintin)
     if not m["attached"]:
         return "durability: off (no WAL attached — in-memory only)"
-    if m["mode"] == "off":
-        return (
-            f"durability: off (checkpoint-only, "
-            f"{m['checkpoints']} checkpoint(s))"
-        )
     shared = (
         m["appends"] / m["fsyncs"] if m.get("fsyncs") else float("inf")
     )

@@ -12,10 +12,11 @@ several denials.
 
 Notes on fragment boundaries (documented deviations):
 
-* ``NOT IN (subquery)`` is translated as the equivalent
-  ``NOT EXISTS``; in SQL the two differ when NULLs are involved —
-  logic denials are NULL-free, matching the paper's relational
-  fragment.
+* ``NOT IN (subquery)`` is translated as ``NOT EXISTS``, which is
+  only equivalent when neither side can be NULL (``x NOT IN (…, NULL)``
+  is never true).  It is therefore refused unless its operand and the
+  subquery's selected column are ``NOT NULL`` (or primary-key) columns
+  or constants.
 * ``IS [NOT] NULL`` and arithmetic inside assertions are rejected (the
   paper excludes functions from the fragment).
 """
@@ -123,23 +124,26 @@ class _Context:
     def resolve(self, ref: n.ColumnRef) -> tuple[Variable, bool]:
         """Resolve a column ref to its variable; second value is True when
         the variable is local to this context (not an outer correlation)."""
-        local = self._resolve_here(ref)
-        if local is not None:
-            return local, True
-        outer = self.outer
-        while outer is not None:
-            found = outer._resolve_here(ref)
+        binding, local = self.binding_of(ref)
+        return binding.term_for(ref.column), local
+
+    def binding_of(self, ref: n.ColumnRef) -> tuple[_Binding, bool]:
+        """The binding that owns a column ref, and whether it is local
+        to this context."""
+        context, local = self, True
+        while context is not None:
+            found = context._binding_here(ref)
             if found is not None:
-                return found, False
-            outer = outer.outer
+                return found, local
+            context, local = context.outer, False
         raise UnknownColumnError(ref.column, ref.table or "")
 
-    def _resolve_here(self, ref: n.ColumnRef) -> Optional[Variable]:
+    def _binding_here(self, ref: n.ColumnRef) -> Optional[_Binding]:
         if ref.table is not None:
             binding = self.bindings.get(ref.table.lower())
             if binding is None or not binding.schema.has_column(ref.column):
                 return None
-            return binding.term_for(ref.column)
+            return binding
         matches = [
             b for b in self.bindings.values() if b.schema.has_column(ref.column)
         ]
@@ -147,7 +151,7 @@ class _Context:
             raise AssertionDefinitionError(
                 f"ambiguous column {ref.column!r} in assertion query"
             )
-        return matches[0].term_for(ref.column) if matches else None
+        return matches[0] if matches else None
 
 
 class DenialCompiler:
@@ -198,6 +202,11 @@ class DenialCompiler:
         return [b for b in bodies if b.alive]
 
     def _bind_table(self, ref: n.TableRef) -> _Binding:
+        schema = self._table_schema(ref)
+        terms = tuple(self._vars.fresh(c.lower()) for c in schema.column_names)
+        return _Binding(Predicate(schema.name), schema, terms)
+
+    def _table_schema(self, ref: n.TableRef):
         table = self.catalog.get_table(ref.name, default=None)
         if table is None:
             if self.catalog.get_view(ref.name) is not None:
@@ -206,9 +215,7 @@ class DenialCompiler:
                     "must be defined over base tables"
                 )
             raise UnknownTableError(ref.name)
-        schema = table.schema
-        terms = tuple(self._vars.fresh(c.lower()) for c in schema.column_names)
-        return _Binding(Predicate(schema.name), schema, terms)
+        return table.schema
 
     # -- conditions -------------------------------------------------------------
 
@@ -450,8 +457,31 @@ class DenialCompiler:
         subject = self._term_of(expr.item, context)
         rewritten = _in_as_exists(expr, subject)
         if expr.negated:
+            self._refuse_nullable(expr.item, context)
+            for select in _branches(expr.query):
+                scope = _Context(outer=context)
+                for ref in select.from_items:
+                    schema = self._table_schema(ref)
+                    scope.add(ref.binding, _Binding(None, schema, ()))
+                self._refuse_nullable(select.items[0].expr, scope)
             return self._apply_not_exists(rewritten, context, bodies)
         return self._apply_exists(rewritten, context, local_vars, bodies)
+
+    @staticmethod
+    def _refuse_nullable(expr: n.Expr, context: _Context) -> None:
+        """``NOT IN (subquery)`` becomes ``NOT EXISTS``, which is only
+        sound when no NULL can reach either side of its equality."""
+        if not isinstance(expr, n.ColumnRef):
+            return  # a constant: NULL literals are refused elsewhere
+        schema = context.binding_of(expr)[0].schema
+        column = schema.column(expr.column)
+        if not column.not_null:
+            raise AssertionDefinitionError(
+                f"NOT IN (subquery) over nullable column "
+                f"{schema.name}.{column.name}: SQL's NOT IN is never true "
+                "when a NULL is involved; declare the column NOT NULL or "
+                "write NOT EXISTS"
+            )
 
     # -- finishing ------------------------------------------------------------------
 

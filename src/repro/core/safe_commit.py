@@ -191,10 +191,7 @@ def log_update(
         log.log_prepare(gid, inserts, deletes)
     elif any(inserts.values()) or any(deletes.values()):
         log.append_batch(
-            inserts,
-            deletes,
-            counts=touched_counts(db, inserts, deletes),
-            sync=False,
+            inserts, deletes, counts=touched_counts(db, inserts, deletes)
         )
     else:
         return False

@@ -195,8 +195,8 @@ class Tintin:
         True)`` — those bypass the log by design.)
 
         ``durability`` selects how committed batches reach disk:
-        ``"off"`` (checkpoint-only), ``"commit"`` (append + fsync per
-        commit, strict per-transaction durability) or ``"batch"``
+        ``"commit"`` (append + fsync per commit, strict
+        per-transaction durability) or ``"batch"``
         (group commit: each member of a commit window appends its own
         record, and the committed members share one fsync).
         """
@@ -281,13 +281,8 @@ class Tintin:
         if self.durability is None:
             return
         if self._sessions is not None:
-            scheduler = self._sessions.scheduler
-            with scheduler.quiesced():
+            with self._sessions.scheduler.quiesced():
                 self._close_detach(checkpoint)
-            # the durability layer is detached: retire the log-writer
-            # thread (post-close commits are non-durable and never
-            # submit to it)
-            scheduler.stop_log_writer()
         else:
             self._close_detach(checkpoint)
 
@@ -614,7 +609,7 @@ class Tintin:
                 staged = self.events.take_events()
             return scheduler.commit_events(*staged)
         inserts, deletes = self.events.take_events()
-        manager = self._log_manager()
+        manager = self.durability
         result, logged = self.safe_commit_proc(
             self.db, inserts, deletes, self.db.transactions, log=manager
         )
@@ -623,19 +618,13 @@ class Tintin:
             manager.sync()
         return result
 
-    def _log_manager(self) -> Optional["DurabilityManager"]:
-        """The attached durability manager, or None when commits are
-        not being logged (no manager, or mode ``"off"``)."""
-        manager = self.durability
-        return manager if manager is not None and manager.durable else None
-
     def full_check_commit(self) -> CommitResult:
         """The non-incremental comparator: apply, re-run full assertion
         queries, roll back on violation (paper §4 baseline).  Logged
         and fsynced like the single-session commit it stands in for."""
         inserts, deletes = self.events.take_events()
         result = self.baseline(self.db, inserts, deletes)
-        manager = self._log_manager()
+        manager = self.durability
         if result.committed and log_update(self.db, manager, inserts, deletes):
             manager.sync()
         return result

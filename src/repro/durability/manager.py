@@ -5,9 +5,6 @@ in-memory engine and disk.  It owns the directory layout
 (``wal.log`` + ``checkpoint.json``), the open log handle, and the
 durability *mode*:
 
-``"off"``
-    nothing is logged; explicit :meth:`checkpoint` calls are the only
-    durability (bulk-load-then-checkpoint, or none at all);
 ``"commit"``
     every committed batch is appended **and fsynced individually**, in
     commit order, before the client is acknowledged — the classic
@@ -16,13 +13,12 @@ durability *mode*:
     because the WAL order *is* the commit order and each commit's
     acknowledgement waits on its own fsync;
 ``"batch"``
-    group commit: the scheduler appends **one combined record per
-    commit group** and the fsyncs are batched — one per window when
-    flushed inline, fewer under bursty load when the scheduler's
-    log-writer thread coalesces windows.
+    group commit: each member of a commit window appends its own
+    record, and the window's leader issues **one fsync** for all of
+    them.
 
 DDL (schema, capture installation, assertion add/drop) is always
-synced immediately in both durable modes: it is rare, and replay
+synced immediately in both modes: it is rare, and replay
 correctness depends on it strictly preceding the batches that assume
 it.
 
@@ -59,7 +55,7 @@ from .wal import WalResume, WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tintin import Tintin
 
-DURABILITY_MODES = ("off", "commit", "batch")
+DURABILITY_MODES = ("commit", "batch")
 
 
 def touched_counts(db, inserts: dict, deletes: dict) -> dict[str, int]:
@@ -106,9 +102,8 @@ class DurabilityManager:
         self.directory = directory
         self.mode = mode
         os.makedirs(directory, exist_ok=True)
-        # the WAL is opened in every mode (an existing torn tail gets
-        # truncated, and sequence numbering continues), but "off" never
-        # appends to it.  Seq continuity across compaction does not
+        # opening the WAL truncates an existing torn tail, and sequence
+        # numbering continues.  Seq continuity across compaction does not
         # depend on the truncate marker alone: a crash between the file
         # truncation and the marker's fsync would otherwise restart
         # numbering below the checkpoint's high-water mark and make
@@ -150,19 +145,10 @@ class DurabilityManager:
         if hook is not None:
             hook(point, **ctx)
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def durable(self) -> bool:
-        """Whether committed batches are being logged at all."""
-        return self.mode != "off"
-
     # -- logging -----------------------------------------------------------
 
     def log_open(self, database: str) -> None:
         """Stamp a fresh log with the database name (header record)."""
-        if not self.durable:
-            return
         with self._lock:
             if self.wal.last_seq == 0:
                 self.wal.append("open", database=database)
@@ -170,8 +156,6 @@ class DurabilityManager:
 
     def log_ddl(self, event: str, **payload) -> None:
         """Record one DDL event; always synced immediately."""
-        if not self.durable:
-            return
         with self._lock:
             schema = payload.get("schema")
             if isinstance(schema, TableSchema):
@@ -180,41 +164,30 @@ class DurabilityManager:
             self.wal.sync()
             self.stats.bump(logged_ddl=1)
 
-    def _append(self, kind: str, args: tuple, sync: bool, **fault_ctx) -> None:
+    def _append(self, kind: str, args: tuple, **fault_ctx) -> None:
         """Append one ``kind`` (batch / prepare / decide) record under
-        the lock, firing the fault points; fsync now when ``sync``."""
-        if not self.durable:
-            return
+        the lock, unsynced, firing the ``wal.after_append`` fault
+        point."""
         with self._lock:
             getattr(self.wal, "append_" + kind)(*args)
             if kind == "batch":
                 self.stats.bump(logged_batches=1)
             self._fault("wal.after_append", **fault_ctx)
-            if sync:
-                self._fault("wal.before_fsync", **fault_ctx)
-                self.wal.sync()
 
     def append_batch(
-        self,
-        inserts: dict,
-        deletes: dict,
-        counts: Optional[dict] = None,
-        sync: bool = True,
+        self, inserts: dict, deletes: dict, counts: Optional[dict] = None
     ) -> None:
-        """Append one committed batch record; optionally fsync now.
+        """Append one committed batch record, unsynced.
 
-        The commit unit always passes ``sync=False``; its caller issues
-        the durability fsync through :meth:`sync` — inline for the
-        single-session route and ``commit`` mode (one fsync per
-        commit), from the scheduler's flush in ``batch`` mode (one
-        fsync per window, or per burst of windows).
+        The caller issues the durability fsync through :meth:`sync` —
+        inline for the single-session route, from the scheduler's
+        window flush otherwise (one fsync per window; a window of one
+        in ``commit`` mode).
         """
-        self._append("batch", (inserts, deletes, counts), sync)
+        self._append("batch", (inserts, deletes, counts))
 
     def sync(self) -> None:
         """Make every appended record durable (the group fsync)."""
-        if not self.durable:
-            return
         with self._lock:
             self._fault("wal.before_fsync")
             self.wal.sync()
@@ -233,11 +206,7 @@ class DurabilityManager:
         prepare the disk could still lose: the caller owes a
         :meth:`sync` before it answers."""
         self._append(
-            "prepare",
-            (gid, inserts, deletes, counts),
-            False,
-            gid=gid,
-            record="prepare",
+            "prepare", (gid, inserts, deletes, counts), gid=gid, record="prepare"
         )
 
     def log_decide(
@@ -245,15 +214,11 @@ class DurabilityManager:
         gid: str,
         verdict: bool,
         counts: Optional[dict] = None,
-        sync: bool = True,
     ) -> None:
         """Append one 2PC decide record (the coordinator's verdict as
-        seen by this participant); fsynced when ``sync``.  The
-        participant passes ``sync=False`` (see
-        ``CommitScheduler.decide_prepared`` for why that is sound)."""
-        self._append(
-            "decide", (gid, verdict, counts), sync, gid=gid, record="decide"
-        )
+        seen by this participant), unsynced — see
+        ``CommitScheduler.decide_prepared`` for why that is sound."""
+        self._append("decide", (gid, verdict, counts), gid=gid, record="decide")
 
     # -- checkpoints -------------------------------------------------------
 

@@ -696,8 +696,8 @@ class WalStats(StatsBlock):
     """Counters for one log's lifetime in this process.
 
     Increment through :meth:`bump` and read through :meth:`snapshot`:
-    the log's writers (leader thread, log-writer thread) and readers
-    (the ``/metrics`` endpoint) run concurrently, and unguarded
+    the log's writers (window leaders, DDL) and readers (the
+    ``/metrics`` endpoint) run concurrently, and unguarded
     multi-field reads would be torn relative to each other.
     """
 

@@ -42,7 +42,7 @@ Division of labour per connection:
 
 Graceful shutdown (:meth:`TintinServer.shutdown`) stops accepting,
 sheds late arrivals with a retriable "shutting down" verdict, drains
-admitted commits through the scheduler and its log-writer thread,
+admitted commits through the scheduler and its window flushes,
 checkpoints, closes the WAL, and only then severs connections — zero
 acknowledged commits are lost, and everything unacknowledged was
 reported retriable.
@@ -401,8 +401,8 @@ class TintinServer:
         listener closes, (2) the admission queue sheds every new
         commit with a retriable "shutting down" verdict while admitted
         ones run to their acknowledged end, (3) the engine closes —
-        which quiesces the scheduler, drains the log-writer's fsync
-        backlog, writes a final checkpoint and closes the WAL — and
+        which quiesces the scheduler (no window, and so no flush, in
+        flight), writes a final checkpoint and closes the WAL — and
         (4) connections are severed.  Returns True when the drain
         completed inside ``drain_timeout`` (False means the engine was
         still closed, but some admitted work was abandoned — the
@@ -423,8 +423,8 @@ class TintinServer:
             drained = self.admission.drain(timeout=drain_timeout)
         finally:
             self.admission.stop()
-            # 3. close the engine: scheduler quiesce -> log-writer
-            # drain -> final checkpoint -> WAL close -> sweeper stop
+            # 3. close the engine: scheduler quiesce -> final
+            # checkpoint -> WAL close -> sweeper stop
             if close_engine:
                 self.tintin.close()
             # 4. sever connections and stop the loop

@@ -13,7 +13,7 @@ Three layers, one package:
   writes one JSON line per span for offline analysis.  A
   :class:`CommitObs` carries one commit's trace through every thread
   hop of the pipeline (client/server thread → admission worker →
-  scheduler leader → log-writer), so a single trace id reconstructs
+  scheduler leader), so a single trace id reconstructs
   the admission-wait / queue-wait / validate / apply / log / flush
   breakdown.
 * :mod:`repro.obs.metrics` — a metrics registry: counters, gauges and

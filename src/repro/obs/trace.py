@@ -9,10 +9,9 @@ span ids are allocated eagerly (a child can reference its parent's id
 before the parent span is emitted).
 
 The engine is multi-threaded and a single commit hops threads several
-times (network thread → admission worker → scheduler leader →
-log-writer), so trace context is carried explicitly in a
-:class:`CommitObs` object handed along the call chain — never in
-thread-locals.
+times (network thread → admission worker → scheduler leader), so
+trace context is carried explicitly in a :class:`CommitObs` object
+handed along the call chain — never in thread-locals.
 
 Cost model: when no tracer is installed and no slow-commit threshold is
 set, no ``CommitObs`` is allocated at all and every stage point in the

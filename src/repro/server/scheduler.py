@@ -52,11 +52,10 @@ member's violation.  Group commit is the one shared fsync: the
 committed members' WAL records ride the window until a single flush
 makes them all durable.
 
-The window flush is adaptive in ``batch`` mode: with no backlog the
-leader fsyncs inline; with requests already queued behind the window
-it hands the flush to the :class:`LogWriter` thread, which coalesces
-consecutive windows into shared fsyncs.  Acknowledgements always wait
-for the fsync covering their record.
+The leader runs that flush itself, right after the write lock is
+released: sessions stage their next updates under the read lock while
+the fsync waits on the disk, and acknowledgements always wait for the
+fsync covering their record.
 """
 
 from __future__ import annotations
@@ -121,11 +120,10 @@ class SchedulerStats(StatsBlock):
     """Counters describing how commits were scheduled.
 
     Mutate through :meth:`bump` and read through :meth:`snapshot`: the
-    leader thread, the log-writer thread and metrics readers (the
-    ``/metrics`` endpoint) all touch these concurrently, and ``+=`` on
-    an attribute is neither atomic nor consistent across fields — an
-    unguarded reader could see ``commits`` from one window and
-    ``batches`` from another.
+    window leaders and metrics readers (the ``/metrics`` endpoint)
+    touch these concurrently, and ``+=`` on an attribute is neither
+    atomic nor consistent across fields — an unguarded reader could
+    see ``commits`` from one window and ``batches`` from another.
 
     Notable fields: ``deadline_expired`` counts requests whose deadline
     lapsed before their violation-view pass ran (cancelled inside the
@@ -134,9 +132,7 @@ class SchedulerStats(StatsBlock):
     stays for readers of the serial share; ``max_group_size`` is the
     largest window, whose committed members shared one fsync;
     ``wal_fsyncs`` < ``wal_appends`` is group commit at work (several
-    commits' records shared one fsync); ``writer_windows`` >
-    ``writer_flushes`` is the log-writer thread's burst coalescing
-    (several windows per fsync).
+    commits' records shared one fsync).
     """
 
     COUNTERS = (
@@ -146,8 +142,6 @@ class SchedulerStats(StatsBlock):
         "deadline_expired",
         "wal_appends",
         "wal_fsyncs",
-        "writer_flushes",
-        "writer_windows",
         "prepares",
         "prepared_commits",
         "prepared_aborts",
@@ -165,163 +159,17 @@ class SchedulerStats(StatsBlock):
     }
 
 
-class LogWriter:
-    """Group commit's durability point: the one flush routine, run
-    inline on the idle path and by a dedicated log-writer thread for
-    bursts.
-
-    In ``batch`` mode the leader appends its window's WAL records
-    inside the window and flushes adaptively: with no backlog it
-    fsyncs inline (zero handoff — the steady closed-loop protocol,
-    where the fsync doubles as the next window's natural gather
-    period); with requests already queued behind the window — bursty
-    load, commits arriving faster than windows drain — it *submits*
-    the window here and immediately processes the next one.  The
-    dedicated log-writer thread then drains every submitted window
-    and issues **one** fsync for the whole burst: flushes batch
-    *across* commit windows (on top of the one shared fsync inside
-    each window) while the leader's validation of the next window
-    overlaps the disk wait — the fsync releases the GIL, so the
-    overlap is real even on one core.
-
-    The fsyncgate discipline is preserved end to end: acknowledgements
-    still wait on the flush (a member's result is withheld until the
-    fsync covering its record returns), and a failed fsync — which
-    rolls back the WAL's unsynced frames and poisons the log — rejects
-    every member of every window the burst covered.  Windows submitted
-    after the poisoning are rejected the same way when their sync
-    raises.
-    """
-
-    def __init__(self, stats: SchedulerStats):
-        self.stats = stats
-        self._cond = threading.Condition()
-        self._pending: deque = deque()  # (manager, deferred) per window
-        self._flushing = False
-        self._stopped = False
-        self._thread: Optional[threading.Thread] = None
-
-    def flush(self, manager, windows: list, **counted) -> None:
-        """One fsync makes every record the ``windows`` appended
-        durable; then, and only then, their withheld committed results
-        become visible.  Each window is a list of ``(member, result)``
-        pairs; ``counted`` adds to the bump a successful flush earns.
-
-        Failure-safe: whatever happens, every member gets a result and
-        its done event — a dying flush must not strand the committing
-        sessions in their wait loops — and the failure is re-raised.
-        The poisoned log then refuses every later durable commit, so a
-        rejected commit can never become durable later.  The windows'
-        rows, however, were already applied under the write lock and
-        stay visible in memory — the engine serves state ahead of its
-        log until it is reopened, the same divergence a PostgreSQL
-        instance has between a failed WAL flush and its PANIC restart.
-        """
-        members = [pair for deferred in windows for pair in deferred]
-        start = time.monotonic()
-        try:
-            manager.sync()
-            self.stats.bump(wal_fsyncs=1, **counted)
-            end = time.monotonic()
-            for pending, result in members:
-                # spans land before done fires: once done is set the
-                # waiting client thread may finish (and ship) the trace.
-                # getattr: tests drive the writer with duck-typed
-                # member stubs that carry only done/result
-                obs = getattr(pending, "obs", None)
-                if obs is not None:
-                    obs.record("wal.fsync", start, end, windows=len(windows))
-                pending.result = result
-                pending.done.set()
-        except BaseException as exc:
-            for pending, _ in members:
-                if pending.result is None:
-                    pending.result = CommitResult(
-                        committed=False,
-                        constraint_error=f"log flush failed: {exc}",
-                    )
-                    pending.done.set()
-            raise
-
-    def submit(self, manager, deferred) -> None:
-        """Queue one window's deferred members for the thread's next
-        burst fsync."""
-        with self._cond:
-            if not self._stopped:
-                if self._thread is None or not self._thread.is_alive():
-                    self._thread = threading.Thread(
-                        target=self._run, name="tintin-log-writer", daemon=True
-                    )
-                    self._thread.start()
-                self._pending.append((manager, deferred))
-                self._cond.notify()
-                return
-        # late window after shutdown: flush inline — outside the
-        # condition lock (the fsync must not block drain/submit)
-        self.flush(manager, [deferred])
-
-    def drain(self) -> None:
-        """Block until every submitted window has been flushed (or
-        rejected).  With the leader lock held, this quiesces the whole
-        durability pipeline: no window can start, none is in flight."""
-        with self._cond:
-            while self._pending or self._flushing:
-                self._cond.wait(timeout=0.05)
-
-    def stop(self) -> None:
-        """Drain, then retire the thread (later windows flush inline)."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5)
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._stopped:
-                    self._cond.wait()
-                if not self._pending:
-                    return  # stopped and drained
-                burst = list(self._pending)
-                self._pending.clear()
-                self._flushing = True
-            try:
-                self.flush(
-                    burst[-1][0],
-                    [deferred for _, deferred in burst],
-                    writer_flushes=1,
-                    writer_windows=len(burst),
-                )
-            except (OSError, DurabilityError):
-                # the WAL rolled back its unsynced frames and poisoned
-                # itself (or already was poisoned), and flush rejected
-                # every member of the burst; keep serving.  A flush
-                # that died on anything else propagates (and kills
-                # this thread — submit() restarts it), its members
-                # rejected just the same.
-                pass
-            finally:
-                with self._cond:
-                    self._flushing = False
-                    self._cond.notify_all()
-
-
 class CommitScheduler:
     """Serializes safeCommit across sessions; a window's committed
     members share one fsync."""
 
-    def __init__(
-        self,
-        tintin: "Tintin",
-        max_batch: int = 64,
-        gather_seconds: float = 0.0,
-    ):
+    #: the most requests one window drains from the queue
+    max_batch = 64
+
+    def __init__(self, tintin: "Tintin", gather_seconds: float = 0.0):
         self.tintin = tintin
         self.db = tintin.db
         self.events = tintin.events
-        self.max_batch = max_batch
         #: upper bound on how long a leader waits before draining the
         #: queue, giving concurrent submitters time to join the batch.
         #: The wait is adaptive — it polls in slices and stops as soon
@@ -340,10 +188,6 @@ class CommitScheduler:
         self._queue: deque[_PendingCommit] = deque()
         self._queue_lock = threading.Lock()
         self._leader_lock = threading.Lock()
-        #: the flush routine and its log-writer thread (batch-mode
-        #: windows with a backlog hand it their deferred members; it
-        #: batches fsyncs across windows)
-        self._log_writer = LogWriter(self.stats)
         #: fault-injection hook (``repro.net.faults.FaultInjector.fire``
         #: when installed): called with a point name at well-defined
         #: spots in the commit pipeline so tests can stall or kill the
@@ -368,22 +212,16 @@ class CommitScheduler:
 
     @contextmanager
     def quiesced(self):
-        """Hold the leader critical section with the durability pipe
-        drained: no commit window can execute while the caller is
-        inside, and every already-submitted window's WAL flush has
-        completed (the log-writer queue is empty).  This is what
+        """Hold the leader critical section: no commit window can
+        execute while the caller is inside, and none is in flight — a
+        window's flush runs before its leader lets go.  This is what
         ``Tintin.close`` wraps its final checkpoint and log detach in,
         so an in-flight group commit is fully flushed before the
         shutdown — or queued after it (and then commits non-durably,
         like any post-close commit).
         """
         with self._leader_lock:
-            self._log_writer.drain()
             yield
-
-    def stop_log_writer(self) -> None:
-        """Drain and retire the log-writer thread (shutdown path)."""
-        self._log_writer.stop()
 
     # -- submission --------------------------------------------------------
 
@@ -445,10 +283,9 @@ class CommitScheduler:
                             self._process_batch()
                     finally:
                         self._leader_lock.release()
-                # a no-op for an immediately-decided request; when the
-                # request's record is riding the log-writer thread's
-                # fsync the wait stops this thread from spinning on
-                # re-election until the flush acknowledges it
+                # a no-op for an immediately-decided request; while
+                # another leader's window holds it, the wait stops this
+                # thread from spinning on re-election
                 pending.done.wait(timeout=0.0005)
         finally:
             if owned is not None:
@@ -501,7 +338,7 @@ class CommitScheduler:
             hold_open=gid is not None,
             deadline=member.deadline,
             obs=member.obs,
-            log=self.tintin._log_manager(),
+            log=self.tintin.durability,
             gid=gid,
             fault=self.fault_hook,
         )
@@ -567,9 +404,7 @@ class CommitScheduler:
                 with self._exclusive_window():
                     result, logged = self._unit(member, gid=gid)
                 if logged:
-                    self._log_writer.flush(
-                        self.tintin._log_manager(), [[(member, result)]]
-                    )
+                    self._flush([(member, result)])
             except BaseException as exc:
                 # the vote never became durable — and an unloggable
                 # vote is a no vote: without the durable prepare record
@@ -666,10 +501,10 @@ class CommitScheduler:
                     # memo state may have been seeded expecting the
                     # apply to stick; dropping it is always sound
                     self.tintin.safe_commit_proc.reset_delta_state()
-            manager = self.tintin._log_manager()
+            manager = self.tintin.durability
             if manager is not None:
                 # unsynced, and no fsync counted: see the docstring
-                manager.log_decide(gid, verdict, counts=counts, sync=False)
+                manager.log_decide(gid, verdict, counts=counts)
                 self.stats.bump(wal_appends=1)
             if verdict:
                 self.stats.bump(commits=1, prepared_commits=1)
@@ -691,6 +526,46 @@ class CommitScheduler:
             return result
 
     # -- the commit window -------------------------------------------------
+
+    def _flush(self, deferred: list) -> None:
+        """The durability point: one fsync makes every record the
+        window appended durable; then, and only then, the withheld
+        committed results become visible.  ``deferred`` holds the
+        window's ``(member, result)`` pairs.
+
+        Failure-safe: whatever happens, every member gets a result and
+        its done event — a dying flush must not strand the committing
+        sessions in their wait loops — and the failure is re-raised.
+        A failed fsync rolls back the WAL's unsynced frames and
+        poisons the log, which then refuses every later durable
+        commit, so a rejected commit can never become durable later.
+        The window's rows, however, were already applied under the
+        write lock and stay visible in memory — the engine serves
+        state ahead of its log until it is reopened, the same
+        divergence a PostgreSQL instance has between a failed WAL
+        flush and its PANIC restart.
+        """
+        start = time.monotonic()
+        try:
+            self.tintin.durability.sync()
+            self.stats.bump(wal_fsyncs=1)
+            end = time.monotonic()
+            for pending, result in deferred:
+                # spans land before done fires: once done is set the
+                # waiting client thread may finish (and ship) the trace
+                if pending.obs is not None:
+                    pending.obs.record("wal.fsync", start, end)
+                pending.result = result
+                pending.done.set()
+        except BaseException as exc:
+            for pending, _ in deferred:
+                if pending.result is None:
+                    pending.result = CommitResult(
+                        committed=False,
+                        constraint_error=f"log flush failed: {exc}",
+                    )
+                    pending.done.set()
+            raise
 
     def _gather(self) -> None:
         """Wait (briefly) for concurrent submitters to join the batch.
@@ -728,7 +603,7 @@ class CommitScheduler:
         # engine (InnoDB's prepare_commit_mutex era).  One request per
         # window, no gathering — batching is the very thing the mode
         # disables.
-        manager = self.tintin._log_manager()
+        manager = self.tintin.durability
         per_commit = manager is not None and manager.mode == "commit"
         if self.gather_seconds and not per_commit:
             self._gather()
@@ -782,10 +657,9 @@ class CommitScheduler:
             # but members that already committed (applied and
             # WAL-appended, results riding in ``deferred``) must not
             # be swallowed by a later member's failure: flush their
-            # records and acknowledge them first.  The flush is inline
-            # even in ``batch`` mode — the leader is about to propagate
-            # the window failure, and every deferred member must be
-            # durably decided before it does.  The flush is
+            # records and acknowledge them first — every deferred
+            # member must be durably decided before the leader
+            # propagates the window failure.  The flush is
             # failure-safe — if it dies itself it assigns rejections
             # (and its error must not mask the window's), so either
             # way every deferred member is decided here.  Only the
@@ -794,7 +668,7 @@ class CommitScheduler:
             # exception.
             if deferred:
                 try:
-                    self._log_writer.flush(manager, [deferred])
+                    self._flush(deferred)
                 except (OSError, DurabilityError):
                     pass
             for pending in batch:
@@ -816,19 +690,9 @@ class CommitScheduler:
             # the durability point — the WRITE lock is already
             # released (early lock release, as in Aether-style group
             # commit), so sessions stage their next updates under the
-            # read lock while the fsync waits on the disk.  ``batch``
-            # mode flushes adaptively (see :class:`LogWriter`): inline
-            # with no backlog, through the log-writer thread with one.
-            # ``commit`` mode always flushes inline (one fsync per
-            # commit, strictly inside the leader critical section —
-            # the pre-group-commit protocol).  Either way acknowledgements
-            # wait for the flush, so no client is ever told
-            # "committed" before its record is on disk.
-            backlog = False
-            if not per_commit:
-                with self._queue_lock:
-                    backlog = bool(self._queue)
-            if backlog:
-                self._log_writer.submit(manager, deferred)
-            else:
-                self._log_writer.flush(manager, [deferred])
+            # read lock while the fsync waits on the disk.  The leader
+            # lock is still held, so ``commit`` mode stays one fsync
+            # per commit, strictly in commit order.  Acknowledgements
+            # wait for the flush: no client is ever told "committed"
+            # before its record is on disk.
+            self._flush(deferred)

@@ -7,12 +7,14 @@ reach exactly the same accept/reject decision as re-running the full
 assertion queries on the would-be new state.
 """
 
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Tintin
-from repro.errors import CompilationError
+from repro.errors import AssertionDefinitionError, CompilationError
 from repro.minidb import Database
 from repro.sqlparser import print_query
 
@@ -302,6 +304,63 @@ class TestNullableColumns:
         )
         db.execute("INSERT INTO s VALUES (2, NULL)")
         assert tintin.safe_commit().committed
+
+
+NOT_IN_BODY = "SELECT * FROM r WHERE r.y NOT IN (SELECT s.y FROM s)"
+
+
+def not_in_engine(r_y: str, s_y: str) -> tuple[Database, Tintin]:
+    db = Database("notin")
+    db.execute(f"CREATE TABLE r (x INTEGER PRIMARY KEY, y INTEGER{r_y})")
+    db.execute(f"CREATE TABLE s (x INTEGER PRIMARY KEY, y INTEGER{s_y})")
+    tintin = Tintin(db)
+    tintin.install()
+    return db, tintin
+
+
+class TestNotInSubquery:
+    """``NOT IN (subquery)`` compiles to ``NOT EXISTS``, which agrees
+    with SQL only when no NULL can reach either side."""
+
+    def test_null_in_the_subquery_is_no_violation_so_refused(self):
+        """The repro: with s(2, NULL) and r(2, 7) SQLite finds no
+        violating row (7 NOT IN (NULL) is unknown, never true), yet
+        NOT EXISTS (... s.y = r.y) would reject the update."""
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE r (x INTEGER PRIMARY KEY, y INTEGER)")
+        lite.execute("CREATE TABLE s (x INTEGER PRIMARY KEY, y INTEGER)")
+        lite.execute("INSERT INTO s VALUES (2, NULL)")
+        lite.execute("INSERT INTO r VALUES (2, 7)")
+        assert lite.execute(NOT_IN_BODY).fetchall() == []
+        lite.close()
+        _, tintin = not_in_engine("", "")
+        with pytest.raises(AssertionDefinitionError, match="nullable column r.y"):
+            tintin.add_assertion(
+                f"CREATE ASSERTION notIn CHECK (NOT EXISTS ({NOT_IN_BODY}))"
+            )
+        assert not tintin.assertions
+
+    @pytest.mark.parametrize(
+        "r_y, s_y, column", [(" NOT NULL", "", "s.y"), ("", " NOT NULL", "r.y")]
+    )
+    def test_either_nullable_side_refused_by_name(self, r_y, s_y, column):
+        _, tintin = not_in_engine(r_y, s_y)
+        with pytest.raises(AssertionDefinitionError, match=f"column {column}:"):
+            tintin.add_assertion(
+                f"CREATE ASSERTION notIn CHECK (NOT EXISTS ({NOT_IN_BODY}))"
+            )
+        assert not tintin.assertions
+
+    def test_not_null_columns_accepted_and_checked(self):
+        db, tintin = not_in_engine(" NOT NULL", " NOT NULL")
+        tintin.add_assertion(
+            f"CREATE ASSERTION notIn CHECK (NOT EXISTS ({NOT_IN_BODY}))"
+        )
+        db.execute("INSERT INTO s VALUES (3, 7)")
+        db.execute("INSERT INTO r VALUES (2, 7)")
+        assert tintin.safe_commit().committed
+        db.execute("INSERT INTO r VALUES (4, 8)")
+        assert tintin.safe_commit().rejected
 
 
 class TestBaselineAgreement:

@@ -548,30 +548,14 @@ def test_commit_mode_fsyncs_per_commit(tmp_path):
     assert state(recovered.db) == snapshots[-1]
 
 
-def test_off_mode_checkpoint_only(tmp_path):
-    source = str(tmp_path / "primary")
-    tintin = Tintin.open(source, durability="off")
-    db = tintin.db
-    db.execute(ORDERS_DDL)
-    db.execute(ITEMS_DDL)
-    tintin.install()
-    tintin.add_assertion(AT_LEAST_ONE)
-    db.execute("INSERT INTO orders VALUES (1, 1.0)")
-    db.execute("INSERT INTO items VALUES (1, 1)")
-    assert tintin.safe_commit().committed
-    checkpointed = state(db)
-    tintin.checkpoint()
-    # post-checkpoint commit: volatile in off mode
-    db.execute("INSERT INTO orders VALUES (2, 2.0)")
-    db.execute("INSERT INTO items VALUES (2, 1)")
-    assert tintin.safe_commit().committed
-    del tintin
-
-    recovered, report = recover(source)
-    assert report.checkpoint_used
-    assert report.batches_replayed == 0
-    assert state(recovered.db) == checkpointed
-    assert recovered.full_check_commit().committed
+def test_unknown_durability_mode_refused(tmp_path):
+    """Only ``commit`` and ``batch`` exist: any other mode is refused
+    before the directory is created."""
+    source = tmp_path / "primary"
+    with pytest.raises(DurabilityError) as info:
+        Tintin.open(str(source), durability="off")
+    assert "commit" in str(info.value) and "batch" in str(info.value)
+    assert not source.exists()
 
 
 def test_bootstrap_from_populated_database(tmp_path):
@@ -713,13 +697,13 @@ def test_committed_groups_survive_later_window_failure(tmp_path, monkeypatch):
     } == expected
 
 
-# -- log-writer thread crash points -----------------------------------------
+# -- window flush crash points ----------------------------------------------
 
 
-def test_log_writer_crash_between_append_and_fsync(tmp_path, monkeypatch):
-    """The window appended its WAL record and handed it to the
-    log-writer thread; the crash hits before the fsync.  The client
-    was never acknowledged (its ack waits on the flush), so the
+def test_window_flush_crash_between_append_and_fsync(tmp_path, monkeypatch):
+    """The window appended its WAL record and released the write lock;
+    the crash hits before its leader's fsync.  The client was never
+    acknowledged (its ack waits on the flush), so the
     recovered state must NOT contain the batch — and once the flush
     lands and the ack is delivered, the same batch must be durable."""
     source = str(tmp_path / "primary")
@@ -767,15 +751,15 @@ def test_log_writer_crash_between_append_and_fsync(tmp_path, monkeypatch):
     assert state(recovered2.db) == state(tintin.db)
 
 
-def test_log_writer_fsync_failure_mid_burst(tmp_path, monkeypatch):
-    """A failing fsync mid-burst: every member of every affected
+def test_window_flush_fsync_failure_with_backlog(tmp_path, monkeypatch):
+    """A failing fsync with a backlog: every member of every affected
     window is rejected or errored — never acknowledged — the WAL rolls
     back its unsynced frames and poisons itself, and recovery restores
-    exactly the pre-burst state.  The fault is injected at the
+    exactly the pre-backlog state.  The fault is injected at the
     ``os.fsync`` level so the log's real rollback machinery runs, and
     the windows are forced into a backlog (``max_batch=1`` with both
-    requests pre-queued) so one window rides the log-writer thread
-    while the other flushes inline."""
+    requests pre-queued) so the first window's flush fails with the
+    second already waiting behind it."""
     import repro.durability.wal as wal_module
 
     source = str(tmp_path / "primary")
@@ -793,7 +777,7 @@ def test_log_writer_fsync_failure_mid_burst(tmp_path, monkeypatch):
 
     def gated_process():
         # hold leadership until both requests are queued, so the first
-        # window sees a backlog and routes its flush to the writer
+        # window flushes with a backlog behind it
         gate.wait(timeout=10)
         return real_process()
 
@@ -824,8 +808,8 @@ def test_log_writer_fsync_failure_mid_burst(tmp_path, monkeypatch):
     for name in ("first", "second"):
         outcome = outcomes[name]
         if isinstance(outcome, BaseException):
-            # an inline flush propagates the raw I/O error to the
-            # window leader — still never an acknowledgement
+            # the flush propagates the raw I/O error to the window
+            # leader — still never an acknowledgement
             assert isinstance(outcome, (OSError, DurabilityError)), outcome
         else:
             assert not outcome.committed, f"{name} was acknowledged"
@@ -837,7 +821,7 @@ def test_log_writer_fsync_failure_mid_burst(tmp_path, monkeypatch):
     assert not recovered.db.table("orders").contains_row((92, 1.0))
 
 
-def test_log_writer_poisoned_log_rejects_later_windows(tmp_path, monkeypatch):
+def test_window_flush_poisoned_log_rejects_later_windows(tmp_path, monkeypatch):
     """After a failed flush rolled back and poisoned the WAL, every
     later window is rejected too — a rejected commit can never become
     durable behind the client's back."""
@@ -882,61 +866,11 @@ def test_log_writer_poisoned_log_rejects_later_windows(tmp_path, monkeypatch):
     assert not recovered.db.table("orders").contains_row((94, 1.0))
 
 
-def test_log_writer_coalesces_windows_under_burst(tmp_path, monkeypatch):
-    """Windows submitted while one flush is in flight are drained as a
-    single burst and share ONE fsync — the cross-window batching the
-    log-writer thread exists for.  Driven at the LogWriter level so
-    the burst timing is deterministic."""
-    from repro.core.safe_commit import CommitResult
-    from repro.server.scheduler import LogWriter, SchedulerStats
-
-    source = str(tmp_path / "primary")
-    tintin, _, _ = build_durable(source)
-    manager = tintin.durability
-
-    gate = threading.Event()
-    release = threading.Event()
-    real_sync = manager.sync
-
-    def gated_first_sync():
-        if not release.is_set():
-            gate.set()
-            assert release.wait(timeout=10)
-        real_sync()
-
-    monkeypatch.setattr(manager, "sync", gated_first_sync)
-
-    class _Member:
-        def __init__(self):
-            self.result = None
-            self.done = threading.Event()
-
-    stats = SchedulerStats()
-    writer = LogWriter(stats)
-    members = [_Member() for _ in range(3)]
-    ok = CommitResult(committed=True)
-    writer.submit(manager, [(members[0], ok)])  # flush goes in flight
-    assert gate.wait(timeout=10)
-    # two more windows queue behind the stuck flush
-    writer.submit(manager, [(members[1], ok)])
-    writer.submit(manager, [(members[2], ok)])
-    release.set()
-    for member in members:
-        assert member.done.wait(timeout=10)
-        assert member.result.committed  # acks waited on their fsync
-    writer.stop()
-    assert stats.writer_windows == 3
-    assert stats.writer_flushes == 2, (
-        "windows 2+3 queued behind window 1's fsync must share one flush"
-    )
-    tintin.close()
-
-
-def test_backlog_routes_flushes_to_log_writer(tmp_path, monkeypatch):
-    """The scheduler's adaptive flush: a window with requests already
-    queued behind it (burst pressure) hands its fsync to the log-writer
-    thread and immediately processes the next window; with no backlog
-    the leader flushes inline.  Everything acknowledged is durable."""
+def test_backlogged_windows_each_flush_inline(tmp_path, monkeypatch):
+    """Backlogged windows each flush inline, and everything
+    acknowledged is durable: with requests already queued behind it a
+    window's leader still issues that window's own fsync — one per
+    window, no flush thread."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     scheduler = tintin.sessions.scheduler
@@ -947,12 +881,12 @@ def test_backlog_routes_flushes_to_log_writer(tmp_path, monkeypatch):
 
     def gated_process():
         # hold leadership until all requests are queued: every window
-        # but the last then sees a backlog and rides the writer
+        # but the last then has a backlog behind it
         gate.wait(timeout=10)
         return real_process()
 
     monkeypatch.setattr(scheduler, "_process_batch", gated_process)
-    base_windows = scheduler.stats.writer_windows
+    base_fsyncs = scheduler.stats.wal_fsyncs
 
     def commit_order(key: int) -> None:
         session = tintin.create_session()
@@ -970,9 +904,12 @@ def test_backlog_routes_flushes_to_log_writer(tmp_path, monkeypatch):
     gate.set()
     for thread in threads:
         thread.join(timeout=10)
-    assert scheduler.stats.writer_windows - base_windows >= 2, (
-        "backlogged windows must flush through the log-writer thread"
+    assert scheduler.stats.wal_fsyncs - base_fsyncs == 3, (
+        "each one-member window must issue its own fsync"
     )
+    assert not any(
+        thread.name == "tintin-log-writer" for thread in threading.enumerate()
+    ), "the scheduler starts no flush thread"
     # and everything acknowledged is durable
     expected = state(tintin.db)
     del tintin
@@ -1145,6 +1082,7 @@ def test_prepare_decide_replay_and_in_doubt(tmp_path):
     )
     manager.log_decide("g-abort", False)
     manager.log_decide("g-commit", True)  # a duplicate resolution
+    manager.sync()  # appends are unsynced; the caller owes the fsync
     del tintin
 
     recovered, report = recover(source)
