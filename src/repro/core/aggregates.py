@@ -16,19 +16,28 @@ order's items never sum above 300".
 
 Checking is incremental in the spirit of the authors' follow-up work on
 aggregates ([5] in the paper): instead of rewriting deltas of the
-aggregate itself, the checker recomputes the aggregate **only for the
+aggregate itself, the check recomputes the aggregate **only for the
 groups an update can touch** — new outer tuples (``ins_outer``) and
 outer tuples whose group gained or lost inner tuples (keys appearing in
-``ins_inner``/``del_inner``) — using index probes against the base
-table and the (tiny) event tables.  Updates that touch neither table
-skip the check entirely, mirroring the "trivially empty" shortcut of
-the relational EDC views.
+``ins_inner``/``del_inner``).  Each such group's new state is read once:
+an index probe of the base inner table, minus the staged deletes, plus
+the staged inserts.  Updates that touch neither table skip the check
+entirely, mirroring the "trivially empty" shortcut of the relational
+EDC views.
+
+Assertions that share outer table, inner table and correlation form one
+:class:`AggregateFamily`, which finds and reads those groups once for
+all of them; each member then applies its own conditions, argument,
+function and bound.  Nothing is cached between commits but resolved
+table handles.  SQL's ``i.k = o.k`` is never true when a side is NULL,
+so an outer row whose correlation key holds a NULL has an empty group
+(COUNT 0, any other aggregate NULL), and its comparison is still
+evaluated.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import AssertionDefinitionError
@@ -37,12 +46,18 @@ from ..minidb.database import Database
 from ..minidb.codegen import compile_expression
 from ..minidb.expressions import Compiled, Scope, sql_compare
 from ..minidb.plan import aggregate_value
+from ..minidb.schema import normalize
+from ..minidb.storage import TableOverlay
 from ..sqlparser import nodes as n
 from .assertion import Assertion
 from .event_tables import del_table_name, ins_table_name
 from .safe_commit import Violation
 
 _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: the parameters of an expression that reads no outer column (never
+#: written to)
+_NO_PARAMS: dict = {}
 
 
 @dataclass
@@ -51,30 +66,23 @@ class AggregateAssertion:
 
     name: str
     outer_table: str
-    outer_binding: str
     #: compiled predicate over an outer row (True = row is constrained)
     outer_condition: Optional[Compiled]
     func: str
     #: compiled aggregate argument over an inner row (None = COUNT(*))
     argument: Optional[Compiled]
     inner_table: str
-    inner_binding: str
     #: pairs of (inner column position, outer column position)
     correlation: tuple[tuple[int, int], ...]
     #: compiled predicate over an inner row (outer row via params)
     inner_condition: Optional[Compiled]
     op: str
     bound: object
-    #: correlation key column names, resolved once at compile time so
-    #: the per-commit checker never rebuilds them (prepared-checker
-    #: counterpart of the prepared EDC views)
-    outer_key_columns: tuple[str, ...] = ()
-    inner_key_columns: tuple[str, ...] = ()
-    #: True when the aggregate argument and the inner condition depend
-    #: only on inner columns — the per-row contribution is then the
-    #: same for every probing outer row and the group state can be
-    #: memoized (see :class:`AggregateMemo`)
-    memoizable: bool = True
+    #: True when the inner condition or the argument reads outer
+    #: columns: only then are they handed the outer row as parameters
+    reads_outer: bool = False
+    #: the parameter name of each outer column, ``(binding, column)``
+    outer_params: tuple[tuple[str, str], ...] = ()
 
     @property
     def driving_tables(self) -> tuple[str, ...]:
@@ -84,6 +92,31 @@ class AggregateAssertion:
             ins_table_name(self.inner_table),
             del_table_name(self.inner_table),
         )
+
+    def witnessed_by(self, outer_row: tuple, group: list) -> bool:
+        """Whether ``outer_row`` violates the assertion when ``group``
+        holds the inner rows correlated with it."""
+        if (
+            self.outer_condition is not None
+            and self.outer_condition(outer_row, _NO_PARAMS) is not True
+        ):
+            return False
+        params = (
+            dict(zip(self.outer_params, outer_row))
+            if self.reads_outer
+            else _NO_PARAMS
+        )
+        condition = self.inner_condition
+        if condition is not None:
+            group = [row for row in group if condition(row, params) is True]
+        argument = self.argument
+        if argument is None:
+            value = len(group)
+        else:
+            value = aggregate_value(
+                self.func, [argument(row, params) for row in group]
+            )
+        return sql_compare(self.op, value, self.bound) is True
 
 
 class AggregateAssertionCompiler:
@@ -190,25 +223,23 @@ class AggregateAssertionCompiler:
             )
 
         # A column ref the inner-local scope cannot resolve escapes to
-        # the outer row; such a condition/argument varies per probing
-        # outer tuple and disqualifies per-group memoization.
+        # the outer row.
         inner_local = Scope(
             [(inner_ref.binding, c) for c in inner.schema.column_names]
         )
-        memo_inputs = list(inner_conditions)
+        inputs = list(inner_conditions)
         if call.argument is not None:
-            memo_inputs.append(call.argument)
-        memoizable = not any(
+            inputs.append(call.argument)
+        reads_outer = any(
             isinstance(node, n.ColumnRef)
             and inner_local.try_resolve(node) is None
-            for expr in memo_inputs
+            for expr in inputs
             for node in n.walk_expr(expr)
         )
 
         return AggregateAssertion(
             name=assertion.name,
             outer_table=outer.schema.name,
-            outer_binding=outer_ref.binding.lower(),
             outer_condition=(
                 compile_expression(n.conjoin(plain), outer_scope) if plain else None
             ),
@@ -219,7 +250,6 @@ class AggregateAssertionCompiler:
                 else None
             ),
             inner_table=inner.schema.name,
-            inner_binding=inner_ref.binding.lower(),
             correlation=tuple(correlation),
             inner_condition=(
                 compile_expression(n.conjoin(inner_conditions), inner_scope)
@@ -228,13 +258,11 @@ class AggregateAssertionCompiler:
             ),
             op=aggregate_condition.op,
             bound=bound_expr.value,
-            outer_key_columns=tuple(
-                outer.schema.columns[op].name for _, op in correlation
+            reads_outer=reads_outer,
+            outer_params=tuple(
+                (outer_ref.binding.lower(), column.lower())
+                for column in outer.schema.column_names
             ),
-            inner_key_columns=tuple(
-                inner.schema.columns[ip].name for ip, _ in correlation
-            ),
-            memoizable=memoizable,
         )
 
     @staticmethod
@@ -277,338 +305,27 @@ class AggregateAssertionCompiler:
         return None
 
 
-class _Group:
-    """Base-state aggregate of one correlation group: row count plus a
-    multiset of non-NULL argument values."""
-
-    __slots__ = ("rows", "values")
-
-    def __init__(self):
-        self.rows = 0
-        self.values: Counter = Counter()
-
-
-class AggregateMemo:
-    """Demand-filled per-group aggregate cache over the **base** inner
-    table, maintained incrementally from applied deltas (PR 8).
-
-    The checker normally recomputes a candidate group by probing the
-    base inner table; when the memo is warm it supplies the group's
-    ``(row count, value multiset)`` directly, so the check touches only
-    the staged event rows.  Groups are cached lazily: a check that
-    misses materializes the group from base-table probes and
-    :meth:`store`\\ s it — there is never a full-table rebuild scan in
-    the commit path.  Like the EDC delta arming state this is derived
-    cache: it goes warm only through :meth:`note_applied` (after a
-    *validated* apply — warming is just a version sync, no scan), is
-    version-checked at every use, and any unvalidated drift — catalog
-    change, bulk load, recovery replay — flushes it back to cold.  It
-    is never WAL-logged.
-
-    ``spec.memoizable`` is False when the aggregate argument or inner
-    condition references outer columns: the per-row contribution then
-    depends on the probing outer tuple and no per-group state exists.
-    """
-
-    def __init__(self, spec: AggregateAssertion):
-        self.spec = spec
-        self.enabled = spec.memoizable
-        self._groups: dict[tuple, _Group] = {}
-        self._catalog_version: Optional[int] = None
-        self._data_version: Optional[int] = None
-
-    # -- lifecycle --------------------------------------------------------
-
-    def flush(self) -> None:
-        """Back to cold: the next validated apply re-warms."""
-        self._groups.clear()
-        self._catalog_version = None
-        self._data_version = None
-
-    @property
-    def warm(self) -> bool:
-        return self._data_version is not None
-
-    def usable(self, db: Database) -> bool:
-        """Warm and version-consistent with ``db`` right now."""
-        if not self.enabled or self._data_version is None:
-            return False
-        if db.catalog.version != self._catalog_version:
-            self.flush()
-            return False
-        table = db.catalog.get_table(self.spec.inner_table, default=None)
-        if table is None or table.data_version != self._data_version:
-            self.flush()
-            return False
-        return True
-
-    def note_applied(self, db: Database, inserts: dict, deletes: dict) -> None:
-        """Fold a just-applied batch into the cached group states.
-
-        Cold memos warm up here by syncing to the post-apply versions
-        (this is the only place the memo warms — mirroring the EDC
-        arming protocol — and it costs no scan: groups fill lazily on
-        first use); warm memos fold only the delta rows for the inner
-        table into groups that are already cached.  Deltas for an
-        uncached group are dropped — the group materializes from the
-        post-apply base whenever a check next needs it.
-        """
-        if not self.enabled:
-            return
-        table = db.catalog.get_table(self.spec.inner_table, default=None)
-        if table is None:
-            self.flush()
-            return
-        if (
-            self._data_version is None
-            or db.catalog.version != self._catalog_version
-        ):
-            self._groups.clear()
-            self._catalog_version = db.catalog.version
-            self._data_version = table.data_version
-            return
-        name = self.spec.inner_table.lower()
-        removed = next(
-            (v for k, v in (deletes or {}).items() if k.lower() == name), ()
-        )
-        added = next(
-            (v for k, v in (inserts or {}).items() if k.lower() == name), ()
-        )
-        for row in removed:
-            self._apply(row, -1)
-        for row in added:
-            self._apply(row, +1)
-        self._catalog_version = db.catalog.version
-        self._data_version = table.data_version
-
-    # -- state ------------------------------------------------------------
-
-    def _apply(self, row: tuple, sign: int) -> None:
-        """Fold one applied row into (+1) or out of (-1) its cached
-        group; no-op when the group isn't cached.  A fold that would go
-        negative (a delete the cached state never saw) evicts just that
-        group — it re-materializes from base on next use."""
-        spec = self.spec
-        if (
-            spec.inner_condition is not None
-            and spec.inner_condition(row, {}) is not True
-        ):
-            return
-        key = tuple(row[ip] for ip, _ in spec.correlation)
-        group = self._groups.get(key)
-        if group is None:
-            return
-        group.rows += sign
-        if group.rows < 0:
-            del self._groups[key]
-            return
-        if spec.argument is not None:
-            value = spec.argument(row, {})
-            if value is not None:
-                count = group.values[value] + sign
-                if count < 0:
-                    del self._groups[key]
-                    return
-                if count:
-                    group.values[value] = count
-                else:
-                    del group.values[value]
-
-    def group(self, key: tuple) -> Optional[tuple[int, Counter]]:
-        """Copy of the group's cached base state, or ``None`` when the
-        group isn't cached yet (caller materializes + :meth:`store`)."""
-        group = self._groups.get(key)
-        if group is None:
-            return None
-        return group.rows, Counter(group.values)
-
-    def store(self, key: tuple, rows: int, values: Counter) -> None:
-        """Cache a group materialized from the base table (called right
-        after a :meth:`usable` check, so versions are already in sync)."""
-        group = _Group()
-        group.rows = rows
-        group.values = Counter(values)
-        self._groups[key] = group
-
-
 class AggregateChecker:
-    """Incremental group-probe checker for one aggregate assertion."""
+    """One installed aggregate assertion: its spec and the full-scan
+    comparator.  The commit's check pass runs it as a member of an
+    :class:`AggregateFamily`."""
 
     def __init__(self, spec: AggregateAssertion):
         self.spec = spec
-        #: derived per-group cache; duck-typed ``note_applied``/``flush``
-        #: driven by :class:`~repro.core.safe_commit.SafeCommit`
-        self.memo = AggregateMemo(spec)
 
     @property
     def driving_tables(self) -> tuple[str, ...]:
         return self.spec.driving_tables
 
-    # -- checking ---------------------------------------------------------
-
-    def check(self, db: Database, overlays: Optional[dict] = None) -> Optional[Violation]:
-        """Find new-state violations among update-adjacent groups.
-
-        ``overlays`` (normalized table name ->
-        :class:`~repro.minidb.storage.TableOverlay`) merges staged
-        rows into the named tables at read time — the commit scheduler
-        validates a batch by overlaying the event tables instead of
-        physically loading them.
-        """
+    @property
+    def family_key(self) -> tuple:
+        """Checkers with equal keys read the same groups."""
         spec = self.spec
-        reader = _OverlayReader(overlays)
-        outer = db.table(spec.outer_table)
-        ins_outer = db.table(ins_table_name(spec.outer_table))
-        del_outer = db.table(del_table_name(spec.outer_table))
-        ins_inner = db.table(ins_table_name(spec.inner_table))
-        del_inner = db.table(del_table_name(spec.inner_table))
-
-        outer_columns = spec.outer_key_columns
-
-        candidates: dict[tuple, tuple] = {}
-        for row in reader.scan(ins_outer):
-            candidates[("ins", row)] = row
-        # groups touched by inner insertions/deletions: probe the outer
-        # table by the correlation key
-        for event_table in (ins_inner, del_inner):
-            for event_row in reader.scan(event_table):
-                key = tuple(
-                    event_row[ip] for ip, _ in spec.correlation
-                )
-                if any(v is None for v in key):
-                    continue
-                for outer_row in reader.probe(outer, outer_columns, key):
-                    if reader.contains(del_outer, outer_row):
-                        continue  # the outer tuple is being removed
-                    candidates[("base", outer_row)] = outer_row
-
-        witnesses = []
-        for candidate in candidates.values():
-            if self._violates(db, candidate, ins_inner, del_inner, reader):
-                witnesses.append(candidate)
-        if not witnesses:
-            return None
-        return Violation(
-            assertion=spec.name,
-            edc_name=f"{spec.name}(aggregate)",
-            columns=list(outer.schema.column_names),
-            rows=witnesses,
+        return (
+            normalize(spec.outer_table),
+            normalize(spec.inner_table),
+            tuple(sorted(spec.correlation)),
         )
-
-    def _violates(self, db, outer_row, ins_inner, del_inner, reader) -> bool:
-        spec = self.spec
-        if spec.outer_condition is not None:
-            if spec.outer_condition(outer_row, {}) is not True:
-                return False
-        value = self._new_state_aggregate(
-            db, outer_row, ins_inner, del_inner, reader
-        )
-        return sql_compare(spec.op, value, spec.bound) is True
-
-    def _new_state_aggregate(self, db, outer_row, ins_inner, del_inner, reader):
-        """AGG over (inner ∖ del_inner ∪ ins_inner) restricted to the
-        outer row's group, via index probes."""
-        spec = self.spec
-        inner = db.table(spec.inner_table)
-        inner_columns = spec.inner_key_columns
-        key = tuple(outer_row[op] for _, op in spec.correlation)
-        params = self._outer_params(db, outer_row)
-
-        if self.memo.usable(db):
-            return self._memoized_aggregate(
-                key, params, inner, ins_inner, del_inner, reader
-            )
-
-        deleted = {
-            row
-            for row in reader.probe(del_inner, inner_columns, key)
-        }
-        count = 0
-        values: list = []
-        for source, skip_deleted in ((inner, True), (ins_inner, False)):
-            for row in reader.probe(source, inner_columns, key):
-                if skip_deleted and row in deleted:
-                    continue
-                if (
-                    spec.inner_condition is not None
-                    and spec.inner_condition(row, params) is not True
-                ):
-                    continue
-                if spec.argument is None:
-                    count += 1
-                else:
-                    values.append(spec.argument(row, params))
-        if spec.argument is None:
-            return count
-        return aggregate_value(spec.func, values)
-
-    def _memoized_aggregate(
-        self, key, params, inner, ins_inner, del_inner, reader
-    ):
-        """New-state aggregate from the warm memo: start at the cached
-        base-group state (materializing it from base probes on a cache
-        miss) and fold in only the staged event rows."""
-        spec = self.spec
-        inner_columns = spec.inner_key_columns
-        cached = self.memo.group(key)
-        if cached is None:
-            # miss: build the group's base state from the physical
-            # table — memoizable specs never read outer params here
-            rows = 0
-            values: Counter = Counter()
-            for row in inner.lookup_secondary(inner_columns, key):
-                if (
-                    spec.inner_condition is not None
-                    and spec.inner_condition(row, {}) is not True
-                ):
-                    continue
-                rows += 1
-                if spec.argument is not None:
-                    value = spec.argument(row, {})
-                    if value is not None:
-                        values[value] += 1
-            self.memo.store(key, rows, values)
-        else:
-            rows, values = cached
-        for row in set(reader.probe(del_inner, inner_columns, key)):
-            if not reader.contains(inner, row):
-                continue  # deleting a row the base never had
-            if (
-                spec.inner_condition is not None
-                and spec.inner_condition(row, params) is not True
-            ):
-                continue
-            rows -= 1
-            if spec.argument is not None:
-                value = spec.argument(row, params)
-                if value is not None:
-                    values[value] -= 1
-                    if values[value] <= 0:
-                        del values[value]
-        for row in reader.probe(ins_inner, inner_columns, key):
-            if (
-                spec.inner_condition is not None
-                and spec.inner_condition(row, params) is not True
-            ):
-                continue
-            rows += 1
-            if spec.argument is not None:
-                value = spec.argument(row, params)
-                if value is not None:
-                    values[value] += 1
-        if spec.argument is None:
-            return rows
-        return aggregate_value(spec.func, values.elements())
-
-    def _outer_params(self, db, outer_row) -> dict:
-        spec = self.spec
-        outer = db.table(spec.outer_table)
-        return {
-            (spec.outer_binding, column.lower()): outer_row[position]
-            for position, column in enumerate(outer.schema.column_names)
-        }
-
-    # -- full (non-incremental) check --------------------------------------------
 
     def check_full(self, db: Database) -> Optional[Violation]:
         """Scan every outer row and recompute its aggregate — the
@@ -616,30 +333,13 @@ class AggregateChecker:
         spec = self.spec
         outer = db.table(spec.outer_table)
         inner = db.table(spec.inner_table)
-        inner_columns = spec.inner_key_columns
+        outer_at = tuple(op for _, op in spec.correlation)
+        columns = tuple(inner.schema.columns[ip].name for ip, _ in spec.correlation)
         witnesses = []
         for outer_row in outer.scan():
-            if spec.outer_condition is not None:
-                if spec.outer_condition(outer_row, {}) is not True:
-                    continue
-            key = tuple(outer_row[op] for _, op in spec.correlation)
-            params = self._outer_params(db, outer_row)
-            count = 0
-            values: list = []
-            for row in inner.lookup_secondary(inner_columns, key):
-                if (
-                    spec.inner_condition is not None
-                    and spec.inner_condition(row, params) is not True
-                ):
-                    continue
-                if spec.argument is None:
-                    count += 1
-                else:
-                    values.append(spec.argument(row, params))
-            value = (
-                count if spec.argument is None else aggregate_value(spec.func, values)
-            )
-            if sql_compare(spec.op, value, spec.bound) is True:
+            key = tuple(outer_row[p] for p in outer_at)
+            group = [] if None in key else list(inner.lookup_secondary(columns, key))
+            if spec.witnessed_by(outer_row, group):
                 witnesses.append(outer_row)
         if not witnesses:
             return None
@@ -651,38 +351,134 @@ class AggregateChecker:
         )
 
 
-class _OverlayReader:
-    """Reads tables through an optional overlay map.
+class AggregateFamily:
+    """The aggregate checkers that share outer table, inner table and
+    correlation: one check unit of the commit's check pass.
 
-    The commit scheduler validates staged updates by overlaying the
-    event tables rather than loading them; this adapter routes the
-    aggregate checker's scans/probes/membership tests through the
-    overlay when one is present, and straight at the table otherwise.
+    :meth:`run` finds the groups the update touches and reads each
+    one's new state once for all members; a lone checker is a family
+    of one.  The family's tables, their probes and the event tables'
+    overlay keys are resolved once per ``(db, catalog version)`` — the
+    rule :class:`~repro.minidb.database.PreparedStatement` uses, since
+    only version-bumping DDL adds or drops a table.
     """
 
-    __slots__ = ("overlays",)
+    __slots__ = ("members", "label", "_outer_at", "_inner_at", "_resolved")
 
-    def __init__(self, overlays: Optional[dict]):
-        self.overlays = overlays or {}
+    def __init__(self, members: list[AggregateChecker]):
+        self.members = members
+        #: a shared unit's trace label; a lone checker reports under
+        #: its own name
+        self.label = (
+            members[0].spec.name + ".shared" if len(members) > 1 else None
+        )
+        pairs = sorted(members[0].spec.correlation)
+        self._inner_at = tuple(ip for ip, _ in pairs)
+        self._outer_at = tuple(op for _, op in pairs)
+        self._resolved: Optional[tuple] = None
 
-    def _overlay(self, table):
-        return self.overlays.get(table.schema.name.lower())
+    def _resolve(self, db: Database) -> tuple:
+        resolved = self._resolved
+        version = db.catalog.version
+        if resolved is None or resolved[0] is not db or resolved[1] != version:
+            spec = self.members[0].spec
+            outer = db.table(spec.outer_table)
+            inner = db.table(spec.inner_table)
+            events = tuple(
+                (db.table(name), normalize(name))
+                for name in (
+                    ins_table_name(spec.outer_table),
+                    del_table_name(spec.outer_table),
+                    ins_table_name(spec.inner_table),
+                    del_table_name(spec.inner_table),
+                )
+            )
+            resolved = self._resolved = (
+                db,
+                version,
+                outer,
+                outer.key_probe(_names(outer, self._outer_at)),
+                inner,
+                inner.key_probe(_names(inner, self._inner_at)),
+                events,
+            )
+        return resolved
 
-    def scan(self, table):
-        overlay = self._overlay(table)
-        return table.scan() if overlay is None else overlay.scan(table)
+    def run(self, db: Database, overlays: Optional[dict] = None) -> list[tuple]:
+        """Check every member against the update held in the event
+        tables, merged at read time with ``overlays`` (normalized event
+        table name -> :class:`~repro.minidb.storage.TableOverlay`).
+        Returns ``(checker, name, witness count, violation or None)``
+        per member, in member order."""
+        _, _, outer, outer_probe, inner, inner_probe, events = self._resolve(db)
+        ins_outer, del_outer, ins_inner, del_inner = (
+            overlays[key].scan(table) if overlays and key in overlays else table.scan()
+            for table, key in events
+        )
+        added = _by_key(ins_inner, self._inner_at)
+        removed = _by_key(del_inner, self._inner_at)
+        inner_row = inner.row_by_id
+        groups: dict[tuple, list] = {}
 
-    def probe(self, table, columns, key):
-        overlay = self._overlay(table)
-        if overlay is None:
-            return table.lookup_secondary(columns, key)
-        return overlay.lookup(table, columns, key)
+        def group(key: tuple) -> list:
+            """The new state's inner rows correlated with ``key``:
+            base rows minus staged deletes, plus staged inserts."""
+            rows = groups.get(key)
+            if rows is None:
+                if None in key:
+                    rows = []  # ``i.k = o.k`` is never true for NULL
+                else:
+                    rows = list(map(inner_row, inner_probe.rowids(key)))
+                    if key in removed:
+                        rows = list(TableOverlay(deletes=removed[key]).mask(rows))
+                    rows.extend(added.get(key, ()))
+                groups[key] = rows
+            return rows
 
-    def contains(self, table, row) -> bool:
-        overlay = self._overlay(table)
-        if overlay is None:
-            return table.contains_row(row)
-        return overlay.contains(table, row)
+        outer_at = self._outer_at
+        candidates = [
+            (row, group(tuple(row[p] for p in outer_at))) for row in ins_outer
+        ]
+        if added or removed:
+            # base outer rows whose group gained or lost inner rows,
+            # unless the update removes them
+            gone = set(del_outer)
+            outer_row = outer.row_by_id
+            for key in {**added, **removed}:
+                for row in map(outer_row, outer_probe.rowids(key)):
+                    if row not in gone:
+                        candidates.append((row, group(key)))
+
+        outcomes = []
+        for checker in self.members:
+            spec = checker.spec
+            witnessed = spec.witnessed_by
+            witnesses = [row for row, rows in candidates if witnessed(row, rows)]
+            violation = None
+            if witnesses:
+                violation = Violation(
+                    assertion=spec.name,
+                    edc_name=f"{spec.name}(aggregate)",
+                    columns=list(outer.schema.column_names),
+                    rows=witnesses,
+                )
+            outcomes.append((checker, spec.name, len(witnesses), violation))
+        return outcomes
+
+
+def _names(table, positions: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(table.schema.columns[p].name for p in positions)
+
+
+def _by_key(rows, positions: tuple[int, ...]) -> dict[tuple, list]:
+    """``rows`` grouped by their values at ``positions``; a key holding
+    a NULL correlates with nothing, so its rows are dropped."""
+    grouped: dict[tuple, list] = {}
+    for row in rows:
+        key = tuple(row[p] for p in positions)
+        if None not in key:
+            grouped.setdefault(key, []).append(row)
+    return grouped
 
 
 def _safe_inner_queries(assertion: Assertion):

@@ -204,8 +204,8 @@ class SafeCommit:
     def __init__(self):
         self.compiled: list[CompiledEDC] = []
         #: aggregate-assertion checkers (the paper's future-work
-        #: extension); duck-typed: .check(db, overlays=None) ->
-        #: Violation | None, .driving_tables, .spec.name
+        #: extension, :mod:`repro.core.aggregates`), in installation
+        #: order; the dispatch groups them into families
         self.aggregate_checkers: list = []
         #: per-assertion check accounting
         #: (:class:`repro.obs.profiler.AssertionProfiler`), installed
@@ -353,8 +353,8 @@ class SafeCommit:
         except BaseException:
             if hold_open:
                 transactions.rollback()
-                # memo state may have been seeded expecting the apply
-                # to stick; dropping it is always sound
+                # delta plans may be re-armed expecting the apply to
+                # stick; disarming is always sound
                 self.reset_delta_state()
             raise
 
@@ -419,11 +419,8 @@ class SafeCommit:
                     unit, db, overlays, collector, delta_ok, rearm
                 )
             else:
-                violation = unit.check(db, overlays)
-                label = None
-                outcomes = [
-                    (unit, unit.spec.name, int(violation is not None), violation)
-                ]
+                label = unit.label
+                outcomes = unit.run(db, overlays)
             checked += len(outcomes)
             if timed:
                 elapsed = time.perf_counter() - t0
@@ -609,9 +606,8 @@ class SafeCommit:
         clean in that pass, refreshes the shared base-table version
         stamp (the apply itself legitimately bumped the written
         tables; an unexplained bump on an *unwritten* table means
-        unvalidated drift and disarms everything instead), and lets
-        the aggregate memos fold the applied delta into their
-        per-group states.
+        unvalidated drift and disarms everything instead).  Aggregate
+        checks keep no state across commits, so they need nothing here.
         """
         written = {
             name.lower()
@@ -647,22 +643,14 @@ class SafeCommit:
                     compiled.delta_armed = True
             self._delta_stamp = stamp
             self._delta_catalog_version = db.catalog.version
-        for checker in self.aggregate_checkers:
-            memo = getattr(checker, "memo", None)
-            if memo is not None:
-                memo.note_applied(db, inserts or {}, deletes or {})
 
     def reset_delta_state(self) -> None:
-        """Drop all derived memo state (delta arming + aggregate
-        memos).  The state is a cache over base data — never
-        WAL-logged — so recovery and bulk restores call this and let
-        the pipeline re-arm lazily through the full-plan path."""
+        """Drop the delta plans' arming state.  It is derived from base
+        data — never WAL-logged — so recovery and bulk restores call
+        this and let the pipeline re-arm lazily through the full-plan
+        path."""
         self._rearm = []
         self._disarm_all()
-        for checker in self.aggregate_checkers:
-            memo = getattr(checker, "memo", None)
-            if memo is not None:
-                memo.flush()
 
     @staticmethod
     def _trace_check(
@@ -733,11 +721,13 @@ class _Dispatch:
     that wake them.
 
     A unit is a single violation view, a :class:`_Family` or an
-    aggregate checker.  A view wakes when every event table it reads
-    positively is non-empty and, if it has an EventGuard, one of the
-    guard's tables is; a family wakes as its members do (they share
-    their positive atoms and have no guard); an aggregate checker wakes
-    when any of its driving tables is non-empty.  The answer for one
+    :class:`~repro.core.aggregates.AggregateFamily` (the aggregate
+    checkers that share outer table, inner table and correlation; a
+    lone one is a family of one).  A view wakes when every event table
+    it reads positively is non-empty and, if it has an EventGuard, one
+    of the guard's tables is; a family wakes as its members do (they
+    share their positive atoms and have no guard); an aggregate family
+    wakes when any of its driving tables is non-empty.  The answer for one
     set of non-empty tables is computed once and cached, so a pass
     costs one emptiness probe per distinct event table plus one dict
     lookup.  Built lazily from the registered checks and dropped on
@@ -749,6 +739,8 @@ class _Dispatch:
     CACHE_LIMIT = 1024
 
     def __init__(self, compiled: list[CompiledEDC], aggregates: list):
+        from .aggregates import AggregateFamily  # imports this module
+
         groups: dict[str, list[CompiledEDC]] = {}
         for c in compiled:
             if c.core is not None and c.core.prepared is not None:
@@ -762,13 +754,16 @@ class _Dispatch:
                     self._add(_Family(members), c, [m.view_name for m in members])
                 continue
             self._add(c, c, [c.view_name])
+        families: dict[tuple, list] = {}
         for checker in aggregates:
+            families.setdefault(checker.family_key, []).append(checker)
+        for members in families.values():
             self.index.append(
                 (
-                    checker,
+                    AggregateFamily(members),
                     frozenset(),
-                    frozenset(normalize(t) for t in checker.driving_tables),
-                    (checker.spec.name,),
+                    frozenset(normalize(t) for t in members[0].driving_tables),
+                    tuple(checker.spec.name for checker in members),
                 )
             )
         tables: set[str] = set()

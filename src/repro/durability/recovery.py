@@ -199,11 +199,10 @@ def recover(
     report.tables = {
         t.schema.name: len(t) for t in db.catalog.tables(namespace="main")
     }
-    # delta memo state (seeded-plan arming, aggregate group caches) is
-    # derived cache and is never WAL-logged: replayed batches bypassed
-    # note_applied, so drop whatever the replays may have primed — the
-    # recovered engine starts cold and re-arms lazily through its first
-    # clean full-view checks
+    # delta-plan arming state is derived cache and is never WAL-logged:
+    # replayed batches bypassed note_applied, so drop whatever the
+    # replays may have primed — the recovered engine starts cold and
+    # re-arms lazily through its first clean full-view checks
     tintin.safe_commit_proc.reset_delta_state()
     report.seconds = time.perf_counter() - start
     return tintin, report

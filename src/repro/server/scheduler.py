@@ -498,8 +498,8 @@ class CommitScheduler:
                     counts = touched_counts(self.db, inserts, deletes)
                 else:
                     txn.rollback()
-                    # memo state may have been seeded expecting the
-                    # apply to stick; dropping it is always sound
+                    # delta plans may be re-armed expecting the apply
+                    # to stick; disarming is always sound
                     self.tintin.safe_commit_proc.reset_delta_state()
             manager = self.tintin.durability
             if manager is not None:

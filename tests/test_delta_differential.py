@@ -5,8 +5,7 @@ deletes, planted violations, catalog-drift DDL, trigger-bypassing base
 writes, and recovery-style state resets — and drives it through two
 engines built identically:
 
-* the **subject**, with delta plans and aggregate memos enabled (the
-  stock engine), and
+* the **subject**, with delta plans enabled (the stock engine), and
 * the **oracle**, forced onto the full prepared-view path by
   :class:`FullPlanSafeCommit`.
 
@@ -14,11 +13,11 @@ Every commit must produce the same verdict and the same violation set
 on both; the final base-table states must be identical; and a closing
 ``full_check_commit`` on the subject must be clean.  A second property
 replays the same churn across a *real* crash/recovery boundary (WAL
-replay, derived delta/memo state rebuilt from cold), and a fixed
+replay, derived delta-plan state rebuilt from cold), and a fixed
 seeded churn does the same with every op flavour guaranteed to fire.
 
 The schema is the small orders/items pair with a triple-nested seeded
-denial (``everyOrderHasMaxItem``) and a memoized COUNT aggregate
+denial (``everyOrderHasMaxItem``) and a COUNT aggregate
 (``atMostThreeItems``) so every delta-path flavour is on the table.
 """
 
@@ -121,7 +120,7 @@ def run_ops(tintin: Tintin, ops, crash_dir: str | None = None,
     ``verdicts`` is one ``(committed, violated names)`` pair per
     checked commit.  With ``crash_dir``/``crash_at`` set, the engine is
     abandoned before op ``crash_at`` and rebuilt via :func:`recover` —
-    the delta/memo state must come back cold and correct.
+    the delta-plan state must come back cold and correct.
     """
     orders: dict[int, list[int]] = {}
     next_id = 1
@@ -218,7 +217,7 @@ def test_delta_pipeline_matches_full_oracle(ops):
     verdicts, final_state, subject = run_ops(subject, ops)
     assert verdicts == oracle_verdicts
     assert final_state == oracle_state
-    # the delta/memo shortcuts never leave a violation behind
+    # the delta shortcuts never leave a violation behind
     assert subject.full_check_commit().committed
 
 
