@@ -328,11 +328,13 @@ class DenialCompiler:
         """Unify within the body when sound: at least one side must be a
         local variable (outer terms are opaque here).  Returns True/False
         for unified/unsatisfiable, or None when unification does not
-        apply and the equality must be kept as a built-in."""
+        apply and the equality must be kept as a built-in.  A column
+        equal to itself is kept too: on a nullable column ``c = c`` is
+        SQL's ``c IS NOT NULL``."""
         lrep = body.uf.find(left)
         rrep = body.uf.find(right)
         if lrep == rrep:
-            return True
+            return None if isinstance(lrep, Variable) else True
         if isinstance(lrep, Variable) and lrep in local_vars:
             return body.uf.union(lrep, rrep)
         if isinstance(rrep, Variable) and rrep in local_vars:

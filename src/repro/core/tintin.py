@@ -555,8 +555,8 @@ class Tintin:
         a free one).  ``config`` is forwarded to the server: admission
         queue sizing, watermarks, default deadlines, fault injector.
         The server owns graceful shutdown: ``server.shutdown()`` stops
-        accepting, drains in-flight commit windows through the log
-        writer, checkpoints and closes the engine.
+        accepting, drains admitted commits through the scheduler's
+        windows and their flushes, checkpoints and closes the engine.
         """
         from ..net import TintinServer
 

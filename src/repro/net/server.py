@@ -8,23 +8,31 @@ programs, tests and benchmarks without an asyncio host.
 
 Division of labour per connection:
 
-* the **read loop** (event loop thread) parses frames and answers
+* the **read loop** (an asyncio task) parses frames and answers
   ``HEALTH``/``METRICS`` immediately; everything session-bound goes
   into the connection's ordered queue — pipelining hides round trips
   but never reorders one session's operations.  The queue is bounded
   (frames and payload bytes): when it is full the read loop stops
   reading and TCP flow control holds the peer back;
-* the **connection worker** (an asyncio task) drains that queue:
-  staging and queries run on a small thread pool (they only take the
-  scheduler's read lock), commits go through the
+* the **connection worker** (an asyncio task) drains that queue.
+  Queries, staging, ``DISCARD`` and session creation and expiry call
+  the session directly on the event loop: they take only the
+  scheduler's read lock, and a commit window holds the write lock for
+  validate and apply only (its fsync runs after release), so nothing
+  the loop waits on ever waits on the loop.  Commits go through the
   :class:`~repro.net.admission.AdmissionQueue` — the bounded,
-  priority-shedding waiting room in front of the commit scheduler.
-  The maximal run of consecutive ``INSERT``/``DELETE`` frames already
-  received is decoded and staged in **one** pool call and answered
-  with one write — a transaction flushed as staging frames + COMMIT
-  costs one pool hop and one admission job, whatever its frame count.
-  Staging stays *outside* the admission job, so a shed or expired
-  commit keeps its staged rows;
+  priority-shedding waiting room in front of the commit scheduler —
+  and run on its worker threads.  The maximal run of consecutive
+  ``INSERT``/``DELETE`` frames already received is decoded and staged
+  in one pass and answered with one write — a transaction flushed as
+  staging frames + COMMIT costs one admission job, whatever its frame
+  count.  Staging stays *outside* the admission job, so a shed or
+  expired commit keeps its staged rows.  The trade-off: a long query
+  on one connection delays the frames of every connection until it
+  returns, since no other thread can take the interpreter back for the
+  loop meanwhile; on a sharded engine a scatter read likewise holds
+  the loop while a cross-shard commit in flight keeps every routing
+  lock through prepare and decide;
 * the **commit guard**: the connection remembers staging failures
   since its last COMMIT/DISCARD, and a COMMIT whose ``guard`` says its
   sender had not read the answers of the staging frames before it is
@@ -117,7 +125,7 @@ class ServerStats(StatsBlock):
         "slowdown_frames": "Backpressure SLOWDOWN frames broadcast",
         "http_requests": "Plain HTTP requests served",
         "stage_frames": "INSERT/DELETE frames staged",
-        "stage_runs": "Staging runs (one pool call per run of frames)",
+        "stage_runs": "Staging runs (one pass per run of frames)",
         "guarded_commits_refused": (
             "Guarded COMMITs refused behind a failed staging frame"
         ),
@@ -250,7 +258,6 @@ class TintinServer:
         high_watermark: Optional[int] = None,
         low_watermark: Optional[int] = None,
         commit_workers: int = 2,
-        io_workers: int = 4,
         default_commit_timeout: Optional[float] = None,
         session_ttl: Optional[float] = None,
         sweep_interval: Optional[float] = 1.0,
@@ -278,11 +285,6 @@ class TintinServer:
         self._draining = False
         self._start_error: Optional[BaseException] = None
         self._started_at = time.monotonic()
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=io_workers, thread_name_prefix="tintin-net-io"
-        )
         self.admission = AdmissionQueue(
             max_depth=max_depth,
             high_watermark=high_watermark,
@@ -433,7 +435,6 @@ class TintinServer:
             ).result(timeout=10)
             loop.call_soon_threadsafe(loop.stop)
             self._stopped.wait(timeout=10)
-            self._executor.shutdown(wait=False)
         return drained
 
     def abort(self) -> None:
@@ -460,7 +461,6 @@ class TintinServer:
             )
         loop.call_soon_threadsafe(loop.stop)
         self._stopped.wait(timeout=10)
-        self._executor.shutdown(wait=False)
 
     async def _close_listener(self) -> None:
         if self._server is not None:
@@ -608,7 +608,7 @@ class TintinServer:
             # a vanished client's staged events are discarded — unless
             # a queued commit owns them (the pin rules from PR 3)
             try:
-                await self._run_blocking(session.expire)
+                session.expire()
             except Exception:
                 log.warning(
                     "expiring session %s during teardown failed",
@@ -661,8 +661,8 @@ class TintinServer:
         while not conn.closed:
             if self.faults is not None:
                 # a scripted stalled read blocks only this connection:
-                # the stall runs on the thread pool, not the loop
-                await self._run_blocking(self._fault, "server.read")
+                # the stall runs on a thread, not the loop
+                await asyncio.to_thread(self._fault, "server.read")
             need = p.HEADER_LEN - len(buffered)
             header = buffered + (
                 await conn.reader.readexactly(need) if need else b""
@@ -772,12 +772,8 @@ class TintinServer:
             p.error_payload(code, message, retriable, retry_after),
         )
 
-    async def _run_blocking(self, fn, *args):
-        loop = asyncio.get_event_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
-
     def _stage_run(self, session, run: list) -> tuple[list, bool]:
-        """Pool thread: decode and stage a run's frames in order.
+        """Decode and stage a run's frames in order.
 
         Returns one outcome per frame handled — the staged row count,
         or ``(code, message)`` — and whether the run stopped at a frame
@@ -801,15 +797,13 @@ class TintinServer:
         return outcomes, False
 
     async def _process_stage_run(self, conn: _Connection, run: list) -> bool:
-        """Stage a run of INSERT/DELETE frames with one pool hop and
-        answer every frame with one write; True ends the connection."""
+        """Stage a run of INSERT/DELETE frames in one pass and answer
+        every frame with one write; True ends the connection."""
         if conn.session is None:
             refusal = (p.E_PROTOCOL, "handshake required before this request")
             outcomes, garbage = [refusal] * len(run), False
         else:
-            outcomes, garbage = await self._run_blocking(
-                self._stage_run, conn.session, run
-            )
+            outcomes, garbage = self._stage_run(conn.session, run)
         replies = []
         failed = 0
         for (_, request_id, _), outcome in zip(run, outcomes):
@@ -854,7 +848,7 @@ class TintinServer:
             )
             return False
         if ftype == p.T_GOODBYE:
-            await self._run_blocking(conn.session.expire)
+            conn.session.expire()
             conn.session = None
             await self._send(conn, p.T_OK, request_id, p.encode_json({}))
             return True
@@ -863,9 +857,7 @@ class TintinServer:
             return False
         try:
             if ftype == p.T_QUERY:
-                result = await self._run_blocking(
-                    conn.session.query, payload.decode("utf-8")
-                )
+                result = conn.session.query(payload.decode("utf-8"))
                 await self._send(
                     conn,
                     p.T_ROWS,
@@ -873,9 +865,7 @@ class TintinServer:
                     p.encode_rows_payload(result.columns, result.rows),
                 )
             elif ftype == p.T_EXECUTE:
-                result = await self._run_blocking(
-                    conn.session.execute, payload.decode("utf-8")
-                )
+                result = conn.session.execute(payload.decode("utf-8"))
                 if hasattr(result, "columns"):  # a SELECT went through
                     await self._send(
                         conn,
@@ -892,7 +882,7 @@ class TintinServer:
                     )
             elif ftype == p.T_DISCARD:
                 conn.stage_failures.clear()
-                dropped = await self._run_blocking(conn.session.discard)
+                dropped = conn.session.discard()
                 await self._send(
                     conn,
                     p.T_OK,
@@ -944,10 +934,8 @@ class TintinServer:
             )
             return
         priority = int(hello.get("priority", 0))
-        conn.session = await self._run_blocking(
-            lambda: self.tintin.sessions.create(
-                ttl=self.session_ttl, priority=priority
-            )
+        conn.session = self.tintin.sessions.create(
+            ttl=self.session_ttl, priority=priority
         )
         reply = {
             "session": conn.session.session_id,

@@ -276,9 +276,10 @@ NULL_LOGIC = pytest.mark.xfail(
 
 
 class TestNullableColumns:
-    """SQL's three-valued logic on nullable columns.  Both cases reach
-    the wrong verdict today; once EDCs are fixed they XPASS and the
-    strict markers fail the run until they are removed."""
+    """SQL's three-valued logic on nullable columns.  A case marked
+    ``NULL_LOGIC`` reaches the wrong verdict today; once EDCs are fixed
+    it XPASSes and the strict marker fails the run until it is
+    removed."""
 
     @NULL_LOGIC
     def test_deleting_the_only_lineitem_with_a_null_column_rejected(self):
@@ -292,18 +293,36 @@ class TestNullableColumns:
         assert tintin.safe_commit().rejected
         assert len(db.table("lineitem")) == 1
 
-    @NULL_LOGIC
-    def test_null_never_equals_itself(self):
+    @staticmethod
+    def self_equal(column: str) -> tuple[Database, Tintin]:
         db = Database("nulls")
         db.execute("CREATE TABLE s (x INTEGER PRIMARY KEY, y INTEGER)")
         tintin = Tintin(db)
         tintin.install()
         tintin.add_assertion(
             "CREATE ASSERTION noSelfEqual CHECK (NOT EXISTS ("
-            "SELECT * FROM s AS a0 WHERE a0.y = a0.y))"
+            f"SELECT * FROM s AS a0 WHERE a0.{column} = a0.{column}))"
         )
+        return db, tintin
+
+    def test_null_never_equals_itself(self):
+        """ROADMAP direction 1, repro 2: ``y = y`` is SQL's ``y IS NOT
+        NULL``, so a row whose ``y`` is NULL violates nothing."""
+        db, tintin = self.self_equal("y")
         db.execute("INSERT INTO s VALUES (2, NULL)")
         assert tintin.safe_commit().committed
+        db.execute("INSERT INTO s VALUES (3, 4)")
+        assert tintin.safe_commit().rejected
+        assert db.query("SELECT x FROM s").rows == [(2,)]
+
+    def test_a_key_column_always_equals_itself(self):
+        """The key is NOT NULL, so ``x = x`` holds for every row and
+        every insert is rejected."""
+        db, tintin = self.self_equal("x")
+        for row in ("(1, NULL)", "(2, 7)"):
+            db.execute(f"INSERT INTO s VALUES {row}")
+            assert tintin.safe_commit().rejected
+        assert db.query("SELECT x FROM s").is_empty
 
 
 NOT_IN_BODY = "SELECT * FROM r WHERE r.y NOT IN (SELECT s.y FROM s)"

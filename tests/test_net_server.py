@@ -141,6 +141,55 @@ class TestSessionOps:
         assert verdict["applied_rows"] == 3
 
 
+class TestReadsOnTheLoop:
+    def test_reads_are_not_stuck_behind_another_connections_fsync(
+        self, tmp_path
+    ):
+        """Reads and staging run on the event loop, and a commit's
+        fsync runs after its window released the write lock: while one
+        connection's commit waits on the disk, another connection's
+        query, staging and discard still answer at once."""
+        tintin = Tintin.open(str(tmp_path), durability="commit")
+        tintin.db.execute("CREATE TABLE items (id INT NOT NULL, qty INT)")
+        tintin.install()
+        faults = FaultInjector()
+        server = tintin.listen(faults=faults)
+        try:
+            writer = TintinClient(*server.address)
+            reader = TintinClient(*server.address)
+            faults.delay("wal.before_fsync", 0.5, times=1)
+            verdicts = []
+
+            def commit():
+                writer.insert("items", [(1, 1)])
+                verdicts.append(writer.commit())
+
+            committer = threading.Thread(target=commit)
+            committer.start()
+            deadline = time.monotonic() + 5
+            while not faults.triggered["wal.before_fsync"]:
+                assert time.monotonic() < deadline, "the commit never logged"
+                time.sleep(0.002)
+            started = time.perf_counter()
+            reader.query("SELECT id, qty FROM items")
+            assert time.perf_counter() - started < 0.25
+            started = time.perf_counter()
+            reader.insert("items", [(2, 2)])
+            assert reader.discard() == 1
+            assert time.perf_counter() - started < 0.25
+            committer.join(timeout=5)
+            assert verdicts[0]["committed"] is True
+            assert not [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("tintin-net-io")
+            ]
+            writer.close()
+            reader.close()
+        finally:
+            server.shutdown(drain_timeout=5)
+
+
 class TestDeadlines:
     def test_zero_timeout_expires_at_admission(self, server, client):
         client.insert("items", [(1, 1)])

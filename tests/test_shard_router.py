@@ -328,6 +328,12 @@ def test_tintin_server_serves_a_sharded_engine(tmp_path):
             client.insert("items", [(20, 1), (21, 1)])
             reply = client.commit()
             assert reply["committed"]
+            # a scatter read, served on the event loop: one row from
+            # each shard
+            rows = client.query("SELECT * FROM orders AS o")
+            assert sorted(rows.rows) == [(20, 5.0), (21, 6.0)]
+            shards = {engine.config.shard_of(row[0]) for row in rows.rows}
+            assert shards == {0, 1}
             client.close()
             page = server.render_metrics()
             assert "tintin_router_commits" in page
