@@ -20,10 +20,12 @@ The capture maintains three invariants the EDC machinery relies on
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..errors import CatalogError
 from ..minidb.database import Database
 from ..minidb.schema import Column, TableSchema
-from ..minidb.storage import Table
+from ..minidb.storage import Table, ValidatedRows
 
 #: Namespace tag for event tables (the paper's separate ``event_DB``).
 EVENT_NAMESPACE = "event"
@@ -53,12 +55,15 @@ def stage_insert(
     base: Table, ins_table: Table, del_table: Table, rows: list[tuple]
 ) -> None:
     """Stage insertions into ``ins_table`` preserving the net-event
-    invariants (see the module docstring).  ``base`` supplies the
-    membership tests; it is never modified."""
+    invariants (see the module docstring).  ``rows`` must have passed
+    ``base.validate_row``.  ``base`` supplies the membership tests; it
+    is never modified.  Every test is a hash probe, so staging is
+    linear in the rows staged."""
     for row in rows:
-        if del_table.contains_row(row):
+        rowid = del_table.find_rowid(row)
+        if rowid is not None:
             # delete-then-insert of the same tuple: net no-op
-            del_table.delete_row(row)
+            del_table.delete_rowid(rowid)
         elif base.contains_row(row) or ins_table.contains_row(row):
             continue  # set semantics: inserting an existing tuple is a no-op
         else:
@@ -69,13 +74,20 @@ def stage_delete(
     base: Table, ins_table: Table, del_table: Table, rows: list[tuple]
 ) -> None:
     """Stage deletions into ``del_table`` preserving the net-event
-    invariants; ``base`` is never modified."""
+    invariants; ``base`` is never modified.  What is staged is the row
+    ``base`` stores, so ``del_table`` holds validated rows whatever
+    spelling of a value the caller used."""
     for row in rows:
-        if ins_table.contains_row(row):
+        rowid = ins_table.find_rowid(row)
+        if rowid is not None:
             # insert-then-delete of the same tuple: net no-op
-            ins_table.delete_row(row)
-        elif base.contains_row(row) and not del_table.contains_row(row):
-            del_table.insert(row)
+            ins_table.delete_rowid(rowid)
+            continue
+        rowid = base.find_rowid(row)
+        if rowid is not None:
+            stored = base.row_by_id(rowid)
+            if not del_table.contains_row(stored):
+                del_table.insert(stored)
         # deleting a tuple that never existed is a no-op
 
 
@@ -84,7 +96,11 @@ class EventTableManager:
 
     def __init__(self, db: Database):
         self.db = db
-        self._captured: list[str] = []
+        #: ``{captured table: (its schema at install, ins_T, del_T names)}``.
+        #: Every staged row passed that schema's validation: the capture
+        #: triggers are dropped with the table, so a table created again
+        #: under the name stages nothing here.
+        self._captured: dict[str, tuple[TableSchema, str, str]] = {}
         #: optional context-manager factory wrapped around every trigger
         #: capture.  The multi-session commit scheduler installs its
         #: read lock here, so default-session staging (plain
@@ -116,8 +132,19 @@ class EventTableManager:
                 continue
             self._create_event_tables(name)
             self._create_triggers(name)
-            self._captured.append(name)
+            self._captured[name] = (
+                self.db.catalog.require_table(name).schema,
+                ins_table_name(name),
+                del_table_name(name),
+            )
         return list(self._captured)
+
+    def _event_tables(self):
+        """``(captured table, its schema at install, ins_T, del_T)`` per
+        captured table."""
+        table = self.db.catalog.require_table
+        for name, (schema, ins_name, del_name) in self._captured.items():
+            yield name, schema, table(ins_name), table(del_name)
 
     @property
     def captured_tables(self) -> list[str]:
@@ -135,28 +162,23 @@ class EventTableManager:
             self.db.catalog.add_table(schema, namespace=EVENT_NAMESPACE)
 
     def _create_triggers(self, table: str) -> None:
-        self.db.create_trigger(
-            f"capture_ins_{table}", table, "insert", self._capture_insert
-        )
-        self.db.create_trigger(
-            f"capture_del_{table}", table, "delete", self._capture_delete
-        )
+        for name, event, stage in (
+            (f"capture_ins_{table}", "insert", stage_insert),
+            (f"capture_del_{table}", "delete", stage_delete),
+        ):
+            self.db.create_trigger(name, table, event, partial(self._capture, stage))
 
     # -- trigger actions ---------------------------------------------------
 
-    def _capture_insert(self, db: Database, table: str, rows: list[tuple]) -> None:
+    def _capture(self, stage, db: Database, table: str, rows: list[tuple]) -> None:
+        _, ins_name, del_name = self._captured[table]
+        get = self.db.catalog.require_table
+        base, ins, dels = get(table), get(ins_name), get(del_name)
         if self._capture_gate is not None:
             with self._capture_gate():
-                _capture_insert(db, table, rows)
+                stage(base, ins, dels, rows)
         else:
-            _capture_insert(db, table, rows)
-
-    def _capture_delete(self, db: Database, table: str, rows: list[tuple]) -> None:
-        if self._capture_gate is not None:
-            with self._capture_gate():
-                _capture_delete(db, table, rows)
-        else:
-            _capture_delete(db, table, rows)
+            stage(base, ins, dels, rows)
 
     # -- event access ------------------------------------------------------------
 
@@ -169,11 +191,8 @@ class EventTableManager:
     def pending_counts(self) -> dict[str, tuple[int, int]]:
         """``{table: (#insertions, #deletions)}`` for instrumented tables."""
         return {
-            t: (
-                len(self.db.table(ins_table_name(t))),
-                len(self.db.table(del_table_name(t))),
-            )
-            for t in self._captured
+            name: (len(ins), len(dels))
+            for name, _, ins, dels in self._event_tables()
         }
 
     def has_pending_events(self) -> bool:
@@ -184,23 +203,21 @@ class EventTableManager:
     def truncate_events(self) -> int:
         """Empty every event table; returns the number of rows discarded."""
         removed = 0
-        for table in self._captured:
-            removed += self.db.table(ins_table_name(table)).truncate()
-            removed += self.db.table(del_table_name(table)).truncate()
+        for _, _, ins, dels in self._event_tables():
+            removed += ins.truncate() + dels.truncate()
         return removed
 
     def snapshot_events(self) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
         """Copy the current global staging as ``(inserts, deletes)``
-        dicts (only tables with events appear)."""
+        dicts of :class:`~repro.minidb.storage.ValidatedRows` (only
+        tables with events appear)."""
         inserts: dict[str, list[tuple]] = {}
         deletes: dict[str, list[tuple]] = {}
-        for table in self._captured:
-            ins = self.db.table(ins_table_name(table)).rows_snapshot()
-            if ins:
-                inserts[table] = ins
-            dels = self.db.table(del_table_name(table)).rows_snapshot()
-            if dels:
-                deletes[table] = dels
+        for name, schema, ins, dels in self._event_tables():
+            if len(ins):
+                inserts[name] = ValidatedRows(ins.scan(), schema)
+            if len(dels):
+                deletes[name] = ValidatedRows(dels.scan(), schema)
         return inserts, deletes
 
     def take_events(self) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
@@ -211,15 +228,13 @@ class EventTableManager:
         table costs one length test."""
         inserts: dict[str, list[tuple]] = {}
         deletes: dict[str, list[tuple]] = {}
-        for table in self._captured:
-            for staged, name in (
-                (inserts, ins_table_name(table)),
-                (deletes, del_table_name(table)),
-            ):
-                events = self.db.table(name)
-                if len(events):
-                    staged[table] = events.rows_snapshot()
-                    events.truncate()
+        for name, schema, ins, dels in self._event_tables():
+            if len(ins):
+                inserts[name] = ValidatedRows(ins.scan(), schema)
+                ins.truncate()
+            if len(dels):
+                deletes[name] = ValidatedRows(dels.scan(), schema)
+                dels.truncate()
         return inserts, deletes
 
     def load_events(
@@ -251,24 +266,3 @@ class EventTableManager:
         changed = self.db.apply_batch(*self.snapshot_events())
         self.truncate_events()
         return changed
-
-
-# -- trigger actions ----------------------------------------------------------
-
-
-def _capture_insert(db: Database, table: str, rows: list[tuple]) -> None:
-    stage_insert(
-        db.table(table),
-        db.table(ins_table_name(table)),
-        db.table(del_table_name(table)),
-        rows,
-    )
-
-
-def _capture_delete(db: Database, table: str, rows: list[tuple]) -> None:
-    stage_delete(
-        db.table(table),
-        db.table(ins_table_name(table)),
-        db.table(del_table_name(table)),
-        rows,
-    )

@@ -89,6 +89,10 @@ class Catalog:
         self._trigger_index: dict[tuple[str, str], tuple[Trigger, ...]] = {}
         self._procedures: dict[str, Procedure] = {}
         self._version = 0
+        #: ``{name as spelled: Table}`` for this version: a repeated lookup
+        #: is one dict hit.  Each version bump replaces it after the table
+        #: map changed, so a lookup racing DDL fills only a retired dict.
+        self._resolved: dict[str, Table] = {}
         self._lock = threading.RLock()
 
     @property
@@ -100,6 +104,7 @@ class Catalog:
         """Invalidate all cached plans by advancing the version."""
         with self._lock:
             self._version += 1
+            self._resolved = {}
             return self._version
 
     # -- tables -----------------------------------------------------------
@@ -115,7 +120,9 @@ class Catalog:
             return table
 
     def get_table(self, name: str, default=_RAISE):
-        table = self._tables.get(normalize(name))
+        table = self._resolved.get(name)
+        if table is None:
+            table = self._resolve(name)
         if table is None:
             if default is not _RAISE:
                 return default
@@ -123,9 +130,19 @@ class Catalog:
         return table
 
     def require_table(self, name: str) -> Table:
-        table = self._tables.get(normalize(name))
+        table = self._resolved.get(name)
+        if table is None:
+            table = self._resolve(name)
         if table is None:
             raise CatalogError(f"unknown table {name!r}")
+        return table
+
+    def _resolve(self, name: str) -> Optional[Table]:
+        """Look ``name`` up in the table map and remember a hit."""
+        resolved = self._resolved
+        table = self._tables.get(normalize(name))
+        if table is not None:
+            resolved[name] = table
         return table
 
     def drop_table(self, name: str, if_exists: bool = False) -> bool:

@@ -19,9 +19,9 @@ Compilation is amortized through two cooperating layers:
   is the shape parsed once, parameter nodes in the literal positions,
   plus its :class:`PreparedStatement` (a SELECT's query, the victim
   query of a DELETE/UPDATE, the source of an INSERT … SELECT).  The
-  constants travel with each execution, so a repeated shape costs
-  normalise → dict hit → execute: no lexer, no parser, no planner,
-  whatever its constants.
+  constants travel with each execution, so a repeated text skeleton
+  costs one literal mask → two dict hits → execute: no token-by-token
+  lifting, no lexer, no parser, no planner, whatever its constants.
 
 Both layers rely on plans being immutable and reusable (see
 :mod:`repro.minidb.plan`).  A prepared statement compiles its plan to
@@ -33,6 +33,7 @@ statement fresh.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -48,7 +49,7 @@ from ..errors import (
 from ..obs.metrics import StatsBlock
 from ..sqlparser import nodes as n
 from ..sqlparser.parser import parse_shape, parse_statement
-from ..sqlparser.shape import statement_shape
+from ..sqlparser.shape import ShapeSplitter
 from .catalog import Catalog, Procedure, Trigger, View
 from .constraints import ConstraintChecker, validate_foreign_keys
 from .codegen import CompiledPlan, compile_expression, compile_plan, compile_rows
@@ -75,10 +76,15 @@ _DRIFT_RATIO = 10.0
 _DRIFT_MIN_DELTA = 64
 
 
-def _row_count_drifted(old: int, new: int) -> bool:
-    if abs(new - old) < _DRIFT_MIN_DELTA:
-        return False
-    return new >= old * _DRIFT_RATIO or old >= new * _DRIFT_RATIO
+def _undrifted_range(old: int) -> tuple[int, int]:
+    """The row counts a table planned at ``old`` rows may hold without
+    a re-plan: those less than the delta away, or less than the ratio
+    away.  Both sets are intervals around ``old``, so their union is
+    one ``(low, high)``."""
+    near_low, near_high = old - _DRIFT_MIN_DELTA + 1, old + _DRIFT_MIN_DELTA - 1
+    ratio_low = math.floor(old / _DRIFT_RATIO) + 1
+    ratio_high = math.ceil(old * _DRIFT_RATIO) - 1
+    return min(near_low, ratio_low), max(near_high, ratio_high)
 
 
 class ResultSet:
@@ -130,9 +136,10 @@ class _PlanState(NamedTuple):
     program: CompiledPlan
     columns: list[str]
     catalog_version: int
-    #: ``(table, row count at plan time)`` per base table the planner
-    #: touched — the drift check's input, resolved once here
-    drift_pairs: tuple[tuple[Table, int], ...]
+    #: ``(table, low, high)`` per base table the planner touched: the
+    #: plan has not drifted while each row count stays in its
+    #: :func:`_undrifted_range`
+    drift_bounds: tuple[tuple[Table, int, int], ...]
     table_refs: dict[str, Table]
 
 
@@ -173,8 +180,8 @@ class PreparedStatement:
             program=compile_plan(plan),
             columns=planner.output_columns(self.query),
             catalog_version=catalog_version,
-            drift_pairs=tuple(
-                (planner.table_refs[name], count)
+            drift_bounds=tuple(
+                (planner.table_refs[name], *_undrifted_range(count))
                 for name, count in planner.tables_used.items()
             ),
             table_refs=dict(planner.table_refs),
@@ -186,8 +193,8 @@ class PreparedStatement:
         # still the catalog's own: no lookup by name is needed
         if state.catalog_version != self.db.catalog.version:
             return False
-        for table, planned_count in state.drift_pairs:
-            if _row_count_drifted(planned_count, len(table)):
+        for table, low, high in state.drift_bounds:
+            if not low <= len(table) <= high:
                 return False
         return True
 
@@ -310,7 +317,9 @@ class CachedStatement:
 
 class PlanCache:
     """The statement cache: a small LRU of :class:`CachedStatement`
-    keyed by statement shape (:func:`repro.sqlparser.shape.statement_shape`).
+    keyed by statement shape, which :attr:`split` computes
+    (:class:`repro.sqlparser.shape.ShapeSplitter`, remembering as many
+    text skeletons as the cache holds entries).
 
     Entries revalidate themselves (their prepared plans check catalog
     version + row-count drift), so the cache never needs proactive
@@ -322,6 +331,8 @@ class PlanCache:
 
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
+        #: ``sql -> (shape, constants)`` or None for uncacheable text
+        self.split = ShapeSplitter(capacity)
         self._entries: "OrderedDict[str, CachedStatement]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -379,7 +390,7 @@ class PlanCache:
 
     def __contains__(self, sql: str) -> bool:
         """Whether the shape of ``sql`` has an entry."""
-        split = statement_shape(sql)
+        split = self.split(sql)
         with self._lock:
             return split is not None and split[0] in self._entries
 
@@ -477,7 +488,7 @@ class Database:
         any text while ``plan_cache_enabled`` is off) is parsed as
         written into an entry of its own that is not stored.
         """
-        split = statement_shape(sql) if self.plan_cache_enabled else None
+        split = self.plan_cache.split(sql) if self.plan_cache_enabled else None
         if split is not None:
             found = self._cached_statement(*split)
             if found is not None:
@@ -805,7 +816,7 @@ class Database:
     ) -> int:
         """Insert rows, dispatching to INSTEAD OF triggers when enabled."""
         table = self.catalog.require_table(table_name)
-        validated = [table.validate_row(tuple(row)) for row in rows]
+        validated = table.validate_rows(rows)
         if not validated:
             return 0
         if not bypass_triggers:
@@ -904,8 +915,8 @@ class Database:
             values = list(row)
             for position, fn in assignments.items():
                 values[position] = fn(row, constants)
-            new_rows.append(table.validate_row(tuple(values)))
-        return table, old_rows, new_rows
+            new_rows.append(values)
+        return table, old_rows, table.validate_rows(new_rows)
 
     def _run_update(
         self, entry: CachedStatement, params: Optional[dict] = None
@@ -983,7 +994,11 @@ class Database:
     ) -> int:
         """Apply a batch of physical inserts and deletes atomically.
 
-        Foreign keys are checked in **deferred** mode: deletes run first
+        Every row is validated (:meth:`Table.validate_rows`) before it
+        reaches storage, except the rows of a
+        :class:`~repro.minidb.storage.ValidatedRows` that staging
+        validated against the target table's own schema.  Foreign keys are checked in **deferred**
+        mode: deletes run first
         (so delete+reinsert of the same key — a captured UPDATE — works),
         then inserts, and referential integrity is verified against the
         final state.  Any batch whose *net effect* is FK-consistent
@@ -1002,18 +1017,16 @@ class Database:
             delete_names = [name for name, rows in deletes.items() if rows]
             for name in reversed(self.checker.fk_topological_order(delete_names)):
                 table = self.catalog.require_table(name)
-                for row in deletes[name]:
-                    validated = table.validate_row(tuple(row))
-                    if self._physical_delete_deferred(table, validated):
-                        deleted_rows.append((table, validated))
+                for row in table.validate_rows(deletes[name]):
+                    if self._physical_delete_deferred(table, row):
+                        deleted_rows.append((table, row))
                         changed += 1
             insert_names = [name for name, rows in inserts.items() if rows]
             for name in self.checker.fk_topological_order(insert_names):
                 table = self.catalog.require_table(name)
-                for row in inserts[name]:
-                    validated = table.validate_row(tuple(row))
-                    self._physical_insert_deferred(table, validated)
-                    inserted_rows.append((table, validated))
+                for row in table.validate_rows(inserts[name]):
+                    self._physical_insert_deferred(table, row)
+                    inserted_rows.append((table, row))
                     changed += 1
             # deferred referential-integrity verification on the final state
             for table, row in inserted_rows:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ..errors import ConstraintViolation, ExecutionError
@@ -83,9 +84,13 @@ class SecondaryIndex:
         self.name = name
         self.positions = positions
         self._map: dict[tuple, dict[int, None]] = {}
-
-    def key_of(self, row: tuple) -> tuple:
-        return tuple(row[p] for p in self.positions)
+        #: ``key_of(row)``: the row's key tuple (``itemgetter`` of one
+        #: position returns the bare value, hence the wrapper)
+        if len(positions) == 1:
+            (position,) = positions
+            self.key_of = lambda row: (row[position],)
+        else:
+            self.key_of = itemgetter(*positions)
 
     def lookup(self, key: tuple) -> frozenset[int]:
         return frozenset(self._map.get(key, ()))
@@ -162,6 +167,32 @@ def _first_wins(
                 taken.add(key)
         kept.append(row)
     return kept
+
+
+class ValidatedRows(list):
+    """Rows every one of which passed :meth:`Table.validate_row` against
+    :attr:`schema`, or is a row the table of that schema stores.
+
+    The apply's precondition, stated once: ``Database.apply_batch``
+    validates every row list handed to it unless it is a
+    ``ValidatedRows`` whose schema is the target table's own.  A
+    table dropped and created again under its name has a new schema
+    object, so rows checked against the old one are checked again.
+    One is built by :meth:`Table.validate_rows`, or from the rows of
+    the event tables and a session's staging tables, which staging
+    fills with validated rows only.  A copy through pickle is a plain
+    list, so rows that cross a process boundary are validated on
+    arrival.
+    """
+
+    __slots__ = ("schema",)
+
+    def __init__(self, rows: Iterable[tuple], schema: TableSchema):
+        super().__init__(rows)
+        self.schema = schema
+
+    def __reduce__(self):
+        return list, (list(self),)
 
 
 class TableOverlay:
@@ -310,6 +341,9 @@ class Table:
         #: readers
         self._key_probes: dict[tuple[str, ...], KeyProbe] = {}
         self._index_build_lock = threading.Lock()
+        #: the secondary index on every column that answers
+        #: :meth:`find_rowid` without a primary key; None until used
+        self._whole_rows: Optional[SecondaryIndex] = None
         if schema.primary_key:
             self.unique_indexes.append(
                 UniqueIndex(
@@ -352,18 +386,8 @@ class Table:
         return self._rows[rowid]
 
     def contains_row(self, row: tuple) -> bool:
-        """Whole-tuple membership test (used by event-capture semantics).
-
-        Uses the primary key index when available, falling back to a scan
-        for keyless tables.
-        """
-        pk = self.primary_key_index
-        if pk is not None:
-            key = pk.key_of(row)
-            if key is not None:
-                rowid = pk.lookup(key)
-                return rowid is not None and self._rows[rowid] == row
-        return any(existing == row for existing in self._rows.values())
+        """Whole-tuple membership test (used by event-capture semantics)."""
+        return self.find_rowid(row) is not None
 
     @property
     def primary_key_index(self) -> Optional[UniqueIndex]:
@@ -384,6 +408,15 @@ class Table:
         return tuple(
             coerce(value, column.sql_type, f"{schema.name}.{column.name}")
             for value, column in zip(values, schema.columns)
+        )
+
+    def validate_rows(self, rows: Iterable[tuple]) -> ValidatedRows:
+        """:meth:`validate_row` over ``rows``; a :class:`ValidatedRows`
+        checked against this table's schema is returned as it is."""
+        if rows.__class__ is ValidatedRows and rows.schema is self.schema:
+            return rows
+        return ValidatedRows(
+            [self.validate_row(tuple(row)) for row in rows], self.schema
         )
 
     def insert(self, row: tuple) -> int:
@@ -429,17 +462,26 @@ class Table:
         return True
 
     def find_rowid(self, row: tuple) -> Optional[int]:
+        """The rowid of the first row (in scan order) equal to ``row``,
+        or None.  A hash probe: through the primary key when the table
+        has one (no stored row has a NULL key), else through an index on
+        every column, built on the first probe — staging tests each row
+        against keyless event tables, so a scan here would make staging
+        quadratic."""
         pk = self.primary_key_index
         if pk is not None:
             key = pk.key_of(row)
-            if key is not None:
-                rowid = pk.lookup(key)
-                if rowid is not None and self._rows[rowid] == row:
-                    return rowid
-                return None
-        for rowid, existing in self._rows.items():
-            if existing == row:
+            rowid = None if key is None else pk.lookup(key)
+            if rowid is not None and self._rows[rowid] == row:
                 return rowid
+            return None
+        index = self._whole_rows
+        if index is None:
+            index = self._whole_rows = self.ensure_secondary_index(
+                self.schema.column_names
+            )
+        for rowid in index.lookup_rowids(row):
+            return rowid
         return None
 
     def load_rows(self, rows: Iterable[Iterable]) -> int:

@@ -33,8 +33,8 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import ExecutionError, SessionExpired
-from ..minidb.schema import normalize
-from ..minidb.storage import Table, TableOverlay
+from ..minidb.schema import TableSchema, normalize
+from ..minidb.storage import Table, TableOverlay, ValidatedRows
 from ..minidb.transactions import TransactionManager
 from ..sqlparser import nodes as n
 from ..core.event_tables import (
@@ -62,9 +62,14 @@ class SessionEvents:
         #: staging tables actually changed, so repeated reads between
         #: stagings share one immutable overlay (and its probe indexes)
         self._overlay_cache: Optional[tuple[int, Optional[dict]]] = None
+        #: ``{table: its schema when the session began}``: staging checks
+        #: rows against the catalog's table, so the apply trusts them only
+        #: while that schema's table is still the catalog's
+        self._schemas: dict[str, TableSchema] = {}
         for name in tintin.events.captured_tables:
             base = self._db.table(name)
             key = normalize(name)
+            self._schemas[key] = base.schema
             self._tables[key] = (
                 Table(event_schema(base.schema, ins_table_name(name)), "session"),
                 Table(event_schema(base.schema, del_table_name(name)), "session"),
@@ -94,14 +99,15 @@ class SessionEvents:
         return normalize(table) in self._tables
 
     def snapshot(self) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
-        """Copy the staged events as ``(inserts, deletes)`` row dicts."""
+        """Copy the staged events as ``(inserts, deletes)`` dicts of
+        :class:`~repro.minidb.storage.ValidatedRows`."""
         inserts: dict[str, list[tuple]] = {}
         deletes: dict[str, list[tuple]] = {}
         for key, (ins, dels) in self._tables.items():
             if len(ins):
-                inserts[key] = ins.rows_snapshot()
+                inserts[key] = ValidatedRows(ins.scan(), self._schemas[key])
             if len(dels):
-                deletes[key] = dels.rows_snapshot()
+                deletes[key] = ValidatedRows(dels.scan(), self._schemas[key])
         return inserts, deletes
 
     def overlays(self) -> Optional[dict[str, TableOverlay]]:
@@ -253,7 +259,7 @@ class Session:
     def _stage_insert_locked(self, table: str, rows: Iterable[tuple]) -> int:
         """Stage insertions; caller must hold the scheduler read lock."""
         base = self.db.table(table)
-        validated = [base.validate_row(tuple(row)) for row in rows]
+        validated = base.validate_rows(rows)
         if validated:
             ins, dels = self.events.pair(table)
             stage_insert(base, ins, dels, validated)
@@ -262,7 +268,7 @@ class Session:
     def _stage_delete_locked(self, table: str, rows: Iterable[tuple]) -> int:
         """Stage deletions; caller must hold the scheduler read lock."""
         base = self.db.table(table)
-        validated = [base.validate_row(tuple(row)) for row in rows]
+        validated = base.validate_rows(rows)
         if validated:
             ins, dels = self.events.pair(table)
             stage_delete(base, ins, dels, validated)

@@ -10,7 +10,8 @@ planned once (:func:`repro.sqlparser.parser.parse_shape`) however its
 constants are spelled: tabling on the call pattern rather than on the
 ground call.
 
-The split is one compiled-regex pass, not the lexer.  What it changes:
+The full split is one compiled-regex pass over every token, not the
+lexer.  What it changes:
 
 * numeric literals (``12``, ``3.5``, ``1e6`` — the sign is an operator
   and stays in the shape) and string literals (``''`` unescaped) become
@@ -22,11 +23,19 @@ The split is one compiled-regex pass, not the lexer.  What it changes:
 Everything else is kept as written: identifiers (their case reaches
 result column names), quoted identifiers, operators, and ``NULL`` /
 ``TRUE`` / ``FALSE`` — a different truth value is a different shape.
+
+That pass calls back into Python once per token.  A text the engine
+has split before skips it: :class:`ShapeSplitter` masks only the
+literals, in one pass with no callback, and the result — the text's
+*skeleton*, spelling kept — maps to the shape its first sighting got
+from the full split.  Texts with a quoted identifier or a comment
+always take the full split.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from typing import Optional
 
 from .tokens import KEYWORDS
@@ -47,6 +56,20 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
+# The literals alone: a string literal (group 1 is its body), or a
+# number (group 2) no word character precedes.  In text without quoted
+# identifiers and comments these are the tokens ``_TOKEN`` lifts, with
+# one exception — a number right after a bare ``$`` — which
+# :meth:`ShapeSplitter.__call__` catches on a skeleton's first sighting.
+_LITERAL = re.compile(
+    r"'((?:[^']|'')*)'"
+    r"|(?<![A-Za-z0-9_$])([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+)
+
+
+def _number(text: str):
+    return int(text) if text.isdigit() else float(text)
+
 
 def statement_shape(sql: str) -> Optional[tuple[str, tuple]]:
     """Split ``sql`` into ``(shape, constants)``.
@@ -66,10 +89,7 @@ def statement_shape(sql: str) -> Optional[tuple[str, tuple]]:
             upper = text.upper()
             return upper if upper in KEYWORDS else text
         if kind == "number":
-            if "." in text or "e" in text or "E" in text:
-                constants.append(float(text))
-            else:
-                constants.append(int(text))
+            constants.append(_number(text))
             return "?"
         if kind == "space":
             return " "
@@ -82,3 +102,51 @@ def statement_shape(sql: str) -> Optional[tuple[str, tuple]]:
     if shape.count("?") != len(constants):
         return None
     return shape, tuple(constants)
+
+
+class ShapeSplitter:
+    """:func:`statement_shape` that remembers up to ``capacity``
+    skeletons.
+
+    A call masks the text's literals (one ``re.split``, no callback)
+    and looks the skeleton up; on a hit the shape is the remembered
+    one and the constants are the masked literals.  A miss runs the
+    full split and remembers the skeleton when the masked literals are
+    exactly the constants it lifted.  A hit also needs as many literals
+    as the remembered shape has ``?``: a skeleton is the text with
+    ``?`` for each literal, so a user's own ``?`` can make two texts
+    share one, and then the count tells them apart.  Past ``capacity``
+    the oldest skeleton is dropped.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        #: skeleton -> (shape, number of constants)
+        self._shapes: dict[str, tuple[str, int]] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, sql: str) -> Optional[tuple[str, tuple]]:
+        if '"' in sql or "--" in sql or "/*" in sql:
+            return statement_shape(sql)
+        parts = _LITERAL.split(sql)
+        skeleton = "?".join(parts[::3])
+        constants = tuple(
+            [
+                body.replace("''", "'") if number is None else _number(number)
+                for body, number in zip(parts[1::3], parts[2::3])
+            ]
+        )
+        known = self._shapes.get(skeleton)
+        if known is not None and known[1] == len(constants):
+            return known[0], constants
+        split = statement_shape(sql)
+        if split is not None and split[1] == constants:
+            with self._lock:
+                shapes = self._shapes
+                if shapes and len(shapes) >= self.capacity:
+                    del shapes[next(iter(shapes))]
+                shapes[skeleton] = (split[0], len(constants))
+        return split
+
+    def __len__(self) -> int:
+        return len(self._shapes)

@@ -179,3 +179,78 @@ class TestApplyPending:
         db.execute("INSERT INTO child VALUES (10, 2)")
         assert manager.apply_pending() >= 2
         assert list(db.table("child").lookup_secondary(("id",), (10,))) == [(10, 2)]
+
+
+class _Counted(int):
+    """An INTEGER value that counts the equality tests made on it: a
+    staged row meets another row only through its values' ``__eq__``."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        _Counted.comparisons += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+class TestStagingIsLinear:
+    """Staging tests each row against the keyless ``ins_T``/``del_T``
+    (and a keyless base): hash probes, not scans, so the row
+    comparisons made while staging n rows grow with n, not n²."""
+
+    @staticmethod
+    def comparisons(stage, rows) -> int:
+        _Counted.comparisons = 0
+        stage(rows)
+        return _Counted.comparisons
+
+    @pytest.mark.parametrize("route", ["default", "session"])
+    def test_row_comparisons_grow_linearly(self, route):
+        from repro.core import Tintin
+
+        for count in (500, 2000):
+            db = Database()
+            db.execute("CREATE TABLE bag (a INTEGER, b INTEGER)")
+            tintin = Tintin(db)
+            tintin.install()
+            if route == "default":
+                insert, delete = db.insert_rows, db.delete_rows
+                pending = tintin.events.pending_counts
+            else:
+                session = tintin.create_session()
+                insert, delete = session.insert, session.delete
+                pending = session.pending_counts
+            rows = [(_Counted(k), k) for k in range(count)]
+            # stage the inserts, take half of them back, insert again
+            made = self.comparisons(lambda r: insert("bag", r), rows)
+            made += self.comparisons(lambda r: delete("bag", r), rows[::2])
+            made += self.comparisons(lambda r: insert("bag", r), rows)
+            assert made <= 2 * count, (count, made)
+            assert pending()["bag"] == (count, 0)
+            result = tintin.safe_commit(None if route == "default" else session)
+            assert result.committed
+            assert sorted(db.table("bag").scan()) == [(k, k) for k in range(count)]
+            # committed rows: deletes now probe the keyless base table
+            made = self.comparisons(lambda r: delete("bag", r), rows)
+            assert made <= 2 * count, (count, made)
+            assert pending()["bag"] == (0, count)
+
+
+def test_a_null_key_probe_builds_no_index_on_a_keyed_table():
+    """No stored row has a NULL primary key, so staging a row with one
+    finds nothing in the base table without indexing every column."""
+    from repro.core import Tintin
+
+    db = Database()
+    db.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, total DOUBLE)")
+    db.insert_rows("orders", [(1, 1.0)])
+    tintin = Tintin(db)
+    tintin.install()
+    session = tintin.create_session()
+    session.insert("orders", [(None, 1.0)])
+    db.delete_rows("orders", [(None, 1.0)])
+    assert db.table("orders").secondary_indexes == {}
+    assert not db.table("orders").contains_row((None, 1.0))
+    assert session.pending_counts()["orders"] == (1, 0)
+    assert tintin.events.pending_counts()["orders"] == (0, 0)

@@ -15,10 +15,18 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.minidb import Database, PreparedStatement
-from repro.minidb.database import _row_count_drifted, _split_explain
+from repro.minidb.database import _split_explain, _undrifted_range
 from repro.minidb.planner import access_skeleton
 from repro.sqlparser.parser import parse_query, parse_statement
 from repro.sqlparser import nodes as n
+
+
+def _row_count_drifted(old: int, new: int) -> bool:
+    """The re-plan rule: a table's row count moved at least 10x away
+    from its plan-time count, by at least 64 rows."""
+    if abs(new - old) < 64:
+        return False
+    return new >= old * 10 or old >= new * 10
 
 
 def make_db() -> Database:
@@ -148,6 +156,15 @@ class TestDriftCriterion:
         assert _row_count_drifted(10, 100)  # the ISSUE's 10-rows example... scaled
         assert _row_count_drifted(0, 64)
         assert _row_count_drifted(1000, 64)
+
+    def test_plans_hold_the_rule_as_one_range_per_table(self):
+        for old in [*range(0, 160), 999, 1000, 1001, 12345]:
+            low, high = _undrifted_range(old)
+            for new in range(0, 12 * old + 200):
+                assert (low <= new <= high) != _row_count_drifted(old, new), (
+                    old,
+                    new,
+                )
 
 
 class TestTransparentCache:

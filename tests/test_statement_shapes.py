@@ -14,12 +14,15 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, Tintin
 from repro.errors import ExecutionError, ReproError, SQLSyntaxError
 from repro.sqlparser import nodes as n
 from repro.sqlparser.parser import parse_shape, parse_statement
-from repro.sqlparser.shape import statement_shape
+from repro.sqlparser.shape import ShapeSplitter, statement_shape
+from tests.shape_oracle import oracle_shape
 
 
 def make_db() -> Database:
@@ -469,3 +472,138 @@ class TestSharedEntries:
         db.execute("DROP TABLE t1")
         db.query("SELECT * FROM orders WHERE o_orderkey = 1")  # triggers the prune
         assert "DELETE FROM t1 WHERE e8Bound1 = 2" not in db.plan_cache
+
+
+# -- the skeleton path against the reference lifter -------------------------
+
+_SPACES = st.sampled_from(["", " ", " ", "  ", "\t", "\n", " \r\n "])
+_KINDS = st.sampled_from(
+    ["SELECT", "select", "Insert", "dElEtE", "UPDATE", "  select", "\nUPDATE",
+     "CREATE", "explain select", "selectx", "(SELECT"]
+)
+_WORDS = st.sampled_from(
+    ["t1", "e8Bound1", "a$1", "x_2$", "_9", "col", "A", "e", "E", "e5", "abc",
+     "from", "FROM", "wHeRe", "and", "Or", "null", "NULL", "true", "False",
+     "values", "in", "set", "between", "not"]
+)
+_NUMBERS = st.one_of(
+    st.integers(0, 10**15).map(str),
+    st.builds("{}.{}".format, st.integers(0, 999), st.integers(0, 999)),
+    st.builds(
+        "{}{}{}{}".format,
+        st.integers(0, 99),
+        st.sampled_from(["e", "E"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 30),
+    ),
+    st.sampled_from(["0", "007", "1.5e3", "2.", "3e", "4E+", ".5"]),
+)
+_STRINGS = st.text(alphabet="ab 7?'-*/\"$\n.e", max_size=8).map(
+    lambda body: "'" + body.replace("'", "''") + "'"
+)
+_OTHER = st.sampled_from(
+    ["-- note 12\n", "--", "/* 3 */", "/*a'b 4*/", "/* open 5", '"a b"',
+     '"x""1"', '"9"', "?", "$", "$1", "'", "=", ",", "(", ")", "-", "+", ".",
+     "*", "<", ";"]
+)
+#: a token's kind: literals are redrawn per variant, the rest is the
+#: template every variant shares
+_TOKENS = st.lists(
+    st.one_of(
+        st.tuples(st.just("word"), _WORDS),
+        st.tuples(st.just("number"), _NUMBERS),
+        st.tuples(st.just("string"), _STRINGS),
+        st.tuples(st.just("other"), _OTHER),
+    ),
+    max_size=14,
+)
+
+
+def _same(got, expected) -> bool:
+    """Equal shapes and constants, each constant of the same type
+    (``1 == 1.0 == True`` is not enough)."""
+    if got is None or expected is None:
+        return got is expected
+    return got == expected and [type(c) for c in got[1]] == [
+        type(c) for c in expected[1]
+    ]
+
+
+class TestSkeletonsAgreeWithTheOracle:
+    """Whatever the text, the engine's split is the reference lifter's:
+    on a skeleton's first sighting, on every later one, and for another
+    text spelled the same with other constants (a skeleton hit)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data(), _KINDS, _TOKENS, st.lists(_SPACES, min_size=15, max_size=15))
+    def test_split_equals_the_oracle(self, data, kind, tokens, spaces):
+        def spell(chosen) -> str:
+            return kind + "".join(
+                space + text for space, (_, text) in zip(spaces, chosen)
+            )
+
+        variants = [spell(tokens)]
+        for _ in range(2):
+            redrawn = [
+                (k, data.draw(_NUMBERS if k == "number" else _STRINGS))
+                if k in ("number", "string")
+                else (k, text)
+                for k, text in tokens
+            ]
+            variants.append(spell(redrawn))
+        splitter = ShapeSplitter(4)
+        for sql in variants + variants:
+            expected = oracle_shape(sql)
+            assert _same(statement_shape(sql), expected), sql
+            assert _same(splitter(sql), expected), sql
+
+    def test_hazards_the_mask_cannot_see(self):
+        splitter = ShapeSplitter(8)
+        for sql in (
+            # a number after a bare $ is lifted; after a word's $ it is not
+            "SELECT a FROM t WHERE k = $1",
+            "SELECT a FROM t WHERE k = $2",
+            "SELECT a$1 FROM t WHERE k = 3",
+            # a user's ? makes two texts share one skeleton
+            "SELECT a FROM t WHERE k = 4 AND j = 5",
+            "SELECT a FROM t WHERE k = ? AND j = 6",
+            "SELECT a FROM t WHERE k = 7 AND j = ?",
+            # quotes and comments hide literals from the mask
+            'SELECT "it\'s 8" FROM t WHERE k = 9',
+            "SELECT a FROM t WHERE k = 10 -- and 'j' = 11",
+            "SELECT a FROM t /* 12 */ WHERE k = 13",
+            # an unterminated string
+            "SELECT a FROM t WHERE s = 'open 14",
+            "SELECT a FROM t WHERE s = 'open 15",
+        ):
+            for _ in range(2):
+                assert _same(splitter(sql), oracle_shape(sql)), sql
+
+    def test_texts_free_of_hazards_are_remembered(self):
+        splitter = ShapeSplitter(8)
+        for sql in (
+            "SELECT e8Bound1, t12.x2 FROM t12 WHERE x2 = 3 AND s = 'it''s'",
+            "INSERT INTO t12 VALUES (1, -2.5, 1e3, '')",
+        ):
+            splitter(sql)
+        assert len(splitter) == 2
+
+    def test_the_skeleton_map_is_bounded(self):
+        splitter = ShapeSplitter(3)
+        for column in range(10):
+            splitter(f"SELECT c{column} FROM t WHERE k = {column}")
+        assert len(splitter) == 3
+        # the newest skeletons are the ones kept, and still answer
+        assert splitter("SELECT c9 FROM t WHERE k = 99") == (
+            "SELECT c9 FROM t WHERE k = ?",
+            (99,),
+        )
+
+    def test_the_plan_cache_bounds_its_skeletons_by_its_capacity(self):
+        db = Database(plan_cache_size=2)
+        db.execute("CREATE TABLE t (k INTEGER, c0 INTEGER, c1 INTEGER, c2 INTEGER)")
+        for column in range(3):
+            for key in range(3):
+                db.query(f"SELECT c{column} FROM t WHERE k = {key}")
+        assert len(db.plan_cache.split) == 2
+        assert len(db.plan_cache) == 2
