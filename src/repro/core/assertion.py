@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import AssertionDefinitionError
+from ..minidb.schema import normalize
 from ..sqlparser import nodes as n
 from ..sqlparser.parser import parse_statement
 from ..sqlparser.printer import print_expr
@@ -67,6 +68,16 @@ class Assertion:
                 f"assertion {self.name!r}: empty CHECK condition"
             )
         return queries
+
+    def tables(self) -> set[str]:
+        """The (normalized) name of every table the CHECK reads, at any
+        depth."""
+        return {
+            normalize(ref.name)
+            for query in n.subqueries_of(self.check)
+            for select in (query.selects if isinstance(query, n.Union) else (query,))
+            for ref in select.from_items
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Assertion({self.name!r}, {len(self.edcs)} EDCs)"

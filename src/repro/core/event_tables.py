@@ -24,7 +24,7 @@ from functools import partial
 
 from ..errors import CatalogError
 from ..minidb.database import Database
-from ..minidb.schema import Column, TableSchema
+from ..minidb.schema import Column, TableSchema, normalize
 from ..minidb.storage import Table, ValidatedRows
 
 #: Namespace tag for event tables (the paper's separate ``event_DB``).
@@ -97,9 +97,10 @@ class EventTableManager:
     def __init__(self, db: Database):
         self.db = db
         #: ``{captured table: (its schema at install, ins_T, del_T names)}``.
-        #: Every staged row passed that schema's validation: the capture
-        #: triggers are dropped with the table, so a table created again
-        #: under the name stages nothing here.
+        #: Every staged row passed that schema's validation: a drop of the
+        #: table takes its triggers, event tables and entry with it (see
+        #: :meth:`release`), so a table created again under the name is
+        #: captured only by the next :meth:`install`.
         self._captured: dict[str, tuple[TableSchema, str, str]] = {}
         #: optional context-manager factory wrapped around every trigger
         #: capture.  The multi-session commit scheduler installs its
@@ -138,6 +139,15 @@ class EventTableManager:
                 del_table_name(name),
             )
         return list(self._captured)
+
+    def release(self, table: str) -> None:
+        """Forget the capture of ``table`` (a normalized name) as it is
+        dropped: its ``ins_T``/``del_T`` go, with any events staged in
+        them.  The catalog drops the triggers with the table."""
+        for name in [name for name in self._captured if normalize(name) == table]:
+            _, ins_name, del_name = self._captured.pop(name)
+            self.db.catalog.drop_table(ins_name)
+            self.db.catalog.drop_table(del_name)
 
     def _event_tables(self):
         """``(captured table, its schema at install, ins_T, del_T)`` per

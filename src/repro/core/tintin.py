@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import CompilationError, DurabilityError, SessionError
+from ..errors import CatalogError, CompilationError, DurabilityError, SessionError
 from ..logic import Builtin, Constant, Variable
 from ..minidb.database import Database, PreparedStatement
 from ..minidb.planner import access_skeleton
@@ -93,6 +93,7 @@ class Tintin:
         #: renders it, and so does ``registry.render()`` with no server
         self.registry = MetricsRegistry()
         self.registry.register(db.plan_cache_stats)
+        db.catalog.on_drop_table = self._on_drop_table
 
     # -- observability ------------------------------------------------------
 
@@ -295,6 +296,23 @@ class Tintin:
         self.registry.unregister(manager.wal.stats)
         self.registry.unregister(manager.stats)
         manager.close()
+
+    def _on_drop_table(self, table: str) -> None:
+        """Refuse to drop a table an installed assertion reads: writes
+        to it, or to a table created again under its name, would go
+        unchecked.  A drop of any other captured table takes its
+        capture with it, as a replayed drop does at recovery."""
+        readers = sorted(
+            name
+            for name, assertion in self.assertions.items()
+            if table in assertion.tables()
+        )
+        if readers:
+            raise CatalogError(
+                f"cannot drop table {table!r}: assertion(s) "
+                f"{', '.join(readers)} read it; drop them first"
+            )
+        self.events.release(table)
 
     # -- installation -------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A checkpoint is one JSON document holding everything needed to rebuild
 the engine without replaying history: every ``main``-namespace table
 (schema + rows, in creation order so foreign-key validation succeeds on
-reload), the list of capture-instrumented tables, the installed
+reload), whether capture is installed and on which tables, the installed
 assertions' source SQL (recovery re-runs the compilation pipeline, so
 the EDC views never need to be serialized), the catalog shape
 signature, and the WAL sequence number the snapshot covers.
@@ -98,6 +98,10 @@ def _build_checkpoint_locked(tintin: "Tintin", wal_seq: int) -> dict:
         "catalog_version": db.catalog.version,
         "shape_signature": db.catalog.shape_signature(),
         "tables": tables,
+        # an installed engine may capture no table (none yet, or its
+        # captured tables were dropped): it still owns the safeCommit
+        # procedure the shape signature counts
+        "installed": tintin.installed,
         "captured": list(tintin.events.captured_tables),
         "assertions": [
             {"sql": a.sql} for a in tintin.assertions.values()

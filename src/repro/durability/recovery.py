@@ -245,7 +245,7 @@ def _restore_checkpoint(
                 f"{expected} row(s), loaded {loaded}"
             )
     captured = checkpoint.get("captured", ())
-    if captured:
+    if captured or checkpoint.get("installed"):
         tintin.install(list(captured))
     for entry in checkpoint.get("assertions", ()):
         tintin.add_assertion(entry["sql"])

@@ -93,6 +93,11 @@ class Catalog:
         #: is one dict hit.  Each version bump replaces it after the table
         #: map changed, so a lookup racing DDL fills only a retired dict.
         self._resolved: dict[str, Table] = {}
+        #: called as ``on_drop_table(name)`` (normalized) by
+        #: :meth:`drop_table` once the drop is otherwise allowed, before
+        #: the table goes: it may raise to refuse the drop, or drop what
+        #: hangs on the table (TINTIN's event capture sets it)
+        self.on_drop_table: Optional[Callable[[str], None]] = None
         self._lock = threading.RLock()
 
     @property
@@ -166,6 +171,8 @@ class Catalog:
                     f"cannot drop table {name!r}: referenced by foreign keys "
                     f"of {', '.join(sorted(referencing))}"
                 )
+            if self.on_drop_table is not None:
+                self.on_drop_table(key)
             del self._tables[key]
             for trigger_name in [
                 tn

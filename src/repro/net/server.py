@@ -30,9 +30,11 @@ Division of labour per connection:
   expired commit keeps its staged rows.  The trade-off: a long query
   on one connection delays the frames of every connection until it
   returns, since no other thread can take the interpreter back for the
-  loop meanwhile; on a sharded engine a scatter read likewise holds
-  the loop while a cross-shard commit in flight keeps every routing
-  lock through prepare and decide;
+  loop meanwhile; on a sharded engine a read likewise holds the loop
+  while a commit in flight keeps a routing lock it needs — a 2PC keeps
+  its participants' locks through prepare and decide.  A scatter read
+  needs every shard's lock; a point read routed to one shard (see
+  :meth:`repro.shard.ShardedTintin.query`) needs that shard's only;
 * the **commit guard**: the connection remembers staging failures
   since its last COMMIT/DISCARD, and a COMMIT whose ``guard`` says its
   sender had not read the answers of the staging frames before it is

@@ -1,5 +1,5 @@
-"""Shard-key declarations, commit-footprint classification, and the
-co-location check assertions must pass.
+"""Shard-key declarations, commit-footprint and read classification,
+and the co-location check assertions must pass.
 
 The router's one routing decision per commit is made here: every
 staged row is mapped to a shard by hashing its declared shard-key
@@ -7,7 +7,8 @@ column, and a commit whose rows land on a single shard bypasses
 two-phase commit entirely.  The placement function must therefore be
 *deterministic across processes* — Python's builtin ``hash`` is
 per-process salted for strings, so string keys go through CRC-32
-instead.
+instead.  A read whose shape pins its rows to one shard is sent to
+that shard only (:meth:`ShardConfig.read_shard`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from typing import Optional
 from ..core.aggregates import AggregateAssertionCompiler
 from ..core.assertion import Assertion
 from ..core.denial_compiler import CouplingSpec, DenialCompiler, derive_coupling
-from ..errors import CompilationError, SchemaError
+from ..errors import CompilationError, SchemaError, TypeCheckError
+from ..minidb.expressions import ARGS_KEY
+from ..minidb.schema import normalize
+from ..minidb.types import coerce
+from ..sqlparser import nodes as n
 
 
 class ShardConfig:
@@ -40,8 +45,10 @@ class ShardConfig:
             for table, column in (keys or {}).items()
         }
         # key-column positions resolve lazily against the router's
-        # catalog mirror (the table may not exist yet at config time)
-        self._positions: dict[str, Optional[int]] = {}
+        # catalog mirror (the table may not exist yet at config time),
+        # afresh after any DDL: a table created again may hold its key
+        # at another position
+        self._positions: tuple[int, dict[str, Optional[int]]] = (-1, {})
 
     def shard_of(self, value) -> int:
         """Deterministic placement for one shard-key value.
@@ -57,15 +64,19 @@ class ShardConfig:
 
     def _key_position(self, db, table: str) -> Optional[int]:
         """Column position of ``table``'s shard key, None when pinned."""
+        version = db.catalog.version
+        if self._positions[0] != version:
+            self._positions = (version, {})
+        positions = self._positions[1]
         lowered = table.lower()
-        if lowered not in self._positions:
+        if lowered not in positions:
             column = self.keys.get(lowered)
             if column is None:
-                self._positions[lowered] = None
+                positions[lowered] = None
             else:
                 schema = db.table(table).schema
-                self._positions[lowered] = schema.key_positions((column,))[0]
-        return self._positions[lowered]
+                positions[lowered] = schema.key_positions((column,))[0]
+        return positions[lowered]
 
     def split(
         self,
@@ -94,6 +105,82 @@ class ShardConfig:
                     bucket = out.setdefault(shard, ({}, {}))
                     bucket[side].setdefault(table, []).append(row)
         return out
+
+    def read_shard(self, db, stmt, params: Optional[dict]) -> Optional[int]:
+        """The one shard that can hold a row of a read, or None when
+        the read must go to every shard.
+
+        ``stmt`` and ``params`` are the statement-cache entry's parsed
+        shape and this call's constants, from ``db`` (the catalog
+        mirror).  Only a single non-aggregate SELECT over base tables
+        routes: over pinned tables only, to shard 0; over one keyed
+        table, when a top-level conjunct of its WHERE is ``key =
+        constant``, to the shard :meth:`split` would place a staged row
+        with that key on — the constant is coerced through the key
+        column's type first, so ``5`` and ``5.0`` place as the stored
+        value does.  Every row sits on the shard of its own key, so no
+        other shard holds a row of the result.  Aggregates (one row per
+        shard), unions, joins of keyed tables, ``OR``/``IN``, ``key =
+        NULL``, ``key = column``, a constant the key type refuses, and a
+        DOUBLE zero (``0.0`` and ``-0.0`` are equal but place apart)
+        all scatter.
+        """
+        if not isinstance(stmt, n.SelectStatement):
+            return None
+        select = stmt.query
+        if not isinstance(select, n.Select) or not select.from_items:
+            return None
+        for item in select.items:
+            if isinstance(item, n.SelectItem) and any(
+                isinstance(node, n.AggregateCall)
+                for node in n.walk_expr(item.expr)
+            ):
+                return None
+        if not all(db.catalog.has_table(ref.name) for ref in select.from_items):
+            return None  # a view's rows may come from any shard
+        keyed = [
+            ref for ref in select.from_items if normalize(ref.name) in self.keys
+        ]
+        if not keyed:
+            return 0
+        if len(select.from_items) > 1:
+            return None
+        (ref,) = keyed
+        column = db.table(ref.name).schema.columns[
+            self._key_position(db, ref.name)
+        ]
+        name, binding = normalize(column.name), normalize(ref.binding)
+        args = params[ARGS_KEY] if params else ()
+        shard = None
+        for conjunct in n.conjuncts(select.where):
+            if not isinstance(conjunct, n.Comparison) or conjunct.op != "=":
+                continue
+            for key, constant in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if not (
+                    isinstance(key, n.ColumnRef)
+                    and normalize(key.column) == name
+                    and (key.table is None or normalize(key.table) == binding)
+                ):
+                    continue
+                if isinstance(constant, n.Parameter):
+                    value = args[constant.index]
+                    value = -value if constant.negated else value
+                elif isinstance(constant, n.Literal) and constant.value is not None:
+                    value = constant.value
+                else:
+                    continue
+                try:
+                    value = coerce(value, column.sql_type)
+                except TypeCheckError:
+                    return None
+                if isinstance(value, float) and value == 0:
+                    return None
+                # two different keys select no row: any shard is right
+                shard = self.shard_of(value)
+        return shard
 
     def require_local(self, db, sql: str) -> None:
         """Refuse an assertion one shard cannot check on its own rows.

@@ -1,4 +1,5 @@
-"""The shard router: footprint classification and two-phase commit.
+"""The shard router: footprint classification, read routing and
+two-phase commit.
 
 :class:`ShardedTintin` fronts N worker processes (one engine each, see
 :mod:`repro.shard.worker`) behind the same surface the network server
@@ -21,6 +22,12 @@ Commit routing:
   gid is absent from the decision log aborts, which is exactly right
   both for a coordinator that crashed before deciding and for one
   that deliberately aborted.
+
+Read routing: a read whose shape pins its rows to one shard — a
+non-aggregate SELECT with ``key = constant`` on its one keyed table,
+or over tables pinned to shard 0 only — is one call to that shard under
+its routing lock alone (see :meth:`ShardConfig.read_shard`); a commit
+or 2PC on another shard does not delay it.  Every other read scatters.
 
 Every multi-shard conversation — both 2PC rounds, scatter reads, DDL
 broadcasts, checkpoints — is one :func:`_scatter`: send to every
@@ -53,7 +60,7 @@ from typing import Optional
 
 from ..core.safe_commit import CommitResult
 from ..durability.wal import WriteAheadLog, decode_decide, read_wal
-from ..errors import ExecutionError, SessionExpired, ShardError
+from ..errors import ExecutionError, ReproError, SessionExpired, ShardError
 from ..minidb.database import Database, ResultSet
 from ..obs.metrics import MetricsRegistry, StatsBlock
 from ..obs.trace import CommitObs, NullTracer
@@ -78,6 +85,7 @@ class RouterStats(StatsBlock):
         "aborts",
         "in_doubt_resolved",
         "queries",
+        "point_reads",
         "restarts",
     )
     PREFIX = "tintin_router"
@@ -88,7 +96,8 @@ class RouterStats(StatsBlock):
         "prepares": "Participant prepare calls issued",
         "aborts": "Cross-shard batches aborted (vote no or failure)",
         "in_doubt_resolved": "Recovered in-doubt transactions resolved",
-        "queries": "Scatter-gather reads issued",
+        "queries": "Scatter-gather reads issued (sent to every shard)",
+        "point_reads": "Reads routed to one shard",
         "restarts": "Shard worker respawns",
     }
 
@@ -469,10 +478,13 @@ class ShardedTintin:
         return outcomes
 
     def execute(self, sql: str):
-        """Run DDL on every shard (SELECT scatters, DML is refused).
+        """Run DDL on every shard (SELECT is read, DML is refused).
 
         The catalog mirror executes first: malformed statements fail
-        locally before any shard sees them."""
+        locally before any shard sees them.  A DROP is the exception:
+        a shard refuses to drop a table an assertion reads, which the
+        mirror cannot judge, so the mirror drops only after every shard
+        did."""
         head = sql.split(None, 1)[0].upper() if sql.split() else ""
         if head == "SELECT":
             return self.query(sql)
@@ -482,6 +494,9 @@ class ShardedTintin:
                 "(insert()/delete() then commit()) so it can be "
                 "shard-routed and assertion-checked"
             )
+        if head == "DROP":
+            self._broadcast("execute", sql)
+            return self.db.execute(sql)
         mirrored = self.db.execute(sql)
         self._broadcast("execute", sql)
         return mirrored
@@ -512,18 +527,41 @@ class ShardedTintin:
     # -- reads -------------------------------------------------------------
 
     def query(self, sql: str) -> ResultSet:
-        """Scatter-gather read: union of every shard's rows.
+        """A read: the union of every shard's rows for ``sql``.
 
-        Every shard runs the query at once (one round trip, not one per
-        shard), under every routing lock, so the union is a consistent
-        cut: no 2PC is half-decided across it.  No global ordering is
-        imposed — an ORDER BY is applied within each shard only;
-        callers needing total order sort the result.
+        A read whose shape pins its rows to one shard — a non-aggregate
+        SELECT with ``key = constant`` on its one keyed table, or over
+        pinned tables only (see :meth:`ShardConfig.read_shard`) — is
+        one call to that shard under its routing lock alone: no other
+        shard holds a row of it, and a 2PC holds its participants'
+        locks from prepare to decide, so the read never sees half of
+        one.  Every other read, and every text the catalog mirror cannot
+        parse or resolve, scatters: every shard runs it at once (one
+        round trip, not one per shard) under every routing lock, so the
+        union is a consistent cut.  Aggregates return one row per
+        shard.  No global ordering is imposed; callers needing total
+        order sort the result.
         """
+        shard = self._read_shard(sql)
+        if shard is not None:
+            self.stats.bump(point_reads=1)
+            columns, rows = self.handles[shard].call("query", sql)
+            return ResultSet(columns, [tuple(row) for row in rows])
         self.stats.bump(queries=1)
         replies = self._broadcast("query", sql)
         rows = [tuple(row) for _, shard_rows in replies for row in shard_rows]
         return ResultSet(replies[0][0], rows)
+
+    def _read_shard(self, sql: str) -> Optional[int]:
+        """The one shard ``sql`` reads rows from, or None to scatter.
+        The shape comes from the mirror's statement cache; a text the
+        mirror cannot parse or resolve scatters, and the shards raise
+        its error as before."""
+        try:
+            entry, params, _ = self.db.statement(sql)
+            return self.config.read_shard(self.db, entry.stmt, params)
+        except ReproError:
+            return None
 
     # -- commits -----------------------------------------------------------
 
@@ -746,9 +784,11 @@ class ShardSession:
     """One client's staging buffer against the sharded engine.
 
     Rows are validated (typed, coerced) against the catalog mirror at
-    staging time and routed at commit.  Reads see *committed* state
-    only — cross-shard read-your-writes would need the overlay merge
-    inside every worker and is out of scope."""
+    staging time and routed at commit.  Reads go through
+    :meth:`ShardedTintin.query` — a point read to its one shard, any
+    other read to every shard — and see *committed* state only:
+    cross-shard read-your-writes would need the overlay merge inside
+    every worker and is out of scope."""
 
     def __init__(
         self,

@@ -143,8 +143,14 @@ def test_sharded_engine_behind_a_server(tmp_path):
             with TintinClient(*server.address) as client:
                 client.insert("items", [(1, 5), (2, 6)])
                 assert client.commit()["committed"]
+                assert len(client.query("SELECT * FROM items WHERE id = 1")) == 1
+                assert len(client.query("SELECT * FROM items")) == 2
                 payload = client.metrics()
             page = server.render_metrics()
+            assert (
+                "# HELP tintin_router_point_reads Reads routed to one shard"
+                in page
+            )
             samples = assert_each_family_once(
                 page, engine.stats, server.stats, server.admission.stats
             )
@@ -158,6 +164,8 @@ def test_sharded_engine_behind_a_server(tmp_path):
                 for name in families(page)
             )
             assert payload["router"]["commits"] == 1
+            assert payload["router"]["point_reads"] == 1
+            assert payload["router"]["queries"] == 1
             assert set(payload) == {"router", "server", "admission", "sessions"}
         finally:
             server.shutdown(drain_timeout=5, close_engine=False)

@@ -9,7 +9,8 @@ re-resolves them: every verdict equals a fresh engine's, which never
 saw the DDL, and a write to the re-created table lands in the new
 table, not the dropped one.  Staged rows of a captured table that is
 dropped and created again with other column types are checked against
-the new table at the apply, and refused as they always were.
+the new table at the apply, and refused as they always were; on the
+default session the drop discards them with the table's event tables.
 """
 
 from __future__ import annotations
@@ -130,7 +131,12 @@ def test_staged_rows_of_a_recreated_captured_table_are_checked_again(route):
         db.execute("INSERT INTO orders VALUES (2, 2.5)")
     db.execute("DROP TABLE orders")
     db.execute("CREATE TABLE orders (id INTEGER PRIMARY KEY, total VARCHAR(10))")
-    with pytest.raises(TypeCheckError) as caught:
-        tintin.safe_commit(session)
-    assert str(caught.value) == "column orders.total: 2.5 is not a string"
+    if session is None:
+        # the drop took the capture with it: ins_orders and its event
+        assert not db.catalog.has_table("ins_orders")
+        assert tintin.safe_commit().applied_rows == 0
+    else:
+        with pytest.raises(TypeCheckError) as caught:
+            tintin.safe_commit(session)
+        assert str(caught.value) == "column orders.total: 2.5 is not a string"
     assert db.table("orders").rows_snapshot() == []
