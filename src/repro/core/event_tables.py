@@ -149,6 +149,14 @@ class EventTableManager:
             self.db.catalog.drop_table(ins_name)
             self.db.catalog.drop_table(del_name)
 
+    def owner_of(self, event_table: str) -> str | None:
+        """The captured table whose ``ins_T`` or ``del_T`` is
+        ``event_table`` (a normalized name), or None."""
+        for name, (_, ins_name, del_name) in self._captured.items():
+            if event_table in (normalize(ins_name), normalize(del_name)):
+                return name
+        return None
+
     def _event_tables(self):
         """``(captured table, its schema at install, ins_T, del_T)`` per
         captured table."""

@@ -132,6 +132,37 @@ class CommitResult:
     def rejected(self) -> bool:
         return not self.committed
 
+    def payload(self) -> dict:
+        """The result as its wire shape — a plain dict, the same over
+        the network front end and the shard pipe.  Violations travel
+        as display strings: the Violation objects stay in the process
+        that checked them."""
+        return {
+            "committed": self.committed,
+            "applied_rows": self.applied_rows,
+            "checked_views": self.checked_views,
+            "skipped_views": self.skipped_views,
+            "group_size": self.group_size,
+            "deadline_expired": self.deadline_expired,
+            "constraint_error": self.constraint_error,
+            "violations": [str(v) for v in self.violations],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "CommitResult":
+        """Rebuild a result from :meth:`payload`'s dict (its violations
+        stay display strings)."""
+        return cls(
+            committed=payload["committed"],
+            violations=list(payload.get("violations", ())),
+            constraint_error=payload.get("constraint_error"),
+            applied_rows=payload.get("applied_rows", 0),
+            checked_views=payload.get("checked_views", 0),
+            skipped_views=payload.get("skipped_views", 0),
+            deadline_expired=payload.get("deadline_expired", False),
+            group_size=payload.get("group_size", 1),
+        )
+
     def __str__(self) -> str:
         if self.committed:
             return (

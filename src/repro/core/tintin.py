@@ -300,8 +300,17 @@ class Tintin:
     def _on_drop_table(self, table: str) -> None:
         """Refuse to drop a table an installed assertion reads: writes
         to it, or to a table created again under its name, would go
-        unchecked.  A drop of any other captured table takes its
-        capture with it, as a replayed drop does at recovery."""
+        unchecked.  Refuse to drop ``ins_T`` or ``del_T`` while ``T``
+        is captured: its every later write and commit would fail.  A
+        drop of any other captured table takes its capture with it, as
+        a replayed drop does at recovery (its event tables go too,
+        after :meth:`EventTableManager.release` forgot the capture)."""
+        owner = self.events.owner_of(table)
+        if owner is not None:
+            raise CatalogError(
+                f"cannot drop table {table!r}: it is an event table "
+                f"of the captured table {owner!r}"
+            )
         readers = sorted(
             name
             for name, assertion in self.assertions.items()

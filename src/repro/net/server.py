@@ -134,20 +134,6 @@ class ServerStats(StatsBlock):
     }
 
 
-def commit_result_payload(result) -> dict:
-    """A CommitResult as its JSON wire shape."""
-    return {
-        "committed": result.committed,
-        "applied_rows": result.applied_rows,
-        "checked_views": result.checked_views,
-        "skipped_views": result.skipped_views,
-        "group_size": result.group_size,
-        "deadline_expired": result.deadline_expired,
-        "constraint_error": result.constraint_error,
-        "violations": [str(v) for v in result.violations],
-    }
-
-
 class _RequestQueue:
     """One connection's ordered requests between its read loop and its
     worker: bounded, single producer, single consumer, event loop only."""
@@ -1078,7 +1064,7 @@ class TintinServer:
                 retriable=True,
             )
             return
-        verdict = commit_result_payload(result)
+        verdict = result.payload()
         if obs is not None:
             verdict["trace_id"] = obs.trace_id
         await self._send(

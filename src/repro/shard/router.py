@@ -116,6 +116,10 @@ class ShardHandle:
     shard's prepared-but-undecided window.  :meth:`send` and
     :meth:`recv` are the two halves of :meth:`call`, for the router's
     scatter/gather (see :func:`_scatter`); both expect the lock held.
+    :meth:`start` and :meth:`await_hello` are the two halves of
+    :meth:`spawn` in the same way: the router starts every worker
+    before it waits for any, so the workers' boots — and, at a
+    reopen, their recoveries — overlap instead of queueing.
     """
 
     def __init__(self, shard_id: int, directory: str):
@@ -128,14 +132,9 @@ class ShardHandle:
         #: gids the worker reported in-doubt at its last hello
         self.in_doubt: list[str] = []
 
-    def spawn(
-        self,
-        ctx,
-        durability: str,
-        gather_seconds: float,
-        timeout: float = 60.0,
-    ) -> dict:
-        """Start (or restart) the worker; returns its hello payload."""
+    def start(self, ctx, durability: str, gather_seconds: float) -> None:
+        """Start (or restart) the worker process without waiting for
+        it: the handle stays down until :meth:`await_hello`."""
         parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
             target=shard_worker_main,
@@ -151,23 +150,42 @@ class ShardHandle:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(timeout):
-            process.terminate()
-            raise ShardError(
-                f"shard {self.shard_id} did not report in within "
-                f"{timeout:.0f}s"
-            )
-        kind, hello = parent_conn.recv()
-        if kind != "hello":
-            process.terminate()
-            raise ShardError(
-                f"shard {self.shard_id} sent {kind!r} instead of hello"
-            )
         self.process = process
         self.conn = parent_conn
+
+    def await_hello(self, timeout: float = 60.0) -> dict:
+        """Wait for the started worker's hello and mark the handle up;
+        returns the hello payload.  A worker that does not report in
+        within ``timeout``, exits first or answers with anything else
+        is terminated and reaped, and :class:`ShardError` raised."""
+        problem = None
+        try:
+            if not self.conn.poll(timeout):
+                problem = f"did not report in within {timeout:.0f}s"
+            else:
+                kind, hello = self.conn.recv()
+                if kind != "hello":
+                    problem = f"sent {kind!r} instead of hello"
+        except _DEAD_PIPE as exc:
+            problem = f"exited before its hello: {exc!r}"
+        if problem is not None:
+            self.kill()
+            raise ShardError(f"shard {self.shard_id} {problem}")
         self.alive = True
         self.in_doubt = list(hello.get("in_doubt", ()))
         return hello
+
+    def spawn(
+        self,
+        ctx,
+        durability: str,
+        gather_seconds: float,
+        timeout: float = 60.0,
+    ) -> dict:
+        """Start (or restart) the worker and wait for it: :meth:`start`
+        + :meth:`await_hello`; returns its hello payload."""
+        self.start(ctx, durability, gather_seconds)
+        return self.await_hello(timeout)
 
     def _died(self, what: str, exc: BaseException) -> ShardError:
         """A dead pipe, on either side: mark the handle down (the
@@ -228,6 +246,14 @@ class ShardHandle:
                     self.process.join(timeout=5)
                 self.process = None
 
+    def kill(self) -> None:
+        """Terminate the worker at once and reap it — a start that
+        failed, whether or not this worker had reported in."""
+        with self.lock:
+            if self.process is not None and self.process.is_alive():
+                self.process.terminate()
+            self.reap()
+
     def shutdown(self) -> None:
         """Clean stop: ask the worker to close its engine, then reap."""
         with self.lock:
@@ -241,22 +267,6 @@ class ShardHandle:
                         exc_info=True,
                     )
             self.reap()
-
-
-def _result_from_payload(payload: dict) -> CommitResult:
-    """Rebuild a CommitResult from its pipe/wire dict (violations
-    arrive as display strings — the Violation objects live in the
-    worker's process)."""
-    return CommitResult(
-        committed=payload["committed"],
-        violations=list(payload.get("violations", ())),
-        constraint_error=payload.get("constraint_error"),
-        applied_rows=payload.get("applied_rows", 0),
-        checked_views=payload.get("checked_views", 0),
-        skipped_views=payload.get("skipped_views", 0),
-        deadline_expired=payload.get("deadline_expired", False),
-        group_size=payload.get("group_size", 1),
-    )
 
 
 @contextlib.contextmanager
@@ -389,15 +399,26 @@ class ShardedTintin:
         #: the host process runs threads (net server, admission pool),
         #: so fork is unsafe — spawn is mandatory, not a preference
         self._ctx = multiprocessing.get_context("spawn")
-        self.handles: list[ShardHandle] = []
-        for shard_id in range(shards):
-            handle = ShardHandle(
-                shard_id, os.path.join(directory, f"shard{shard_id}")
-            )
-            os.makedirs(handle.directory, exist_ok=True)
-            handle.spawn(self._ctx, durability, gather_seconds)
-            self.handles.append(handle)
-        self._resolve_in_doubt(self.handles)
+        self.handles: list[ShardHandle] = [
+            ShardHandle(shard_id, os.path.join(directory, f"shard{shard_id}"))
+            for shard_id in range(shards)
+        ]
+        # every worker starts before any hello is awaited: their boots,
+        # and at a reopen their recoveries, run side by side
+        try:
+            for handle in self.handles:
+                os.makedirs(handle.directory, exist_ok=True)
+                handle.start(self._ctx, durability, gather_seconds)
+            for handle in self.handles:
+                handle.await_hello()
+            self._resolve_in_doubt(self.handles)
+        except BaseException:
+            # a retried open over this directory must not meet a
+            # worker of this one still holding its shard's WAL
+            for handle in self.handles:
+                handle.kill()
+            self._decision_log.close()
+            raise
         self.registry.register(_ShardStatsCollector(self))
 
     # -- lifecycle ---------------------------------------------------------
@@ -592,7 +613,7 @@ class ShardedTintin:
                     time.monotonic(),
                     shard=str(shard_id),
                 )
-            result = _result_from_payload(payload)
+            result = CommitResult.from_payload(payload)
             if result.committed:
                 self.stats.bump(commits=1, single_shard=1)
             return result
@@ -638,7 +659,7 @@ class ShardedTintin:
                     )
                 else:
                     self.stats.bump(prepares=1)
-                    vote = _result_from_payload(outcome)
+                    vote = CommitResult.from_payload(outcome)
                 if vote.committed:
                     yes[handle] = vote
                 elif failure is None:

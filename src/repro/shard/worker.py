@@ -10,6 +10,15 @@ message)``.  That is what lets the router scatter a request to every
 shard and gather the replies afterwards — a pipe never falls out of
 step, whatever a request's outcome.
 
+A worker starts in the time its interpreter takes to boot and import
+the engine, so it imports the engine and nothing else: a result
+crosses the pipe as :meth:`CommitResult.payload`'s dict, the same
+shape the network front end sends, with nothing of :mod:`repro.net`
+(or asyncio) loaded here.  The router starts every worker before it
+waits for any hello, so at a reopen the shards restore their
+checkpoints and replay their WALs in parallel, each in its own
+process.
+
 Deadlines cross the pipe as *relative* remaining seconds, never as
 absolute instants: each process has its own ``time.monotonic()``
 origin, so an absolute monotonic deadline from the router would be
@@ -52,7 +61,6 @@ def shard_worker_main(
     """Process entry point: open the shard's engine, serve the pipe."""
     # imports happen post-spawn so the child builds its own module state
     from ..core.tintin import Tintin
-    from ..net.server import commit_result_payload
 
     tintin = Tintin.open(directory, durability=durability)
     scheduler = tintin.sessions.scheduler
@@ -109,7 +117,7 @@ def shard_worker_main(
                 result = scheduler.commit_events(
                     inserts, deletes, deadline=deadline
                 )
-                conn.send(("ok", commit_result_payload(result)))
+                conn.send(("ok", result.payload()))
             elif command == "prepare":
                 _, gid, inserts, deletes, remaining = message
                 deadline = (
@@ -120,17 +128,12 @@ def shard_worker_main(
                 result = scheduler.prepare_events(
                     gid, inserts, deletes, deadline=deadline
                 )
-                conn.send(("ok", commit_result_payload(result)))
+                conn.send(("ok", result.payload()))
             elif command == "decide":
                 _, gid, verdict = message
                 result = scheduler.decide_prepared(gid, verdict)
                 conn.send(
-                    (
-                        "ok",
-                        None
-                        if result is None
-                        else commit_result_payload(result),
-                    )
+                    ("ok", None if result is None else result.payload())
                 )
             elif command == "query":
                 with scheduler.rwlock.read_locked():

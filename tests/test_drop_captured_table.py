@@ -1,5 +1,9 @@
 """Dropping a captured table, and creating it again.
 
+An event table (``ins_T`` or ``del_T``) cannot be dropped while ``T``
+is captured: every later write to ``T``, and every commit, would fail
+on the missing table.
+
 A table an installed assertion reads cannot be dropped: a table created
 again under its name would carry no capture triggers, so its writes
 would reach the base table unchecked.  Any other captured table takes
@@ -48,6 +52,30 @@ def test_a_table_an_assertion_reads_cannot_be_dropped():
     tintin.drop_assertion("ab")
     db.execute("DROP TABLE a")
     assert not db.catalog.has_table("a")
+
+
+@pytest.mark.parametrize("event_table", ["ins_a", "del_a"])
+def test_an_event_table_of_a_captured_table_cannot_be_dropped(event_table):
+    tintin = build(Tintin(Database()))
+    tintin.add_assertion(AB)
+    db = tintin.db
+    with pytest.raises(CatalogError, match=f"{event_table}.*captured table 'a'"):
+        db.execute(f"DROP TABLE {event_table}")
+    assert db.catalog.has_table(event_table)
+    # writes to a are still captured and checked, and commit
+    db.execute("INSERT INTO a VALUES (3, 4)")
+    assert not tintin.safe_commit().committed
+    db.execute("INSERT INTO b VALUES (3)")
+    db.execute("INSERT INTO a VALUES (3, 4)")
+    assert tintin.safe_commit().committed
+    db.execute("DELETE FROM a WHERE x = 3")
+    assert tintin.safe_commit().committed
+    assert db.query("SELECT * FROM a").rows == []
+    # dropping a itself still takes both event tables with it
+    tintin.drop_assertion("ab")
+    db.execute("DROP TABLE a")
+    assert not db.catalog.has_table("ins_a")
+    assert not db.catalog.has_table("del_a")
 
 
 def test_a_dropped_captured_table_is_captured_again_by_install():
@@ -123,5 +151,29 @@ def test_a_sharded_drop_the_shards_refuse_leaves_the_mirror_whole(tmp_path):
         session.insert("b", [(3,)])
         assert session.commit().committed
         assert engine.query("SELECT * FROM b WHERE x = 3").rows == [(3,)]
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("event_table", ["ins_a", "del_a"])
+def test_a_sharded_event_table_drop_is_refused_and_leaves_the_mirror_whole(
+    tmp_path, event_table
+):
+    engine = ShardedTintin(str(tmp_path), shards=2, shard_keys={"a": "x", "b": "x"})
+    try:
+        engine.execute(A_DDL)
+        engine.execute(B_DDL)
+        engine.install()
+        engine.add_assertion(AB)
+        signature = engine.db.catalog.shape_signature()
+        with pytest.raises(ShardError, match="captured table 'a'"):
+            engine.execute(f"DROP TABLE {event_table}")
+        assert engine.db.catalog.shape_signature() == signature
+        session = engine.create_session()
+        session.insert("a", [(3, 4)])
+        assert not session.commit().committed
+        session.insert("b", [(3,)])
+        assert session.commit().committed
+        assert engine.query("SELECT * FROM a WHERE x = 3").rows == [(3, 4)]
     finally:
         engine.close()
