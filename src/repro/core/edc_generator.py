@@ -38,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import CompilationError
 from ..logic import (
     Atom,
     Builtin,
@@ -114,6 +115,10 @@ class EDCGenerator:
                     aux=tuple(aux_predicates),
                 )
             )
+        _refuse_negated_ins(edc.body for edc in edcs)
+        _refuse_negated_ins(
+            rule.body for aux in aux_predicates for rule in aux.rules
+        )
         return edcs, aux_predicates
 
     # -- modes ----------------------------------------------------------------
@@ -310,3 +315,17 @@ class EDCGenerator:
         for atom in denial.positive_atoms:
             bound |= atom.variables()
         return bound
+
+
+def _refuse_negated_ins(bodies) -> None:
+    """The generator negates ``DEL`` atoms only: the SQL generator
+    matches ``¬δT`` on T's primary key, which is sound because ``δT``
+    holds stored rows of T.  ``¬ιT`` under a key match would not be (an
+    update puts one key in both ``ιT`` and ``δT``), so one must never
+    be emitted."""
+    for body in bodies:
+        for item in body:
+            if isinstance(item, Atom) and item.negated and item.predicate.kind == INS:
+                raise CompilationError(
+                    f"EDC generation emitted a negated insertion atom {item}"
+                )

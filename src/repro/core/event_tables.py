@@ -56,7 +56,7 @@ def stage_insert(
 ) -> None:
     """Stage insertions into ``ins_table`` preserving the net-event
     invariants (see the module docstring).  ``rows`` must have passed
-    ``base.validate_row``.  ``base`` supplies the membership tests; it
+    ``base.validate_rows``.  ``base`` supplies the membership tests; it
     is never modified.  Every test is a hash probe, so staging is
     linear in the rows staged."""
     for row in rows:

@@ -28,7 +28,7 @@ from ..logic import (
     Term,
     Variable,
 )
-from ..logic.literals import DERIVED
+from ..logic.literals import DEL, DERIVED
 from ..minidb.catalog import Catalog
 from ..sqlparser import nodes as n
 from .edc import EDC, EventGuard
@@ -342,8 +342,16 @@ class SQLGenerator:
         table_name = literal.predicate.sql_table()
         columns = self._columns_of(table_name)
         alias = aliases.next()
+        pairs = list(zip(literal.terms, columns))
+        key = self._bound_key(literal, env)
+        if key is not None:
+            # ¬δT on T's primary key: a key is unique and NOT NULL, and
+            # δT holds stored rows of T, so matching the bound key is
+            # matching the row — and stays true when another column
+            # is NULL, where a whole-row "=" is unknown
+            pairs = [pairs[p] for p in key]
         conditions: list[n.Expr] = []
-        for term, column in zip(literal.terms, columns):
+        for term, column in pairs:
             ref = n.ColumnRef(column, alias)
             if isinstance(term, Constant):
                 conditions.append(n.Comparison("=", ref, n.Literal(term.value)))
@@ -354,6 +362,24 @@ class SQLGenerator:
             (n.Star(),), (n.TableRef(table_name, alias),), n.conjoin(conditions)
         )
         return n.Exists(subquery, negated=True)
+
+    def _bound_key(
+        self, literal: Atom, env: dict[Variable, n.ColumnRef]
+    ) -> Optional[tuple[int, ...]]:
+        """The positions of base table T's primary key when ``literal``
+        is ``¬δT`` and binds every key column (to a constant or an
+        enclosing variable); None otherwise."""
+        if literal.predicate.kind != DEL:
+            return None
+        schema = self.catalog.require_table(literal.predicate.name).schema
+        if not schema.primary_key:
+            return None
+        positions = schema.key_positions(schema.primary_key)
+        for p in positions:
+            term = literal.terms[p]
+            if not isinstance(term, Constant) and term not in env:
+                return None
+        return positions
 
     def _render_negated_aux(
         self,

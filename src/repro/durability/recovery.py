@@ -17,10 +17,11 @@ highest WAL sequence, and the log's decodable prefix length, and
 checkpoint nor re-scans the WAL.  One checkpoint parse, one log scan,
 per open.
 
-Checkpoint restore loads per-table rows in parallel (tables are
-independent once created in FK order).  Binary records name their
-tables, so replay decodes each one on its own, in place in the scanned
-file.
+Checkpoint restore creates the tables in FK (creation) order and loads
+each table's rows in one pass of its generated row writer
+(:meth:`Table.load_rows <repro.minidb.storage.Table.load_rows>`).
+Binary records name their tables, so replay decodes each one on its
+own, in place in the scanned file.
 
 Verification is built in rather than bolted on:
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,14 +58,6 @@ from .wal import (
 )
 
 WAL_FILE = "wal.log"
-
-#: below this many total checkpointed rows a parallel restore is all
-#: thread-pool overhead; load serially instead.  Honesty note: on
-#: stock CPython the load is GIL-bound pure Python, so the pool mostly
-#: buys architecture (per-table independence is established and
-#: tested), not wall-clock — the win arrives with free-threaded
-#: builds, or if row decoding ever moves to a GIL-releasing codec.
-PARALLEL_RESTORE_MIN_ROWS = 4096
 
 
 def wal_path(directory: str) -> str:
@@ -109,8 +101,6 @@ class RecoveryReport:
     wal_valid_length: Optional[int] = None
     #: on-disk byte size of ``wal.log`` the scan saw (None: no file)
     wal_file_length: Optional[int] = None
-    #: how many worker threads the checkpoint restore used (1 = serial)
-    restore_workers: int = 1
     #: 2PC prepare records replayed (whether or not later decided)
     prepares_seen: int = 0
     #: 2PC decide records replayed
@@ -215,33 +205,17 @@ def _restore_checkpoint(
     tintin, checkpoint: dict, report: RecoveryReport
 ) -> None:
     db = tintin.db
-    # tables are created serially in FK (creation) order — add_table
-    # validates referenced parents exist — but row loading is
-    # independent per table once the schemas are in place, so big
-    # checkpoints load in parallel
-    entries = []
+    # tables are created in FK (creation) order — add_table validates
+    # referenced parents exist — and each is loaded before the next
+    expected_counts = checkpoint.get("row_counts", {})
     for entry in checkpoint.get("tables", ()):
         schema = TableSchema.from_dict(entry["schema"])
         table = db.catalog.add_table(schema, entry.get("namespace", "main"))
-        entries.append((table, entry["rows"]))
-    expected_counts = checkpoint.get("row_counts", {})
-    total_rows = sum(len(rows) for _, rows in entries)
-    workers = min(len(entries), os.cpu_count() or 1)
-    if workers > 1 and total_rows >= PARALLEL_RESTORE_MIN_ROWS:
-        report.restore_workers = workers
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="tintin-restore"
-        ) as pool:
-            loaded_counts = list(
-                pool.map(lambda item: item[0].load_rows(item[1]), entries)
-            )
-    else:
-        loaded_counts = [table.load_rows(rows) for table, rows in entries]
-    for (table, _), loaded in zip(entries, loaded_counts):
-        expected = expected_counts.get(table.schema.name)
+        loaded = table.load_rows(entry["rows"])
+        expected = expected_counts.get(schema.name)
         if expected is not None and loaded != expected:
             raise RecoveryError(
-                f"table {table.schema.name!r}: checkpoint recorded "
+                f"table {schema.name!r}: checkpoint recorded "
                 f"{expected} row(s), loaded {loaded}"
             )
     captured = checkpoint.get("captured", ())

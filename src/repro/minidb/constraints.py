@@ -1,13 +1,12 @@
 """Declarative constraint enforcement: NOT NULL, PK/UNIQUE, FOREIGN KEY.
 
-PRIMARY KEY and UNIQUE are enforced by the unique indexes inside
-:class:`repro.minidb.storage.Table`; this module adds NOT NULL checks
-and referential integrity:
-
-* on INSERT — every FK of the row must reference an existing parent;
-* on DELETE — no row in a child table may still reference the victim
-  (RESTRICT semantics; the paper's batch apply orders tables so that
-  consistent batches never trip this).
+NOT NULL, PRIMARY KEY / UNIQUE and the insert-side FK check (every FK
+of a new row must reference an existing parent) run inside each table's
+generated writer (:mod:`repro.minidb.writer`), from the FK specs this
+module resolves.  This module adds the delete side of referential
+integrity: no row in a child table may still reference the victim
+(RESTRICT semantics; the paper's batch apply orders tables so that
+consistent batches never trip this).
 
 FK checks use hash indexes on both the parent key and the child FK
 columns, so they stay O(1) per row.
@@ -16,12 +15,10 @@ columns, so they stay O(1) per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..errors import CatalogError, ConstraintViolation, SchemaError
 from .catalog import Catalog
 from .schema import ForeignKey, TableSchema, normalize
-from .storage import Table, UniqueIndex
+from .storage import Table
 
 
 def validate_foreign_keys(catalog: Catalog, schema: TableSchema) -> TableSchema:
@@ -76,9 +73,6 @@ class _OutgoingFK:
     positions: tuple[int, ...]
     parent: Table
     ref_columns: tuple[str, ...]
-    #: the parent's PK index when the FK targets the primary key —
-    #: the O(1) fast path; otherwise probe a secondary index
-    parent_pk: Optional[UniqueIndex]
 
 
 @dataclass
@@ -93,11 +87,13 @@ class _IncomingFK:
 class ConstraintChecker:
     """Row-level constraint checks against the current catalog state.
 
-    FK metadata (column positions, parent/child table objects, index
-    choices) is resolved once per catalog version and cached, so batch
-    applies pay O(1) dictionary lookups per row instead of re-resolving
-    names and key positions row by row.  The FK topological order used
-    by ``apply_batch`` is memoized the same way.
+    Parent-side FK metadata (column positions, child table objects)
+    is resolved once per catalog version and cached, so batch applies
+    pay O(1) dictionary lookups per row instead of re-resolving names
+    and key positions row by row.  The FK topological order used by
+    ``apply_batch`` is memoized the same way.  Child-side specs
+    (:meth:`outgoing_fks`) are resolved when a table's writer is
+    generated, which is cached per catalog version itself.
     """
 
     def __init__(self, catalog: Catalog):
@@ -107,39 +103,22 @@ class ConstraintChecker:
         #: DDL racing a concurrent build can at worst store an entry
         #: that is already stale — it is rebuilt on its next use, never
         #: served for the new version.
-        self._outgoing: dict[str, tuple[int, list[_OutgoingFK]]] = {}
         self._incoming: dict[str, tuple[int, list[_IncomingFK]]] = {}
         self._topo_cache: dict[tuple, list[str]] = {}
 
     # -- FK spec caches ----------------------------------------------------
 
     def outgoing_fks(self, table: Table) -> list[_OutgoingFK]:
-        """Resolved child-side FKs of ``table`` (cached per version)."""
-        version = self.catalog.version
-        key = normalize(table.name)
-        cached = self._outgoing.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        specs = []
-        for fk in table.schema.foreign_keys:
-            parent = self.catalog.require_table(fk.ref_table)
-            parent_pk = None
-            if parent.primary_key_index is not None and (
-                parent.schema.key_positions(parent.schema.primary_key)
-                == parent.schema.key_positions(fk.ref_columns)
-            ):
-                parent_pk = parent.primary_key_index
-            specs.append(
-                _OutgoingFK(
-                    fk=fk,
-                    positions=table.schema.key_positions(fk.columns),
-                    parent=parent,
-                    ref_columns=fk.ref_columns,
-                    parent_pk=parent_pk,
-                )
+        """Resolved child-side FKs of ``table`` against the catalog."""
+        return [
+            _OutgoingFK(
+                fk=fk,
+                positions=table.schema.key_positions(fk.columns),
+                parent=self.catalog.require_table(fk.ref_table),
+                ref_columns=fk.ref_columns,
             )
-        self._outgoing[key] = (version, specs)
-        return specs
+            for fk in table.schema.foreign_keys
+        ]
 
     def incoming_fks(self, table: Table) -> list[_IncomingFK]:
         """Resolved FKs of other tables referencing ``table`` (cached)."""
@@ -164,41 +143,6 @@ class ConstraintChecker:
                 )
         self._incoming[key] = (version, specs)
         return specs
-
-    # -- NOT NULL ----------------------------------------------------------
-
-    @staticmethod
-    def check_not_null(table: Table, row: tuple) -> None:
-        for value, column in zip(row, table.schema.columns):
-            if value is None and column.not_null:
-                raise ConstraintViolation(
-                    f"NULL in NOT NULL column {table.name}.{column.name}",
-                    constraint=f"NOT NULL {table.name}.{column.name}",
-                    table=table.name,
-                )
-
-    # -- FK on insert -----------------------------------------------------------
-
-    def check_fk_insert(self, table: Table, row: tuple) -> None:
-        """Every FK value of ``row`` must have a parent (NULLs exempt)."""
-        for spec in self.outgoing_fks(table):
-            key = tuple(row[p] for p in spec.positions)
-            if any(v is None for v in key):
-                continue  # SQL: NULL FK values are not checked
-            if spec.parent_pk is not None:
-                if spec.parent_pk.lookup(key) is not None:
-                    continue
-            elif any(
-                True for _ in spec.parent.lookup_secondary(spec.ref_columns, key)
-            ):
-                continue
-            raise ConstraintViolation(
-                f"foreign key violation: "
-                f"{table.name}({', '.join(spec.fk.columns)})"
-                f"={key!r} has no parent in {spec.fk.ref_table}",
-                constraint=str(spec.fk),
-                table=table.name,
-            )
 
     @staticmethod
     def _parent_exists(parent: Table, columns: tuple[str, ...], key: tuple) -> bool:

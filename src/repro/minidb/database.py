@@ -60,6 +60,7 @@ from .schema import Column, TableSchema
 from .storage import Table, TableOverlay
 from .transactions import TransactionManager
 from .types import resolve_type
+from .writer import APPLY, CHECK, INSERT, row_code
 
 #: A cached plan is re-planned when a referenced table's row count moves
 #: at least this factor away from its plan-time value (a plan chosen
@@ -814,7 +815,15 @@ class Database:
         rows: Iterable[tuple],
         bypass_triggers: bool = False,
     ) -> int:
-        """Insert rows, dispatching to INSTEAD OF triggers when enabled."""
+        """Insert rows, dispatching to INSTEAD OF triggers when enabled.
+
+        Every row is validated before the first is written, so a type
+        error inserts nothing.  Without triggers the rows go through
+        the table's generated writer (:mod:`repro.minidb.writer`) with
+        foreign keys checked immediately: a constraint error at row
+        *k* leaves the rows before it inserted (in an open
+        transaction, in its undo log) and nothing of row *k*.
+        """
         table = self.catalog.require_table(table_name)
         validated = table.validate_rows(rows)
         if not validated:
@@ -825,19 +834,14 @@ class Database:
                 for trigger in triggers:
                     trigger.action(self, table.name, validated)
                 return len(validated)
-        count = 0
-        for row in validated:
-            self._physical_insert(table, row)
-            count += 1
-        return count
+        return self._write(table, validated, INSERT)
 
-    def _physical_insert(self, table: Table, row: tuple) -> None:
-        self.checker.check_not_null(table, row)
-        self.checker.check_fk_insert(table, row)
-        rowid = table.insert(row)
+    def _write(self, table: Table, rows: list[tuple], mode: str) -> int:
+        """Store validated ``rows`` through ``table``'s generated
+        ``mode`` writer, recording each in the open transaction."""
         txn = self.transactions.current
-        if txn is not None and txn.active:
-            txn.record_insert(table, row, rowid)
+        record = txn.record_insert if txn is not None and txn.active else None
+        return row_code(table, mode, self.checker)(rows, record)
 
     # -- DML: deletes --------------------------------------------------------------------
 
@@ -947,8 +951,7 @@ class Database:
     def _physical_update(self, table: Table, old_row: tuple, new_row: tuple) -> None:
         if old_row == new_row:
             return
-        self.checker.check_not_null(table, new_row)
-        self.checker.check_fk_insert(table, new_row)
+        row_code(table, CHECK, self.checker)((new_row,), None)
         self.checker.check_fk_update(table, old_row, new_row)
         rowid = table.find_rowid(old_row)
         if rowid is None:
@@ -1012,7 +1015,7 @@ class Database:
             self.begin()
         changed = 0
         deleted_rows: list[tuple[Table, tuple]] = []
-        inserted_rows: list[tuple[Table, tuple]] = []
+        inserted: list[tuple[Table, list[tuple]]] = []
         try:
             delete_names = [name for name, rows in deletes.items() if rows]
             for name in reversed(self.checker.fk_topological_order(delete_names)):
@@ -1024,13 +1027,13 @@ class Database:
             insert_names = [name for name, rows in inserts.items() if rows]
             for name in self.checker.fk_topological_order(insert_names):
                 table = self.catalog.require_table(name)
-                for row in table.validate_rows(inserts[name]):
-                    self._physical_insert_deferred(table, row)
-                    inserted_rows.append((table, row))
-                    changed += 1
-            # deferred referential-integrity verification on the final state
-            for table, row in inserted_rows:
-                self.checker.check_fk_insert(table, row)
+                rows = table.validate_rows(inserts[name])
+                changed += self._write(table, rows, APPLY)
+                inserted.append((table, rows))
+            # deferred referential-integrity verification on the final
+            # state: the same probes, run once every row is in
+            for table, rows in inserted:
+                row_code(table, CHECK, self.checker)(rows, None)
             for table, row in deleted_rows:
                 self.checker.check_fk_after_delete(table, row)
         except BaseException:
@@ -1043,14 +1046,6 @@ class Database:
         if own_transaction:
             self.commit()
         return changed
-
-    def _physical_insert_deferred(self, table: Table, row: tuple) -> None:
-        """Insert without FK checks (NOT NULL and unique keys still apply)."""
-        self.checker.check_not_null(table, row)
-        rowid = table.insert(row)
-        txn = self.transactions.current
-        if txn is not None and txn.active:
-            txn.record_insert(table, row, rowid)
 
     def _physical_delete_deferred(self, table: Table, row: tuple) -> bool:
         """Delete without FK checks."""

@@ -25,9 +25,9 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from ..errors import ConstraintViolation, ExecutionError
+from ..errors import ConstraintViolation
 from .schema import TableSchema
-from .types import coerce
+from .writer import LOAD, VALIDATE, row_code
 
 
 class UniqueIndex:
@@ -57,11 +57,15 @@ class UniqueIndex:
             return
         existing = self._map.get(key)
         if existing is not None and existing != rowid:
-            raise ConstraintViolation(
-                f"duplicate key {key!r} violates {self.name}",
-                constraint=self.name,
-            )
+            raise self.violation(key)
         self._map[key] = rowid
+
+    def violation(self, key: tuple) -> ConstraintViolation:
+        """The error for a second row holding ``key``."""
+        return ConstraintViolation(
+            f"duplicate key {key!r} violates {self.name}",
+            constraint=self.name,
+        )
 
     def remove(self, row: tuple, rowid: int) -> None:
         key = self.key_of(row)
@@ -170,7 +174,7 @@ def _first_wins(
 
 
 class ValidatedRows(list):
-    """Rows every one of which passed :meth:`Table.validate_row` against
+    """Rows every one of which passed :meth:`Table.validate_rows` against
     :attr:`schema`, or is a row the table of that schema stores.
 
     The apply's precondition, stated once: ``Database.apply_batch``
@@ -344,6 +348,9 @@ class Table:
         #: the secondary index on every column that answers
         #: :meth:`find_rowid` without a primary key; None until used
         self._whole_rows: Optional[SecondaryIndex] = None
+        #: mode -> (stamp, function): this table's generated row code
+        #: (:func:`repro.minidb.writer.row_code`)
+        self._row_code: dict[str, tuple] = {}
         if schema.primary_key:
             self.unique_indexes.append(
                 UniqueIndex(
@@ -397,34 +404,25 @@ class Table:
 
     # -- writing ---------------------------------------------------------------
 
-    def validate_row(self, values: tuple) -> tuple:
-        """Type-check and coerce a candidate row (no constraint checks)."""
-        schema = self.schema
-        if len(values) != schema.arity:
-            raise ExecutionError(
-                f"table {schema.name!r} expects {schema.arity} values, "
-                f"got {len(values)}"
-            )
-        return tuple(
-            coerce(value, column.sql_type, f"{schema.name}.{column.name}")
-            for value, column in zip(values, schema.columns)
-        )
-
     def validate_rows(self, rows: Iterable[tuple]) -> ValidatedRows:
-        """:meth:`validate_row` over ``rows``; a :class:`ValidatedRows`
+        """Type-check and coerce candidate rows (no constraint checks)
+        with the table's generated validator; a :class:`ValidatedRows`
         checked against this table's schema is returned as it is."""
         if rows.__class__ is ValidatedRows and rows.schema is self.schema:
             return rows
-        return ValidatedRows(
-            [self.validate_row(tuple(row)) for row in rows], self.schema
-        )
+        validated = ValidatedRows((), self.schema)
+        row_code(self, VALIDATE)(rows, validated)
+        return validated
 
     def insert(self, row: tuple) -> int:
-        """Insert a validated row, maintaining all indexes.
+        """Insert one validated row, maintaining all indexes — the
+        storage primitive of constraint-free staging tables, undo and
+        UPDATE.
 
         Raises :class:`ConstraintViolation` on duplicate unique keys; the
-        row is not inserted in that case.  NOT NULL and FK enforcement
-        live in the constraint layer (:mod:`repro.minidb.constraints`).
+        row is not inserted in that case.  Rows a caller hands to the
+        database go through the table's generated writer
+        (:mod:`repro.minidb.writer`) instead.
         """
         rowid = self._next_rowid
         added: list[UniqueIndex] = []
@@ -485,20 +483,19 @@ class Table:
         return None
 
     def load_rows(self, rows: Iterable[Iterable]) -> int:
-        """Bulk-load serialized rows (checkpoint/WAL recovery path).
+        """Bulk-load serialized rows (the checkpoint restore path);
+        returns how many were loaded.
 
-        Each row is validated (type coercion re-canonicalizes values
-        that lost their exact Python type in serialization — JSON turns
-        tuples into lists, for instance) and inserted with all indexes
-        maintained.  Constraint enforcement beyond unique keys is the
+        One pass of the table's generated :data:`~repro.minidb.writer
+        .LOAD` writer: each row is validated (type coercion
+        re-canonicalizes values that lost their exact Python type in
+        serialization — JSON turns tuples into lists, for instance) and
+        stored with every index maintained, before the next row is
+        read.  Constraint enforcement beyond unique keys is the
         caller's concern: recovered rows were committed, so they are
         consistent by construction.
         """
-        count = 0
-        for row in rows:
-            self.insert(self.validate_row(tuple(row)))
-            count += 1
-        return count
+        return row_code(self, LOAD)(rows, None)
 
     def truncate(self) -> int:
         """Remove all rows; returns how many were removed."""

@@ -844,7 +844,7 @@ class ShardSession:
         how many this call staged (as ``Session.insert/delete`` do)."""
         self._check_alive()
         mirror = self.router.db.table(table)
-        validated = [mirror.validate_row(tuple(row)) for row in rows]
+        validated = mirror.validate_rows(rows)
         events.setdefault(table, []).extend(validated)
         return len(validated)
 

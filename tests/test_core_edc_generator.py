@@ -4,7 +4,9 @@ example (EDCs 4-6 and the aux rules of §2)."""
 import pytest
 
 from repro.core import Assertion, DenialCompiler, EDCGenerator
-from repro.logic import Atom, Builtin, NegatedConjunction
+from repro.core.edc_generator import _Mode
+from repro.errors import CompilationError
+from repro.logic import Atom, Builtin, NegatedConjunction, Predicate
 from repro.logic.literals import BASE, DEL, DERIVED, INS
 from repro.minidb import Database
 
@@ -216,3 +218,21 @@ class TestComplexNegation:
         outer = max(aux, key=lambda a: len(a.rules))
         # outer conjunction has one atom (2 branches) x nested negation (1)
         assert len(outer.rules) == 2
+
+
+def test_a_negated_insertion_atom_is_refused(db, monkeypatch):
+    """The SQL generator's key match for ``¬δT`` would be unsound for
+    ``¬ιT``, so the generator refuses to emit one."""
+
+    def stays_as_negated_insert(atom):
+        negated_ins = Atom(Predicate(atom.predicate.name, INS), atom.terms, negated=True)
+        return [
+            _Mode((Atom(Predicate(atom.predicate.name, INS), atom.terms),), True),
+            _Mode((atom, negated_ins), False),
+        ]
+
+    monkeypatch.setattr(
+        EDCGenerator, "_positive_modes", staticmethod(stays_as_negated_insert)
+    )
+    with pytest.raises(CompilationError, match="negated insertion"):
+        generate(db, TestRunningExampleEDCs.SQL)

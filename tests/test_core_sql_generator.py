@@ -136,6 +136,31 @@ class TestGeneratedSQL:
         assert "EXISTS (SELECT * FROM del_lineitem" in text
         assert " OR " in text
 
+    def test_negated_deletion_matches_the_bound_primary_key(self, db):
+        """``T(x̄) ∧ ¬δT(x̄)`` compares ``δT`` on T's primary key only
+        (a whole-row ``=`` is unknown on a NULL column); a keyless
+        table, or a key the atom leaves unbound, compares every bound
+        column."""
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        stays = (
+            Atom(Predicate("lineitem", "base"), (x, y, z)),
+            Atom(Predicate("lineitem", DEL), (x, y, z), negated=True),
+        )
+        text = print_query(SQLGenerator(db.catalog).edc_query(EDC("x1", "x", stays)))
+        inner = text[text.index("FROM del_lineitem"):]
+        assert "l_orderkey = T0.l_orderkey" in inner
+        assert "l_linenumber = T0.l_linenumber" in inner
+        assert "l_quantity" not in inner
+        unbound = (
+            Atom(Predicate("orders", INS), (x, z)),
+            Atom(Predicate("lineitem", DEL), (x, y, z), negated=True),
+        )
+        text = print_query(SQLGenerator(db.catalog).edc_query(EDC("x2", "x", unbound)))
+        inner = text[text.index("FROM del_lineitem"):]
+        assert "l_orderkey = T0.o_orderkey" in inner
+        assert "l_quantity = T0.o_custkey" in inner
+        assert "l_linenumber" not in inner
+
     def test_missing_positive_literal_rejected(self, db):
         edc = EDC("x1", "x", (Builtin("<", Constant(1), Constant(2)),))
         with pytest.raises(CompilationError, match="positive"):

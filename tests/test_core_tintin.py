@@ -269,20 +269,14 @@ class TestSafeCommit:
         assert len(db.table("ins_orders")) == 1  # still pending
 
 
-NULL_LOGIC = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP direction 1: EDCs use 2-valued logic on nullable columns",
-)
-
-
 class TestNullableColumns:
-    """SQL's three-valued logic on nullable columns.  A case marked
-    ``NULL_LOGIC`` reaches the wrong verdict today; once EDCs are fixed
-    it XPASSes and the strict marker fails the run until it is
-    removed."""
+    """SQL's three-valued logic on nullable columns."""
 
-    @NULL_LOGIC
     def test_deleting_the_only_lineitem_with_a_null_column_rejected(self):
+        """ROADMAP direction 1, repro 1: ``¬δlineitem`` is matched on
+        lineitem's primary key.  Matched on every column, the deleted
+        row's NULL ``l_quantity`` made ``NULL = NULL`` unknown, the
+        row still counted as present, and the delete committed."""
         db = make_db()
         tintin = Tintin(db)
         tintin.install()

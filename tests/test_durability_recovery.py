@@ -1016,16 +1016,14 @@ def test_recovery_rejects_forged_shape_signature(tmp_path):
         recover(source)
 
 
-# -- parallel checkpoint restore ---------------------------------------------
+# -- checkpoint restore ------------------------------------------------------
 
 
-def test_parallel_checkpoint_restore(tmp_path, monkeypatch):
-    """Per-table row loading during checkpoint restore runs on a
-    thread pool (tables are independent once created in FK order) and
-    restores exactly the serial result, row-count verification
-    included."""
-    import repro.durability.recovery as recovery_module
-
+def test_checkpoint_restore(tmp_path):
+    """Checkpoint restore creates each table in FK order and loads its
+    rows in one pass of its generated writer: it restores exactly the
+    checkpointed state, the restored engine commits a full check, and
+    the per-table row-count verification fires."""
     source = str(tmp_path / "primary")
     tintin, _, _ = build_durable(source)
     db = tintin.db
@@ -1036,16 +1034,11 @@ def test_parallel_checkpoint_restore(tmp_path, monkeypatch):
     expected = state(db)
     del tintin
 
-    monkeypatch.setattr(recovery_module, "PARALLEL_RESTORE_MIN_ROWS", 0)
-    # the pool engages whenever the host has cores to use; force it on
-    # single-core CI boxes too (correctness is core-count independent)
-    monkeypatch.setattr(recovery_module.os, "cpu_count", lambda: 4)
     recovered, report = recover(source)
-    assert report.restore_workers > 1  # the pool actually engaged
+    assert report.checkpoint_used
     assert state(recovered.db) == expected
     assert recovered.full_check_commit().committed
 
-    # row-count verification still fires on the parallel path
     checkpoint = load_checkpoint(source)
     checkpoint["row_counts"]["audit"] = 9999
     write_checkpoint(source, checkpoint)

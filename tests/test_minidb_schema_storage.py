@@ -154,11 +154,11 @@ class TestTableStorage:
     def test_validate_row_arity(self):
         table = Table(make_schema())
         with pytest.raises(ExecutionError):
-            table.validate_row((1, "a"))
+            table.validate_rows([(1, "a")])
 
     def test_validate_row_coerces(self):
         table = Table(make_schema())
-        row = table.validate_row((1, "a", 3))
+        (row,) = table.validate_rows([(1, "a", 3)])
         assert row == (1, "a", 3.0)
         assert isinstance(row[2], float)
 

@@ -18,8 +18,9 @@ import pytest
 
 from repro import Tintin
 from repro.errors import ExecutionError, RecoveryError, ShardError, TypeCheckError
-from repro.minidb import Database
-from repro.minidb.storage import Table, ValidatedRows
+from repro.minidb import Database, storage
+from repro.minidb.storage import ValidatedRows
+from repro.minidb.writer import VALIDATE
 from repro.shard import ShardedTintin
 
 ORDERS_DDL = "CREATE TABLE orders (id INTEGER PRIMARY KEY, total DOUBLE)"
@@ -162,13 +163,21 @@ def test_shard_pipe(sharded):
 def test_a_staged_row_is_validated_once(route, monkeypatch):
     tintin = engine()
     validated = []
-    real = Table.validate_row
+    real = storage.row_code
 
-    def spy(table, values):
-        validated.append(tuple(values))
-        return real(table, values)
+    def spy(table, mode, *args):
+        function = real(table, mode, *args)
+        if mode != VALIDATE:
+            return function
 
-    monkeypatch.setattr(Table, "validate_row", spy)
+        def counted(rows, out):
+            rows = list(rows)
+            validated.extend(tuple(row) for row in rows)
+            return function(rows, out)
+
+        return counted
+
+    monkeypatch.setattr(storage, "row_code", spy)
     if route == "default":
         tintin.db.execute("INSERT INTO orders VALUES (2, 2.0)")
         tintin.db.execute("DELETE FROM orders WHERE id = 1")
