@@ -69,7 +69,7 @@ class Workload:
         return self.tintin.check_pending()
 
     def apply(self) -> int:
-        return self.tintin.events.apply_pending()
+        return self.db.apply_batch(*self.tintin.events.staged.take())
 
     def check_full(self):
         return self.tintin.baseline.check_current_state(self.db)

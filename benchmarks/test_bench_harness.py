@@ -21,7 +21,7 @@ class TestWorkload:
         workload = build_workload(0.001, 4, ASSERTIONS, seed=5)
         assert workload.update_rows > 0
         assert workload.data_rows > 1000
-        counts = workload.tintin.events.pending_counts()
+        counts = workload.tintin.events.staged.counts()
         assert any(i or d for i, d in counts.values())
 
     def test_check_incremental_is_repeatable(self):
@@ -39,11 +39,11 @@ class TestWorkload:
     def test_update_kinds(self):
         insert_only = build_workload(0.001, 4, ASSERTIONS, seed=5, update_kind="insert")
         assert all(
-            d == 0 for _, d in insert_only.tintin.events.pending_counts().values()
+            d == 0 for _, d in insert_only.tintin.events.staged.counts().values()
         )
         delete_only = build_workload(0.001, 4, ASSERTIONS, seed=5, update_kind="delete")
         assert all(
-            i == 0 for i, _ in delete_only.tintin.events.pending_counts().values()
+            i == 0 for i, _ in delete_only.tintin.events.staged.counts().values()
         )
         with pytest.raises(ValueError):
             build_workload(0.001, 4, ASSERTIONS, update_kind="bogus")

@@ -68,7 +68,7 @@ def test_e5_report(benchmark):
             workload = build_workload(SCALE, 10, SUITE, seed=77)
             last_db["db"] = workload.db
             if kind == "violating":
-                workload.tintin.events.truncate_events()
+                workload.tintin.events.staged.truncate()
                 generator = UpdateGenerator(workload.db, seed=5)
                 generator.violating_order_without_lineitem().stage(workload.db)
             mirror = SQLiteMirror.from_database(workload.db)

@@ -62,7 +62,7 @@ class Session:
         if not self.installed:
             print("capture not installed yet (add an assertion first)")
             return
-        counts = self.tintin.events.pending_counts()
+        counts = self.tintin.events.staged.counts()
         total = sum(i + d for i, d in counts.values())
         if not total:
             print("no pending events")

@@ -108,7 +108,7 @@ def main() -> None:
     start = time.perf_counter()
     check = tintin.check_pending()
     incremental = time.perf_counter() - start
-    tintin.events.apply_pending()
+    db.apply_batch(*tintin.events.staged.take())
     start = time.perf_counter()
     tintin.baseline.check_current_state(db)
     full = time.perf_counter() - start

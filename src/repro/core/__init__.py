@@ -7,7 +7,8 @@ Pipeline modules (one per box in the paper's Fig. 2 architecture):
 * :mod:`~repro.core.edc_generator` — denials -> EDCs (eqs. 2-3);
 * :mod:`~repro.core.optimizer` — semantic EDC pruning (FK rule etc.);
 * :mod:`~repro.core.sql_generator` — EDCs -> SQL violation views;
-* :mod:`~repro.core.event_tables` — ins_T/del_T + INSTEAD OF triggers;
+* :mod:`~repro.core.event_tables` — ins_T/del_T + INSTEAD OF triggers,
+  and the one staging class every session nets its update through;
 * :mod:`~repro.core.safe_commit` — the generated safeCommit procedure;
 * :mod:`~repro.core.baseline` — the non-incremental comparator;
 * :mod:`~repro.core.tintin` — the facade tying it together.
@@ -20,11 +21,9 @@ from .edc import EDC, EventGuard
 from .edc_generator import EDCGenerator
 from .event_tables import (
     EventTableManager,
+    StagedEvents,
     del_table_name,
-    event_schema,
     ins_table_name,
-    stage_delete,
-    stage_insert,
 )
 from .optimizer import OptimizationReport, SemanticOptimizer
 from .safe_commit import CommitResult, CompiledEDC, SafeCommit, Violation
@@ -46,11 +45,9 @@ __all__ = [
     "SQLGenerator",
     "SafeCommit",
     "SemanticOptimizer",
+    "StagedEvents",
     "Tintin",
     "Violation",
     "del_table_name",
-    "event_schema",
     "ins_table_name",
-    "stage_delete",
-    "stage_insert",
 ]

@@ -627,15 +627,23 @@ class Tintin:
         ``query`` takes the read lock) for reads under concurrency.
         With a session argument, commits that session's staged update
         (same as ``session.commit()``).
+
+        On every route the staged update is taken out before anything
+        else, so an attempt that is rejected or raises has consumed it:
+        stage again to retry.  A table dropped under staged rows takes
+        those rows with it — the default session's with the table's
+        ``ins_T``/``del_T``, a session's because its staging no longer
+        matches the catalog's table — and the rest of the update
+        commits.
         """
         if session is not None:
             return session.commit()
         if self._sessions is not None:
             scheduler = self._sessions.scheduler
             with scheduler.rwlock.read_locked():
-                staged = self.events.take_events()
+                staged = self.events.staged.take()
             return scheduler.commit_events(*staged)
-        inserts, deletes = self.events.take_events()
+        inserts, deletes = self.events.staged.take()
         manager = self.durability
         result, logged = self.safe_commit_proc(
             self.db, inserts, deletes, self.db.transactions, log=manager
@@ -649,7 +657,7 @@ class Tintin:
         """The non-incremental comparator: apply, re-run full assertion
         queries, roll back on violation (paper §4 baseline).  Logged
         and fsynced like the single-session commit it stands in for."""
-        inserts, deletes = self.events.take_events()
+        inserts, deletes = self.events.staged.take()
         result = self.baseline(self.db, inserts, deletes)
         manager = self.durability
         if result.committed and log_update(self.db, manager, inserts, deletes):

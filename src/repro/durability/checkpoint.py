@@ -28,7 +28,7 @@ import os
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import DurabilityError, RecoveryError
-from .wal import _fsync_directory, _nan_guard
+from .wal import _fsync_directory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tintin import Tintin
@@ -46,19 +46,6 @@ _load_count = 0
 def checkpoint_load_count() -> int:
     """Process-lifetime count of checkpoint parses."""
     return _load_count
-
-
-def _json_rows(rows) -> list[list]:
-    """Rows as JSON-ready lists (tuples do not survive JSON), with the
-    WAL codec's NaN refusal applied: a checkpoint must never hold a
-    value the log would have rejected."""
-    payload = []
-    for row in rows:
-        for value in row:
-            if isinstance(value, float):
-                _nan_guard(value)
-        payload.append(list(row))
-    return payload
 
 
 def build_checkpoint_payload(tintin: "Tintin", wal_seq: int) -> dict:
@@ -85,7 +72,7 @@ def _build_checkpoint_locked(tintin: "Tintin", wal_seq: int) -> dict:
             {
                 "schema": table.schema.to_dict(),
                 "namespace": table.namespace,
-                "rows": _json_rows(table.rows_snapshot()),
+                "rows": table.rows_snapshot(),
             }
         )
     # creation order, not name order: children must be re-created after

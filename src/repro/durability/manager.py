@@ -164,13 +164,14 @@ class DurabilityManager:
             self.wal.sync()
             self.stats.bump(logged_ddl=1)
 
-    def _append(self, kind: str, args: tuple, **fault_ctx) -> None:
-        """Append one ``kind`` (batch / prepare / decide) record under
-        the lock, unsynced, firing the ``wal.after_append`` fault
+    def _append(self, append, args: tuple, **fault_ctx) -> None:
+        """Append one record through ``append`` — the log's bound
+        ``append_batch``, ``append_prepare`` or ``append_decide`` —
+        under the lock, unsynced, firing the ``wal.after_append`` fault
         point."""
         with self._lock:
-            getattr(self.wal, "append_" + kind)(*args)
-            if kind == "batch":
+            append(*args)
+            if append == self.wal.append_batch:
                 self.stats.bump(logged_batches=1)
             self._fault("wal.after_append", **fault_ctx)
 
@@ -184,7 +185,7 @@ class DurabilityManager:
         window flush otherwise (one fsync per window; a window of one
         in ``commit`` mode).
         """
-        self._append("batch", (inserts, deletes, counts))
+        self._append(self.wal.append_batch, (inserts, deletes, counts))
 
     def sync(self) -> None:
         """Make every appended record durable (the group fsync)."""
@@ -206,7 +207,10 @@ class DurabilityManager:
         prepare the disk could still lose: the caller owes a
         :meth:`sync` before it answers."""
         self._append(
-            "prepare", (gid, inserts, deletes, counts), gid=gid, record="prepare"
+            self.wal.append_prepare,
+            (gid, inserts, deletes, counts),
+            gid=gid,
+            record="prepare",
         )
 
     def log_decide(
@@ -218,7 +222,9 @@ class DurabilityManager:
         """Append one 2PC decide record (the coordinator's verdict as
         seen by this participant), unsynced — see
         ``CommitScheduler.decide_prepared`` for why that is sound."""
-        self._append("decide", (gid, verdict, counts), gid=gid, record="decide")
+        self._append(
+            self.wal.append_decide, (gid, verdict, counts), gid=gid, record="decide"
+        )
 
     # -- checkpoints -------------------------------------------------------
 

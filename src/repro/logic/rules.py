@@ -64,10 +64,6 @@ class Denial:
         )
 
     @property
-    def negative_atoms(self) -> tuple[Atom, ...]:
-        return tuple(l for l in self.body if isinstance(l, Atom) and l.negated)
-
-    @property
     def negated_conjunctions(self) -> tuple[NegatedConjunction, ...]:
         return tuple(l for l in self.body if isinstance(l, NegatedConjunction))
 

@@ -325,9 +325,6 @@ class Catalog:
             raise CatalogError(f"unknown procedure {name!r}")
         return procedure
 
-    def has_procedure(self, name: str) -> bool:
-        return normalize(name) in self._procedures
-
     def procedures(self) -> list[Procedure]:
         with self._lock:
             result = list(self._procedures.values())

@@ -163,12 +163,6 @@ class RecordingTracer(Tracer):
             spans = [s for s in spans if s.trace_id == trace_id]
         return spans
 
-    def trace_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for s in self.spans():
-            seen.setdefault(s.trace_id, None)
-        return list(seen)
-
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()

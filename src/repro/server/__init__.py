@@ -4,8 +4,10 @@ Three pieces turn the single-staging-area reproduction into a
 concurrent service:
 
 * :class:`Session` / :class:`SessionManager` — each client owns a
-  private ``ins_T``/``del_T`` overlay (:class:`SessionEvents`), so no
-  session ever observes another's uncommitted events;
+  private staged update (a :class:`~repro.core.event_tables.StagedEvents`
+  over ins/del tables outside the catalog, netted by the same code as
+  the default session's capture), so no session ever observes
+  another's uncommitted events;
 * snapshot reads — ``session.query`` runs under the shared side of a
   read/write lock (:class:`ReadWriteLock`) against committed base
   state plus only the session's own staged events, merged at
@@ -21,13 +23,12 @@ concurrent service:
 
 from .locks import ReadWriteLock
 from .scheduler import CommitScheduler, SchedulerStats
-from .session import Session, SessionEvents, SessionManager
+from .session import Session, SessionManager
 
 __all__ = [
     "CommitScheduler",
     "ReadWriteLock",
     "SchedulerStats",
     "Session",
-    "SessionEvents",
     "SessionManager",
 ]

@@ -16,22 +16,26 @@ stage boundaries:
     become visible; span ``wal.fsync``)
 
 Every route to a commit is a caller of that unit and differs from the
-others in data, not code:
+others in data, not code.  Every update it is handed was taken from a
+:class:`~repro.core.event_tables.StagedEvents` — the default session's,
+a session's, or a shard worker's slice netted through its default one:
 
 =======================  ==================  ==============  =======  ========
 route                    members             txn manager     record   flush
 =======================  ==================  ==============  =======  ========
-stored procedure /       the captured        database's      batch    inline
-default session, no      update (no queue,   own, closed
-sessions                 no window)
-default session once     the captured        fresh, closed   batch    window's
-sessions exist           update, queued
+stored procedure /       the default         database's      batch    inline
+default session, no      session's update    own, closed
+sessions                 (no queue, no
+                         window)
+default session once     the default         fresh, closed   batch    window's
+sessions exist           session's update,
+                         queued
 a commit window          its members, one    member's,       batch    window's
                          by one              closed
 ``durability="commit"``  a window of one     member's,       batch    inline
                                              closed
 2PC prepare              participant's       fresh, held     prepare  inline
-                         slice               open
+                         netted slice        open
 2PC adopt (recovery)     in-doubt slice, the fresh, held     none     none
                          apply stage alone   open
 2PC decide               prepared slice:     the held one,   decide   rides the
@@ -308,18 +312,17 @@ class CommitScheduler:
         tables directly (trigger-free physical ops), and capture
         triggers stay armed so a default-session INSERT can never slip
         past staging — its capture blocks on the read lock until the
-        window ends.  The default session (global capture) may have
-        staged events outside any Session; they are stashed and the
-        global tables emptied so each validation — which overlays its
-        events on those tables — sees exactly its own update, then
-        restored at window end.
+        window ends.  The default session's staged update lives in the
+        global event tables; it is taken out for the window so each
+        validation — which overlays its events on those tables — sees
+        exactly its own update, and loaded back at window end.
         """
         with self.rwlock.write_locked():
-            stashed = self.events.take_events()
+            stashed = self.events.staged.take()
             try:
                 yield
             finally:
-                self.events.load_events(*stashed)
+                self.events.staged.load(*stashed)
 
     def _unit(
         self, member: _PendingCommit, gid: Optional[str] = None

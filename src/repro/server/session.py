@@ -3,11 +3,12 @@ paper's event tables.
 
 The paper stages one proposed update in the global ``ins_T``/``del_T``
 tables and validates it at ``safeCommit``.  Event tables are naturally
-*per-client* state, so a :class:`Session` owns a private staging
-overlay — shape-identical ins/del tables that live outside the shared
-catalog.  Another session can never observe them: base tables hold only
-committed data, and the global event tables are populated exclusively
-inside the commit scheduler's serialized window.
+*per-client* state, so a :class:`Session` owns a private staged update:
+a :class:`~repro.core.event_tables.StagedEvents` — the class the default
+session's capture triggers stage through — over shape-identical ins/del
+tables that live outside the shared catalog.  Another session can never
+observe them: base tables hold only committed data, and the global
+event tables hold only the default session's update.
 
 Reads are snapshot-consistent.  Every query — with or without staged
 events — takes the scheduler's shared read lock, so it sees base state
@@ -33,122 +34,14 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..errors import ExecutionError, SessionExpired
-from ..minidb.schema import TableSchema, normalize
-from ..minidb.storage import Table, TableOverlay, ValidatedRows
+from ..minidb.schema import normalize
 from ..minidb.transactions import TransactionManager
 from ..sqlparser import nodes as n
-from ..core.event_tables import (
-    del_table_name,
-    event_schema,
-    ins_table_name,
-    stage_delete,
-    stage_insert,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.safe_commit import CommitResult
     from ..core.tintin import Tintin
     from .scheduler import CommitScheduler
-
-
-class SessionEvents:
-    """A session's private staging area: one ins/del table pair per
-    instrumented base table, outside the shared catalog."""
-
-    def __init__(self, tintin: "Tintin"):
-        self._db = tintin.db
-        self._tables: dict[str, tuple[Table, Table]] = {}
-        #: (staging version, overlay map) memo — rebuilt only after the
-        #: staging tables actually changed, so repeated reads between
-        #: stagings share one immutable overlay (and its probe indexes)
-        self._overlay_cache: Optional[tuple[int, Optional[dict]]] = None
-        #: ``{table: its schema when the session began}``: staging checks
-        #: rows against the catalog's table, so the apply trusts them only
-        #: while that schema's table is still the catalog's
-        self._schemas: dict[str, TableSchema] = {}
-        for name in tintin.events.captured_tables:
-            base = self._db.table(name)
-            key = normalize(name)
-            self._schemas[key] = base.schema
-            self._tables[key] = (
-                Table(event_schema(base.schema, ins_table_name(name)), "session"),
-                Table(event_schema(base.schema, del_table_name(name)), "session"),
-            )
-
-    def _staging_version(self) -> int:
-        """Monotonic stamp over the staging tables: any staging
-        mutation bumps some table's ``data_version``, so equal sums
-        prove the staged events are unchanged."""
-        return sum(
-            table.data_version
-            for pair in self._tables.values()
-            for table in pair
-        )
-
-    def pair(self, table: str) -> tuple[Table, Table]:
-        key = normalize(table)
-        pair = self._tables.get(key)
-        if pair is None:
-            raise ExecutionError(
-                f"table {table!r} is not instrumented for capture — "
-                "sessions can only stage updates on captured tables"
-            )
-        return pair
-
-    def captured(self, table: str) -> bool:
-        return normalize(table) in self._tables
-
-    def snapshot(self) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
-        """Copy the staged events as ``(inserts, deletes)`` dicts of
-        :class:`~repro.minidb.storage.ValidatedRows`."""
-        inserts: dict[str, list[tuple]] = {}
-        deletes: dict[str, list[tuple]] = {}
-        for key, (ins, dels) in self._tables.items():
-            if len(ins):
-                inserts[key] = ValidatedRows(ins.scan(), self._schemas[key])
-            if len(dels):
-                deletes[key] = ValidatedRows(dels.scan(), self._schemas[key])
-        return inserts, deletes
-
-    def overlays(self) -> Optional[dict[str, TableOverlay]]:
-        """The staged events as a read-time overlay map (normalized
-        base-table name -> :class:`TableOverlay`); ``None`` when
-        nothing is staged.  The overlay snapshots the staging tables,
-        so it stays stable even if staging continues afterwards; the
-        snapshot is memoized until the staging tables change, so
-        repeated reads pay nothing to rebuild it."""
-        version = self._staging_version()
-        cached = self._overlay_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        overlays: dict[str, TableOverlay] = {}
-        for key, (ins, dels) in self._tables.items():
-            if len(ins) or len(dels):
-                overlays[key] = TableOverlay(
-                    ins.rows_snapshot(),
-                    dels.rows_snapshot(),
-                    table=self._db.table(key),
-                )
-        self._overlay_cache = (version, overlays or None)
-        return overlays or None
-
-    def counts(self) -> dict[str, tuple[int, int]]:
-        return {
-            key: (len(ins), len(dels))
-            for key, (ins, dels) in self._tables.items()
-        }
-
-    def has_events(self) -> bool:
-        return any(
-            len(ins) or len(dels) for ins, dels in self._tables.values()
-        )
-
-    def truncate(self) -> int:
-        removed = 0
-        for ins, dels in self._tables.values():
-            removed += ins.truncate()
-            removed += dels.truncate()
-        return removed
 
 
 class Session:
@@ -181,7 +74,8 @@ class Session:
         self.priority = priority
         self.created_at = time.monotonic()
         self.last_used = self.created_at
-        self.events = SessionEvents(tintin)
+        #: this session's staged update, in private tables
+        self.staged = tintin.events.staged.private()
         #: per-session undo log: bound to the committing thread while
         #: this session's batch touches base tables
         self.transactions = TransactionManager()
@@ -239,7 +133,7 @@ class Session:
         becomes unusable afterwards.
         """
         self._expired = True
-        dropped = 0 if self.pinned else self.events.truncate()
+        dropped = 0 if self.pinned else self.staged.truncate()
         if self._manager is not None:
             self._manager._forget(self.session_id)
         return dropped
@@ -256,38 +150,26 @@ class Session:
 
     # -- staging -----------------------------------------------------------
 
-    def _stage_insert_locked(self, table: str, rows: Iterable[tuple]) -> int:
-        """Stage insertions; caller must hold the scheduler read lock."""
+    def _stage_locked(self, stage, table: str, rows: Iterable[tuple]) -> int:
+        """Validate ``rows`` against ``table`` and stage them through
+        ``stage``; caller must hold the scheduler read lock."""
         base = self.db.table(table)
         validated = base.validate_rows(rows)
-        if validated:
-            ins, dels = self.events.pair(table)
-            stage_insert(base, ins, dels, validated)
-        return len(validated)
-
-    def _stage_delete_locked(self, table: str, rows: Iterable[tuple]) -> int:
-        """Stage deletions; caller must hold the scheduler read lock."""
-        base = self.db.table(table)
-        validated = base.validate_rows(rows)
-        if validated:
-            ins, dels = self.events.pair(table)
-            stage_delete(base, ins, dels, validated)
+        stage(base, validated)
         return len(validated)
 
     def insert(self, table: str, rows: Iterable[tuple]) -> int:
         """Stage row insertions (the session-private counterpart of the
         INSTEAD OF capture trigger)."""
         self._check_alive()
-        self.events.pair(table)  # fail fast on uncaptured tables
         with self.scheduler.rwlock.read_locked():
-            return self._stage_insert_locked(table, rows)
+            return self._stage_locked(self.staged.stage_insert, table, rows)
 
     def delete(self, table: str, rows: Iterable[tuple]) -> int:
         """Stage row deletions against the current base state."""
         self._check_alive()
-        self.events.pair(table)
         with self.scheduler.rwlock.read_locked():
-            return self._stage_delete_locked(table, rows)
+            return self._stage_locked(self.staged.stage_delete, table, rows)
 
     def execute(self, sql: str):
         """Execute one SQL statement in this session.
@@ -304,7 +186,7 @@ class Session:
         stmt = entry.stmt
         if isinstance(stmt, n.SelectStatement):
             with self.scheduler.rwlock.read_locked():
-                return entry.prepared.execute(params, self.events.overlays())
+                return entry.prepared.execute(params, self.staged.overlays())
         # resolution (WHERE/SELECT evaluation against base) and staging
         # happen under ONE read-lock acquisition: a commit window
         # sliding between them could make the resolved rows stale
@@ -312,20 +194,20 @@ class Session:
         if isinstance(stmt, n.Insert):
             with self.scheduler.rwlock.read_locked():
                 table, rows = self.db.resolve_insert_rows(entry, params)
-                return self._stage_insert_locked(table.name, rows)
+                return self._stage_locked(self.staged.stage_insert, table.name, rows)
         if isinstance(stmt, n.Delete):
             # WHERE is evaluated against the base table only — faithful
             # INSTEAD OF trigger behaviour (see event_tables docstring)
             with self.scheduler.rwlock.read_locked():
                 table, victims = self.db.resolve_delete_rows(entry, params)
-                return self._stage_delete_locked(table.name, victims)
+                return self._stage_locked(self.staged.stage_delete, table.name, victims)
         if isinstance(stmt, n.Update):
             with self.scheduler.rwlock.read_locked():
                 table, old_rows, new_rows = self.db.resolve_update_rows(
                     entry, params
                 )
-                self._stage_delete_locked(table.name, old_rows)
-                self._stage_insert_locked(table.name, new_rows)
+                self._stage_locked(self.staged.stage_delete, table.name, old_rows)
+                self._stage_locked(self.staged.stage_insert, table.name, new_rows)
             return len(old_rows)
         raise ExecutionError(
             f"sessions cannot execute {type(stmt).__name__} — only DML "
@@ -335,15 +217,15 @@ class Session:
     def discard(self) -> int:
         """Drop the staged update without validating it."""
         self._check_alive()
-        return self.events.truncate()
+        return self.staged.truncate()
 
     # -- introspection -----------------------------------------------------
 
     def pending_counts(self) -> dict[str, tuple[int, int]]:
-        return self.events.counts()
+        return self.staged.counts()
 
     def has_pending_events(self) -> bool:
-        return self.events.has_events()
+        return any(ins or dels for ins, dels in self.staged.counts().values())
 
     # -- snapshot reads ----------------------------------------------------
 
@@ -359,7 +241,7 @@ class Session:
         """
         self._check_alive()
         with self.scheduler.rwlock.read_locked():
-            return self.db.query(sql, overlays=self.events.overlays())
+            return self.db.query(sql, overlays=self.staged.overlays())
 
     def rows(self, table: str) -> list[tuple]:
         """The session's effective rows of one table: base − staged
@@ -368,10 +250,7 @@ class Session:
         self._check_alive()
         base = self.db.table(table)
         with self.scheduler.rwlock.read_locked():
-            overlays = (
-                self.events.overlays() if self.events.captured(table) else None
-            )
-            overlay = (overlays or {}).get(normalize(table))
+            overlay = (self.staged.overlays() or {}).get(normalize(table))
             if overlay is None:
                 return base.rows_snapshot()
             return list(overlay.scan(base))
@@ -395,6 +274,13 @@ class Session:
         way when this call returns.  ``obs``
         (:class:`repro.obs.trace.CommitObs`) carries an in-progress
         trace into the scheduler; the caller keeps ownership.
+
+        The attempt takes the staged update out first, so a commit
+        that is rejected or raises has consumed it: the staging is
+        empty afterwards either way.  Rows staged on a table dropped
+        since are not committed — they went with the table, as the
+        default session's go with its event tables — and the rest of
+        the update commits (see ``Tintin.safe_commit``).
         """
         self._check_alive()  # unpinned: a lapsed TTL raises here
         with self._commit_pin():
@@ -402,8 +288,7 @@ class Session:
             # between the TTL check and the pin (its events were then
             # discarded — there is nothing left to commit)
             self._check_alive()
-            inserts, deletes = self.events.snapshot()
-            self.events.truncate()  # events move into the request
+            inserts, deletes = self.staged.take()  # events move into the request
             result = self.scheduler.commit_events(
                 inserts,
                 deletes,

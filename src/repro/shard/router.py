@@ -805,7 +805,11 @@ class ShardSession:
     """One client's staging buffer against the sharded engine.
 
     Rows are validated (typed, coerced) against the catalog mirror at
-    staging time and routed at commit.  Reads go through
+    staging time and routed at commit.  The last operation on a row
+    wins: an insert takes the row out of the staged deletes, and a
+    delete out of the staged inserts.  Each shard then nets its slice
+    against its stored rows (:func:`repro.shard.worker.net_slice`), so
+    a commit ends where an embedded session's would.  Reads go through
     :meth:`ShardedTintin.query` — a point read to its one shard, any
     other read to every shard — and see *committed* state only:
     cross-shard read-your-writes would need the overlay merge inside
@@ -822,8 +826,9 @@ class ShardSession:
         self.manager = manager
         self.session_id = session_id
         self.priority = priority
-        self._inserts: dict[str, list[tuple]] = {}
-        self._deletes: dict[str, list[tuple]] = {}
+        #: ``{table: {row: None}}`` per side — ordered row sets
+        self._inserts: dict[str, dict[tuple, None]] = {}
+        self._deletes: dict[str, dict[tuple, None]] = {}
         self._expired = False
 
     def _check_alive(self) -> None:
@@ -839,20 +844,25 @@ class ShardSession:
             for rows in events.values()
         )
 
-    def _stage(self, events: dict, table: str, rows: list[tuple]) -> int:
-        """Validate ``rows`` against the mirror and stage them; returns
-        how many this call staged (as ``Session.insert/delete`` do)."""
+    def _stage(self, events: dict, other: dict, table: str, rows) -> int:
+        """Validate ``rows`` against the mirror and stage them in
+        ``events``, taking each out of ``other``; returns how many this
+        call staged (as ``Session.insert/delete`` do)."""
         self._check_alive()
         mirror = self.router.db.table(table)
         validated = mirror.validate_rows(rows)
-        events.setdefault(table, []).extend(validated)
+        staged = events.setdefault(mirror.name, {})
+        undone = other.get(mirror.name, {})
+        for row in validated:
+            undone.pop(row, None)
+            staged[row] = None
         return len(validated)
 
     def insert(self, table: str, rows: list[tuple]) -> int:
-        return self._stage(self._inserts, table, rows)
+        return self._stage(self._inserts, self._deletes, table, rows)
 
     def delete(self, table: str, rows: list[tuple]) -> int:
-        return self._stage(self._deletes, table, rows)
+        return self._stage(self._deletes, self._inserts, table, rows)
 
     def execute(self, sql: str):
         self._check_alive()
@@ -875,7 +885,10 @@ class ShardSession:
     ) -> CommitResult:
         self._check_alive()
         result = self.router.commit_events(
-            self._inserts, self._deletes, deadline=deadline, obs=obs
+            {table: list(rows) for table, rows in self._inserts.items()},
+            {table: list(rows) for table, rows in self._deletes.items()},
+            deadline=deadline,
+            obs=obs,
         )
         if result.committed:
             self._inserts = {}

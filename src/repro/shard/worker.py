@@ -43,12 +43,37 @@ Two-phase commit discipline enforced here:
   shard's yes vote;
 * ``close`` skips its final checkpoint under the same condition, so
   the vote survives a clean shutdown into the next recovery.
+
+Every ``commit`` and ``prepare`` slice is netted first (:func:`net_slice`)
+through the shard's default staged update — the same code an embedded
+session's rows go through — so an insert of a stored row or a delete
+of an absent one never reaches the scheduler.
 """
 
 from __future__ import annotations
 
 import os
 import time
+
+
+def net_slice(tintin, inserts: dict, deletes: dict) -> tuple[dict, dict]:
+    """Stage one routed slice (its deletes, then its inserts) through
+    ``tintin``'s default staged update and take it back as the net
+    update the scheduler commits.  A slice that fails to stage leaves
+    nothing staged."""
+    staged = tintin.events.staged
+    try:
+        for stage, events in (
+            (staged.stage_delete, deletes),
+            (staged.stage_insert, inserts),
+        ):
+            for table, rows in events.items():
+                base = tintin.db.table(table)
+                stage(base, base.validate_rows(rows))
+        return staged.take()
+    except BaseException:
+        staged.truncate()
+        raise
 
 
 def shard_worker_main(
@@ -115,7 +140,7 @@ def shard_worker_main(
                     else time.monotonic() + remaining
                 )
                 result = scheduler.commit_events(
-                    inserts, deletes, deadline=deadline
+                    *net_slice(tintin, inserts, deletes), deadline=deadline
                 )
                 conn.send(("ok", result.payload()))
             elif command == "prepare":
@@ -126,7 +151,7 @@ def shard_worker_main(
                     else time.monotonic() + remaining
                 )
                 result = scheduler.prepare_events(
-                    gid, inserts, deletes, deadline=deadline
+                    gid, *net_slice(tintin, inserts, deletes), deadline=deadline
                 )
                 conn.send(("ok", result.payload()))
             elif command == "decide":

@@ -21,7 +21,7 @@ def query_spliced(session, sql: str):
     """Run ``sql`` for ``session`` with its staged events spliced into
     the base tables, then restore them."""
     session._check_alive()
-    if not session.events.has_events():
+    if not session.has_pending_events():
         with session.scheduler.rwlock.read_locked():
             return session.db.query(sql)
     with session.scheduler.rwlock.write_locked():
@@ -34,7 +34,7 @@ def query_spliced(session, sql: str):
 
 
 def _splice_in(session, undo: list[tuple[str, Table, tuple]]) -> None:
-    inserts, deletes = session.events.snapshot()
+    inserts, deletes = session.staged.snapshot()
     for name, rows in deletes.items():
         base = session.db.table(name)
         for row in rows:

@@ -54,7 +54,7 @@ class TestMirroring:
         db.execute("INSERT INTO t VALUES (1)")  # captured into ins_t
         mirror.refresh_event_tables(db)
         assert mirror.query("SELECT * FROM ins_t") == [(1,)]
-        tintin.events.truncate_events()
+        tintin.events.staged.truncate()
         mirror.refresh_event_tables(db)
         assert mirror.query("SELECT * FROM ins_t") == []
         mirror.close()

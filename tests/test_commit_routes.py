@@ -152,8 +152,8 @@ def shared_window(tintin, step, index):
     alone, and both members' records ride one fsync."""
     scheduler = tintin.sessions.scheduler
     session = stage_session(tintin, step)
-    inserts, deletes = session.events.snapshot()
-    session.events.truncate()
+    inserts, deletes = session.staged.snapshot()
+    session.staged.truncate()
     members = [
         _PendingCommit(None, inserts, deletes, session.transactions),
         _PendingCommit(None, {"ticks": [(index,)]}, {}, TransactionManager()),
@@ -175,7 +175,7 @@ def shared_window(tintin, step, index):
 def prepare_and_decide(tintin, step, index):
     scheduler = tintin.sessions.scheduler
     session = stage_session(tintin, step)
-    inserts, deletes = session.events.snapshot()
+    inserts, deletes = session.staged.snapshot()
     session.discard()
     vote = scheduler.prepare_events(f"g{index}", inserts, deletes)
     if vote.committed:
@@ -208,7 +208,7 @@ def run_route(name: str, path: str, seed: int):
         for index, step in enumerate(script(seed))
     ]
     final = state(tintin.db)
-    assert not tintin.events.has_pending_events()
+    assert tintin.events.staged.snapshot() == ({}, {})
     tintin.close(checkpoint=False)
     reopened = Tintin.open(path)
     try:

@@ -1,7 +1,9 @@
 """Direct tests of the event-capture manager (paper §4, SQL Server
-Controller): installation, capture invariants, pending access, apply."""
+Controller) and of the one staging class every session nets its update
+through: installation, capture invariants, pending access, apply."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.event_tables import (
     EventTableManager,
@@ -73,25 +75,24 @@ class TestCaptureAndPending:
         manager.install()
         db.execute("INSERT INTO parent VALUES (3)")
         db.execute("DELETE FROM child WHERE id = 10")
-        counts = manager.pending_counts()
+        counts = manager.staged.counts()
         assert counts["parent"] == (1, 0)
         assert counts["child"] == (0, 1)
-        assert manager.has_pending_events()
 
     def test_pending_rows_access(self, db):
         manager = EventTableManager(db)
         manager.install()
         db.execute("INSERT INTO parent VALUES (3)")
-        assert manager.pending_insertions("parent") == [(3,)]
-        assert manager.pending_deletions("parent") == []
+        assert db.table("ins_parent").rows_snapshot() == [(3,)]
+        assert db.table("del_parent").rows_snapshot() == []
 
     def test_truncate_events(self, db):
         manager = EventTableManager(db)
         manager.install()
         db.execute("INSERT INTO parent VALUES (3)")
         db.execute("DELETE FROM child WHERE id = 10")
-        assert manager.truncate_events() == 2
-        assert not manager.has_pending_events()
+        assert manager.staged.truncate() == 2
+        assert manager.staged.take() == ({}, {})
 
     def test_base_tables_untouched_by_capture(self, db):
         manager = EventTableManager(db)
@@ -116,8 +117,10 @@ class TestCaptureAndPending:
         manager.install(["child"])
         db.execute("INSERT INTO child VALUES (12, 2)")
         db.execute("DELETE FROM child WHERE id = 11")
-        assert manager.pending_insertions("child") == [(12, 2)]
-        assert manager.pending_deletions("child") == [(11, 1)]
+        assert manager.staged.snapshot() == (
+            {"child": [(12, 2)]},
+            {"child": [(11, 1)]},
+        )
         assert db.table("child").rows_snapshot() == [(11, 1)]
         assert [t.name for t in db.catalog.triggers_for("child", "delete")] == [
             "capture_del_child"
@@ -136,9 +139,9 @@ class TestApplyPending:
         manager.install()
         db.execute("INSERT INTO parent VALUES (3)")
         db.execute("INSERT INTO child VALUES (11, 3)")
-        changed = manager.apply_pending()
+        changed = db.apply_batch(*manager.staged.take())
         assert changed == 2
-        assert not manager.has_pending_events()
+        assert manager.staged.counts() == {"parent": (0, 0), "child": (0, 0)}
         assert (3,) in list(db.table("parent").scan())
         assert (11, 3) in list(db.table("child").scan())
 
@@ -148,14 +151,14 @@ class TestApplyPending:
         # child arrives before its new parent — apply must still work
         db.execute("INSERT INTO child VALUES (12, 9)")
         db.execute("INSERT INTO parent VALUES (9)")
-        assert manager.apply_pending() == 2
+        assert db.apply_batch(*manager.staged.take()) == 2
 
     def test_apply_constraint_failure_rolls_back(self, db):
         manager = EventTableManager(db)
         manager.install()
         db.execute("INSERT INTO child VALUES (13, 999)")  # no such parent
         with pytest.raises(ConstraintViolation):
-            manager.apply_pending()
+            db.apply_batch(*manager.staged.take())
         # nothing applied, base unchanged
         assert sorted(db.table("child").scan()) == [(10, 1)]
 
@@ -164,11 +167,10 @@ class TestApplyPending:
         manager.install()
         db.execute("INSERT INTO child VALUES (13, 999)")
         with pytest.raises(ConstraintViolation):
-            manager.apply_pending()
-        manager.truncate_events()
+            db.apply_batch(*manager.staged.take())
         # capture must still work afterwards
         db.execute("INSERT INTO parent VALUES (5)")
-        assert manager.pending_counts()["parent"] == (1, 0)
+        assert manager.staged.counts()["parent"] == (1, 0)
 
     def test_delete_and_reinsert_same_key(self, db):
         manager = EventTableManager(db)
@@ -177,7 +179,7 @@ class TestApplyPending:
         db.execute("UPDATE parent SET id = 2 WHERE id = 2")  # no-op update
         db.execute("DELETE FROM child WHERE id = 10")
         db.execute("INSERT INTO child VALUES (10, 2)")
-        assert manager.apply_pending() >= 2
+        assert db.apply_batch(*manager.staged.take()) >= 2
         assert list(db.table("child").lookup_secondary(("id",), (10,))) == [(10, 2)]
 
 
@@ -216,7 +218,7 @@ class TestStagingIsLinear:
             tintin.install()
             if route == "default":
                 insert, delete = db.insert_rows, db.delete_rows
-                pending = tintin.events.pending_counts
+                pending = tintin.events.staged.counts
             else:
                 session = tintin.create_session()
                 insert, delete = session.insert, session.delete
@@ -253,4 +255,108 @@ def test_a_null_key_probe_builds_no_index_on_a_keyed_table():
     assert db.table("orders").secondary_indexes == {}
     assert not db.table("orders").contains_row((None, 1.0))
     assert session.pending_counts()["orders"] == (1, 0)
-    assert tintin.events.pending_counts()["orders"] == (0, 0)
+    assert tintin.events.staged.counts()["orders"] == (0, 0)
+
+
+def test_a_session_stages_only_tables_still_captured():
+    """A session's staging belongs to the tables captured when it
+    began: an uncaptured table, or one dropped and created again, is
+    refused, and the dropped table's staged rows are neither read into
+    the new table nor taken."""
+    from repro.core import Tintin
+    from repro.errors import ExecutionError
+
+    db = Database()
+    db.execute("CREATE TABLE a (x INTEGER)")
+    db.execute("CREATE TABLE u (x INTEGER)")
+    tintin = Tintin(db)
+    tintin.install(["a"])
+    session = tintin.create_session()
+    with pytest.raises(ExecutionError, match="not instrumented"):
+        session.insert("u", [(1,)])
+    session.insert("a", [(1,)])
+    assert session.query("SELECT * FROM a").rows == [(1,)]
+    db.execute("DROP TABLE a")
+    assert not db.catalog.has_table("ins_a")
+    assert session.pending_counts() == {} and not session.has_pending_events()
+    db.execute("CREATE TABLE a (x INTEGER)")
+    assert session.query("SELECT * FROM a").rows == []
+    with pytest.raises(ExecutionError, match="not instrumented"):
+        session.insert("a", [(2,)])
+    assert session.staged.take() == ({}, {})
+
+
+KEYED_DDL = "CREATE TABLE k (id INTEGER PRIMARY KEY, v INTEGER)"
+KEYLESS_DDL = "CREATE TABLE b (x INTEGER, y INTEGER)"
+
+#: one staging step: (operation, table, row)
+STEPS = st.tuples(
+    st.sampled_from(["insert", "delete"]),
+    st.sampled_from(["k", "b"]),
+    st.tuples(st.integers(1, 4), st.integers(1, 3)),
+)
+
+
+def _stored_engine():
+    from repro.core import Tintin
+
+    db = Database()
+    db.execute(KEYED_DDL)
+    db.execute(KEYLESS_DDL)
+    db.insert_rows("k", [(1, 1), (2, 2)])
+    db.insert_rows("b", [(1, 1), (2, 2), (2, 2)])
+    tintin = Tintin(db)
+    tintin.install()
+    return tintin
+
+
+def _through_the_default_session(steps):
+    tintin = _stored_engine()
+    db = tintin.db
+    for operation, table, row in steps:
+        (db.insert_rows if operation == "insert" else db.delete_rows)(table, [row])
+    return tintin.events.staged.take()
+
+
+def _through_a_session(steps):
+    session = _stored_engine().create_session()
+    for operation, table, row in steps:
+        getattr(session, operation)(table, [row])
+    return session.staged.take()
+
+
+def _through_a_shard_slice(steps):
+    """A sharded session's staging, then its slice netted as a shard
+    worker nets it (the router and the pipe left out)."""
+    from types import SimpleNamespace
+
+    from repro.core import CommitResult
+    from repro.shard.router import ShardSession
+    from repro.shard.worker import net_slice
+
+    shard = _stored_engine()
+    taken = []
+
+    def commit_events(inserts, deletes, deadline=None, obs=None):
+        taken.append(net_slice(shard, inserts, deletes))
+        return CommitResult(committed=True)
+
+    router = SimpleNamespace(db=shard.db, commit_events=commit_events)
+    session = ShardSession(router, None, "s")
+    for operation, table, row in steps:
+        getattr(session, operation)(table, [row])
+    session.commit()
+    (update,) = taken
+    return update
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STEPS, max_size=14))
+def test_every_door_stages_the_same_net_update(steps):
+    """One insert/delete sequence over a keyed and a keyless table
+    (stored rows, one of them twice) takes out as the same net update
+    through the default session's capture triggers, a ``Session`` and
+    a shard worker's slice staging."""
+    expected = _through_the_default_session(steps)
+    assert _through_a_session(steps) == expected
+    assert _through_a_shard_slice(steps) == expected

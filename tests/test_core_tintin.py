@@ -65,7 +65,7 @@ class TestInstallation:
     def test_install_creates_safecommit_procedure(self):
         db = make_db()
         Tintin(db).install()
-        assert db.catalog.has_procedure("safeCommit")
+        assert db.catalog.get_procedure("safeCommit").name == "safeCommit"
 
     def test_add_assertion_requires_install(self):
         db = make_db()

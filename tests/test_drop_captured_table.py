@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, Tintin
-from repro.errors import CatalogError, ShardError
+from repro.errors import CatalogError, ExecutionError, ShardError
 from repro.shard import ShardedTintin
 
 A_DDL = "CREATE TABLE a (x INTEGER PRIMARY KEY, y INTEGER)"
@@ -177,3 +177,36 @@ def test_a_sharded_event_table_drop_is_refused_and_leaves_the_mirror_whole(
         assert engine.query("SELECT * FROM a WHERE x = 3").rows == [(3, 4)]
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["embedded", "durable"])
+@pytest.mark.parametrize("route", ["default", "session"])
+def test_a_drop_under_staged_rows_takes_only_that_tables_rows(
+    tmp_path, route, durable
+):
+    """One contract on every route: the staged rows of a dropped table
+    go with it, and the rest of the update commits."""
+    tintin = build(Tintin.open(str(tmp_path)) if durable else Tintin(Database()))
+    db = tintin.db
+    session = tintin.create_session() if route == "session" else None
+    stage = db.insert_rows if session is None else session.insert
+    stage("a", [(1, 1)])
+    stage("b", [(2,)])
+    db.execute("DROP TABLE a")
+    result = tintin.safe_commit(session)
+    assert result.committed and result.applied_rows == 1
+    assert db.query("SELECT * FROM b").rows == [(2,)]
+    db.execute(A_DDL)
+    if session is not None:
+        # the session's staging belonged to the dropped table
+        with pytest.raises(ExecutionError, match="not instrumented"):
+            session.insert("a", [(3, 3)])
+    assert tintin.safe_commit(session).applied_rows == 0
+    if durable:
+        tintin.close()
+        reopened = Tintin.open(str(tmp_path))
+        try:
+            assert reopened.db.query("SELECT * FROM b").rows == [(2,)]
+            assert reopened.db.query("SELECT * FROM a").rows == []
+        finally:
+            reopened.close()

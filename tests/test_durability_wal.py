@@ -74,22 +74,40 @@ def test_file_round_trip(tmp_path_factory, batches):
         assert counts is None
 
 
-def test_checkpoint_rows_refuse_nan_and_keep_infinity(monkeypatch):
-    """The checkpoint's JSON rows obey the log's value rule: NaN never
-    becomes durable (it breaks replay's row-equality checks), ±infinity
-    does.  Tables refuse NaN themselves, so the guard is a second line
-    of defence — reached here by faking a snapshot."""
+def test_checkpoint_rows_keep_infinity():
+    """The checkpoint's rows obey the log's value rule: ±infinity
+    becomes durable (NaN never reaches a stored row, see below)."""
     db = Database("db")
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x DOUBLE)")
     db.insert_rows("t", [(1, float("inf")), (2, float("-inf"))])
     tintin = Tintin(db)
     (entry,) = build_checkpoint_payload(tintin, 0)["tables"]
-    assert sorted(entry["rows"]) == [[1, float("inf")], [2, float("-inf")]]
-    monkeypatch.setattr(
-        db.table("t"), "rows_snapshot", lambda: [(3, float("nan"))]
-    )
-    with pytest.raises(DurabilityError):
-        build_checkpoint_payload(tintin, 0)
+    assert sorted(entry["rows"]) == [(1, float("inf")), (2, float("-inf"))]
+
+
+def test_nan_reaches_no_stored_row():
+    """A checkpoint writes the stored rows as they are, so it holds no
+    NaN only because no table does (NaN breaks replay's row-equality
+    checks): every route that stores a row refuses one."""
+    from repro.errors import TypeCheckError
+
+    nan = float("nan")
+    db = Database("db")
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x DOUBLE)")
+    db.insert_rows("t", [(1, 1e308)])
+    table = db.table("t")
+    writes = [
+        lambda: db.insert_rows("t", [(2, 2.5), (3, nan)]),
+        lambda: db.apply_batch({"t": [(2, 2.5), (3, nan)]}, {}),
+        lambda: table.load_rows([[2, 2.5], [3, nan]]),
+        # inf - inf: the new value is computed, not spelled
+        lambda: db.execute("UPDATE t SET x = x * 10 - x * 10"),
+    ]
+    for write in writes:
+        with pytest.raises(TypeCheckError, match="NaN"):
+            write()
+        assert all(x == x for _, x in table.rows_snapshot())
+    assert table.rows_snapshot()[0] == (1, 1e308)
 
 
 # -- damage detection -------------------------------------------------------

@@ -122,7 +122,9 @@ class TestDenials:
         )
         assert str(denial) == "order(o) ∧ ¬lineIt(l, o) → ⊥"
         assert len(denial.positive_atoms) == 1
-        assert len(denial.negative_atoms) == 1
+        assert [l for l in denial.body if isinstance(l, Atom) and l.negated] == [
+            Atom(LINEIT, (L, O), negated=True)
+        ]
         assert denial.variables() == {O, L}
 
     def test_empty_body_rejected(self):

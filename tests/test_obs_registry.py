@@ -138,6 +138,7 @@ def test_sharded_engine_behind_a_server(tmp_path):
         engine.execute(
             "CREATE TABLE items (id INTEGER PRIMARY KEY, qty INTEGER)"
         )
+        engine.install()  # a shard stages only the tables it captures
         server = TintinServer(engine, port=0).start()
         try:
             with TintinClient(*server.address) as client:

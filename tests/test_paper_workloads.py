@@ -74,6 +74,6 @@ def test_incremental_verdict_equals_full_check(spec, update):
         # the rollback restored the pre-state: apply the same batch
         # unchecked and the defining query must see the violation
         batch.stage(db)
-        tintin.events.apply_pending()
+        tintin.db.apply_batch(*tintin.events.staged.take())
         full = tintin.baseline.check_current_state(db)
         assert violated(full) == [spec.name]

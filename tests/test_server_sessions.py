@@ -51,8 +51,8 @@ def commit_order(tintin: Tintin, key: int, items: int = 1):
 
 def inject(scheduler, session):
     """Queue a session's staged update without processing it."""
-    inserts, deletes = session.events.snapshot()
-    session.events.truncate()
+    inserts, deletes = session.staged.snapshot()
+    session.staged.truncate()
     pending = _PendingCommit(
         session=session,
         inserts=inserts,
@@ -280,7 +280,7 @@ class TestExpiry:
         session.insert("orders", [(1,)])
         dropped = session.expire()
         assert dropped == 1
-        assert not session.events.has_events()
+        assert not session.has_pending_events()
         # nothing leaked anywhere: base and global event tables empty
         assert len(tintin.db.table("orders")) == 0
         assert len(tintin.db.table("ins_orders")) == 0
@@ -312,7 +312,7 @@ class TestExpiry:
         session.last_used -= 60.0  # simulate 60s of idleness
         with pytest.raises(SessionExpired):
             session.commit()
-        assert not session.events.has_events()
+        assert not session.has_pending_events()
 
     def test_expire_idle_sweep(self):
         tintin = build_tintin()
@@ -448,7 +448,7 @@ class TestViolationAttribution:
         # duplicate PK against committed data: passes assertion checks,
         # fails on apply — must reject only the offending session
         s2.insert("items", [(1, 1), (9, 9)])
-        inserts, deletes = s2.events.snapshot()
+        inserts, deletes = s2.staged.snapshot()
         # bypass net-staging to force the duplicate through
         inserts["items"] = [(1, 1)]
         p1 = inject(scheduler, s1)

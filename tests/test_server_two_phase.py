@@ -159,7 +159,7 @@ class TestNoVoteLeavesNothingBehind:
         tintin.db.execute("INSERT INTO items VALUES (50, 1)")
         base, staged, armed = (
             state(tintin.db),
-            tintin.events.snapshot_events(),
+            tintin.events.staged.snapshot(),
             arming(tintin),
         )
         vote = scheduler.prepare_events("g1", inserts, deletes)
@@ -167,7 +167,7 @@ class TestNoVoteLeavesNothingBehind:
         expect(vote)
         assert not scheduler.has_prepared
         assert state(tintin.db) == base
-        assert tintin.events.snapshot_events() == staged
+        assert tintin.events.staged.snapshot() == staged
         # derived state may be dropped (always sound), never gained
         assert all(was or not now for was, now in zip(armed, arming(tintin)))
         assert scheduler.stats.prepares == 0

@@ -58,7 +58,7 @@ class TestEveryRouteRefuses:
             action()
         assert str(caught.value) == message
         assert tintin.db.table("orders").rows_snapshot() == [(1, 1.0)]
-        assert tintin.events.pending_counts() == {"orders": (0, 0)}
+        assert tintin.events.staged.counts() == {"orders": (0, 0)}
 
     def test_db_execute(self, row, error, message):
         tintin = engine()
@@ -200,7 +200,7 @@ def test_a_staged_delete_is_the_stored_row():
     its values — so ``del_T`` too holds validated rows only."""
     tintin = engine()
     tintin.db.delete_rows("orders", [(1, 1), (9, 9.0)])
-    staged = tintin.events.pending_deletions("orders")
+    staged = tintin.db.table("del_orders").rows_snapshot()
     assert staged == [(1, 1.0)] and type(staged[0][1]) is float
     assert tintin.safe_commit().committed
     assert tintin.db.table("orders").rows_snapshot() == []
