@@ -84,27 +84,33 @@ class NonIncrementalChecker:
         state; non-empty answers are violations."""
         violations: list[Violation] = []
         for assertion in self._assertions:
-            if db is self.events.db and db.plan_cache_enabled:
-                handles = self._prepared.get(assertion.name)
-                if handles is None:
-                    handles = [
-                        db.prepare_query(query)
-                        for query in assertion.inner_queries()
-                    ]
-                    self._prepared[assertion.name] = handles
-                results = [handle.execute() for handle in handles]
-            else:
-                results = [
-                    db.query_ast(query) for query in assertion.inner_queries()
-                ]
-            for index, result in enumerate(results, start=1):
-                if result.rows:
-                    violations.append(
-                        Violation(
-                            assertion=assertion.name,
-                            edc_name=f"{assertion.name}(full query {index})",
-                            columns=result.columns,
-                            rows=result.rows,
-                        )
-                    )
+            violations.extend(self.check(db, assertion))
         return violations
+
+    def check(self, db: Database, assertion: Assertion) -> list[Violation]:
+        """Evaluate one assertion's defining queries over the current
+        state, whether or not it is registered (``Tintin.add_assertion``
+        checks a new one before installing it)."""
+        if db is self.events.db and db.plan_cache_enabled:
+            handles = self._prepared.get(assertion.name)
+            if handles is None:
+                handles = [
+                    db.prepare_query(query)
+                    for query in assertion.inner_queries()
+                ]
+                self._prepared[assertion.name] = handles
+            results = [handle.execute() for handle in handles]
+        else:
+            results = [
+                db.query_ast(query) for query in assertion.inner_queries()
+            ]
+        return [
+            Violation(
+                assertion=assertion.name,
+                edc_name=f"{assertion.name}(full query {index})",
+                columns=result.columns,
+                rows=result.rows,
+            )
+            for index, result in enumerate(results, start=1)
+            if result.rows
+        ]

@@ -21,7 +21,10 @@ violating if the update changed its inner (``aux``) result, and with
 every closure occurrence binding at least one parent-correlated column,
 only parents reachable from a staged row's key can change.  The seed
 (:class:`~repro.minidb.plan.DeltaSeed`) projects and deduplicates those
-keys, so the check probes each affected parent once.
+keys, so the check probes each affected parent once.  Unlike the full
+view, a seeded plan would miss a violation the old state already held,
+so ``Tintin.add_assertion`` checks that state once when it installs an
+assertion with a seeded EDC; every validated commit keeps it.
 
 Fallback rules (the EDC keeps its full plan as the only evaluator):
 
@@ -81,15 +84,12 @@ class DeltaRule:
     """The delta evaluation strategy derived for one EDC."""
 
     #: ``native`` — the full plan is already |delta|-driven;
-    #: ``seeded`` — evaluate ``query`` instead of the full view while
-    #: the per-assertion memo state is valid.
+    #: ``seeded`` — evaluate ``query`` instead of the full view (the
+    #: old state's consistency it assumes is checked at install).
     kind: str
     branches: tuple[DeltaBranch, ...] = ()
     #: the seeded delta query (``None`` for native EDCs)
     query: Optional[n.Query] = None
-    #: base (non-event) tables whose unvalidated mutation invalidates
-    #: the consistency assumption behind the seeded evaluation
-    base_tables: tuple[str, ...] = ()
 
 
 class DeltaCompiler:
@@ -113,12 +113,7 @@ class DeltaCompiler:
         if not branches:
             return None
         query = self.sql.delta_query(edc, branches)
-        return DeltaRule(
-            kind="seeded",
-            branches=branches,
-            query=query,
-            base_tables=self.base_tables(edc),
-        )
+        return DeltaRule(kind="seeded", branches=branches, query=query)
 
     # -- occurrence walk ---------------------------------------------------
 
@@ -142,31 +137,6 @@ class DeltaCompiler:
         ]
         self._walk(negations, None, parent_vars, aux_index, per_table, 0)
         return self._branches_from(per_table)
-
-    def base_tables(self, edc: EDC) -> tuple[str, ...]:
-        """Base (non-event) tables referenced anywhere in the EDC —
-        parents plus the negation closure."""
-        tables: set[str] = set()
-        aux_index = {a.predicate.name.lower(): a for a in edc.aux}
-
-        def visit(items, depth: int) -> None:
-            if depth > _MAX_DEPTH:
-                raise NotDeltaExpressible("aux expansion too deep")
-            for item in items:
-                if isinstance(item, NegatedConjunction):
-                    visit(item.items, depth)
-                elif isinstance(item, Atom):
-                    kind = item.predicate.kind
-                    if kind == DERIVED:
-                        aux = aux_index.get(item.predicate.name.lower())
-                        if aux is not None:
-                            for rule in aux.rules:
-                                visit(rule.body, depth + 1)
-                    elif kind not in (INS, DEL):
-                        tables.add(item.predicate.sql_table().lower())
-
-        visit(edc.body, 0)
-        return tuple(sorted(tables))
 
     def _walk(
         self,

@@ -77,19 +77,16 @@ class CompiledEDC:
     guard_tables: tuple[str, ...]
     #: the view's query compiled once at ``add_assertion`` time; when
     #: set, ``check_only`` executes this handle instead of re-parsing
-    #: and re-planning ``SELECT * FROM <view>`` on every commit
+    #: and re-planning ``SELECT * FROM <view>`` on every commit.  None
+    #: for a seeded EDC, whose delta plan replaces it
     prepared: Optional[PreparedStatement] = None
     #: the delta rule derived for this EDC (:mod:`repro.core.delta`);
     #: None means the full plan is the only evaluator
     delta: Optional[object] = None
-    #: prepared handle of the seeded delta query (guard-mode EDCs only)
+    #: prepared handle of the seeded delta query (guard-mode EDCs
+    #: only): with the plan cache on it is the EDC's one evaluator,
+    #: sound because ``add_assertion`` checked the premise it rests on
     delta_prepared: Optional[PreparedStatement] = None
-    #: whether the seeded path may run: armed only after a clean
-    #: full-view check was applied, and disarmed whenever the shared
-    #: base-table version stamp (see ``SafeCommit._delta_stamp``)
-    #: drifts — i.e. after any write that did not go through the
-    #: validated commit path
-    delta_armed: bool = False
     #: the shared core this EDC may run through, or None to always run
     #: its own plan
     core: Optional[SharedCore] = None
@@ -243,25 +240,12 @@ class SafeCommit:
         #: via ``Tintin.enable_profiling()``.  None keeps the check
         #: loop timing-free.
         self.profiler = None
-        #: EDCs whose *full* view executed cleanly in the last
-        #: ``check_only`` pass — promoted to armed by :meth:`note_applied`
-        #: once that pass's update is actually applied
-        self._rearm: list[CompiledEDC] = []
-        #: one shared stamp for *all* armed EDCs: normalized base-table
-        #: name -> data_version as of the last validated apply.  A
-        #: current table version differing from its stamp means an
-        #: unvalidated write happened — every armed EDC disarms.
-        self._delta_stamp: dict[str, int] = {}
-        self._delta_catalog_version: Optional[int] = None
-        #: cached union of the delta base tables over ``compiled``
-        self._delta_tables_cache: Optional[tuple[str, ...]] = None
         #: the check units indexed by the event tables that wake them;
         #: rebuilt lazily after any register / unregister
         self._dispatch: Optional[_Dispatch] = None
 
     def register(self, compiled: CompiledEDC) -> None:
         self.compiled.append(compiled)
-        self._delta_tables_cache = None
         self._dispatch = None
 
     def register_aggregate(self, checker) -> None:
@@ -275,7 +259,6 @@ class SafeCommit:
         self.aggregate_checkers = [
             c for c in self.aggregate_checkers if c.spec.name != assertion
         ]
-        self._delta_tables_cache = None
         self._dispatch = None
 
     # -- the procedure body -------------------------------------------------
@@ -308,9 +291,8 @@ class SafeCommit:
         :class:`~repro.obs.trace.CommitObs`, or None) gets the
         ``validate``/``check.<view>``/``apply``/``wal.append`` spans;
         ``fault`` is the scheduler's fault hook.  ``hold_open`` leaves
-        the undo log open (a 2PC prepare, whose :meth:`note_applied`
-        waits for the decision); ``log``/``gid`` go to
-        :func:`log_update`.
+        the undo log open (a 2PC prepare, whose decision comes later);
+        ``log``/``gid`` go to :func:`log_update`.
 
         Returns the verdict and whether a record was appended: the
         caller owns the fsync, and must not acknowledge a logged
@@ -353,8 +335,6 @@ class SafeCommit:
             result.constraint_error = str(exc)
             return result, False
         result.committed = True
-        if not hold_open:
-            self.note_applied(db, inserts, deletes)
         if obs is not None:
             obs.record("apply", start, time.monotonic())
             start = time.monotonic()
@@ -384,9 +364,6 @@ class SafeCommit:
         except BaseException:
             if hold_open:
                 transactions.rollback()
-                # delta plans may be re-armed expecting the apply to
-                # stick; disarming is always sound
-                self.reset_delta_state()
             raise
 
     def check_only(
@@ -427,10 +404,6 @@ class SafeCommit:
             for name in skipped:
                 profiler.record_skip(name)
         timed = profiler is not None or trace is not None
-        rearm: list[CompiledEDC] = []
-        self._rearm = rearm
-        # one stamp sweep covers every armed EDC in this pass
-        delta_ok = db.plan_cache_enabled and self._delta_stamp_valid(db)
         found: list[tuple[int, Violation]] = []
         checked = 0
         for unit in units:
@@ -439,16 +412,10 @@ class SafeCommit:
             t0 = time.perf_counter() if timed else 0.0
             if unit.__class__ is CompiledEDC:
                 label = None
-                outcomes = [
-                    self._run_view(
-                        unit, db, overlays, collector, delta_ok, rearm
-                    )
-                ]
+                outcomes = [self._run_view(unit, db, overlays, collector)]
             elif unit.__class__ is _Family:
                 label = unit.label
-                outcomes = self._run_family(
-                    unit, db, overlays, collector, delta_ok, rearm
-                )
+                outcomes = self._run_family(unit, db, overlays, collector)
             else:
                 label = unit.label
                 outcomes = unit.run(db, overlays)
@@ -488,47 +455,19 @@ class SafeCommit:
         db: Database,
         overlays: Optional[dict[str, TableOverlay]],
         collector,
-        delta_ok: bool,
-        rearm: list[CompiledEDC],
     ) -> tuple:
-        """Execute one violation view: the armed delta plan, the
+        """Execute one violation view: its seeded delta plan or its
         prepared full plan, or (plan cache off) a fresh parse and plan.
         Returns ``(compiled, profile label, witness count, violation)``."""
-        use_delta = (
-            delta_ok
-            and compiled.delta_armed
-            and compiled.delta_prepared is not None
-            and compiled.delta_prepared.db is db
-        )
-        if use_delta:
-            result = compiled.delta_prepared.execute(
-                overlays=overlays, collector=collector
-            )
-        elif (
-            compiled.prepared is not None
-            and compiled.prepared.db is db
-            and db.plan_cache_enabled
-        ):
-            result = compiled.prepared.execute(
-                overlays=overlays, collector=collector
-            )
+        handle = compiled.delta_prepared or compiled.prepared
+        label = compiled.view_name
+        if handle is not None and handle.db is db and db.plan_cache_enabled:
+            result = handle.execute(overlays=overlays, collector=collector)
+            if handle is compiled.delta_prepared:
+                label += ".delta"
         else:
             # fresh-plan path: parse and plan the view query anew
-            result = db.query(
-                f"SELECT * FROM {compiled.view_name}", overlays=overlays
-            )
-        if (
-            not use_delta
-            and compiled.delta_prepared is not None
-            and not result.rows
-        ):
-            # the full view just proved the post-update state
-            # consistent for this EDC; once this update is applied
-            # the seeded path becomes sound again
-            rearm.append(compiled)
-        label = (
-            compiled.view_name + ".delta" if use_delta else compiled.view_name
-        )
+            result = db.query(f"SELECT * FROM {label}", overlays=overlays)
         return (
             compiled,
             label,
@@ -542,8 +481,6 @@ class SafeCommit:
         db: Database,
         overlays: Optional[dict[str, TableOverlay]],
         collector,
-        delta_ok: bool,
-        rearm: list[CompiledEDC],
     ) -> list[tuple]:
         """Execute a family's shared core once and hand each member the
         core rows its residual comparisons accept (SQL semantics: an
@@ -559,7 +496,7 @@ class SafeCommit:
                 pass
         if result is None:
             return [
-                self._run_view(member, db, overlays, collector, delta_ok, rearm)
+                self._run_view(member, db, overlays, collector)
                 for member in family.members
             ]
         outcomes = []
@@ -583,105 +520,6 @@ class SafeCommit:
                 )
             )
         return outcomes
-
-    # -- delta memo state ---------------------------------------------------
-
-    def _delta_tables(self) -> tuple[str, ...]:
-        """Union of the delta base tables over every compiled EDC."""
-        if self._delta_tables_cache is None:
-            names: set[str] = set()
-            for compiled in self.compiled:
-                if compiled.delta is not None:
-                    names.update(compiled.delta.base_tables)
-            self._delta_tables_cache = tuple(sorted(names))
-        return self._delta_tables_cache
-
-    def _delta_stamp_valid(self, db: Database) -> bool:
-        """Whether any seeded delta plan may replace its full view.
-
-        The seeded evaluation assumes the pre-update state satisfies
-        the assertion (the same assumption under which EDC generation
-        discards the event-free disjunct).  That holds exactly while
-        every write since arming went through a validated commit: the
-        shared ``data_version`` stamp of each closure base table must
-        still match, and the catalog must not have changed.  Any drift
-        — bulk loads, recovery replay, DDL — disarms *all* EDCs, and
-        the full plans (the differential oracle) take over until clean
-        full checks are applied again.
-        """
-        if self._delta_catalog_version is None:
-            return False
-        if db.catalog.version != self._delta_catalog_version:
-            self._disarm_all()
-            return False
-        get = db.catalog.get_table
-        for name, version in self._delta_stamp.items():
-            table = get(name, default=None)
-            if table is None or table.data_version != version:
-                self._disarm_all()
-                return False
-        return True
-
-    def _disarm_all(self) -> None:
-        for compiled in self.compiled:
-            compiled.delta_armed = False
-        self._delta_stamp = {}
-        self._delta_catalog_version = None
-
-    def note_applied(self, db: Database, inserts=None, deletes=None) -> None:
-        """Record that the update validated by the last ``check_only``
-        pass was applied.
-
-        Called under the engine's write protection after every
-        validated apply.  Re-arms the EDCs whose full views came back
-        clean in that pass, refreshes the shared base-table version
-        stamp (the apply itself legitimately bumped the written
-        tables; an unexplained bump on an *unwritten* table means
-        unvalidated drift and disarms everything instead).  Aggregate
-        checks keep no state across commits, so they need nothing here.
-        """
-        written = {
-            name.lower()
-            for source in (inserts or {}, deletes or {})
-            for name, rows in source.items()
-            if rows
-        }
-        stamp: dict[str, int] = {}
-        get = db.catalog.get_table
-        drifted = (
-            self._delta_catalog_version is not None
-            and db.catalog.version != self._delta_catalog_version
-        )
-        for name in self._delta_tables():
-            table = get(name, default=None)
-            if table is None:
-                drifted = True
-                continue
-            if (
-                name not in written
-                and name in self._delta_stamp
-                and self._delta_stamp[name] != table.data_version
-            ):
-                drifted = True
-            stamp[name] = table.data_version
-        if drifted:
-            self._disarm_all()
-        else:
-            rearm, self._rearm = self._rearm, []
-            compiled_set = self.compiled
-            for compiled in rearm:
-                if compiled in compiled_set:
-                    compiled.delta_armed = True
-            self._delta_stamp = stamp
-            self._delta_catalog_version = db.catalog.version
-
-    def reset_delta_state(self) -> None:
-        """Drop the delta plans' arming state.  It is derived from base
-        data — never WAL-logged — so recovery and bulk restores call
-        this and let the pipeline re-arm lazily through the full-plan
-        path."""
-        self._rearm = []
-        self._disarm_all()
 
     @staticmethod
     def _trace_check(

@@ -26,7 +26,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import CatalogError, CompilationError, DurabilityError, SessionError
+from ..errors import (
+    AssertionDefinitionError,
+    CatalogError,
+    CompilationError,
+    DurabilityError,
+    SessionError,
+)
 from ..logic import Builtin, Constant, Variable
 from ..minidb.database import Database, PreparedStatement
 from ..minidb.planner import access_skeleton
@@ -351,7 +357,24 @@ class Tintin:
 
         Returns the :class:`Assertion` with its denials, EDCs and view
         names filled in for inspection.
+
+        Every EDC assumes, as the paper does, that the state before an
+        update satisfies the assertion.  An assertion that compiles a
+        seeded delta plan (:mod:`repro.core.delta`) has that premise
+        checked here: its defining query runs once over the current
+        state — the cost of one :meth:`full_check_commit` of this
+        assertion alone — and if it finds witnesses this raises
+        :class:`~repro.errors.AssertionDefinitionError` carrying them
+        as ``violations``, before any view, registration or WAL record
+        exists.  Every other assertion's premise is assumed.
         """
+        return self._install_assertion(sql, check_premise=True)
+
+    def _install_assertion(
+        self, sql: str, check_premise: bool = False
+    ) -> Assertion:
+        """:meth:`add_assertion`'s body; recovery installs through it
+        unchecked, since the premise was checked at the first install."""
         if not self._installed:
             raise CompilationError(
                 "call install() before adding assertions — the generated "
@@ -382,42 +405,49 @@ class Tintin:
 
         generator = EDCGenerator()
         sql_gen = SQLGenerator(self.db.catalog)
-        all_edcs = []
+        reports: dict[str, OptimizationReport] = {}
+        aux_views = []
         for denial in assertion.denials:
             edcs, aux_predicates = generator.generate(denial)
             edcs, report = self.optimizer.optimize(edcs)
-            self.reports[denial.name] = report
-            all_edcs.extend(edcs)
+            reports[denial.name] = report
+            assertion.edcs.extend(edcs)
             aux_index = {a.predicate.name.lower(): a for a in aux_predicates}
             for aux in aux_predicates:
                 view = sql_gen.aux_view(aux, aux_index)
-                if view is not None and not self.db.catalog.has_view(view.name):
-                    self.db.create_view(view.name, view.query)
-        assertion.edcs = all_edcs
-
+                if view is not None:
+                    aux_views.append(view)
+        # derive the delta rules before anything is installed:
+        # guard-mode EDCs get a seeded plan that probes only
+        # update-adjacent parents, sound only over a consistent state
         delta_compiler = DeltaCompiler(sql_gen)
-        for edc in all_edcs:
-            query = sql_gen.edc_query(edc)
+        deltas = [delta_compiler.compile(edc) for edc in assertion.edcs]
+        if check_premise and any(
+            delta is not None and delta.query is not None for delta in deltas
+        ):
+            self._require_premise(assertion)
+
+        self.reports.update(reports)
+        for view in aux_views:
+            if not self.db.catalog.has_view(view.name):
+                self.db.create_view(view.name, view.query)
+        for edc, delta in zip(assertion.edcs, deltas):
             view_name = edc.name
-            self.db.create_view(view_name, query)
+            self.db.create_view(view_name, sql_gen.edc_query(edc))
             assertion.view_names.append(view_name)
             # compile the violation view into a prepared plan now, so
             # every subsequent safeCommit executes it without parsing or
-            # planning (the handle re-plans itself lazily after DDL)
-            prepared = self.db.prepare(f"SELECT * FROM {view_name}")
-            # derive the delta rule alongside the full plan: guard-mode
-            # EDCs get a seeded plan that probes only update-adjacent
-            # parents; the full view stays installed as the oracle and
-            # the fallback whenever the memo state is cold
-            delta = delta_compiler.compile(edc)
-            delta_prepared = (
-                self.db.prepare_query(delta.query)
-                if delta is not None and delta.query is not None
-                else None
-            )
+            # planning (the handle re-plans itself lazily after DDL); a
+            # seeded EDC prepares its delta plan instead
+            if delta is not None and delta.query is not None:
+                prepared = None
+                delta_prepared = self.db.prepare_query(delta.query)
+            else:
+                prepared = self.db.prepare(f"SELECT * FROM {view_name}")
+                delta_prepared = None
             core = (
                 self._shared_core(edc, sql_gen, prepared)
-                if delta_prepared is None and edc.guard is None
+                if prepared is not None and edc.guard is None
                 else None
             )
             self.safe_commit_proc.register(
@@ -438,6 +468,21 @@ class Tintin:
         if self.durability is not None:
             self.durability.log_ddl("assertion_add", sql=assertion.sql)
         return assertion
+
+    def _require_premise(self, assertion: Assertion) -> None:
+        """Refuse ``assertion`` when the current state violates it."""
+        violations = self.baseline.check(self.db, assertion)
+        if not violations:
+            return
+        # its handles were cached under a name that is not installed
+        self.baseline.unregister(assertion.name)
+        witnesses = sum(len(v.rows) for v in violations)
+        error = AssertionDefinitionError(
+            f"assertion {assertion.name!r} is violated by the current "
+            f"state ({witnesses} witness tuple(s)); it was not installed"
+        )
+        error.violations = violations
+        raise error
 
     def _shared_core(
         self, edc: EDC, sql_gen: SQLGenerator, prepared: PreparedStatement

@@ -189,11 +189,6 @@ def recover(
     report.tables = {
         t.schema.name: len(t) for t in db.catalog.tables(namespace="main")
     }
-    # delta-plan arming state is derived cache and is never WAL-logged:
-    # replayed batches bypassed note_applied, so drop whatever the
-    # replays may have primed — the recovered engine starts cold and
-    # re-arms lazily through its first clean full-view checks
-    tintin.safe_commit_proc.reset_delta_state()
     report.seconds = time.perf_counter() - start
     return tintin, report
 
@@ -221,8 +216,10 @@ def _restore_checkpoint(
     captured = checkpoint.get("captured", ())
     if captured or checkpoint.get("installed"):
         tintin.install(list(captured))
+    # the premise check ran when each assertion was first installed;
+    # the restored state may hold bypass-loaded rows it never saw
     for entry in checkpoint.get("assertions", ()):
-        tintin.add_assertion(entry["sql"])
+        tintin._install_assertion(entry["sql"])
     # user views: whatever assertion replay did not already re-create
     from ..sqlparser.parser import parse_statement
 
@@ -285,7 +282,7 @@ def _replay_record(
     elif kind == "install":
         tintin.install(list(fields["tables"]))
     elif kind == "assertion_add":
-        tintin.add_assertion(fields["sql"])
+        tintin._install_assertion(fields["sql"])
     elif kind == "assertion_drop":
         tintin.drop_assertion(fields["name"])
     else:

@@ -220,7 +220,12 @@ class CompilationError(ReproError):
 
 
 class AssertionDefinitionError(CompilationError):
-    """The CREATE ASSERTION statement is malformed or unsupported."""
+    """The CREATE ASSERTION statement is malformed or unsupported, or
+    the current state already violates it."""
+
+    #: the witnessing :class:`~repro.core.safe_commit.Violation` rows
+    #: when the state violates the assertion; empty otherwise
+    violations: list = []
 
 
 class UnknownTableError(CompilationError):

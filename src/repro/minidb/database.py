@@ -823,6 +823,9 @@ class Database:
         foreign keys checked immediately: a constraint error at row
         *k* leaves the rows before it inserted (in an open
         transaction, in its undo log) and nothing of row *k*.
+        ``bypass_triggers=True`` writes around event capture: no
+        assertion checks the rows, so a bulk loader runs
+        ``Tintin.full_check_commit()`` with nothing staged afterwards.
         """
         table = self.catalog.require_table(table_name)
         validated = table.validate_rows(rows)

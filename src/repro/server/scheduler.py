@@ -11,7 +11,7 @@ stage boundaries:
     violation views over the update's overlays; spans ``validate`` /
     ``check.<view>``) → deadline gate → apply (one trigger-free
     physical batch under a transaction manager; span ``apply``) →
-    ``note_applied`` → log (one unsynced WAL record; span
+    log (one unsynced WAL record; span
     ``wal.append``) → flush (one fsync, then the withheld results
     become visible; span ``wal.fsync``)
 
@@ -416,7 +416,6 @@ class CommitScheduler:
                 if txn.in_transaction:
                     with self.rwlock.write_locked():
                         txn.rollback()
-                    self.tintin.safe_commit_proc.reset_delta_state()
                 if isinstance(exc, (OSError, DurabilityError)):
                     return CommitResult(
                         committed=False,
@@ -491,19 +490,12 @@ class CommitScheduler:
             with self.rwlock.write_locked():
                 if verdict:
                     # the tentative apply becomes permanent: close the
-                    # undo log, fold the delta into the derived state,
-                    # log the decision with post-apply counts for
-                    # replay checking
+                    # undo log, log the decision with post-apply counts
+                    # for replay checking
                     txn.commit()
-                    self.tintin.safe_commit_proc.note_applied(
-                        self.db, inserts, deletes
-                    )
                     counts = touched_counts(self.db, inserts, deletes)
                 else:
                     txn.rollback()
-                    # delta plans may be re-armed expecting the apply
-                    # to stick; disarming is always sound
-                    self.tintin.safe_commit_proc.reset_delta_state()
             manager = self.tintin.durability
             if manager is not None:
                 # unsynced, and no fsync counted: see the docstring

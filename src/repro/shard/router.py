@@ -541,9 +541,27 @@ class ShardedTintin:
         Each shard checks only its own slice, so the assertion is
         first compiled on the catalog mirror and refused — before any
         shard sees it — unless the shard keys co-locate every row a
-        violation joins (see :meth:`ShardConfig.require_local`)."""
+        violation joins (see :meth:`ShardConfig.require_local`).  A
+        shard whose rows already violate it refuses it, as
+        ``Tintin.add_assertion`` does; the shards that installed it
+        then drop it again, so no shard holds an assertion another
+        refused, and the refusal is raised."""
         self.config.require_local(self.db, sql)
-        return self._broadcast("assertion", sql)[-1]
+        with _locked(self.handles):
+            outcomes = _scatter(
+                [(handle, ("assertion", sql)) for handle in self.handles]
+            )
+            refused = [o for o in outcomes if isinstance(o, ShardError)]
+            if refused:
+                _scatter(
+                    [
+                        (handle, ("drop_assertion", name))
+                        for handle, name in zip(self.handles, outcomes)
+                        if not isinstance(name, ShardError)
+                    ]
+                )
+                raise refused[0]
+        return outcomes[-1]
 
     # -- reads -------------------------------------------------------------
 
@@ -883,17 +901,20 @@ class ShardSession:
         deadline: Optional[float] = None,
         obs: Optional[CommitObs] = None,
     ) -> CommitResult:
+        """Route the staged update by its shard-key footprint.
+
+        The attempt takes the staged update out first, so a commit
+        that is rejected or raises has consumed it: the staging is
+        empty afterwards either way."""
         self._check_alive()
-        result = self.router.commit_events(
-            {table: list(rows) for table, rows in self._inserts.items()},
-            {table: list(rows) for table, rows in self._deletes.items()},
+        inserts, deletes = self._inserts, self._deletes
+        self._inserts, self._deletes = {}, {}
+        return self.router.commit_events(
+            {table: list(rows) for table, rows in inserts.items()},
+            {table: list(rows) for table, rows in deletes.items()},
             deadline=deadline,
             obs=obs,
         )
-        if result.committed:
-            self._inserts = {}
-            self._deletes = {}
-        return result
 
     def discard(self) -> int:
         self._check_alive()

@@ -132,6 +132,9 @@ def shard_worker_main(
                 conn.send(("ok", tintin.install()))
             elif command == "assertion":
                 conn.send(("ok", tintin.add_assertion(message[1]).name))
+            elif command == "drop_assertion":
+                tintin.drop_assertion(message[1])
+                conn.send(("ok", None))
             elif command == "commit":
                 _, inserts, deletes, remaining = message
                 deadline = (

@@ -64,8 +64,12 @@ def state(db: Database) -> dict:
     }
 
 
-def arming(tintin: Tintin) -> list[bool]:
-    return [c.delta_armed for c in tintin.safe_commit_proc.compiled]
+def checks(tintin: Tintin) -> list[tuple]:
+    """Each installed violation view with the plan handles it runs."""
+    return [
+        (c.view_name, c.prepared, c.delta_prepared)
+        for c in tintin.safe_commit_proc.compiled
+    ]
 
 
 def order(key: int) -> tuple[dict, dict]:
@@ -157,10 +161,10 @@ class TestNoVoteLeavesNothingBehind:
         # prepare's window must hand it back unchanged
         tintin.db.execute("INSERT INTO orders VALUES (50, 1.0)")
         tintin.db.execute("INSERT INTO items VALUES (50, 1)")
-        base, staged, armed = (
+        base, staged, installed = (
             state(tintin.db),
             tintin.events.staged.snapshot(),
-            arming(tintin),
+            checks(tintin),
         )
         vote = scheduler.prepare_events("g1", inserts, deletes)
         assert not vote.committed
@@ -168,20 +172,18 @@ class TestNoVoteLeavesNothingBehind:
         assert not scheduler.has_prepared
         assert state(tintin.db) == base
         assert tintin.events.staged.snapshot() == staged
-        # derived state may be dropped (always sound), never gained
-        assert all(was or not now for was, now in zip(armed, arming(tintin)))
+        # the vote reads the checks and leaves them as it found them
+        assert checks(tintin) == installed
         assert scheduler.stats.prepares == 0
-        return tintin, armed
+        return tintin
 
     def test_assertion_violating_prepare(self):
         def expect(vote):
             assert [v.assertion for v in vote.violations] == ["atLeastOneItem"]
 
-        tintin, armed = self.check_untouched(
-            {"orders": [(7, 10.0)]}, {}, expect
-        )
-        # nothing was applied or undone: the arming is exactly as it was
-        assert arming(tintin) == armed
+        tintin = self.check_untouched({"orders": [(7, 10.0)]}, {}, expect)
+        # nothing was applied: the next prepare votes on the same state
+        assert tintin.sessions.scheduler.prepare_events("g2", *order(7)).committed
 
     def test_constraint_violating_prepare(self):
         def expect(vote):

@@ -112,3 +112,56 @@ def test_the_repro_states(sharded):
         session = sharded.create_session()
         session.delete("t", [(1, 1)])
         session.commit()
+
+
+
+ORDERS_DDL = "CREATE TABLE orders (id INTEGER PRIMARY KEY)"
+ITEMS_DDL = (
+    "CREATE TABLE items (order_id INTEGER, n INTEGER, "
+    "PRIMARY KEY (order_id, n), "
+    "FOREIGN KEY (order_id) REFERENCES orders (id))"
+)
+AT_LEAST_ONE = (
+    "CREATE ASSERTION atLeastOneItem CHECK (NOT EXISTS ("
+    "SELECT * FROM orders AS o WHERE NOT EXISTS ("
+    "SELECT * FROM items AS i WHERE i.order_id = o.id)))"
+)
+
+
+def refused_then_retried(engine, execute, query) -> tuple[list, list]:
+    """Stage an itemless order (refused), then only its item: the
+    verdicts and the stored tables."""
+    for ddl in (ORDERS_DDL, ITEMS_DDL):
+        execute(ddl)
+    engine.install()
+    engine.add_assertion(AT_LEAST_ONE)
+    session = engine.create_session()
+    session.insert("orders", [(1,)])
+    verdicts = [session.commit().committed]
+    session.insert("items", [(1, 1)])
+    verdicts.append(session.commit().committed)
+    tables = [
+        sorted(tuple(row) for row in query(f"SELECT * FROM {table}").rows)
+        for table in ("orders", "items")
+    ]
+    return verdicts, tables
+
+
+def test_a_refused_commit_consumes_its_update_on_both_engines(tmp_path):
+    """A refused commit's update is not staged any more, so the next
+    commit sends only its own item — which the foreign key refuses —
+    on a sharded session as on an embedded one."""
+    embedded = Tintin(Database())
+    expected = refused_then_retried(
+        embedded, embedded.db.execute, embedded.db.query
+    )
+    assert expected == ([False, False], [[], []])
+    sharded = ShardedTintin(
+        str(tmp_path), shards=2, shard_keys={"orders": "id", "items": "order_id"}
+    )
+    try:
+        assert refused_then_retried(sharded, sharded.execute, sharded.query) == (
+            expected
+        )
+    finally:
+        sharded.close()
